@@ -11,6 +11,11 @@ explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
 failed, 2 usage or domain error.
+
+A sweep runs serially, one d1 column at a time: the column's endpoint images
+and band probabilities come from the numpy column kernel in ``varband``, and
+each band probability is computed once and shared by the bound and monotone
+rows.  Commands that draw no samples and sweep no grid never import numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .distributions import FDist, FParams, chi_square, f_dist
@@ -35,6 +38,7 @@ from .programs import (
 )
 from .reporting import (
     has_failures,
+    margin_row,
     rows_from_outcome,
     rows_from_step_report,
     summarize,
@@ -42,18 +46,26 @@ from .reporting import (
 )
 from .specfun import log_beta
 from .varband import (
+    NORMAL_BAND,
     STRICTNESS_FLOOR,
     band_endpoints,
-    check_bound,
+    band_endpoints_column,
     check_limit,
-    check_monotone_step,
     variation_band,
     variation_probability,
+    variation_probability_column,
 )
-from .proofcheck.steps import check_step_inequalities
+from .proofcheck.steps import step_inequalities_at
 
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables", "exploratory")
 _VARIANCE_CHECKS = {"bound", "monotone", "steps"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _parse_range(text: str) -> tuple:
@@ -86,7 +98,7 @@ def _parse_checks(text: str) -> tuple:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="varcomp",
         description="Variation probabilities of F / chi-square / normal "
                     "distributions and the machine-checked inequality verifier.")
@@ -124,8 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="d2 used by the limit check")
     p_sweep.add_argument("--exploratory", action="store_true",
                          help="also evaluate grid points outside the proved region")
-    p_sweep.add_argument("--jobs", type=int, default=0,
-                         help="worker processes (default: available parallelism)")
 
     p_prove = sub.add_parser("prove", help="full verification program for one d1")
     p_prove.add_argument("--d1", type=int, required=True)
@@ -154,35 +164,29 @@ def _build_parser() -> argparse.ArgumentParser:
 # sweep machinery
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(args) -> list:
-    """One grid cell of a sweep; top-level so worker processes can pickle it."""
-    check, d1, d2, floor, extra = args
-    p = FParams(d1, d2)
-    exploratory = d1 not in PROVED_D1_CASES
-    if check == "bound":
-        return rows_from_outcome(check_bound(p, floor=0.0))
-    if check == "monotone":
-        return rows_from_outcome(check_monotone_step(p, floor=floor))
-    if check == "limit":
-        return rows_from_outcome(check_limit(d1, extra["d2_large"], extra["limit_tol"]))
-    if check == "steps":
-        return rows_from_step_report(
-            check_step_inequalities(p, floor), floor, exploratory=exploratory)
-    raise ValueError(f"unexpected check {check!r}")
-
-
-def _run_cells(cells, jobs: int) -> list:
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
+def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list:
+    """Rows of the per-point checks (bound, monotone, steps) for one d1 over
+    d2_lo..d2_hi.  Each band probability is computed once, for d2 up to
+    d2_hi + 2, and read by both the bound and the monotone rows."""
+    expl = d1 not in PROVED_D1_CASES
+    note = "exploratory" if expl else ""
+    d2s = range(d2_lo, d2_hi + 1)
+    if "bound" in checks or "monotone" in checks:
+        prob = variation_probability_column(d1, range(d2_lo, d2_hi + 3)).tolist()
+    if "steps" in checks:
+        a, b, c, d = (v.tolist() for v in band_endpoints_column(d1, d2s))
     rows: list = []
-    if jobs == 1 or len(cells) < 8:
-        for cell in cells:
-            rows.extend(_sweep_cell(cell))
-        return rows
-    chunk = max(1, len(cells) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for out in pool.map(_sweep_cell, cells, chunksize=chunk):
-            rows.extend(out)
+    for check in checks:
+        if check == "bound":
+            rows += [margin_row("bound_exceeds_normal", d1, d2, prob[i] - NORMAL_BAND,
+                                floor, note, expl) for i, d2 in enumerate(d2s)]
+        elif check == "monotone":
+            rows += [margin_row("step_decreasing", d1, d2, prob[i] - prob[i + 2],
+                                floor, note, expl) for i, d2 in enumerate(d2s)]
+        elif check == "steps":
+            for i, d2 in enumerate(d2s):
+                report = step_inequalities_at(d1, d2, a[i], b[i], c[i], d[i], floor)
+                rows += rows_from_step_report(report, floor, exploratory=expl)
     return rows
 
 
@@ -208,24 +212,14 @@ def _cmd_sweep(ns) -> int:
     else:
         grid_d1 = d1_values
 
-    extra = {"d2_large": ns.d2_large, "limit_tol": ns.limit_tol}
-    cells = []
+    rows: list = []
+    if _VARIANCE_CHECKS.intersection(checks):
+        for d1 in grid_d1:
+            rows += _sweep_column(d1, d2_lo, d2_hi, checks, ns.floor)
     for check in checks:
-        if check == "tables":
-            continue
         if check == "limit":
-            cells += [(check, d1, ns.d2_large, ns.floor, extra) for d1 in d1_values]
-        elif check == "exploratory":
-            continue
-        elif check == "steps":
-            cells += [(check, d1, d2, ns.floor, extra)
-                      for d1 in grid_d1
-                      for d2 in range(d2_lo, d2_hi + 1)]
-        else:
-            cells += [(check, d1, d2, ns.floor, extra)
-                      for d1 in grid_d1
-                      for d2 in range(d2_lo, d2_hi + 1)]
-    rows = _run_cells(cells, ns.jobs)
+            for d1 in d1_values:
+                rows += rows_from_outcome(check_limit(d1, ns.d2_large, ns.limit_tol))
     if "tables" in checks:
         rows += table_rows(ns.floor)
         rows += certificate_rows()
@@ -248,13 +242,20 @@ def _cmd_sweep(ns) -> int:
             "exploratory": bool(ns.exploratory),
         },
     }
-    text = write_report(rows, header, ns.format, ns.out)
+    counts = _write(rows, header, ns)
+    return 1 if counts["fail"] else 0
+
+
+def _write(rows: list, header: dict, ns) -> dict:
+    """Emit a sweep or explore report to ns.out or stdout; returns the
+    summary counts, computed once."""
+    counts = summarize(rows)
+    text = write_report(rows, header, ns.format, ns.out, counts)
     if not ns.out:
         sys.stdout.write(text)
     else:
-        counts = summarize(rows)
         print(f"wrote {ns.out}: " + " ".join(f"{k}={v}" for k, v in counts.items()))
-    return 1 if has_failures(rows) else 0
+    return counts
 
 
 def _cmd_prove(ns) -> int:
@@ -270,7 +271,7 @@ def _cmd_prove(ns) -> int:
                  "floor": ns.floor},
     }
     if ns.out:
-        write_report(rows, header, ns.format, ns.out)
+        write_report(rows, header, ns.format, ns.out, counts)
         print(f"wrote {ns.out}")
     by_claim = {}
     for row in rows:
@@ -282,7 +283,7 @@ def _cmd_prove(ns) -> int:
         ok = not has_failures(group)
         print(f"{'PASS' if ok else 'FAIL'} {claim} ({len(group)} rows, {worst})")
     print("summary: " + " ".join(f"{k}={v}" for k, v in counts.items()))
-    return 1 if has_failures(rows) else 0
+    return 1 if counts["fail"] else 0
 
 
 def _cmd_oracle(ns) -> int:
@@ -388,12 +389,7 @@ def _cmd_explore(ns) -> int:
         "spec": {"command": "explore", "d1": f"{d1_lo}..{d1_hi}",
                  "d2": f"{d2_lo}..{d2_hi}", "floor": ns.floor},
     }
-    text = write_report(rows, header, ns.format, ns.out)
-    if not ns.out:
-        sys.stdout.write(text)
-    else:
-        counts = summarize(rows)
-        print(f"wrote {ns.out}: " + " ".join(f"{k}={v}" for k, v in counts.items()))
+    _write(rows, header, ns)
     return 0
 
 

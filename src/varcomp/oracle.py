@@ -7,17 +7,22 @@ and parallelize without shared state.  The quadrature handles the integrable
 endpoint singularities (a < 1 at t=0, b < 1 at t=1) by the substitutions
 t = u^2 and t = 1 - u^2 on the affected panels, never by clipping the
 integration limits.
+
+numpy is imported only by the functions that draw samples, so the
+quadrature route costs no numpy import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import FParams, f_mean, f_variance
 from .errors import DomainError, ToleranceNotMetError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "McEstimate",
@@ -60,6 +65,8 @@ class QuadResult:
 
 def stream(seed: int, d1: int = 0, d2: int = 0) -> np.random.Generator:
     """Deterministic generator keyed by (seed, d1, d2)."""
+    import numpy as np
+
     if seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(d1), int(d2)]))
@@ -78,6 +85,8 @@ def chi_square_draws(k: int, size: int, rng: np.random.Generator,
     if method == "auto":
         method = "normal-sum" if k <= _NORMAL_SUM_MAX_DF else "gamma"
     if method == "normal-sum":
+        import numpy as np
+
         z = rng.standard_normal((size, k))
         return np.einsum("ij,ij->i", z, z)
     if method == "gamma":
@@ -111,6 +120,8 @@ def mc_variation_probability(p: FParams, n: int, seed: int = 0) -> McEstimate:
         raise DomainError(f"Monte Carlo band estimate requires n >= 10^4, got {n}")
     mean = f_mean(p)
     sd = math.sqrt(f_variance(p))  # raises MomentUndefinedError for d2 <= 4
+    import numpy as np
+
     lo, hi = mean - sd, mean + sd
     rng = stream(seed, p.d1, p.d2)
     hits = 0

@@ -38,12 +38,13 @@ from typing import Tuple
 from ..distributions import FParams
 from ..errors import DomainError
 from ..oracle import quad_beta_integral
-from ..varband import STRICTNESS_FLOOR, band_endpoints, d_exceeds_c
+from ..varband import STRICTNESS_FLOOR, _d_exceeds_c, band_endpoints, d_exceeds_c
 from .auxfn import v_direct
 
 __all__ = [
     "StepReport",
     "check_step_inequalities",
+    "step_inequalities_at",
     "coefficient_sign_checks",
     "series_forms_even",
     "falling_factorial_bounds_odd",
@@ -93,10 +94,17 @@ def _boundary_term(x: float, d1: int, d2: int) -> float:
 def check_step_inequalities(p: FParams, floor: float = STRICTNESS_FLOOR,
                             quad_tol: float = _QUAD_TOL) -> StepReport:
     """Evaluate every step-inequality form that applies at (d1, d2)."""
-    d1, d2 = p.d1, p.d2
-    if d2 < 5:
-        raise DomainError(f"step inequalities require d2 >= 5, got d2={d2}")
+    if p.d2 < 5:
+        raise DomainError(f"step inequalities require d2 >= 5, got d2={p.d2}")
     ep = band_endpoints(p)
+    return step_inequalities_at(p.d1, p.d2, ep.a, ep.b, ep.c, ep.d, floor, quad_tol)
+
+
+def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float, d: float,
+                         floor: float = STRICTNESS_FLOOR,
+                         quad_tol: float = _QUAD_TOL) -> StepReport:
+    """``check_step_inequalities`` at (d1, d2) given its endpoint images
+    a, b, c, d (from ``band_endpoints`` or ``band_endpoints_column``)."""
     a2, b2 = 0.5 * d1, 0.5 * d2
 
     forms, lhss, rhss, margins = [], [], [], []
@@ -108,44 +116,44 @@ def check_step_inequalities(p: FParams, floor: float = STRICTNESS_FLOOR,
         rhss.append(rhs)
         margins.append(margin)
 
-    upper_int = d2 * quad_beta_integral(a2, b2, ep.a, ep.b, quad_tol).value
-    lower_int = d2 * _signed_beta_integral(a2, b2, ep.c, ep.d, quad_tol)
-    term_a = _boundary_term(ep.a, d1, d2)
-    term_c = _boundary_term(ep.c, d1, d2)
+    upper_int = d2 * quad_beta_integral(a2, b2, a, b, quad_tol).value
+    lower_int = d2 * _signed_beta_integral(a2, b2, c, d, quad_tol)
+    term_a = _boundary_term(a, d1, d2)
+    term_c = _boundary_term(c, d1, d2)
 
     add("step_integral", term_a + lower_int, upper_int + term_c,
         (upper_int + term_c) - (term_a + lower_int))
     add("upper_edge", term_a, upper_int, upper_int - term_a)
-    if ep.c > 0.0:
+    if c > 0.0:
         add("lower_edge", lower_int, term_c, term_c - lower_int)
     else:
         skipped.append("lower_edge")
 
-    one_m_a = _pow1m(ep.a, b2 + 1.0)
-    one_m_b = _pow1m(ep.b, b2)
+    one_m_a = _pow1m(a, b2 + 1.0)
+    one_m_b = _pow1m(b, b2)
     if d1 in (1, 2, 3):
         add("power_step", one_m_b, one_m_a, one_m_a - one_m_b)
     if d1 == 1:
-        lhs = (3.0 * (d2 + 2) * ep.a - 2.0 - d2 * ep.b) * one_m_b
-        rhs = 2.0 * ((d2 + 2) * ep.a - 1.0) * one_m_a
+        lhs = (3.0 * (d2 + 2) * a - 2.0 - d2 * b) * one_m_b
+        rhs = 2.0 * ((d2 + 2) * a - 1.0) * one_m_a
         add("affine_power_step", lhs, rhs, rhs - lhs)
     if d1 == 4:
-        lhs = (d2 * ep.b + 2.0) * one_m_b
-        rhs = ((d2 + 2) * ep.a + 2.0) * one_m_a
+        lhs = (d2 * b + 2.0) * one_m_b
+        rhs = ((d2 + 2) * a + 2.0) * one_m_a
         add("poly_power_step", lhs, rhs, rhs - lhs)
 
-    d_gt_c = ep.d > 0.0 and d_exceeds_c(p) if d1 >= 3 else False
+    d_gt_c = d > 0.0 and _d_exceeds_c(d1, d2) if d1 >= 3 else False
     if d1 == 4:
         if d_gt_c:
-            lhs = (d2 * ep.d + 2.0) * _pow1m(ep.d, b2)
-            rhs = ((d2 + 2) * ep.c + 2.0) * _pow1m(ep.c, b2 + 1.0)
+            lhs = (d2 * d + 2.0) * _pow1m(d, b2)
+            rhs = ((d2 + 2) * c + 2.0) * _pow1m(c, b2 + 1.0)
             add("poly_power_step_lower", lhs, rhs, lhs - rhs)
         else:
             skipped.append("poly_power_step_lower")
     if d1 == 3:
         if d_gt_c:
-            lhs = (2.0 * (1.0 + ep.c) + d2 * (ep.c + ep.d)) * _pow1m(ep.d, b2)
-            rhs = 2.0 * ((d2 + 2) * ep.c + 1.0) * _pow1m(ep.c, b2 + 1.0)
+            lhs = (2.0 * (1.0 + c) + d2 * (c + d)) * _pow1m(d, b2)
+            rhs = 2.0 * ((d2 + 2) * c + 1.0) * _pow1m(c, b2 + 1.0)
             add("product_step_lower", lhs, rhs, lhs - rhs)
             v = v_direct(float(d2))
             add("ratio_bound_lower", 0.0, v, v)

@@ -22,6 +22,7 @@ from .proofcheck.steps import StepReport
 __all__ = [
     "Row",
     "bucket",
+    "margin_row",
     "rows_from_outcome",
     "rows_from_step_report",
     "sort_rows",
@@ -70,6 +71,17 @@ def has_failures(rows: Iterable[Row]) -> bool:
     return any(bucket(r) == "fail" for r in rows)
 
 
+def margin_row(check_id: str, d1: int, d2: int, margin: float, floor: float,
+               note: str = "", exploratory: bool = False) -> Row:
+    """Row for a signed margin: pass above the floor, inconclusive within
+    it (the note gains "inconclusive"), fail below."""
+    if margin > floor:
+        return Row(check_id, d1, d2, margin, True, note, exploratory)
+    if abs(margin) <= floor:
+        note = (note + "; " if note else "") + "inconclusive"
+    return Row(check_id, d1, d2, margin, False, note, exploratory)
+
+
 def rows_from_outcome(outcome: CheckOutcome, d1: int = 0, d2: int = 0,
                       exploratory: bool = False) -> list:
     """Convert a CheckOutcome to a single row.
@@ -88,16 +100,8 @@ def rows_from_step_report(report: StepReport, floor: float = STRICTNESS_FLOOR,
                           exploratory: bool = False) -> list:
     expl = exploratory or "exploratory" in report.note
     base_note = report.note if report.note != "exploratory" else ""
-    rows = []
-    for form, margin in zip(report.forms_checked, report.margins):
-        if margin > floor:
-            passed, note = True, base_note
-        elif abs(margin) <= floor:
-            passed = False
-            note = (base_note + "; " if base_note else "") + "inconclusive"
-        else:
-            passed, note = False, base_note
-        rows.append(Row(form, report.d1, report.d2, margin, passed, note, expl))
+    rows = [margin_row(form, report.d1, report.d2, margin, floor, base_note, expl)
+            for form, margin in zip(report.forms_checked, report.margins)]
     for form in report.not_applicable:
         rows.append(Row(form, report.d1, report.d2, None, False,
                         "not applicable", expl))
@@ -125,9 +129,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(rows: Sequence[Row], header: Mapping[str, object]) -> str:
+def render_csv(rows: Sequence[Row], header: Mapping[str, object],
+               summary: Optional[dict] = None) -> str:
+    """CSV report; summary is ``summarize(rows)``, computed here if not given."""
     rows = sort_rows(rows)
-    summary = summarize(rows)
+    if summary is None:
+        summary = summarize(rows)
     buf = io.StringIO()
     buf.write(f"# varcomp {header.get('version', '')}\n")
     spec = header.get("spec", {})
@@ -141,7 +148,9 @@ def render_csv(rows: Sequence[Row], header: Mapping[str, object]) -> str:
     return buf.getvalue()
 
 
-def render_json(rows: Sequence[Row], header: Mapping[str, object]) -> str:
+def render_json(rows: Sequence[Row], header: Mapping[str, object],
+                summary: Optional[dict] = None) -> str:
+    """JSON report; summary is ``summarize(rows)``, computed here if not given."""
     rows = sort_rows(rows)
     payload = {
         "header": {"tool": "varcomp", **header},
@@ -157,22 +166,24 @@ def render_json(rows: Sequence[Row], header: Mapping[str, object]) -> str:
             }
             for r in rows
         ],
-        "summary": summarize(rows),
+        "summary": summarize(rows) if summary is None else summary,
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(rows: Sequence[Row], header: Mapping[str, object],
-                 fmt: str, path: Optional[str]) -> str:
-    """Render and either write atomically to path or return for stdout.
+                 fmt: str, path: Optional[str],
+                 summary: Optional[dict] = None) -> str:
+    """Render and either write atomically to path or return for stdout;
+    summary is passed on to the renderer.
 
     The temp-file + rename dance guarantees no partial report survives an
     abort mid-write.
     """
     if fmt == "csv":
-        text = render_csv(rows, header)
+        text = render_csv(rows, header, summary)
     elif fmt == "json":
-        text = render_json(rows, header)
+        text = render_json(rows, header, summary)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     if path:

@@ -21,6 +21,12 @@ floating-point division, so the three-region classification is bit-stable:
 
 The variation probability P{|X - E| <= sd} is then I_b(d1/2, d2/2) -
 I_d(d1/2, d2/2).
+
+``band_endpoints`` and ``variation_probability`` evaluate one point and are
+the reference route.  ``band_endpoints_column`` and
+``variation_probability_column`` evaluate one d1 over a whole d2 column with
+numpy (the grid sweep's fast route); they repeat the scalar arithmetic in the
+same order and agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +38,14 @@ from typing import Mapping
 
 from .distributions import ChiSquare, Dist, FDist, FParams, StdNormal, f_mean, f_variance
 from .errors import DomainError, MomentUndefinedError
-from .specfun import Accuracy, DEFAULT_ACCURACY, reg_inc_beta, reg_lower_gamma, std_normal_cdf
+from .specfun import (
+    Accuracy,
+    DEFAULT_ACCURACY,
+    reg_inc_beta,
+    reg_inc_beta_column,
+    reg_lower_gamma,
+    std_normal_cdf,
+)
 
 __all__ = [
     "ConditionRegion",
@@ -44,9 +57,11 @@ __all__ = [
     "normal_band_probability",
     "chi_square_band_probability",
     "band_endpoints",
+    "band_endpoints_column",
     "variation_band",
     "d_exceeds_c",
     "variation_probability",
+    "variation_probability_column",
     "check_bound",
     "check_monotone_step",
     "check_limit",
@@ -156,6 +171,40 @@ def band_endpoints(p: FParams, acc: Accuracy = DEFAULT_ACCURACY) -> Endpoints:
     return Endpoints(a, b, c, d, region)
 
 
+def band_endpoints_column(d1: int, d2) -> tuple:
+    """Endpoint images (a, b, c, d) of ``band_endpoints`` at (d1, d2[i]) for
+    every i, as four float64 arrays.
+
+    d2 is a sequence of integers >= 5.  The region tests run on int64 arrays,
+    so they are as exact as the scalar integer tests.
+    """
+    import numpy as np
+
+    d2 = np.asarray(d2, dtype=np.int64)
+    if d1 < 1:
+        raise DomainError(f"band endpoints require d1 >= 1, got d1={d1}")
+    if d2.size and d2.min() < 5:
+        raise DomainError(f"band endpoints require d2 >= 5, got d2={d2.min()}")
+    if d2.size and int(d1) * int(d2.max()) >= 2 ** 62:
+        raise DomainError("band endpoints need d1 * d2 < 2**62 so the int64 "
+                          "region tests cannot overflow")
+    r1 =np.sqrt(2.0 * (d1 + d2) / (d1 * (d2 - 2)))
+    r2 = np.sqrt(2.0 * (d1 + d2 - 2) / (d1 * (d2 - 4)))
+    a = d1 / (d1 + d2 / (1.0 + r1))
+    b = d1 / (d1 + (d2 - 2) / (1.0 + r2))
+    c = np.zeros(d2.shape)
+    pos = d1 * (d2 - 2) > 2 * (d1 + d2)  # _c_positive
+    n2, r = d2[pos], r1[pos]
+    one_minus_r1 = (d1 * (n2 - 2) - 2 * (d1 + n2)) / (d1 * (n2 - 2) * (1.0 + r))
+    c[pos] = d1 * one_minus_r1 / (d1 * one_minus_r1 + n2)
+    d = np.zeros(d2.shape)
+    pos = d1 * (d2 - 4) > 2 * (d1 + d2 - 2)  # _d_positive
+    n2, r = d2[pos], r2[pos]
+    one_minus_r2 = (d1 * (n2 - 4) - 2 * (d1 + n2 - 2)) / (d1 * (n2 - 4) * (1.0 + r))
+    d[pos] = d1 * one_minus_r2 / (d1 * one_minus_r2 + (n2 - 2))
+    return a, b, c, d
+
+
 def variation_band(p: FParams, acc: Accuracy = DEFAULT_ACCURACY) -> VariationBand:
     """x-space band [max(0, E - sd), E + sd] and its probability."""
     mean = f_mean(p)
@@ -176,6 +225,12 @@ def d_exceeds_c(p: FParams) -> bool:
         raise DomainError(f"d_exceeds_c requires d1 >= 3, got d1={d1}")
     if d2 < 5:
         raise DomainError(f"d_exceeds_c requires d2 >= 5, got d2={d2}")
+    return _d_exceeds_c(d1, d2)
+
+
+def _d_exceeds_c(d1: int, d2: int) -> bool:
+    # the integer test of d_exceeds_c, for callers that already checked
+    # d1 >= 3 and d2 >= 5
     lhs = d1 * (d2 - 2) * (d1 + d2) * (d2 - 4) ** 2
     rhs = 2 * d2 * d2 * (d1 + d2 - 2) ** 2
     return lhs > rhs
@@ -218,6 +273,20 @@ def variation_probability(d: Dist, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         lo = reg_inc_beta(ep.d, a1, b1, acc) if ep.d > 0.0 else 0.0
         return hi - lo
     raise DomainError(f"unknown distribution object {d!r}")
+
+
+def variation_probability_column(d1: int, d2, acc: Accuracy = DEFAULT_ACCURACY):
+    """``variation_probability(f_dist(d1, d2[i]))`` for every i, as a float64
+    array; d2 is a sequence of integers >= 5."""
+    import numpy as np
+
+    d2 = np.asarray(d2, dtype=np.int64)
+    _, b, _, d = band_endpoints_column(d1, d2)
+    a1, b1 = 0.5 * d1, 0.5 * d2
+    prob = reg_inc_beta_column(b, a1, b1, acc)
+    pos = d > 0.0
+    prob[pos] -= reg_inc_beta_column(d[pos], a1, b1[pos], acc)
+    return prob
 
 
 def check_bound(p: FParams, floor: float = 0.0,

@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
+from varcomp import FParams, __version__, check_bound, check_monotone_step
 from varcomp.cli import main
+from varcomp.programs import PROVED_D1_CASES
+from varcomp.proofcheck.steps import check_step_inequalities
+from varcomp.reporting import render_csv, rows_from_outcome, rows_from_step_report
 
 
 def run_cli(*argv, capsys=None):
@@ -55,8 +59,7 @@ def test_endpoints_alias(capsys):
 def test_sweep_csv_schema_and_exit(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code, _, _ = run_cli("sweep", "--d1", "1..4", "--d2", "5..20",
-                         "--check", "bound,monotone", "--out", str(out_path),
-                         "--jobs", "1", capsys=capsys)
+                         "--check", "bound,monotone", "--out", str(out_path), capsys=capsys)
     assert code == 0
     lines = out_path.read_text().splitlines()
     header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
@@ -64,21 +67,60 @@ def test_sweep_csv_schema_and_exit(tmp_path, capsys):
     assert all(l.split(",")[4] == "true" for l in lines[header_idx + 1:])
 
 
-def test_sweep_determinism_across_jobs(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    args = ["sweep", "--d1", "1..4", "--d2", "5..12", "--check",
-            "bound,monotone,steps", "--seed", "7"]
-    assert run_cli(*args, "--out", str(a), "--jobs", "1", capsys=capsys)[0] == 0
-    assert run_cli(*args, "--out", str(b), "--jobs", "2", capsys=capsys)[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_matches_scalar_per_cell_path(tmp_path, capsys):
+    # the column kernel must reproduce, byte for byte, the report built one
+    # cell at a time from the scalar reference checks
+    out_path = tmp_path / "kernel.csv"
+    floor = 1e-12
+    args = ["sweep", "--d1", "1..6", "--d2", "5..40", "--check",
+            "bound,monotone,steps", "--exploratory", "--seed", "7",
+            "--floor", repr(floor)]
+    assert run_cli(*args, "--out", str(out_path), capsys=capsys)[0] == 0
+    rows = []
+    for d1 in range(1, 7):
+        expl = d1 not in PROVED_D1_CASES
+        for d2 in range(5, 41):
+            p = FParams(d1, d2)
+            rows += rows_from_outcome(check_bound(p, floor=floor))
+            rows += rows_from_outcome(check_monotone_step(p, floor=floor))
+            rows += rows_from_step_report(
+                check_step_inequalities(p, floor), floor, exploratory=expl)
+    header = {"version": __version__, "spec": {
+        "command": "sweep", "d1": "1..6", "d2": "5..40",
+        "checks": ["bound", "monotone", "steps"], "seed": 7, "floor": floor,
+        "d2_large": 10_000, "limit_tol": 1e-3, "exploratory": True}}
+    assert out_path.read_text() == render_csv(rows, header)
+
+
+def test_sweep_bound_honours_floor(tmp_path, capsys):
+    # every bound margin lies below 0.5, so that floor makes them all
+    # inconclusive rather than passed
+    out_path = tmp_path / "floor.json"
+    code, _, _ = run_cli("sweep", "--d1", "1..4", "--d2", "5..30",
+                         "--check", "bound", "--floor", "0.5", "--format", "json",
+                         "--out", str(out_path), capsys=capsys)
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["summary"]["inconclusive"] == 4 * 26
+    assert all(r["note"] == "inconclusive" and not r["pass"]
+               for r in payload["rows"])
+
+
+@pytest.mark.parametrize("jobs", ["2", "-1"])
+def test_sweep_jobs_option_removed(jobs, capsys):
+    code, _, err = run_cli("sweep", "--d1", "1..4", "--d2", "5..12",
+                           "--check", "bound", "--jobs", jobs, capsys=capsys)
+    assert code == 2
+    assert "unrecognized arguments: --jobs" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_sweep_json_format(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli("sweep", "--d1", "2..2", "--d2", "5..9",
                          "--check", "bound", "--format", "json",
-                         "--out", str(out_path), "--jobs", "1", capsys=capsys)
+                         "--out", str(out_path), capsys=capsys)
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload["summary"]["pass"] == 5
@@ -102,7 +144,7 @@ def test_sweep_failure_exit_code(tmp_path, capsys):
     # an absurd limit tolerance manufactures an honest failing check
     code, _, _ = run_cli("sweep", "--d1", "1..1", "--d2", "5..5",
                          "--check", "limit", "--limit-tol", "1e-9",
-                         "--out", str(tmp_path / "r.csv"), "--jobs", "1",
+                         "--out", str(tmp_path / "r.csv"),
                          capsys=capsys)
     assert code == 1
 
@@ -111,14 +153,13 @@ def test_sweep_exploratory_quarantine(tmp_path, capsys):
     out_path = tmp_path / "x.csv"
     code, _, _ = run_cli("sweep", "--d1", "5..7", "--d2", "5..10",
                          "--check", "bound", "--exploratory",
-                         "--out", str(out_path), "--jobs", "1", capsys=capsys)
+                         "--out", str(out_path), capsys=capsys)
     assert code == 0
     text = out_path.read_text()
     assert "exploratory=18" in text
     # without the flag those d1 are skipped with a note
     code, _, err = run_cli("sweep", "--d1", "5..7", "--d2", "5..10",
-                           "--check", "bound", "--out", str(out_path),
-                           "--jobs", "1", capsys=capsys)
+                           "--check", "bound", "--out", str(out_path), capsys=capsys)
     assert code == 0
     assert "skipping conjectured" in err
 
@@ -162,6 +203,15 @@ def test_explore_always_exit_zero(tmp_path, capsys):
     assert "fail=0" in text and "exploratory" in text
     code, _, err = run_cli("explore", "--d1", "3..4", "--d2", "5..20", capsys=capsys)
     assert code == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, varcomp.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_console_script_installed():
