@@ -10,7 +10,7 @@ oracle     cross-validate the analytic value against Monte Carlo and quadrature
 explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
-failed, 2 usage or domain error.
+failed, 2 usage, domain or I/O error.
 
 A sweep runs serially, one d1 column at a time: the column's endpoint images
 and band probabilities come from the numpy column kernel in ``varband``, and
@@ -37,7 +37,7 @@ from .programs import (
     table_rows,
 )
 from .reporting import (
-    has_failures,
+    bucket,
     margin_row,
     rows_from_outcome,
     rows_from_step_report,
@@ -97,6 +97,18 @@ def _parse_checks(text: str) -> tuple:
     return names
 
 
+def _parse_floor(text: str) -> float:
+    """A strictness floor: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"the floor must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="varcomp",
@@ -129,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="report path (default: stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--floor", type=float, default=STRICTNESS_FLOOR,
+    p_sweep.add_argument("--floor", type=_parse_floor, default=STRICTNESS_FLOOR,
                          help="strictness floor for strict inequalities")
     p_sweep.add_argument("--limit-tol", type=float, default=1e-3)
     p_sweep.add_argument("--d2-large", type=int, default=10_000,
@@ -140,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prove = sub.add_parser("prove", help="full verification program for one d1")
     p_prove.add_argument("--d1", type=int, required=True)
     p_prove.add_argument("--d2-max", type=int, default=400)
-    p_prove.add_argument("--floor", type=float, default=STRICTNESS_FLOOR)
+    p_prove.add_argument("--floor", type=_parse_floor, default=STRICTNESS_FLOOR)
     p_prove.add_argument("--out", help="report path (default: summary to stdout)")
     p_prove.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -156,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--d2", type=_parse_range, required=True, metavar="LO..HI")
     p_ex.add_argument("--out", help="report path (default: stdout)")
     p_ex.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ex.add_argument("--floor", type=float, default=STRICTNESS_FLOOR)
+    p_ex.add_argument("--floor", type=_parse_floor, default=STRICTNESS_FLOOR)
     return parser
 
 
@@ -246,11 +258,21 @@ def _cmd_sweep(ns) -> int:
     return 1 if counts["fail"] else 0
 
 
+def _report(rows: list, header: dict, ns, counts: dict) -> str:
+    """write_report in ns.format to ns.out (None: only render); a path that
+    cannot be written is an error with exit 2."""
+    try:
+        return write_report(rows, header, ns.format, ns.out, counts)
+    except OSError as exc:
+        raise VarcompError(
+            f"cannot write report {ns.out}: {exc.strerror or exc}") from None
+
+
 def _write(rows: list, header: dict, ns) -> dict:
     """Emit a sweep or explore report to ns.out or stdout; returns the
     summary counts, computed once."""
     counts = summarize(rows)
-    text = write_report(rows, header, ns.format, ns.out, counts)
+    text = _report(rows, header, ns, counts)
     if not ns.out:
         sys.stdout.write(text)
     else:
@@ -264,24 +286,36 @@ def _cmd_prove(ns) -> int:
               f"use 'explore' for d1 >= 5", file=sys.stderr)
         return 2
     rows = prove_rows(ns.d1, ns.d2_max, ns.floor)
-    counts = summarize(rows)
+    counts = summarize([])  # every bucket at zero
+    by_claim: dict = {}  # claim -> (its rows, their buckets)
+    for row in rows:
+        kind = bucket(row)
+        counts[kind] += 1
+        group, kinds = by_claim.setdefault(row.check_id, ([], []))
+        group.append(row)
+        kinds.append(kind)
     header = {
         "version": __version__,
         "spec": {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max,
                  "floor": ns.floor},
     }
     if ns.out:
-        write_report(rows, header, ns.format, ns.out, counts)
+        _report(rows, header, ns, counts)
         print(f"wrote {ns.out}")
-    by_claim = {}
-    for row in rows:
-        by_claim.setdefault(row.check_id, []).append(row)
+    # a claim passes only when none of its rows failed or was inconclusive
     for claim in sorted(by_claim):
-        group = by_claim[claim]
+        group, kinds = by_claim[claim]
         margins = [r.margin for r in group if r.margin is not None]
         worst = f"worst margin {min(margins):.3e}" if margins else "not applicable"
-        ok = not has_failures(group)
-        print(f"{'PASS' if ok else 'FAIL'} {claim} ({len(group)} rows, {worst})")
+        if "fail" in kinds:
+            print(f"FAIL {claim} ({len(group)} rows, {worst})")
+        elif "inconclusive" in kinds:
+            first = min(r.d2 for r, kind in zip(group, kinds)
+                        if kind == "inconclusive")
+            print(f"INCONCLUSIVE {claim} {kinds.count('inconclusive')}/{len(group)} "
+                  f"(first at d2={first}, {worst})")
+        else:
+            print(f"PASS {claim} ({len(group)} rows, {worst})")
     print("summary: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     return 1 if counts["fail"] else 0
 

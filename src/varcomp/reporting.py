@@ -3,8 +3,15 @@
 The CSV schema is fixed: columns check_id,d1,d2,margin,pass,note with the
 header row always present; lines starting with '#' before it carry the tool
 version, the run spec echo, and the summary.  JSON mirrors the same fields
-per row plus an explicit exploratory flag.  Floats are emitted with repr
-(shortest round-trip), so identical inputs produce byte-identical output.
+per row plus an explicit exploratory flag.  Floats are emitted with
+``float.__repr__`` (shortest round-trip), so identical inputs produce
+byte-identical output.
+
+The rows, which are nearly all of a large report, are written by fixed
+per-row templates rather than walked by an encoder.  The output is byte for
+byte what ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
+and a default-dialect ``csv.writer`` with newline line endings emit for the
+same rows; the test suite keeps that encoder route as the reference.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .varband import CheckOutcome, STRICTNESS_FLOOR
 from .proofcheck.steps import StepReport
@@ -30,7 +38,6 @@ __all__ = [
     "render_csv",
     "render_json",
     "write_report",
-    "has_failures",
 ]
 
 CSV_COLUMNS = ("check_id", "d1", "d2", "margin", "pass", "note")
@@ -65,10 +72,6 @@ def bucket(row: Row) -> str:
     if "inconclusive" in row.note:
         return "inconclusive"
     return "pass" if row.passed else "fail"
-
-
-def has_failures(rows: Iterable[Row]) -> bool:
-    return any(bucket(r) == "fail" for r in rows)
 
 
 def margin_row(check_id: str, d1: int, d2: int, margin: float, floor: float,
@@ -119,14 +122,58 @@ def summarize(rows: Sequence[Row]) -> dict:
     return counts
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_INF = float("inf")
+
+# One JSON row at depth 2 of the indent=2 payload, keys in sorted order,
+# preceded by its ',' separator.
+_JSON_ROW = (
+    ',\n'
+    '    {\n'
+    '      "check_id": %s,\n'
+    '      "d1": %d,\n'
+    '      "d2": %d,\n'
+    '      "exploratory": %s,\n'
+    '      "margin": %s,\n'
+    '      "note": %s,\n'
+    '      "pass": %s\n'
+    '    }'
+)
+
+
+def _json_margin(margin: Optional[float]) -> str:
+    """A margin as json.dumps(allow_nan=False) writes it; float.__repr__
+    keeps a numpy.float64 a plain float."""
+    if margin is None:
+        return "null"
+    if margin != margin or margin == _INF or margin == -_INF:
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(margin))
+    return float.__repr__(margin)
+
+
+def _chunks(rows: list) -> Iterator[list]:
+    """The rows in slices of 4096.
+
+    Each slice is rendered into one string, so a large report holds a few
+    hundred intermediate strings rather than one small string per row.
+    """
+    for i in range(0, len(rows), 4096):
+        yield rows[i:i + 4096]
+
+
+class _CsvFields(dict):
+    """Memo of string fields quoted exactly as csv.writer quotes them.
+
+    Each text is quoted as the second field of a two-field row: a lone
+    empty field would be written as '""', an empty field among others as
+    nothing, which is what every report row needs.
+    """
+
+    def __missing__(self, text: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(("x", text))
+        field = self[text] = buf.getvalue()[2:-1]
+        return field
 
 
 def render_csv(rows: Sequence[Row], header: Mapping[str, object],
@@ -135,40 +182,53 @@ def render_csv(rows: Sequence[Row], header: Mapping[str, object],
     rows = sort_rows(rows)
     if summary is None:
         summary = summarize(rows)
-    buf = io.StringIO()
-    buf.write(f"# varcomp {header.get('version', '')}\n")
-    spec = header.get("spec", {})
-    buf.write("# spec: " + json.dumps(spec, sort_keys=True, separators=(",", ":")) + "\n")
-    buf.write("# summary: " + " ".join(f"{k}={summary[k]}" for k in _BUCKETS) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([r.check_id, r.d1, r.d2, _fmt(r.margin),
-                         _fmt(r.passed), r.note])
-    return buf.getvalue()
+    spec = json.dumps(header.get("spec", {}), sort_keys=True, separators=(",", ":"))
+    head = (f"# varcomp {header.get('version', '')}\n"
+            f"# spec: {spec}\n"
+            "# summary: " + " ".join(f"{k}={summary[k]}" for k in _BUCKETS) + "\n"
+            + ",".join(CSV_COLUMNS) + "\n")
+    quoted = _CsvFields()
+    repr_ = float.__repr__
+    parts = [head]
+    for chunk in _chunks(rows):
+        parts.append("".join([
+            "%s,%d,%d,%s,%s,%s\n" % (
+                quoted[r.check_id], r.d1, r.d2,
+                "" if r.margin is None else repr_(r.margin),
+                "true" if r.passed else "false", quoted[r.note])
+            for r in chunk]))
+    return "".join(parts)
 
 
 def render_json(rows: Sequence[Row], header: Mapping[str, object],
                 summary: Optional[dict] = None) -> str:
     """JSON report; summary is ``summarize(rows)``, computed here if not given."""
     rows = sort_rows(rows)
-    payload = {
-        "header": {"tool": "varcomp", **header},
-        "rows": [
-            {
-                "check_id": r.check_id,
-                "d1": r.d1,
-                "d2": r.d2,
-                "margin": r.margin,
-                "pass": r.passed,
-                "note": r.note,
-                "exploratory": r.exploratory,
-            }
-            for r in rows
-        ],
-        "summary": summarize(rows) if summary is None else summary,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if summary is None:
+        summary = summarize(rows)
+
+    def block(key: str, value) -> str:
+        # '{\n  "key": value\n}', the top-level dict holding just this key
+        return json.dumps({key: value}, indent=2, sort_keys=True, allow_nan=False)
+
+    # the payload's keys sort as header < rows < summary: drop the closing
+    # '\n}' of the header block and the opening '{' of the summary block
+    parts = [block("header", {"tool": "varcomp", **header})[:-2] + ',\n  "rows": [']
+    enc = encode_basestring_ascii
+    for chunk in _chunks(rows):
+        parts.append("".join([
+            _JSON_ROW % (enc(r.check_id), r.d1, r.d2,
+                         "true" if r.exploratory else "false",
+                         _json_margin(r.margin), enc(r.note),
+                         "true" if r.passed else "false")
+            for r in chunk]))
+    if rows:
+        parts[1] = parts[1][1:]  # no separator before the first row
+        parts.append("\n  ]")
+    else:
+        parts.append("]")
+    parts.append("," + block("summary", summary)[1:] + "\n")
+    return "".join(parts)
 
 
 def write_report(rows: Sequence[Row], header: Mapping[str, object],
@@ -190,7 +250,10 @@ def write_report(rows: Sequence[Row], header: Mapping[str, object],
         tmp = path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                # in 1 MiB slices, so no encoded copy of the whole report
+                # is held next to it
+                for i in range(0, len(text), 1 << 20):
+                    fh.write(text[i:i + (1 << 20)])
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -141,7 +141,7 @@ def _d_positive(d1: int, d2: int) -> bool:
     return d1 * (d2 - 4) > 2 * (d1 + d2 - 2)
 
 
-def band_endpoints(p: FParams, acc: Accuracy = DEFAULT_ACCURACY) -> Endpoints:
+def band_endpoints(p: FParams) -> Endpoints:
     """Endpoint images a, b, c, d and the condition region for (d1, d2)."""
     d1, d2 = p.d1, p.d2
     if d2 < 5:
@@ -267,7 +267,7 @@ def variation_probability(d: Dist, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         if p.d2 <= 4:
             raise MomentUndefinedError(
                 f"variation probability undefined for d2 <= 4 (d2={p.d2})")
-        ep = band_endpoints(p, acc)
+        ep = band_endpoints(p)
         a1, b1 = 0.5 * p.d1, 0.5 * p.d2
         hi = reg_inc_beta(ep.b, a1, b1, acc)
         lo = reg_inc_beta(ep.d, a1, b1, acc) if ep.d > 0.0 else 0.0

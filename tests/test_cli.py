@@ -185,6 +185,57 @@ def test_prove_report_file(tmp_path, capsys):
             "coef_dominance", "step_integral"} <= claims
 
 
+def test_prove_summary_reports_inconclusive_claims(tmp_path, capsys):
+    # the floor 1e-6 exceeds the upper_edge margins from d2 = 136 on
+    args = ["prove", "--d1", "4", "--d2-max", "150", "--floor", "1e-6"]
+    code, out, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    lines = out.splitlines()
+    edge = [l for l in lines if "upper_edge" in l]
+    assert len(edge) == 1
+    assert edge[0].startswith("INCONCLUSIVE upper_edge 15/146 (first at d2=136, "
+                              "worst margin ")
+    assert "PASS lower_edge (146 rows" in out
+    assert lines[-1] == ("summary: pass=714 fail=0 inconclusive=15 "
+                         "not_applicable=16 exploratory=0")
+    # the report itself is the one the row bucketing always gave
+    out_path = tmp_path / "p.csv"
+    run_cli(*args, "--out", str(out_path), capsys=capsys)
+    assert out_path.read_text().splitlines()[2] == (
+        "# summary: pass=714 fail=0 inconclusive=15 not_applicable=16 exploratory=0")
+
+
+WRITE_COMMANDS = {
+    "sweep": ["sweep", "--d1", "1..2", "--d2", "5..8", "--check", "bound"],
+    "prove": ["prove", "--d1", "2", "--d2-max", "20"],
+    "explore": ["explore", "--d1", "5", "--d2", "5..10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITE_COMMANDS))
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.csv" if target == "missing_dir" else tmp_path
+    code, _, err = run_cli(*WRITE_COMMANDS[command], "--out", str(out),
+                           capsys=capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write report {out}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []  # no report and no .tmp left behind
+
+
+@pytest.mark.parametrize("command", sorted(WRITE_COMMANDS))
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-1e-12", "abc"])
+def test_floor_must_be_finite_and_non_negative(command, floor, capsys):
+    code, out, err = run_cli(*WRITE_COMMANDS[command], f"--floor={floor}",
+                             capsys=capsys)
+    assert code == 2
+    assert out == ""
+    expected = "expected a number" if floor == "abc" else "finite and >= 0"
+    assert "argument --floor: " in err and expected in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_oracle_agreement(capsys):
     code, out, _ = run_cli("oracle", "--d1", "4", "--d2", "12",
                            "--samples", "100000", "--seed", "42", capsys=capsys)

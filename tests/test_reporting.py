@@ -1,17 +1,26 @@
+import csv
+import io
 import json
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from varcomp import CheckOutcome, FParams
+from varcomp.programs import certificate_rows, explore_rows, prove_rows, table_rows
 from varcomp.proofcheck import check_step_inequalities
 from varcomp.reporting import (
+    _BUCKETS,
+    CSV_COLUMNS,
     Row,
     bucket,
-    has_failures,
     render_csv,
     render_json,
     rows_from_outcome,
     rows_from_step_report,
     sort_rows,
     summarize,
+    write_report,
 )
 
 
@@ -22,8 +31,8 @@ def test_bucket_precedence():
     assert bucket(Row("x", 1, 5, None, False, "not applicable")) == "not_applicable"
     # exploratory quarantines even a failing margin
     assert bucket(Row("x", 9, 5, -0.5, False, "", True)) == "exploratory"
-    assert not has_failures([Row("x", 9, 5, -0.5, False, "", True)])
-    assert has_failures([Row("x", 1, 5, -0.5, False)])
+    assert summarize([Row("x", 9, 5, -0.5, False, "", True)])["fail"] == 0
+    assert summarize([Row("x", 1, 5, -0.5, False)])["fail"] == 1
 
 
 def test_summary_counts_sum_to_row_count():
@@ -98,3 +107,168 @@ def test_sort_rows_stable_key():
     ordered = sort_rows(rows)
     assert [(r.check_id, r.d1, r.d2) for r in ordered] == [
         ("a", 1, 5), ("a", 1, 9), ("a", 2, 5), ("b", 1, 5)]
+
+
+# ---------------------------------------------------------------------------
+# the encoder route the template renderers must reproduce byte for byte
+# ---------------------------------------------------------------------------
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_csv(rows, header, summary=None) -> str:
+    rows = sort_rows(rows)
+    if summary is None:
+        summary = summarize(rows)
+    buf = io.StringIO()
+    buf.write(f"# varcomp {header.get('version', '')}\n")
+    spec = header.get("spec", {})
+    buf.write("# spec: " + json.dumps(spec, sort_keys=True, separators=(",", ":")) + "\n")
+    buf.write("# summary: " + " ".join(f"{k}={summary[k]}" for k in _BUCKETS) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in rows:
+        writer.writerow([r.check_id, r.d1, r.d2, _fmt(r.margin),
+                         _fmt(r.passed), r.note])
+    return buf.getvalue()
+
+
+def reference_json(rows, header, summary=None) -> str:
+    rows = sort_rows(rows)
+    payload = {
+        "header": {"tool": "varcomp", **header},
+        "rows": [
+            {
+                "check_id": r.check_id,
+                "d1": r.d1,
+                "d2": r.d2,
+                "margin": r.margin,
+                "pass": r.passed,
+                "note": r.note,
+                "exploratory": r.exploratory,
+            }
+            for r in rows
+        ],
+        "summary": summarize(rows) if summary is None else summary,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+HEADER = {"version": "0.1.0", "spec": {"command": "test", "floor": 1e-12,
+                                       "checks": ["bound", "steps"]}}
+
+
+def assert_renderers_match_reference(rows, header=HEADER):
+    assert render_csv(rows, header) == reference_csv(rows, header)
+    assert render_json(rows, header) == reference_json(rows, header)
+    summary = summarize(rows)
+    assert render_csv(rows, header, summary) == reference_csv(rows, header, summary)
+    assert render_json(rows, header, summary) == reference_json(rows, header, summary)
+
+
+EDGE_ROWS = [
+    Row("a", 1, 5, None, False, "not applicable"),
+    Row("a", 1, 6, 0.5, True, ""),
+    Row("b", 2, 7, -0.25, False, "note, with comma"),
+    Row("b", 2, 8, 1e-15, False, 'a "quoted" note; inconclusive'),
+    Row("b", 2, 9, 5e-324, True, "line one\nline two"),
+    Row("b", 2, 10, -5e-324, False, "carriage\rreturn"),
+    Row("c", 3, 11, -0.0, False, "non-ASCII: d\u2082 \u2265 5, \u00e9t\u00e9 \U0001f600"),
+    Row("c", 3, 12, 1.7976931348623157e308, True, " leading and trailing "),
+    Row("c, d", 9, 13, 2.5e-300, True, "", True),
+    Row('e"f', 12, 14, None, False, "not applicable", True),
+    Row("", 4, 15, 1.0, True, ""),
+    Row("tab\there", 4, 16, 0.1, True, "back\\slash"),
+]
+
+
+def test_renderers_match_reference_on_edge_rows():
+    assert_renderers_match_reference(EDGE_ROWS)
+    for row in EDGE_ROWS:
+        assert_renderers_match_reference([row])
+
+
+def test_renderers_match_reference_across_row_chunks():
+    # rows are rendered a few thousand at a time; 9,600 rows span three slices
+    assert_renderers_match_reference(EDGE_ROWS * 800)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_report_writes_a_large_report_whole(fmt, tmp_path):
+    # the file is written in 1 MiB slices; the non-ASCII notes cross them
+    path = tmp_path / f"r.{fmt}"
+    text = write_report(EDGE_ROWS * 4000, HEADER, fmt, str(path))
+    assert len(text) > 1 << 20
+    written_whole = path.read_bytes() == text.encode("utf-8")
+    assert written_whole
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_renderers_match_reference_on_empty_rows():
+    assert_renderers_match_reference([])
+    assert '"rows": [],' in render_json([], HEADER)
+
+
+def test_header_text_cannot_confuse_the_json_splice():
+    # the blocks are spliced structurally, so spec text that looks like the
+    # report's own structure is left alone
+    header = {"version": '\n}\n  "rows": [', "spec": {
+        "rows": ["\n  ]", '"summary": {'], "summary": "\n}", "tool": "x"}}
+    assert_renderers_match_reference(EDGE_ROWS, header)
+    assert_renderers_match_reference([], header)
+
+
+def test_numpy_float64_margin_renders_as_a_plain_float():
+    rows = [Row("a", 1, 5, np.float64(0.1), True), Row("a", 1, 6, np.float64(-3e-17), False)]
+    assert render_json(rows, HEADER) == reference_json(rows, HEADER)
+    # the encoder-free CSV writes float.__repr__, never 'np.float64(...)'
+    plain = [Row(r.check_id, r.d1, r.d2, float(r.margin), r.passed) for r in rows]
+    assert render_csv(rows, HEADER) == reference_csv(plain, HEADER)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf"),
+                                    np.float64("nan")])
+def test_render_json_rejects_non_finite_margins(margin):
+    rows = [Row("a", 1, 5, 0.5, True), Row("b", 1, 5, margin, False)]
+    with pytest.raises(ValueError) as want:
+        reference_json(rows, HEADER)
+    with pytest.raises(ValueError) as got:
+        render_json(rows, HEADER)
+    assert str(got.value) == str(want.value)
+    # CSV has no such restriction and writes them as repr does
+    assert render_csv(rows, HEADER) == reference_csv(
+        [Row("a", 1, 5, 0.5, True), Row("b", 1, 5, float(margin), False)], HEADER)
+
+
+rows_strategy = st.lists(st.builds(
+    Row,
+    check_id=st.text(max_size=8),
+    d1=st.integers(-10, 10**6),
+    d2=st.integers(-10, 10**9),
+    margin=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    passed=st.booleans(),
+    note=st.text(max_size=12),
+    exploratory=st.booleans(),
+), max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_strategy)
+def test_renderers_match_reference_on_random_rows(rows):
+    assert_renderers_match_reference(rows)
+
+
+@pytest.mark.parametrize("make_rows", [
+    lambda: prove_rows(3, 60),
+    lambda: table_rows() + certificate_rows(),
+    lambda: explore_rows(5, range(7, 80)) + explore_rows(6, range(7, 80)),
+], ids=["prove_rows_3", "tables_and_certificates", "explore_5_6"])
+def test_renderers_match_reference_on_real_reports(make_rows):
+    assert_renderers_match_reference(make_rows())
