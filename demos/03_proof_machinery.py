@@ -41,10 +41,11 @@ print()
 
 print("step-inequality margins at selected d2 (positive = holds with slack):")
 for d2 in (5, 11, 16, 17, 40, 400):
-    report = check_step_inequalities(FParams(4, d2))
+    margins = check_step_inequalities(FParams(4, d2))
     parts = ", ".join(f"{form}={margin:.2e}"
-                      for form, margin in zip(report.forms_checked, report.margins))
-    skipped = f"  [n/a: {', '.join(report.not_applicable)}]" if report.not_applicable else ""
+                      for form, margin in margins.items() if margin is not None)
+    not_applicable = [form for form, margin in margins.items() if margin is None]
+    skipped = f"  [n/a: {', '.join(not_applicable)}]" if not_applicable else ""
     print(f"  d2={d2:>3}: {parts}{skipped}")
 print()
 print("run `varcomp prove --d1 4` for the complete program (about 2000 checks)")

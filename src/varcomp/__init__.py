@@ -24,6 +24,7 @@ from .errors import (
     ToleranceNotMetError,
     VarcompError,
 )
+from .reporting import Row
 from .specfun import (
     Accuracy,
     DEFAULT_ACCURACY,
@@ -34,7 +35,6 @@ from .specfun import (
     std_normal_cdf,
 )
 from .varband import (
-    CheckOutcome,
     ConditionRegion,
     Endpoints,
     NORMAL_BAND,

@@ -36,14 +36,7 @@ from .programs import (
     prove_rows,
     table_rows,
 )
-from .reporting import (
-    bucket,
-    margin_row,
-    rows_from_outcome,
-    rows_from_step_report,
-    summarize,
-    write_report,
-)
+from .reporting import bucket, margin_row, rows_from_step_report, summarize, write_report
 from .specfun import log_beta
 from .varband import (
     NORMAL_BAND,
@@ -98,14 +91,14 @@ def _parse_checks(text: str) -> tuple:
 
 
 def _parse_floor(text: str) -> float:
-    """A strictness floor: a finite number >= 0."""
+    """A strictness floor or a tolerance: a finite number >= 0."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(
-            f"the floor must be finite and >= 0, got {text!r}")
+            f"must be finite and >= 0, got {text!r}")
     return value
 
 
@@ -140,10 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"subset of: {', '.join(_CHECK_NAMES)}")
     p_sweep.add_argument("--out", help="report path (default: stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--floor", type=_parse_floor, default=STRICTNESS_FLOOR,
                          help="strictness floor for strict inequalities")
-    p_sweep.add_argument("--limit-tol", type=float, default=1e-3)
+    p_sweep.add_argument("--limit-tol", type=_parse_floor, default=1e-3,
+                         help="tolerance of the limit check")
     p_sweep.add_argument("--d2-large", type=int, default=10_000,
                          help="d2 used by the limit check")
     p_sweep.add_argument("--exploratory", action="store_true",
@@ -197,8 +190,8 @@ def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list
                                 floor, note, expl) for i, d2 in enumerate(d2s)]
         elif check == "steps":
             for i, d2 in enumerate(d2s):
-                report = step_inequalities_at(d1, d2, a[i], b[i], c[i], d[i], floor)
-                rows += rows_from_step_report(report, floor, exploratory=expl)
+                margins = step_inequalities_at(d1, d2, a[i], b[i], c[i], d[i])
+                rows += rows_from_step_report(d1, d2, margins, floor, expl)
     return rows
 
 
@@ -228,10 +221,8 @@ def _cmd_sweep(ns) -> int:
     if _VARIANCE_CHECKS.intersection(checks):
         for d1 in grid_d1:
             rows += _sweep_column(d1, d2_lo, d2_hi, checks, ns.floor)
-    for check in checks:
-        if check == "limit":
-            for d1 in d1_values:
-                rows += rows_from_outcome(check_limit(d1, ns.d2_large, ns.limit_tol))
+    if "limit" in checks:
+        rows += [check_limit(d1, ns.d2_large, ns.limit_tol) for d1 in d1_values]
     if "tables" in checks:
         rows += table_rows(ns.floor)
         rows += certificate_rows()
@@ -247,7 +238,6 @@ def _cmd_sweep(ns) -> int:
             "d1": f"{d1_lo}..{d1_hi}",
             "d2": f"{d2_lo}..{d2_hi}",
             "checks": list(checks),
-            "seed": ns.seed,
             "floor": ns.floor,
             "d2_large": ns.d2_large,
             "limit_tol": ns.limit_tol,

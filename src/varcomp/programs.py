@@ -8,7 +8,7 @@ sort and emit them; nothing here prints or exits.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Optional
 
 from .distributions import FParams
 from .errors import DomainError, VarcompError
@@ -41,7 +41,7 @@ from .proofcheck.steps import (
     series_forms_even,
 )
 from .oracle import quad_beta_integral
-from .reporting import Row, rows_from_outcome, rows_from_step_report
+from .reporting import margin_row, rows_from_outcome, rows_from_step_report
 from .varband import STRICTNESS_FLOOR, band_endpoints, d_exceeds_c
 
 __all__ = [
@@ -62,6 +62,16 @@ def _grid(lo: int, hi: int) -> list:
     return list(range(lo, hi + 1))
 
 
+def _lower_edge_bound_rows(floor: float) -> list:
+    """The G1 table and the two-route v checks of the d1 = 3 lower-edge
+    bound, shared by the table rows and the d1 = 3 program."""
+    rows = rows_from_outcome(
+        monotone_table_check(AuxFn.G1, _grid(25, 33), "decreasing", floor), d1=3)
+    for y in _grid(25, 40):
+        rows += rows_from_outcome(rational_V_consistency(y), d1=3, d2=y)
+    return rows
+
+
 def table_rows(floor: float = STRICTNESS_FLOOR) -> list:
     """Golden-table and table-adjacent checks (independent of any sweep grid).
 
@@ -76,15 +86,12 @@ def table_rows(floor: float = STRICTNESS_FLOOR) -> list:
         monotone_table_check(AuxFn.H3, _grid(3, 12), "decreasing", floor), d1=3)
     rows += rows_from_outcome(
         monotone_table_check(AuxFn.H4, _grid(3, 12), "increasing", floor), d1=4)
-    rows += rows_from_outcome(
-        monotone_table_check(AuxFn.G1, _grid(25, 33), "decreasing", floor), d1=3)
-    for y in _grid(25, 40):
-        rows += rows_from_outcome(rational_V_consistency(y), d1=3, d2=y)
-    return rows
+    return rows + _lower_edge_bound_rows(floor)
 
 
-def certificate_rows() -> list:
-    """Exact-arithmetic certificate checks for every polynomial family.
+def certificate_rows(families: Optional[Collection[str]] = None) -> list:
+    """Exact-arithmetic certificate checks for the polynomial families
+    (all of them, or those named in families).
 
     Point values and shifted expansions must match the frozen references
     bit-exactly, and every expansion must be all-positive (the positivity
@@ -92,23 +99,27 @@ def certificate_rows() -> list:
     """
     rows = []
     for family, table in REFERENCE_VALUES.items():
+        if families is not None and family not in families:
+            continue
         ok = all(FAMILIES[family](n) == v for n, v in table.items())
-        rows.append(Row(f"poly_values_{family.lower()}", 0, 0,
-                        1.0 if ok else -1.0, ok,
-                        "exact match" if ok else "reference value mismatch"))
+        rows.append(margin_row(f"poly_values_{family.lower()}", 0, 0,
+                               1.0 if ok else -1.0, 0.0,
+                               "exact match" if ok else "reference value mismatch"))
     for (family, shift), coeffs in REFERENCE_EXPANSIONS.items():
+        if families is not None and family not in families:
+            continue
         exp = shifted_expansion(family, shift)
         exact = exp.coeffs == tuple(coeffs)
         positive = exp.all_coeffs_positive
-        ok = exact and positive
         note = []
         if not exact:
             note.append("coefficient mismatch")
         if not positive:
             note.append("not all positive")
-        rows.append(Row(f"expansion_{family.lower()}_{shift}", 0, shift,
-                        float(min(exp.coeffs)) if positive else -1.0, ok,
-                        "; ".join(note) if note else "all coefficients positive"))
+        rows.append(margin_row(f"expansion_{family.lower()}_{shift}", 0, shift,
+                               float(min(exp.coeffs)) if positive else -1.0, 0.0,
+                               "; ".join(note) if note else "all coefficients positive",
+                               holds=exact))
     return rows
 
 
@@ -117,8 +128,8 @@ def _boundary_rows(d1: int, first_d2: int) -> list:
     before = FParams(d1, first_d2 - 1)
     at = FParams(d1, first_d2)
     ok = (not d_exceeds_c(before)) and d_exceeds_c(at)
-    return [Row(f"dc_boundary_d1_{d1}", d1, first_d2, 1.0 if ok else -1.0, ok,
-                f"first d2 with d > c is {first_d2}" if ok else "boundary mismatch")]
+    return [margin_row(f"dc_boundary_d1_{d1}", d1, first_d2, 1.0 if ok else -1.0, 0.0,
+                       f"first d2 with d > c is {first_d2}" if ok else "boundary mismatch")]
 
 
 def _closed_form_rows(d2_values: Iterable[int], rel_tol: float = 1e-10) -> list:
@@ -133,9 +144,8 @@ def _closed_form_rows(d2_values: Iterable[int], rel_tol: float = 1e-10) -> list:
         closed = 2.0 * math.exp(0.5 * d2 * math.log1p(-ep.a)) * (
             1.0 - math.exp(0.5 * d2 * (math.log1p(-ep.b) - math.log1p(-ep.a))))
         worst = max(worst, abs(quad - closed) / abs(closed))
-    margin = rel_tol - worst
-    rows.append(Row("upper_edge_closed_form", 2, 0, margin, margin > 0.0,
-                    "quadrature vs elementary antiderivative"))
+    rows.append(margin_row("upper_edge_closed_form", 2, 0, rel_tol - worst, 0.0,
+                           "quadrature vs elementary antiderivative"))
     return rows
 
 
@@ -144,9 +154,8 @@ def _g2_consistency_rows(ys: Iterable[int], rel_tol: float = 1e-9) -> list:
     for y in ys:
         ga, gb = g2(float(y)), g2_expanded(float(y))
         worst = max(worst, abs(ga - gb) / max(abs(ga), abs(gb)))
-    margin = rel_tol - worst
-    return [Row("g2_expansion_consistency", 3, 0, margin, margin > 0.0,
-                "two transcriptions of the same factor agree")]
+    return [margin_row("g2_expansion_consistency", 3, 0, rel_tol - worst, 0.0,
+                       "two transcriptions of the same factor agree")]
 
 
 def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> list:
@@ -174,9 +183,8 @@ def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> 
             rhs = ((0.5 * d2 + 1.0) * math.log1p(-ep.a)
                    - 0.5 * d2 * math.log1p(-ep.b))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-        margin = rel_tol - worst
-        rows.append(Row(f"h{d1}_log_form_consistency", d1, 0, margin,
-                        margin > 0.0, "aux step equals the endpoint log ratio"))
+        rows.append(margin_row(f"h{d1}_log_form_consistency", d1, 0, rel_tol - worst,
+                               0.0, "aux step equals the endpoint log ratio"))
         if d1 == 1:
             worst = 0.0
             for d2 in d2_values:
@@ -184,9 +192,8 @@ def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> 
                 for lhs, rhs in ((d2 * ep.b, k_fun(float(d2))),
                                  ((d2 + 2) * ep.a, k_fun(float(d2 + 2)))):
                     worst = max(worst, abs(lhs - rhs) / abs(rhs))
-            margin = rel_tol - worst
-            rows.append(Row("k_matches_scaled_endpoints", 1, 0, margin,
-                            margin > 0.0, "k(d2) = d2 b and k(d2+2) = (d2+2) a"))
+            rows.append(margin_row("k_matches_scaled_endpoints", 1, 0, rel_tol - worst,
+                                   0.0, "k(d2) = d2 b and k(d2+2) = (d2+2) a"))
         return rows
     if d1 == 4:
         worst_h = worst_r = 0.0
@@ -211,13 +218,12 @@ def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> 
                 ]
                 for lhs, rhs in r_pairs:
                     worst_r = max(worst_r, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-        margin = rel_tol - worst_h
-        rows.append(Row("h4_log_form_consistency", 4, 0, margin, margin > 0.0,
-                        "h4 equals the affine-power log form at the endpoints"))
+        rows.append(margin_row("h4_log_form_consistency", 4, 0, rel_tol - worst_h, 0.0,
+                               "h4 equals the affine-power log form at the endpoints"))
         if any_r:
-            margin = rel_tol - worst_r
-            rows.append(Row("r4_log_form_consistency", 4, 0, margin, margin > 0.0,
-                            "r4 equals the affine-power log form at the lower images"))
+            rows.append(margin_row(
+                "r4_log_form_consistency", 4, 0, rel_tol - worst_r, 0.0,
+                "r4 equals the affine-power log form at the lower images"))
         return rows
     raise DomainError(f"log-form welds exist for d1 in 1..4, got {d1}")
 
@@ -240,69 +246,55 @@ def prove_rows(d1: int, d2_max: int = 400,
     rows: list = []
     dense_hi = max(_DENSE_MAX, min(d2_max, 400))
 
-    def add(outcome, d2: int = 0):
-        rows.extend(rows_from_outcome(outcome, d1=d1, d2=d2))
+    def add(row):
+        rows.extend(rows_from_outcome(row, d1))
 
     if d1 == 1:
         add(monotone_table_check(AuxFn.H1, _grid(3, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.H1, [4, 6, 10, 20, 50, 100], -1))
+        add(derivative_sign_check(AuxFn.H1, [4, 6, 10, 20, 50, 100], -1, floor=floor))
         add(monotone_table_check(AuxFn.KFUN, _grid(5, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.KFUN, [6, 9, 20, 50, 100], -1))
+        add(derivative_sign_check(AuxFn.KFUN, [6, 9, 20, 50, 100], -1, floor=floor))
         add(value_sign_check(AuxFn.L1, _grid(3, dense_hi), -1, floor))
         add(algebra_identity_check("l1_prefactor_identity", _grid(3, 60)))
         add(algebra_identity_check("k_derivative_identity", _grid(5, 60)))
         rows += _log_form_rows(1, range(5, min(d2_max, 150) + 1))
         for d2 in range(5, d2_max + 1):
-            rows += rows_from_step_report(coefficient_sign_checks(1, d2, floor), floor)
+            rows += rows_from_step_report(1, d2, coefficient_sign_checks(1, d2), floor)
     elif d1 == 2:
         add(monotone_table_check(AuxFn.H2, _grid(3, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.H2, [6, 10, 20, 50, 100], -1))
+        add(derivative_sign_check(AuxFn.H2, [6, 10, 20, 50, 100], -1, floor=floor))
         add(value_sign_check(AuxFn.L2, _grid(5, dense_hi), -1, floor))
         add(algebra_identity_check("l2_prefactor_identity", _grid(5, 60)))
         rows += _log_form_rows(2, range(5, min(d2_max, 150) + 1))
         rows += _closed_form_rows(range(5, min(d2_max, 100) + 1))
     elif d1 == 3:
         add(monotone_table_check(AuxFn.H3, _grid(3, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.H3, [13, 20, 50, 100], -1))
+        add(derivative_sign_check(AuxFn.H3, [13, 20, 50, 100], -1, floor=floor))
         add(value_sign_check(AuxFn.L3, _grid(12, dense_hi), -1, floor))
         add(algebra_identity_check("l3_prefactor_identity", _grid(12, 60)))
         rows += _log_form_rows(3, range(5, min(d2_max, 150) + 1))
-        rows += certificate_rows_for(("U1", "U2", "P3", "Q5"))
+        rows += certificate_rows(("U1", "U2", "P3", "Q5"))
         rows += _boundary_rows(3, 25)
-        add(monotone_table_check(AuxFn.G1, _grid(25, 33), "decreasing", floor))
-        for y in _grid(25, 40):
-            add(rational_V_consistency(y), d2=y)
+        rows += _lower_edge_bound_rows(floor)
         rows += _g2_consistency_rows(_grid(25, 60))
         for d2 in range(5, d2_max + 1):
-            rows += rows_from_step_report(coefficient_sign_checks(3, d2, floor), floor)
+            rows += rows_from_step_report(3, d2, coefficient_sign_checks(3, d2), floor)
     else:
         add(monotone_table_check(AuxFn.H4, _grid(3, dense_hi), "increasing", floor))
-        add(derivative_sign_check(AuxFn.H4, [13, 20, 50, 100], 1))
+        add(derivative_sign_check(AuxFn.H4, [13, 20, 50, 100], 1, floor=floor))
         add(monotone_table_check(AuxFn.R4, _grid(15, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.R4, [16, 20, 50, 100], -1))
+        add(derivative_sign_check(AuxFn.R4, [16, 20, 50, 100], -1, floor=floor))
         add(value_sign_check(AuxFn.L4, _grid(12, dense_hi), -1, floor))
         add(value_sign_check(AuxFn.Q4, _grid(15, dense_hi), 1, floor))
         add(algebra_identity_check("l4_prefactor_identity", _grid(12, 60)))
         add(algebra_identity_check("q4_prefactor_identity", _grid(15, 60)))
         rows += _log_form_rows(4, range(5, min(d2_max, 150) + 1))
-        rows += certificate_rows_for(("T1", "T2", "P4"))
+        rows += certificate_rows(("T1", "T2", "P4"))
         rows += _boundary_rows(4, 17)
 
     for d2 in range(5, d2_max + 1):
         rows += rows_from_step_report(
-            check_step_inequalities(FParams(d1, d2), floor), floor)
-    return rows
-
-
-def certificate_rows_for(families: Sequence[str]) -> list:
-    wanted = set(families)
-    rows = []
-    for row in certificate_rows():
-        name = row.check_id.split("_")
-        if name[0] == "poly" and name[2].upper() in wanted:
-            rows.append(row)
-        elif name[0] == "expansion" and name[1].upper() in wanted:
-            rows.append(row)
+            d1, d2, check_step_inequalities(FParams(d1, d2)), floor)
     return rows
 
 
@@ -321,18 +313,18 @@ def explore_rows(d1: int, d2_values: Iterable[int],
     if d1 % 2 == 1:
         for d2 in d2_values:
             rows += rows_from_step_report(
-                falling_factorial_bounds_odd(d1, d2, floor), floor, exploratory=True)
+                d1, d2, falling_factorial_bounds_odd(d1, d2), floor, exploratory=True)
         return rows
     for d2 in d2_values:
         try:
             j_prev, k_prev = series_forms_even(d1, float(d2 - 2))
             j_here, k_here = series_forms_even(d1, float(d2))
         except VarcompError as exc:
-            rows.append(Row("series_step", d1, d2, None, False,
-                            f"not applicable: {exc}", True))
+            rows.append(margin_row("series_step", d1, d2, None, floor,
+                                   f"not applicable: {exc}", True))
             continue
-        rows.append(Row("series_upper_step", d1, d2, j_here - j_prev,
-                        j_here - j_prev > floor, "", True))
-        rows.append(Row("series_lower_step", d1, d2, k_prev - k_here,
-                        k_prev - k_here > floor, "", True))
+        rows.append(margin_row("series_upper_step", d1, d2, j_here - j_prev,
+                               floor, "", True))
+        rows.append(margin_row("series_lower_step", d1, d2, k_prev - k_here,
+                               floor, "", True))
     return rows

@@ -24,7 +24,6 @@ from .polynomials import (
     shifted_expansion,
 )
 from .steps import (
-    StepReport,
     check_step_inequalities,
     coefficient_sign_checks,
     falling_factorial_bounds_odd,
@@ -49,7 +48,6 @@ __all__ = [
     "ExactPoly",
     "poly_value",
     "shifted_expansion",
-    "StepReport",
     "check_step_inequalities",
     "coefficient_sign_checks",
     "falling_factorial_bounds_odd",

@@ -25,6 +25,10 @@ Derivative factors inside l1..l4 and q4 are evaluated by complex-step
 differentiation (exact to machine precision, no cancellation).  The
 derivative-sign checks exposed to the verifier use sampled strict
 monotonicity plus a five-point finite-difference screen instead.
+
+The checks below return one ``reporting.Row`` each, classified by
+``reporting.margin_row``.  Its d1 and d2 are 0, since each is a claim about a
+function of y alone; a program stamps its own (d1, d2) on the row.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from ..errors import DomainError
-from ..varband import CheckOutcome, STRICTNESS_FLOOR
+from ..reporting import Row, margin_row
+from ..varband import STRICTNESS_FLOOR
 
 __all__ = [
     "AuxFn",
@@ -337,7 +342,7 @@ def _table_mismatches(f: AuxFn, ys: Sequence[float], values: Sequence[float]):
 
 
 def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str,
-                         floor: float = STRICTNESS_FLOOR) -> CheckOutcome:
+                         floor: float = STRICTNESS_FLOOR) -> Row:
     """Strict sampled monotonicity of f over ys, cross-checked against the
     reference table where one exists (1e-5 tolerance)."""
     if direction not in ("increasing", "decreasing"):
@@ -349,24 +354,20 @@ def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str,
     sign = 1.0 if direction == "increasing" else -1.0
     margin = min(sign * (b - a) for a, b in zip(values, values[1:]))
     mismatches = _table_mismatches(f, ys, values)
-    claim = f"{f.value}_{direction}"
-    inputs = {"fn": f.name, "y_min": ys[0], "y_max": ys[-1], "samples": len(ys)}
     if mismatches:
-        detail = "; ".join(f"y={y}: got {v:.6g}, expected {r:.6g}" for y, v, r, _ in mismatches)
-        return CheckOutcome(claim, inputs, margin, False, f"table mismatch: {detail}")
-    note = "" if not GOLDEN_TABLES.get(f) else "table values reproduced"
-    if margin > floor:
-        return CheckOutcome(claim, inputs, margin, True, note)
-    if abs(margin) <= floor:
-        return CheckOutcome(claim, inputs, margin, False,
-                            (note + "; " if note else "") + "inconclusive")
-    return CheckOutcome(claim, inputs, margin, False, note)
+        note = "table mismatch: " + "; ".join(
+            f"y={y}: got {v:.6g}, expected {r:.6g}" for y, v, r, _ in mismatches)
+    else:
+        note = "" if not GOLDEN_TABLES.get(f) else "table values reproduced"
+    return margin_row(f"{f.value}_{direction}", 0, 0, margin, floor, note,
+                      holds=not mismatches)
 
 
 def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
-                          step: float = 1e-5, tol: float = 1e-3) -> CheckOutcome:
-    """Secondary screen: five-point finite-difference derivative at each y
-    must have the expected sign within tolerance tol."""
+                          step: float = 1e-5,
+                          floor: float = STRICTNESS_FLOOR) -> Row:
+    """Secondary screen: the five-point finite-difference derivative at each
+    y must have the expected sign; margin is the worst signed derivative."""
     if expected_sign not in (-1, 1):
         raise DomainError("expected_sign must be -1 or +1")
     ys = [float(y) for y in ys]
@@ -378,14 +379,12 @@ def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
         fd = (-aux_eval(f, y + 2 * step) + 8.0 * aux_eval(f, y + step)
               - 8.0 * aux_eval(f, y - step) + aux_eval(f, y - 2 * step)) / (12.0 * step)
         worst = min(worst, expected_sign * fd)
-    claim = f"{f.value}_derivative_sign"
-    inputs = {"fn": f.name, "samples": len(ys), "expected_sign": expected_sign}
-    return CheckOutcome(claim, inputs, worst, worst > -tol,
-                        "finite-difference secondary check")
+    return margin_row(f"{f.value}_derivative_sign", 0, 0, worst, floor,
+                      "finite-difference secondary check")
 
 
 def value_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
-                     floor: float = STRICTNESS_FLOOR) -> CheckOutcome:
+                     floor: float = STRICTNESS_FLOOR) -> Row:
     """Sampled sign of f over ys: margin is the worst expected_sign * f(y)."""
     if expected_sign not in (-1, 1):
         raise DomainError("expected_sign must be -1 or +1")
@@ -394,16 +393,10 @@ def value_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
         raise DomainError("need at least one sample point")
     margin = min(expected_sign * aux_eval(f, y) for y in ys)
     suffix = "negative" if expected_sign < 0 else "positive"
-    claim = f"{f.value}_{suffix}"
-    inputs = {"fn": f.name, "y_min": min(ys), "y_max": max(ys), "samples": len(ys)}
-    if margin > floor:
-        return CheckOutcome(claim, inputs, margin, True, "")
-    if abs(margin) <= floor:
-        return CheckOutcome(claim, inputs, margin, False, "inconclusive")
-    return CheckOutcome(claim, inputs, margin, False, "")
+    return margin_row(f"{f.value}_{suffix}", 0, 0, margin, floor)
 
 
-def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> CheckOutcome:
+def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Row:
     """Agreement of the two v evaluation routes plus the sign program.
 
     Computes v directly from c_of/d_of and independently as g1/g2, requires
@@ -416,7 +409,6 @@ def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> CheckOutcome:
     num, den = g1(y), g2(y)
     ratio = num / den
     rel = abs(direct - ratio) / max(abs(direct), abs(ratio))
-    margin = rel_tol - rel
     problems = []
     if not num < 0.0:
         problems.append(f"g1({y}) = {num:.6g} not negative")
@@ -424,10 +416,9 @@ def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> CheckOutcome:
         problems.append(f"g2({y}) = {den:.6g} not negative")
     if not direct > 0.0:
         problems.append(f"v({y}) = {direct:.6g} not positive")
-    passed = margin > 0.0 and not problems
     note = "; ".join(problems) if problems else "two evaluation routes agree"
-    return CheckOutcome("v_rational_consistency", {"y": y, "rel_tol": rel_tol},
-                        margin, passed, note)
+    return margin_row("v_rational_consistency", 0, 0, rel_tol - rel, 0.0, note,
+                      holds=not problems)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +513,7 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 
 
-def algebra_identity_check(name: str, ys: Sequence[float]) -> CheckOutcome:
+def algebra_identity_check(name: str, ys: Sequence[float]) -> Row:
     """Residual of a named prefactor identity over sampled y.
 
     margin = rel_tol - max relative residual between the prefactor-multiplied
@@ -546,8 +537,5 @@ def algebra_identity_check(name: str, ys: Sequence[float]) -> CheckOutcome:
         worst_rel = max(worst_rel, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         if slack < 0.0:
             bound_ok = False
-    margin = rel_tol - worst_rel
-    passed = margin > 0.0 and bound_ok
     note = "" if bound_ok else "trailing polynomial bound violated"
-    return CheckOutcome(name, {"y_min": min(ys), "y_max": max(ys),
-                               "samples": len(ys)}, margin, passed, note)
+    return margin_row(name, 0, 0, rel_tol - worst_rel, 0.0, note, holds=bound_ok)

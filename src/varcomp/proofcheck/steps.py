@@ -27,22 +27,25 @@ Claim ids:
 
 where I[x0,x1] is the integral of t^(d1/2-1) (1-t)^(d2/2-1), signed when
 x1 < x0.
+
+Each evaluator returns an ordered map from claim id to signed margin, with
+None for a form that does not apply at that (d1, d2); it renders no
+verdict.  ``reporting.rows_from_step_report`` classifies the margins against
+the strictness floor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 
 from ..distributions import FParams
 from ..errors import DomainError
 from ..oracle import quad_beta_integral
-from ..varband import STRICTNESS_FLOOR, _d_exceeds_c, band_endpoints, d_exceeds_c
+from ..varband import _d_exceeds_c, band_endpoints, d_exceeds_c
 from .auxfn import v_direct
 
 __all__ = [
-    "StepReport",
     "check_step_inequalities",
     "step_inequalities_at",
     "coefficient_sign_checks",
@@ -50,27 +53,15 @@ __all__ = [
     "falling_factorial_bounds_odd",
 ]
 
-#: Default absolute tolerance handed to the quadrature oracle; it sits well
-#: below the strictness floor so integration error cannot flip a verdict.
+#: Absolute tolerance requested from the quadrature oracle, scaled by d2
+#: with the integrals.  It does not sit below the strictness floor: the
+#: requested budget d2 * 1e-13 exceeds the 1e-12 floor for d2 > 10, so
+#: integration error can in principle flip a verdict near the floor.
+#: Charging it to each margin is the error-budget half of ROADMAP item 2.
 _QUAD_TOL = 1e-13
 
-
-@dataclass(frozen=True)
-class StepReport:
-    """Evaluated inequality forms at one (d1, d2) with signed margins."""
-
-    d1: int
-    d2: int
-    forms_checked: Tuple[str, ...]
-    lhs: Tuple[float, ...]
-    rhs: Tuple[float, ...]
-    margins: Tuple[float, ...]
-    passed: bool
-    not_applicable: Tuple[str, ...] = ()
-    note: str = ""
-
-    def margin_of(self, form: str) -> float:
-        return self.margins[self.forms_checked.index(form)]
+#: Form -> signed margin, None where the form does not apply.
+Margins = Dict[str, Optional[float]]
 
 
 def _pow1m(x: float, e: float) -> float:
@@ -91,83 +82,64 @@ def _boundary_term(x: float, d1: int, d2: int) -> float:
     return 2.0 * math.exp(0.5 * d1 * math.log(x) + 0.5 * d2 * math.log1p(-x))
 
 
-def check_step_inequalities(p: FParams, floor: float = STRICTNESS_FLOOR,
-                            quad_tol: float = _QUAD_TOL) -> StepReport:
-    """Evaluate every step-inequality form that applies at (d1, d2)."""
+def check_step_inequalities(p: FParams, quad_tol: float = _QUAD_TOL) -> Margins:
+    """Margin of every step-inequality form at (d1, d2)."""
     if p.d2 < 5:
         raise DomainError(f"step inequalities require d2 >= 5, got d2={p.d2}")
     ep = band_endpoints(p)
-    return step_inequalities_at(p.d1, p.d2, ep.a, ep.b, ep.c, ep.d, floor, quad_tol)
+    return step_inequalities_at(p.d1, p.d2, ep.a, ep.b, ep.c, ep.d, quad_tol)
 
 
 def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float, d: float,
-                         floor: float = STRICTNESS_FLOOR,
-                         quad_tol: float = _QUAD_TOL) -> StepReport:
+                         quad_tol: float = _QUAD_TOL) -> Margins:
     """``check_step_inequalities`` at (d1, d2) given its endpoint images
     a, b, c, d (from ``band_endpoints`` or ``band_endpoints_column``)."""
     a2, b2 = 0.5 * d1, 0.5 * d2
-
-    forms, lhss, rhss, margins = [], [], [], []
-    skipped = []
-
-    def add(form: str, lhs: float, rhs: float, margin: float) -> None:
-        forms.append(form)
-        lhss.append(lhs)
-        rhss.append(rhs)
-        margins.append(margin)
 
     upper_int = d2 * quad_beta_integral(a2, b2, a, b, quad_tol).value
     lower_int = d2 * _signed_beta_integral(a2, b2, c, d, quad_tol)
     term_a = _boundary_term(a, d1, d2)
     term_c = _boundary_term(c, d1, d2)
 
-    add("step_integral", term_a + lower_int, upper_int + term_c,
-        (upper_int + term_c) - (term_a + lower_int))
-    add("upper_edge", term_a, upper_int, upper_int - term_a)
-    if c > 0.0:
-        add("lower_edge", lower_int, term_c, term_c - lower_int)
-    else:
-        skipped.append("lower_edge")
+    margins: Margins = {
+        "step_integral": (upper_int + term_c) - (term_a + lower_int),
+        "upper_edge": upper_int - term_a,
+        "lower_edge": term_c - lower_int if c > 0.0 else None,
+    }
 
     one_m_a = _pow1m(a, b2 + 1.0)
     one_m_b = _pow1m(b, b2)
     if d1 in (1, 2, 3):
-        add("power_step", one_m_b, one_m_a, one_m_a - one_m_b)
+        margins["power_step"] = one_m_a - one_m_b
     if d1 == 1:
         lhs = (3.0 * (d2 + 2) * a - 2.0 - d2 * b) * one_m_b
         rhs = 2.0 * ((d2 + 2) * a - 1.0) * one_m_a
-        add("affine_power_step", lhs, rhs, rhs - lhs)
+        margins["affine_power_step"] = rhs - lhs
     if d1 == 4:
         lhs = (d2 * b + 2.0) * one_m_b
         rhs = ((d2 + 2) * a + 2.0) * one_m_a
-        add("poly_power_step", lhs, rhs, rhs - lhs)
+        margins["poly_power_step"] = rhs - lhs
 
     d_gt_c = d > 0.0 and _d_exceeds_c(d1, d2) if d1 >= 3 else False
     if d1 == 4:
+        margin = None
         if d_gt_c:
             lhs = (d2 * d + 2.0) * _pow1m(d, b2)
             rhs = ((d2 + 2) * c + 2.0) * _pow1m(c, b2 + 1.0)
-            add("poly_power_step_lower", lhs, rhs, lhs - rhs)
-        else:
-            skipped.append("poly_power_step_lower")
+            margin = lhs - rhs
+        margins["poly_power_step_lower"] = margin
     if d1 == 3:
+        product = ratio = None
         if d_gt_c:
             lhs = (2.0 * (1.0 + c) + d2 * (c + d)) * _pow1m(d, b2)
             rhs = 2.0 * ((d2 + 2) * c + 1.0) * _pow1m(c, b2 + 1.0)
-            add("product_step_lower", lhs, rhs, lhs - rhs)
-            v = v_direct(float(d2))
-            add("ratio_bound_lower", 0.0, v, v)
-        else:
-            skipped.extend(["product_step_lower", "ratio_bound_lower"])
-
-    passed = all(m > floor for m in margins)
-    note = "" if d1 in (1, 2, 3, 4) else "exploratory"
-    return StepReport(d1, d2, tuple(forms), tuple(lhss), tuple(rhss),
-                      tuple(margins), passed, tuple(skipped), note)
+            product, ratio = lhs - rhs, v_direct(float(d2))
+        margins["product_step_lower"] = product
+        margins["ratio_bound_lower"] = ratio
+    return margins
 
 
-def coefficient_sign_checks(d1: int, d2: int,
-                            floor: float = STRICTNESS_FLOOR) -> StepReport:
+def coefficient_sign_checks(d1: int, d2: int) -> Margins:
     """Sign claims for the affine coefficients of the d1 = 1 reduction and
     the c/d ordering of the d1 = 3 reduction.
 
@@ -176,36 +148,14 @@ def coefficient_sign_checks(d1: int, d2: int,
     """
     if d1 not in (1, 3):
         raise DomainError(f"coefficient sign checks exist for d1 in {{1, 3}}, got {d1}")
-    p = FParams(d1, d2)
-    ep = band_endpoints(p)
-    forms, lhss, rhss, margins = [], [], [], []
-    skipped = []
+    ep = band_endpoints(FParams(d1, d2))
     if d1 == 1:
-        lhs = (d2 + 2) * ep.a
-        forms.append("coef_lower_bound")
-        lhss.append(lhs)
-        rhss.append(1.0)
-        margins.append(lhs - 1.0)
-        combo = 3.0 * (d2 + 2) * ep.a - 2.0 - d2 * ep.b
-        forms.append("coef_combination")
-        lhss.append(combo)
-        rhss.append(0.0)
-        margins.append(combo)
-        forms.append("coef_dominance")
-        lhss.append(d2 * ep.b)
-        rhss.append((d2 + 2) * ep.a)
-        margins.append(d2 * ep.b - (d2 + 2) * ep.a)
-    else:
-        if ep.c > 0.0:
-            forms.append("cd_order")
-            lhss.append((d2 + 2) * ep.c)
-            rhss.append(d2 * ep.d)
-            margins.append((d2 + 2) * ep.c - d2 * ep.d)
-        else:
-            skipped.append("cd_order")
-    passed = all(m > floor for m in margins)
-    return StepReport(d1, d2, tuple(forms), tuple(lhss), tuple(rhss),
-                      tuple(margins), passed, tuple(skipped))
+        return {
+            "coef_lower_bound": (d2 + 2) * ep.a - 1.0,
+            "coef_combination": 3.0 * (d2 + 2) * ep.a - 2.0 - d2 * ep.b,
+            "coef_dominance": d2 * ep.b - (d2 + 2) * ep.a,
+        }
+    return {"cd_order": (d2 + 2) * ep.c - d2 * ep.d if ep.c > 0.0 else None}
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +222,7 @@ def _truncated_sum(d1: int, d2: int, x_lo: float, x_hi: float, n_top: int) -> fl
     return d2 * total
 
 
-def falling_factorial_bounds_odd(d1: int, d2: int,
-                                 floor: float = STRICTNESS_FLOOR) -> StepReport:
+def falling_factorial_bounds_odd(d1: int, d2: int) -> Margins:
     """Truncated-binomial sufficient bounds for odd d1 >= 5 (exploratory).
 
     truncated_series_upper:  2a < d2 * S_floor(a, b)   (truncation below)
@@ -285,24 +234,12 @@ def falling_factorial_bounds_odd(d1: int, d2: int,
     p = FParams(d1, d2)
     ep = band_endpoints(p)
     alpha = 0.5 * d1 - 1.0
-    forms, lhss, rhss, margins = [], [], [], []
-    skipped = []
-
-    rhs = _truncated_sum(d1, d2, ep.a, ep.b, math.floor(alpha))
-    forms.append("truncated_series_upper")
-    lhss.append(2.0 * ep.a)
-    rhss.append(rhs)
-    margins.append(rhs - 2.0 * ep.a)
-
+    margins: Margins = {
+        "truncated_series_upper":
+            _truncated_sum(d1, d2, ep.a, ep.b, math.floor(alpha)) - 2.0 * ep.a,
+        "truncated_series_lower": None,
+    }
     if ep.d > 0.0 and d_exceeds_c(p):
-        rhs = _truncated_sum(d1, d2, ep.c, ep.d, math.ceil(alpha))
-        forms.append("truncated_series_lower")
-        lhss.append(2.0 * ep.c)
-        rhss.append(rhs)
-        margins.append(2.0 * ep.c - rhs)
-    else:
-        skipped.append("truncated_series_lower")
-
-    passed = all(m > floor for m in margins)
-    return StepReport(d1, d2, tuple(forms), tuple(lhss), tuple(rhss),
-                      tuple(margins), passed, tuple(skipped), "exploratory")
+        margins["truncated_series_lower"] = (
+            2.0 * ep.c - _truncated_sum(d1, d2, ep.c, ep.d, math.ceil(alpha)))
+    return margins

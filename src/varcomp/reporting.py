@@ -1,4 +1,12 @@
-"""Report rows, summary buckets, and deterministic CSV/JSON emission.
+"""Report rows, the one verdict rule, summary buckets, and deterministic
+CSV/JSON emission.
+
+Every result of every check is a ``Row``, and every row is made by
+``margin_row``: a row passes iff its side conditions hold and its signed
+margin beats the strictness floor, is inconclusive iff they hold and the
+margin is within the floor, fails otherwise, and is not applicable when it
+has no margin.  The status is a field of the row; ``bucket`` reads it and
+nothing else, apart from the exploratory quarantine.
 
 The CSV schema is fixed: columns check_id,d1,d2,margin,pass,note with the
 header row always present; lines starting with '#' before it carry the tool
@@ -20,14 +28,12 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .varband import CheckOutcome, STRICTNESS_FLOOR
-from .proofcheck.steps import StepReport
-
 __all__ = [
+    "STATUSES",
     "Row",
     "bucket",
     "margin_row",
@@ -42,20 +48,27 @@ __all__ = [
 
 CSV_COLUMNS = ("check_id", "d1", "d2", "margin", "pass", "note")
 
-_BUCKETS = ("pass", "fail", "inconclusive", "not_applicable", "exploratory")
+#: Row statuses; with "exploratory" they are the summary buckets.
+STATUSES = ("pass", "fail", "inconclusive", "not_applicable")
+_BUCKETS = STATUSES + ("exploratory",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
-    """One report line; margin is None for not-applicable forms."""
+    """One report line: a signed margin (None for a form that does not
+    apply) and its status, one of ``STATUSES``; make it with ``margin_row``."""
 
     check_id: str
     d1: int
     d2: int
     margin: Optional[float]
-    passed: bool
+    status: str
     note: str = ""
     exploratory: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
 def bucket(row: Row) -> str:
@@ -65,50 +78,46 @@ def bucket(row: Row) -> str:
     never mask a regression in proved territory; not-applicable and
     inconclusive rows are counted but do not fail a run.
     """
-    if row.exploratory:
-        return "exploratory"
-    if row.margin is None or "not applicable" in row.note:
-        return "not_applicable"
-    if "inconclusive" in row.note:
-        return "inconclusive"
-    return "pass" if row.passed else "fail"
+    return "exploratory" if row.exploratory else row.status
 
 
-def margin_row(check_id: str, d1: int, d2: int, margin: float, floor: float,
-               note: str = "", exploratory: bool = False) -> Row:
-    """Row for a signed margin: pass above the floor, inconclusive within
-    it (the note gains "inconclusive"), fail below."""
-    if margin > floor:
-        return Row(check_id, d1, d2, margin, True, note, exploratory)
-    if abs(margin) <= floor:
-        note = (note + "; " if note else "") + "inconclusive"
-    return Row(check_id, d1, d2, margin, False, note, exploratory)
+def margin_row(check_id: str, d1: int, d2: int, margin: Optional[float],
+               floor: float, note: str = "", exploratory: bool = False,
+               holds: bool = True) -> Row:
+    """Row for a signed margin under the one verdict rule.
 
-
-def rows_from_outcome(outcome: CheckOutcome, d1: int = 0, d2: int = 0,
-                      exploratory: bool = False) -> list:
-    """Convert a CheckOutcome to a single row.
-
-    d1/d2 are taken from the outcome's inputs when present; an outcome whose
-    note marks it exploratory is quarantined regardless of the flag.
+    holds says whether the check's side conditions (a reference table, an
+    exact certificate, a sign program) are met.  The row passes iff they
+    hold and margin > floor, is inconclusive iff they hold and
+    |margin| <= floor (the note gains "inconclusive"), and fails otherwise;
+    a None margin is a form that does not apply.  Tolerance-style checks,
+    whose margin is tol - residual, use floor 0.0.
     """
-    d1 = int(outcome.inputs.get("d1", d1))
-    d2 = int(outcome.inputs.get("d2", d2))
-    expl = exploratory or "exploratory" in outcome.note
-    return [Row(outcome.claim_id, d1, d2, outcome.margin, outcome.passed,
-                outcome.note, expl)]
+    if margin is None:
+        status = "not_applicable"
+    elif holds and margin > floor:
+        status = "pass"
+    elif holds and abs(margin) <= floor:
+        status = "inconclusive"
+        note = (note + "; " if note else "") + "inconclusive"
+    else:
+        status = "fail"
+    return Row(check_id, d1, d2, margin, status, note, exploratory)
 
 
-def rows_from_step_report(report: StepReport, floor: float = STRICTNESS_FLOOR,
-                          exploratory: bool = False) -> list:
-    expl = exploratory or "exploratory" in report.note
-    base_note = report.note if report.note != "exploratory" else ""
-    rows = [margin_row(form, report.d1, report.d2, margin, floor, base_note, expl)
-            for form, margin in zip(report.forms_checked, report.margins)]
-    for form in report.not_applicable:
-        rows.append(Row(form, report.d1, report.d2, None, False,
-                        "not applicable", expl))
-    return rows
+def rows_from_outcome(row: Row, d1: int, d2: int = 0) -> list:
+    """The row of an auxiliary check, a function of y alone, stamped with
+    the (d1, d2) of the program that runs it."""
+    return [replace(row, d1=d1, d2=d2)]
+
+
+def rows_from_step_report(d1: int, d2: int, margins: Mapping[str, Optional[float]],
+                          floor: float, exploratory: bool = False) -> list:
+    """Rows of the step forms evaluated at (d1, d2): form -> margin, with
+    None for a form that does not apply there."""
+    return [margin_row(form, d1, d2, margin, floor,
+                       "not applicable" if margin is None else "", exploratory)
+            for form, margin in margins.items()]
 
 
 def sort_rows(rows: Iterable[Row]) -> list:
@@ -195,7 +204,7 @@ def render_csv(rows: Sequence[Row], header: Mapping[str, object],
             "%s,%d,%d,%s,%s,%s\n" % (
                 quoted[r.check_id], r.d1, r.d2,
                 "" if r.margin is None else repr_(r.margin),
-                "true" if r.passed else "false", quoted[r.note])
+                "true" if r.status == "pass" else "false", quoted[r.note])
             for r in chunk]))
     return "".join(parts)
 
@@ -220,7 +229,7 @@ def render_json(rows: Sequence[Row], header: Mapping[str, object],
             _JSON_ROW % (enc(r.check_id), r.d1, r.d2,
                          "true" if r.exploratory else "false",
                          _json_margin(r.margin), enc(r.note),
-                         "true" if r.passed else "false")
+                         "true" if r.status == "pass" else "false")
             for r in chunk]))
     if rows:
         parts[1] = parts[1][1:]  # no separator before the first row

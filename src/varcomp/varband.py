@@ -27,6 +27,9 @@ the reference route.  ``band_endpoints_column`` and
 ``variation_probability_column`` evaluate one d1 over a whole d2 column with
 numpy (the grid sweep's fast route); they repeat the scalar arithmetic in the
 same order and agree with it bit for bit.
+
+``check_bound``, ``check_monotone_step`` and ``check_limit`` return one
+``reporting.Row`` each, classified by ``reporting.margin_row``.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .distributions import ChiSquare, Dist, FDist, FParams, StdNormal, f_mean, f_variance
 from .errors import DomainError, MomentUndefinedError
+from .reporting import Row, margin_row
 from .specfun import (
     Accuracy,
     DEFAULT_ACCURACY,
@@ -51,7 +54,6 @@ __all__ = [
     "ConditionRegion",
     "Endpoints",
     "VariationBand",
-    "CheckOutcome",
     "STRICTNESS_FLOOR",
     "NORMAL_BAND",
     "normal_band_probability",
@@ -103,32 +105,6 @@ class VariationBand:
     lower: float
     upper: float
     prob: float
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    """One verification record.
-
-    margin is signed: positive means the claim holds with that much slack.
-    A margin whose magnitude is below the strictness floor is recorded as
-    inconclusive (passed=False, note='inconclusive') rather than failed.
-    """
-
-    claim_id: str
-    inputs: Mapping[str, object]
-    margin: float
-    passed: bool
-    note: str = ""
-
-
-def _outcome(claim_id: str, inputs: Mapping[str, object], margin: float,
-             floor: float, note: str = "") -> CheckOutcome:
-    if margin > floor:
-        return CheckOutcome(claim_id, dict(inputs), margin, True, note)
-    if abs(margin) <= floor:
-        extra = "inconclusive" if not note else note + "; inconclusive"
-        return CheckOutcome(claim_id, dict(inputs), margin, False, extra)
-    return CheckOutcome(claim_id, dict(inputs), margin, False, note)
 
 
 def _c_positive(d1: int, d2: int) -> bool:
@@ -290,41 +266,39 @@ def variation_probability_column(d1: int, d2, acc: Accuracy = DEFAULT_ACCURACY):
 
 
 def check_bound(p: FParams, floor: float = 0.0,
-                acc: Accuracy = DEFAULT_ACCURACY) -> CheckOutcome:
+                acc: Accuracy = DEFAULT_ACCURACY) -> Row:
     """Margin of the band probability over the normal baseline 2 Phi(1) - 1.
 
     Outside d1 in {1, 2, 3, 4} the claim is conjectured, not proved, and the
-    outcome is annotated as exploratory.
+    row is exploratory.
     """
     margin = variation_probability(FDist(p), acc) - NORMAL_BAND
-    note = "" if p.d1 in PROVED_D1 else "exploratory"
-    return _outcome("bound_exceeds_normal", {"d1": p.d1, "d2": p.d2},
-                    margin, floor, note)
+    expl = p.d1 not in PROVED_D1
+    return margin_row("bound_exceeds_normal", p.d1, p.d2, margin, floor,
+                      "exploratory" if expl else "", expl)
 
 
 def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR,
-                        acc: Accuracy = DEFAULT_ACCURACY) -> CheckOutcome:
+                        acc: Accuracy = DEFAULT_ACCURACY) -> Row:
     """Margin of the step decrease: band prob at (d1, d2) minus at (d1, d2+2)."""
     here = variation_probability(FDist(p), acc)
     next_ = variation_probability(FDist(FParams(p.d1, p.d2 + 2)), acc)
-    margin = here - next_
-    note = "" if p.d1 in PROVED_D1 else "exploratory"
-    return _outcome("step_decreasing", {"d1": p.d1, "d2": p.d2},
-                    margin, floor, note)
+    expl = p.d1 not in PROVED_D1
+    return margin_row("step_decreasing", p.d1, p.d2, here - next_, floor,
+                      "exploratory" if expl else "", expl)
 
 
 def check_limit(d1: int, d2_large: int, tol: float = 1e-3,
-                acc: Accuracy = DEFAULT_ACCURACY) -> CheckOutcome:
+                acc: Accuracy = DEFAULT_ACCURACY) -> Row:
     """Agreement of the band probability at large d2 with its chi-square limit.
 
     F(d1, d2) converges in distribution to chi-square(d1)/d1, so the band
     probability approaches the chi-square(d1) band probability; margin is
-    tol minus the observed absolute gap.
+    tol minus the observed absolute gap, at floor 0.
     """
     if d2_large < 1000:
         raise DomainError(f"limit check requires d2_large >= 1000, got {d2_large}")
     f_val = variation_probability(FDist(FParams(d1, d2_large)), acc)
     chi_val = chi_square_band_probability(d1, acc)
-    margin = tol - abs(f_val - chi_val)
-    return _outcome("limit_matches_chi_square",
-                    {"d1": d1, "d2": d2_large, "tol": tol}, margin, 0.0)
+    return margin_row("limit_matches_chi_square", d1, d2_large,
+                      tol - abs(f_val - chi_val), 0.0)

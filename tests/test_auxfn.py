@@ -84,6 +84,17 @@ def test_derivative_sign_secondary_checks():
         derivative_sign_check(AuxFn.R4, [15], -1)  # stencil exits the domain
 
 
+def test_derivative_sign_check_uses_the_verdict_rule():
+    # h1 decreases, so its derivative at 100 (about -2.02e-4) has the wrong
+    # sign for an increase claim: that fails, however small it is
+    out = derivative_sign_check(AuxFn.H1, [100], +1)
+    assert out.margin == pytest.approx(-2.02e-4, rel=1e-2)
+    assert not out.passed
+    assert out.status == "fail"
+    # the program's floor classifies the margin like any other
+    assert derivative_sign_check(AuxFn.H1, [100], -1, floor=1e-3).status == "inconclusive"
+
+
 def test_bound_function_signs():
     assert value_sign_check(AuxFn.L1, range(3, 201), -1).passed
     assert value_sign_check(AuxFn.L2, range(5, 201), -1).passed

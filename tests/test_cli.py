@@ -8,7 +8,7 @@ from varcomp import FParams, __version__, check_bound, check_monotone_step
 from varcomp.cli import main
 from varcomp.programs import PROVED_D1_CASES
 from varcomp.proofcheck.steps import check_step_inequalities
-from varcomp.reporting import render_csv, rows_from_outcome, rows_from_step_report
+from varcomp.reporting import render_csv, rows_from_step_report
 
 
 def run_cli(*argv, capsys=None):
@@ -73,21 +73,20 @@ def test_sweep_matches_scalar_per_cell_path(tmp_path, capsys):
     out_path = tmp_path / "kernel.csv"
     floor = 1e-12
     args = ["sweep", "--d1", "1..6", "--d2", "5..40", "--check",
-            "bound,monotone,steps", "--exploratory", "--seed", "7",
-            "--floor", repr(floor)]
+            "bound,monotone,steps", "--exploratory", "--floor", repr(floor)]
     assert run_cli(*args, "--out", str(out_path), capsys=capsys)[0] == 0
     rows = []
     for d1 in range(1, 7):
         expl = d1 not in PROVED_D1_CASES
         for d2 in range(5, 41):
             p = FParams(d1, d2)
-            rows += rows_from_outcome(check_bound(p, floor=floor))
-            rows += rows_from_outcome(check_monotone_step(p, floor=floor))
+            rows.append(check_bound(p, floor=floor))
+            rows.append(check_monotone_step(p, floor=floor))
             rows += rows_from_step_report(
-                check_step_inequalities(p, floor), floor, exploratory=expl)
+                d1, d2, check_step_inequalities(p), floor, exploratory=expl)
     header = {"version": __version__, "spec": {
         "command": "sweep", "d1": "1..6", "d2": "5..40",
-        "checks": ["bound", "monotone", "steps"], "seed": 7, "floor": floor,
+        "checks": ["bound", "monotone", "steps"], "floor": floor,
         "d2_large": 10_000, "limit_tol": 1e-3, "exploratory": True}}
     assert out_path.read_text() == render_csv(rows, header)
 
@@ -114,6 +113,30 @@ def test_sweep_jobs_option_removed(jobs, capsys):
     assert "unrecognized arguments: --jobs" in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_sweep_seed_option_removed(capsys):
+    # a sweep draws no samples; only oracle takes a seed
+    code, out, err = run_cli("sweep", "--d1", "1..4", "--d2", "5..12",
+                             "--check", "bound", "--seed", "7", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed 7" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
+def test_sweep_limit_tol_must_be_finite_and_non_negative(fmt, tol, tmp_path, capsys):
+    code, out, err = run_cli("sweep", "--d1", "1", "--d2", "5..6", "--check", "limit",
+                             f"--limit-tol={tol}", "--format", fmt,
+                             "--out", str(tmp_path / f"r.{fmt}"), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    expected = "expected a number" if tol == "abc" else "finite and >= 0"
+    assert "argument --limit-tol: " in err and expected in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_json_format(tmp_path, capsys):

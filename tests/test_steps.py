@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from varcomp import DomainError, FParams, check_monotone_step
+from varcomp import STRICTNESS_FLOOR, DomainError, FParams, check_monotone_step
 from varcomp.oracle import quad_beta_integral
+from varcomp.programs import explore_rows
 from varcomp.proofcheck import (
     check_step_inequalities,
     coefficient_sign_checks,
@@ -13,33 +14,46 @@ from varcomp.proofcheck import (
 from varcomp.varband import band_endpoints
 
 
+def holds(margins) -> bool:
+    """Every form that applies beats the default strictness floor."""
+    return all(m > STRICTNESS_FLOOR for m in margins.values() if m is not None)
+
+
+def checked(margins) -> list:
+    return [form for form, m in margins.items() if m is not None]
+
+
+def not_applicable(margins) -> list:
+    return [form for form, m in margins.items() if m is None]
+
+
 def test_case_d1_2_holds():
     for d2 in (5, 7, 30, 199):
-        report = check_step_inequalities(FParams(2, d2))
-        assert report.passed, report
-        assert "power_step" in report.forms_checked
-        assert "lower_edge" in report.not_applicable  # c = 0 for d1 = 2
+        margins = check_step_inequalities(FParams(2, d2))
+        assert holds(margins), margins
+        assert "power_step" in checked(margins)
+        assert "lower_edge" in not_applicable(margins)  # c = 0 for d1 = 2
 
 
 def test_case_d1_4_region_boundary():
     r17 = check_step_inequalities(FParams(4, 17))
-    assert r17.passed
-    assert "poly_power_step_lower" in r17.forms_checked
+    assert holds(r17)
+    assert "poly_power_step_lower" in checked(r17)
     r16 = check_step_inequalities(FParams(4, 16))
-    assert r16.passed
-    assert "poly_power_step_lower" in r16.not_applicable
+    assert holds(r16)
+    assert "poly_power_step_lower" in not_applicable(r16)
     # the lower edge itself is evaluated as soon as c > 0
-    assert "lower_edge" in r16.forms_checked
+    assert "lower_edge" in checked(r16)
 
 
 def test_case_d1_3_region_boundary():
     r25 = check_step_inequalities(FParams(3, 25))
-    assert r25.passed
-    assert "product_step_lower" in r25.forms_checked
-    assert "ratio_bound_lower" in r25.forms_checked
+    assert holds(r25)
+    assert "product_step_lower" in checked(r25)
+    assert "ratio_bound_lower" in checked(r25)
     r24 = check_step_inequalities(FParams(3, 24))
-    assert r24.passed
-    assert "product_step_lower" in r24.not_applicable
+    assert holds(r24)
+    assert "product_step_lower" in not_applicable(r24)
 
 
 def test_trivial_lower_edge_when_d_below_c():
@@ -47,8 +61,8 @@ def test_trivial_lower_edge_when_d_below_c():
     # negative, so the lower edge holds with a large margin
     ep = band_endpoints(FParams(4, 12))
     assert 0.0 < ep.d < ep.c
-    report = check_step_inequalities(FParams(4, 12))
-    assert report.margin_of("lower_edge") > 0.0
+    margins = check_step_inequalities(FParams(4, 12))
+    assert margins["lower_edge"] > 0.0
 
 
 def test_step_integral_equiv_monotone_step():
@@ -56,10 +70,10 @@ def test_step_integral_equiv_monotone_step():
     # prob margin = integral margin / (d2 B(d1/2, d2/2))
     from varcomp.specfun import log_beta
     for (d1, d2) in [(1, 9), (2, 14), (3, 25), (4, 17), (4, 44)]:
-        report = check_step_inequalities(FParams(d1, d2))
+        margins = check_step_inequalities(FParams(d1, d2))
         prob_margin = check_monotone_step(FParams(d1, d2)).margin
         scale = d2 * math.exp(log_beta(0.5 * d1, 0.5 * d2))
-        assert report.margin_of("step_integral") / scale == pytest.approx(
+        assert margins["step_integral"] / scale == pytest.approx(
             prob_margin, rel=1e-6)
 
 
@@ -67,8 +81,7 @@ def test_chain_consistency_implication():
     # reduced forms passing must imply the probability step passing
     for d1 in (1, 2, 3, 4):
         for d2 in range(5, 120):
-            report = check_step_inequalities(FParams(d1, d2))
-            if report.passed:
+            if holds(check_step_inequalities(FParams(d1, d2))):
                 assert check_monotone_step(FParams(d1, d2)).margin > 0.0, (d1, d2)
 
 
@@ -81,18 +94,18 @@ def test_domain_guards():
 
 def test_coefficient_sign_checks_d1_1():
     for d2 in (5, 50):
-        report = coefficient_sign_checks(1, d2)
-        assert report.passed
-        assert report.forms_checked == (
-            "coef_lower_bound", "coef_combination", "coef_dominance")
-        assert all(m > 0 for m in report.margins)
+        margins = coefficient_sign_checks(1, d2)
+        assert holds(margins)
+        assert checked(margins) == [
+            "coef_lower_bound", "coef_combination", "coef_dominance"]
+        assert all(m > 0 for m in margins.values())
 
 
 def test_coefficient_sign_checks_d1_3():
-    report = coefficient_sign_checks(3, 25)
-    assert report.passed and report.forms_checked == ("cd_order",)
-    report = coefficient_sign_checks(3, 12)
-    assert report.forms_checked == () and report.not_applicable == ("cd_order",)
+    margins = coefficient_sign_checks(3, 25)
+    assert holds(margins) and checked(margins) == ["cd_order"]
+    margins = coefficient_sign_checks(3, 12)
+    assert checked(margins) == [] and not_applicable(margins) == ["cd_order"]
 
 
 def test_series_forms_even():
@@ -118,13 +131,15 @@ def test_series_step_matches_exact_step_direction():
 
 def test_falling_factorial_bounds():
     r = falling_factorial_bounds_odd(5, 9)
-    assert r.forms_checked == ("truncated_series_upper",)
-    assert r.note == "exploratory"
-    assert r.margins[0] > 0
+    assert checked(r) == ["truncated_series_upper"]
+    assert r["truncated_series_upper"] > 0
+    # the program that reports them quarantines them as exploratory
+    assert [(row.check_id, row.exploratory) for row in explore_rows(5, [9])] == [
+        ("truncated_series_upper", True), ("truncated_series_lower", True)]
     r = falling_factorial_bounds_odd(5, 5)
-    assert "truncated_series_lower" in r.not_applicable
+    assert "truncated_series_lower" in not_applicable(r)
     r = falling_factorial_bounds_odd(7, 40)
-    assert set(r.forms_checked) == {"truncated_series_upper", "truncated_series_lower"}
+    assert set(checked(r)) == {"truncated_series_upper", "truncated_series_lower"}
     with pytest.raises(DomainError):
         falling_factorial_bounds_odd(4, 9)
     with pytest.raises(DomainError):
