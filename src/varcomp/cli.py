@@ -15,14 +15,18 @@ failed, 2 usage, domain or I/O error.
 A sweep runs serially, one d1 column at a time: the column's endpoint images
 and band probabilities come from the numpy column kernel in ``varband``, and
 each band probability is computed once and shared by the bound and monotone
-rows.  Commands that draw no samples and sweep no grid never import numpy.
+rows.  Its step forms come from ``proofcheck.steps.step_inequalities_column``,
+bit-identical to the scalar per-point route that ``prove`` runs.  Commands
+that draw no samples and sweep no grid never import numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -36,7 +40,7 @@ from .programs import (
     prove_rows,
     table_rows,
 )
-from .reporting import bucket, margin_row, rows_from_step_report, summarize, write_report
+from .reporting import bucket, margin_row, summarize, write_report
 from .specfun import log_beta
 from .varband import (
     NORMAL_BAND,
@@ -48,7 +52,7 @@ from .varband import (
     variation_probability,
     variation_probability_column,
 )
-from .proofcheck.steps import step_inequalities_at
+from .proofcheck.steps import step_inequalities_column
 
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables", "exploratory")
 _VARIANCE_CHECKS = {"bound", "monotone", "steps"}
@@ -90,16 +94,25 @@ def _parse_checks(text: str) -> tuple:
     return names
 
 
-def _parse_floor(text: str) -> float:
-    """A strictness floor or a tolerance: a finite number >= 0."""
+def _parse_number(text: str, positive: bool) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
         raise argparse.ArgumentTypeError(
-            f"must be finite and >= 0, got {text!r}")
+            f"must be finite and {'>' if positive else '>='} 0, got {text!r}")
     return value
+
+
+def _parse_floor(text: str) -> float:
+    """A strictness floor or a tolerance: a finite number >= 0."""
+    return _parse_number(text, positive=False)
+
+
+def _parse_quad_tol(text: str) -> float:
+    """A quadrature tolerance: a finite number > 0."""
+    return _parse_number(text, positive=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--d2", type=int, required=True)
     p_or.add_argument("--samples", type=int, default=1_000_000)
     p_or.add_argument("--seed", type=int, default=0)
-    p_or.add_argument("--quad-tol", type=float, default=1e-10)
+    p_or.add_argument("--quad-tol", type=_parse_quad_tol, default=1e-10)
 
     p_ex = sub.add_parser("explore", help="scan the conjectured region d1 >= 5")
     p_ex.add_argument("--d1", type=_parse_range, required=True, metavar="LO..HI")
@@ -175,11 +188,11 @@ def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list
     d2_hi + 2, and read by both the bound and the monotone rows."""
     expl = d1 not in PROVED_D1_CASES
     note = "exploratory" if expl else ""
-    d2s = range(d2_lo, d2_hi + 1)
+    # one list of d2 ints shared by every row: iterating a range would mint a
+    # new int object per row for d2 > 256
+    d2s = list(range(d2_lo, d2_hi + 1))
     if "bound" in checks or "monotone" in checks:
         prob = variation_probability_column(d1, range(d2_lo, d2_hi + 3)).tolist()
-    if "steps" in checks:
-        a, b, c, d = (v.tolist() for v in band_endpoints_column(d1, d2s))
     rows: list = []
     for check in checks:
         if check == "bound":
@@ -189,9 +202,10 @@ def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list
             rows += [margin_row("step_decreasing", d1, d2, prob[i] - prob[i + 2],
                                 floor, note, expl) for i, d2 in enumerate(d2s)]
         elif check == "steps":
-            for i, d2 in enumerate(d2s):
-                margins = step_inequalities_at(d1, d2, a[i], b[i], c[i], d[i])
-                rows += rows_from_step_report(d1, d2, margins, floor, expl)
+            margins = step_inequalities_column(d1, d2s, *band_endpoints_column(d1, d2s))
+            for form, column in margins.items():
+                rows += [margin_row(form, d1, d2, margin, floor, "", expl)
+                         for d2, margin in zip(d2s, column)]
     return rows
 
 
@@ -431,11 +445,22 @@ def main(argv=None) -> int:
         "oracle": _cmd_oracle,
         "explore": _cmd_explore,
     }
+    # varcomp calls no BLAS routine, so numpy's BLAS needs no worker threads
+    if "numpy" not in sys.modules:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
+    # report rows hold no reference cycles, and every full collection would
+    # rescan all of them
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return handlers[ns.command](ns)
     except VarcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -30,24 +30,33 @@ x1 < x0.
 
 Each evaluator returns an ordered map from claim id to signed margin, with
 None for a form that does not apply at that (d1, d2); it renders no
-verdict.  ``reporting.rows_from_step_report`` classifies the margins against
-the strictness floor.
+verdict.  ``reporting.margin_row`` classifies the margins against the
+strictness floor (``reporting.rows_from_step_report`` for one point).
+
+``step_inequalities_column`` is the sweep's route: it evaluates every form
+over a whole d2 column with numpy, its integrals through
+``oracle.quad_beta_integral_column``, and its margins are bit-identical to
+``step_inequalities_at``, which ``check_step_inequalities``, ``prove`` and
+``explore`` use and which stays the reference route.  numpy is imported
+only when the column route runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..distributions import FParams
 from ..errors import DomainError
-from ..oracle import quad_beta_integral
+from ..oracle import quad_beta_integral, quad_beta_integral_column
+from ..specfun import _each
 from ..varband import _d_exceeds_c, band_endpoints, d_exceeds_c
 from .auxfn import v_direct
 
 __all__ = [
     "check_step_inequalities",
     "step_inequalities_at",
+    "step_inequalities_column",
     "coefficient_sign_checks",
     "series_forms_even",
     "falling_factorial_bounds_odd",
@@ -137,6 +146,98 @@ def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float, d: floa
         margins["product_step_lower"] = product
         margins["ratio_bound_lower"] = ratio
     return margins
+
+
+def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d,
+                             quad_tol: float = _QUAD_TOL) -> Dict[str, list]:
+    """``step_inequalities_at(d1, d2s[i], a[i], b[i], c[i], d[i])`` for every
+    i, as one map from form to the list of its margins over the column.
+
+    a, b, c, d are the column's endpoint images (``band_endpoints_column``).
+    The keys, their order, the None entries and every margin are those of
+    ``step_inequalities_at``, bit for bit: only +, -, * and / are
+    vectorised, in scalar order, and every exp and log goes through
+    ``math``.
+    """
+    import numpy as np
+
+    n2 = np.asarray(d2s, dtype=float)
+    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
+    a2, b2 = 0.5 * d1, 0.5 * n2
+
+    # both integrals of each point in one kernel call, interleaved in the
+    # scalar route's order, so a lane that fails raises what that route
+    # raises first; an empty [c, d] (c = d) integrates to 0 there
+    lower = c != d
+    rev = d < c
+    lo = np.stack((a, np.where(rev, d, c)), axis=1).ravel()
+    hi = np.stack((b, np.where(rev, c, d)), axis=1).ravel()
+    use = np.stack((np.ones_like(lower), lower), axis=1).ravel()
+    ints = np.zeros(lo.shape)
+    ints[use] = quad_beta_integral_column(a2, np.repeat(b2, 2)[use], lo[use], hi[use],
+                                          quad_tol)
+    upper_int = n2 * ints[0::2]
+    lower_int = n2 * np.where(rev, -ints[1::2], ints[1::2])
+    term_a = _boundary_term_column(a, d1, b2)
+    term_c = _boundary_term_column(c, d1, b2)
+
+    margins = {
+        "step_integral": (upper_int + term_c) - (term_a + lower_int),
+        "upper_edge": upper_int - term_a,
+        "lower_edge": _masked((c > 0.0).tolist(), term_c - lower_int),
+    }
+
+    one_m_a = _pow1m_column(a, b2 + 1.0)
+    one_m_b = _pow1m_column(b, b2)
+    if d1 in (1, 2, 3):
+        margins["power_step"] = one_m_a - one_m_b
+    if d1 == 1:
+        lhs = (3.0 * (n2 + 2.0) * a - 2.0 - n2 * b) * one_m_b
+        rhs = 2.0 * ((n2 + 2.0) * a - 1.0) * one_m_a
+        margins["affine_power_step"] = rhs - lhs
+    if d1 == 4:
+        lhs = (n2 * b + 2.0) * one_m_b
+        rhs = ((n2 + 2.0) * a + 2.0) * one_m_a
+        margins["poly_power_step"] = rhs - lhs
+
+    if d1 in (3, 4):
+        d_gt_c = [dv > 0.0 and _d_exceeds_c(d1, n)
+                  for n, dv in zip(d2s, d.tolist())]
+        one_m_d = _pow1m_column(d, b2)
+        one_m_c = _pow1m_column(c, b2 + 1.0)
+        if d1 == 4:
+            lhs = (n2 * d + 2.0) * one_m_d
+            rhs = ((n2 + 2.0) * c + 2.0) * one_m_c
+            margins["poly_power_step_lower"] = _masked(d_gt_c, lhs - rhs)
+        else:
+            lhs = (2.0 * (1.0 + c) + n2 * (c + d)) * one_m_d
+            rhs = 2.0 * ((n2 + 2.0) * c + 1.0) * one_m_c
+            margins["product_step_lower"] = _masked(d_gt_c, lhs - rhs)
+            margins["ratio_bound_lower"] = [v_direct(float(n)) if gt else None
+                                            for n, gt in zip(d2s, d_gt_c)]
+    return {form: v if isinstance(v, list) else v.tolist()
+            for form, v in margins.items()}
+
+
+def _masked(mask, values) -> list:
+    # values[i] where mask[i] holds, None elsewhere
+    return [v if m else None for v, m in zip(values.tolist(), mask)]
+
+
+def _pow1m_column(x, e):
+    # _pow1m lane by lane
+    return _each(math.exp, e * _each(math.log1p, -x))
+
+
+def _boundary_term_column(x, d1: int, b2):
+    # _boundary_term lane by lane, with b2 = d2 / 2
+    import numpy as np
+
+    zero = x == 0.0
+    x = np.where(zero, 0.5, x)  # keeps math.log off the zero lanes
+    term = 2.0 * _each(math.exp, 0.5 * d1 * _each(math.log, x)
+                       + b2 * _each(math.log1p, -x))
+    return np.where(zero, 0.0, term)
 
 
 def coefficient_sign_checks(d1: int, d2: int) -> Margins:

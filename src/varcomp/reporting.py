@@ -90,11 +90,13 @@ def margin_row(check_id: str, d1: int, d2: int, margin: Optional[float],
     exact certificate, a sign program) are met.  The row passes iff they
     hold and margin > floor, is inconclusive iff they hold and
     |margin| <= floor (the note gains "inconclusive"), and fails otherwise;
-    a None margin is a form that does not apply.  Tolerance-style checks,
-    whose margin is tol - residual, use floor 0.0.
+    a None margin is a form that does not apply (the note defaults to
+    "not applicable").  Tolerance-style checks, whose margin is
+    tol - residual, use floor 0.0.
     """
     if margin is None:
         status = "not_applicable"
+        note = note or "not applicable"
     elif holds and margin > floor:
         status = "pass"
     elif holds and abs(margin) <= floor:
@@ -115,8 +117,7 @@ def rows_from_step_report(d1: int, d2: int, margins: Mapping[str, Optional[float
                           floor: float, exploratory: bool = False) -> list:
     """Rows of the step forms evaluated at (d1, d2): form -> margin, with
     None for a form that does not apply there."""
-    return [margin_row(form, d1, d2, margin, floor,
-                       "not applicable" if margin is None else "", exploratory)
+    return [margin_row(form, d1, d2, margin, floor, "", exploratory)
             for form, margin in margins.items()]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -268,6 +269,38 @@ def test_oracle_agreement(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
+def test_oracle_quad_tol_must_be_finite_and_positive(tol, capsys):
+    code, out, err = run_cli("oracle", "--d1", "3", "--d2", "10", "--quad-tol", tol,
+                             capsys=capsys)
+    assert code == 2
+    assert out == ""
+    expected = "expected a number" if tol == "abc" else "must be finite and > 0"
+    assert "argument --quad-tol: " in err and expected in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_main_pauses_and_restores_the_garbage_collector(monkeypatch, capsys):
+    import gc
+
+    import varcomp.cli
+
+    seen = []
+    handler = varcomp.cli._cmd_varprob
+    monkeypatch.setattr(varcomp.cli, "_cmd_varprob",
+                        lambda ns: seen.append(gc.isenabled()) or handler(ns))
+    assert gc.isenabled()
+    assert run_cli("varprob", "--dist", "normal", capsys=capsys)[0] == 0
+    assert seen == [False]  # paused while the command runs
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run_cli("varprob", "--dist", "normal", capsys=capsys)[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_explore_always_exit_zero(tmp_path, capsys):
     out_path = tmp_path / "explore.csv"
     code, _, _ = run_cli("explore", "--d1", "5..6", "--d2", "5..20",
@@ -293,3 +326,35 @@ def test_console_script_installed():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "varcomp" in out.stdout
+
+
+@pytest.mark.parametrize("argv", [["prove", "--d1", "1"],
+                                  ["explore", "--d1", "5..6", "--d2", "5..30"]])
+def test_scalar_commands_leave_numpy_unloaded(argv):
+    # prove and explore keep the scalar route: a numpy import would add more
+    # to their start-up than their whole computation takes
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom varcomp.cli import main\n"
+         f"code = main({argv!r})\n"
+         "print(code, 'numpy' in sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip().splitlines()[-1] == "0 False"
+
+
+def test_blas_threads_capped_before_numpy_loads():
+    script = ("import os, sys\nfrom varcomp.cli import main\n"
+              "main(['varprob', '--dist', 'normal'])\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'],"
+              " os.environ['MKL_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "1 1 1"
+    # a setting the caller made is kept
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert out.stdout.splitlines()[-1] == "2 1 1"
