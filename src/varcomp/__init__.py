@@ -26,8 +26,6 @@ from .errors import (
 )
 from .reporting import Row
 from .specfun import (
-    Accuracy,
-    DEFAULT_ACCURACY,
     log_beta,
     log_gamma,
     reg_inc_beta,

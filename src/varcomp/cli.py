@@ -15,15 +15,18 @@ failed, 2 usage, domain or I/O error.
 A sweep runs serially, one d1 column at a time: the column's endpoint images
 and band probabilities come from the numpy column kernel in ``varband``, and
 each band probability is computed once and shared by the bound and monotone
-rows.  Its step forms come from ``proofcheck.steps.step_inequalities_column``,
+blocks.  Its step forms come from ``proofcheck.steps.step_inequalities_column``,
 bit-identical to the scalar per-point route that ``prove`` runs.  Commands
 that draw no samples and sweep no grid never import numpy.
+
+Every report is a list of ``reporting.Block``s, one per claim and d1: each
+kernel column becomes one block as it is, and ``prove`` prints its
+PASS/INCONCLUSIVE/FAIL line per claim from that claim's block.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -40,7 +43,13 @@ from .programs import (
     prove_rows,
     table_rows,
 )
-from .reporting import bucket, margin_row, summarize, write_report
+from .reporting import (
+    margin_block,
+    rows_from_outcome,
+    rows_from_step_report,
+    summarize,
+    write_report,
+)
 from .specfun import log_beta
 from .varband import (
     NORMAL_BAND,
@@ -80,6 +89,9 @@ def _parse_range(text: str) -> tuple:
             f"expected an integer or lo..hi range, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if hi >= 2 ** 62:  # the int64 bound of the column kernels
+        raise argparse.ArgumentTypeError(
+            f"range bounds must be below 2**62, got {text!r}")
     return lo, hi
 
 
@@ -183,30 +195,30 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list:
-    """Rows of the per-point checks (bound, monotone, steps) for one d1 over
-    d2_lo..d2_hi.  Each band probability is computed once, for d2 up to
-    d2_hi + 2, and read by both the bound and the monotone rows."""
+    """Blocks of the per-point checks (bound, monotone, steps) for one d1
+    over d2_lo..d2_hi.  Each band probability is computed once, for d2 up to
+    d2_hi + 2, and read by both the bound and the monotone blocks."""
     expl = d1 not in PROVED_D1_CASES
     note = "exploratory" if expl else ""
-    # one list of d2 ints shared by every row: iterating a range would mint a
-    # new int object per row for d2 > 256
+    # one list of d2 ints shared by every block: a range would mint a new
+    # int object per row for d2 > 256 each time it is iterated
     d2s = list(range(d2_lo, d2_hi + 1))
     if "bound" in checks or "monotone" in checks:
         prob = variation_probability_column(d1, range(d2_lo, d2_hi + 3)).tolist()
-    rows: list = []
+    blocks: list = []
     for check in checks:
         if check == "bound":
-            rows += [margin_row("bound_exceeds_normal", d1, d2, prob[i] - NORMAL_BAND,
-                                floor, note, expl) for i, d2 in enumerate(d2s)]
+            margins = [p - NORMAL_BAND for p in prob[:len(d2s)]]
+            blocks.append(margin_block("bound_exceeds_normal", d1, d2s, margins,
+                                       floor, note, expl))
         elif check == "monotone":
-            rows += [margin_row("step_decreasing", d1, d2, prob[i] - prob[i + 2],
-                                floor, note, expl) for i, d2 in enumerate(d2s)]
+            margins = [here - next_ for here, next_ in zip(prob, prob[2:])]
+            blocks.append(margin_block("step_decreasing", d1, d2s, margins,
+                                       floor, note, expl))
         elif check == "steps":
             margins = step_inequalities_column(d1, d2s, *band_endpoints_column(d1, d2s))
-            for form, column in margins.items():
-                rows += [margin_row(form, d1, d2, margin, floor, "", expl)
-                         for d2, margin in zip(d2s, column)]
-    return rows
+            blocks += rows_from_step_report(d1, d2s, margins, floor, expl)
+    return blocks
 
 
 def _cmd_sweep(ns) -> int:
@@ -231,19 +243,20 @@ def _cmd_sweep(ns) -> int:
     else:
         grid_d1 = d1_values
 
-    rows: list = []
+    blocks: list = []
     if _VARIANCE_CHECKS.intersection(checks):
         for d1 in grid_d1:
-            rows += _sweep_column(d1, d2_lo, d2_hi, checks, ns.floor)
+            blocks += _sweep_column(d1, d2_lo, d2_hi, checks, ns.floor)
     if "limit" in checks:
-        rows += [check_limit(d1, ns.d2_large, ns.limit_tol) for d1 in d1_values]
+        for d1 in d1_values:
+            blocks += rows_from_outcome([check_limit(d1, ns.d2_large, ns.limit_tol)], d1)
     if "tables" in checks:
-        rows += table_rows(ns.floor)
-        rows += certificate_rows()
+        blocks += table_rows(ns.floor)
+        blocks += certificate_rows()
     if "exploratory" in checks:
         for d1 in d1_values:
             if d1 >= 5:
-                rows += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)
+                blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)
 
     header = {
         "version": __version__,
@@ -258,25 +271,25 @@ def _cmd_sweep(ns) -> int:
             "exploratory": bool(ns.exploratory),
         },
     }
-    counts = _write(rows, header, ns)
+    counts = _write(blocks, header, ns)
     return 1 if counts["fail"] else 0
 
 
-def _report(rows: list, header: dict, ns, counts: dict) -> str:
+def _report(blocks: list, header: dict, ns, counts: dict) -> str:
     """write_report in ns.format to ns.out (None: only render); a path that
     cannot be written is an error with exit 2."""
     try:
-        return write_report(rows, header, ns.format, ns.out, counts)
+        return write_report(blocks, header, ns.format, ns.out, counts)
     except OSError as exc:
         raise VarcompError(
             f"cannot write report {ns.out}: {exc.strerror or exc}") from None
 
 
-def _write(rows: list, header: dict, ns) -> dict:
+def _write(blocks: list, header: dict, ns) -> dict:
     """Emit a sweep or explore report to ns.out or stdout; returns the
     summary counts, computed once."""
-    counts = summarize(rows)
-    text = _report(rows, header, ns, counts)
+    counts = summarize(blocks)
+    text = _report(blocks, header, ns, counts)
     if not ns.out:
         sys.stdout.write(text)
     else:
@@ -289,37 +302,30 @@ def _cmd_prove(ns) -> int:
         print(f"error: prove covers d1 in {sorted(PROVED_D1_CASES)}; "
               f"use 'explore' for d1 >= 5", file=sys.stderr)
         return 2
-    rows = prove_rows(ns.d1, ns.d2_max, ns.floor)
-    counts = summarize([])  # every bucket at zero
-    by_claim: dict = {}  # claim -> (its rows, their buckets)
-    for row in rows:
-        kind = bucket(row)
-        counts[kind] += 1
-        group, kinds = by_claim.setdefault(row.check_id, ([], []))
-        group.append(row)
-        kinds.append(kind)
+    blocks = prove_rows(ns.d1, ns.d2_max, ns.floor)
+    counts = summarize(blocks)
     header = {
         "version": __version__,
         "spec": {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max,
                  "floor": ns.floor},
     }
     if ns.out:
-        _report(rows, header, ns, counts)
+        _report(blocks, header, ns, counts)
         print(f"wrote {ns.out}")
-    # a claim passes only when none of its rows failed or was inconclusive
-    for claim in sorted(by_claim):
-        group, kinds = by_claim[claim]
-        margins = [r.margin for r in group if r.margin is not None]
+    # each claim of the program is one block; it passes only when none of
+    # its rows failed or was inconclusive
+    for block in sorted(blocks, key=lambda b: b.check_id):
+        claim, statuses = block.check_id, block.statuses
+        margins = [m for m in block.margins if m is not None]
         worst = f"worst margin {min(margins):.3e}" if margins else "not applicable"
-        if "fail" in kinds:
-            print(f"FAIL {claim} ({len(group)} rows, {worst})")
-        elif "inconclusive" in kinds:
-            first = min(r.d2 for r, kind in zip(group, kinds)
-                        if kind == "inconclusive")
-            print(f"INCONCLUSIVE {claim} {kinds.count('inconclusive')}/{len(group)} "
+        if "fail" in statuses:
+            print(f"FAIL {claim} ({len(block)} rows, {worst})")
+        elif "inconclusive" in statuses:
+            first = block.d2s[statuses.index("inconclusive")]
+            print(f"INCONCLUSIVE {claim} {statuses.count('inconclusive')}/{len(block)} "
                   f"(first at d2={first}, {worst})")
         else:
-            print(f"PASS {claim} ({len(group)} rows, {worst})")
+            print(f"PASS {claim} ({len(block)} rows, {worst})")
     print("summary: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     return 1 if counts["fail"] else 0
 
@@ -338,15 +344,10 @@ def _cmd_oracle(ns) -> int:
     a, b = 0.5 * p.d1, 0.5 * p.d2
     scale = math.exp(log_beta(a, b))
     q_hi = quad_beta_integral(a, b, 0.0, ep.b, ns.quad_tol * scale)
-    if ep.d > 0.0:
-        q_lo = quad_beta_integral(a, b, 0.0, ep.d, ns.quad_tol * scale)
-        quad_value = (q_hi.value - q_lo.value) / scale
-        quad_err = (q_hi.abs_error_bound + q_lo.abs_error_bound) / scale
-        evals = q_hi.evaluations + q_lo.evaluations
-    else:
-        quad_value = q_hi.value / scale
-        quad_err = q_hi.abs_error_bound / scale
-        evals = q_hi.evaluations
+    q_lo = quad_beta_integral(a, b, 0.0, ep.d, ns.quad_tol * scale)  # 0 when d = 0
+    quad_value = (q_hi.value - q_lo.value) / scale
+    quad_err = (q_hi.abs_error_bound + q_lo.abs_error_bound) / scale
+    evals = q_hi.evaluations + q_lo.evaluations
     mc_gap = abs(analytic - mc.estimate)
     mc_ok = mc_gap < 4.0 * mc.stderr
     quad_gap = abs(analytic - quad_value)
@@ -419,15 +420,15 @@ def _cmd_explore(ns) -> int:
     if d2_lo < 5:
         print("error: d2 must be >= 5", file=sys.stderr)
         return 2
-    rows = []
+    blocks = []
     for d1 in range(d1_lo, d1_hi + 1):
-        rows += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)
+        blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)
     header = {
         "version": __version__,
         "spec": {"command": "explore", "d1": f"{d1_lo}..{d1_hi}",
                  "d2": f"{d2_lo}..{d2_hi}", "floor": ns.floor},
     }
-    _write(rows, header, ns)
+    _write(blocks, header, ns)
     return 0
 
 
@@ -449,18 +450,11 @@ def main(argv=None) -> int:
     if "numpy" not in sys.modules:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, "1")
-    # report rows hold no reference cycles, and every full collection would
-    # rescan all of them
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
         return handlers[ns.command](ns)
     except VarcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError, MomentUndefinedError
-from .specfun import Accuracy, DEFAULT_ACCURACY, reg_inc_beta, reg_lower_gamma, std_normal_cdf
+from .specfun import reg_inc_beta, reg_lower_gamma, std_normal_cdf
 
 __all__ = [
     "FParams",
@@ -99,7 +99,7 @@ def f_variance(p: FParams) -> float:
     return 2.0 * d2 * d2 * (d1 + d2 - 2) / (d1 * (d2 - 2) ** 2 * (d2 - 4))
 
 
-def cdf(d: Dist, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def cdf(d: Dist, x: float) -> float:
     """CDF of the given distribution at x.
 
     The F CDF is I_w(d1/2, d2/2) at the beta argument w = d1 x / (d1 x + d2);
@@ -118,12 +118,12 @@ def cdf(d: Dist, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
             return 0.0
         d1, d2 = d.params.d1, d.params.d2
         w = d1 * x / (d1 * x + d2)
-        return reg_inc_beta(w, 0.5 * d1, 0.5 * d2, acc)
+        return reg_inc_beta(w, 0.5 * d1, 0.5 * d2)
     if isinstance(d, ChiSquare):
         if x == math.inf:
             return 1.0
         x = float(x)
         if x <= 0.0:
             return 0.0
-        return reg_lower_gamma(0.5 * d.params.k, 0.5 * x, acc)
+        return reg_lower_gamma(0.5 * d.params.k, 0.5 * x)
     raise DomainError(f"unknown distribution object {d!r}")

@@ -1,14 +1,16 @@
 """Prepackaged verification programs: golden tables, positivity
 certificates, per-case step programs, and the exploratory scans for d1 >= 5.
 
-Everything returns plain report rows so the CLI (or a notebook) can batch,
-sort and emit them; nothing here prints or exits.
+Everything returns report blocks (``reporting.Block``), one per claim and
+d1, so the CLI (or a notebook) can batch, sort and emit them; nothing here
+prints or exits.  The per-point step evaluators stay scalar: their form ->
+margin maps are gathered into form -> column once per program.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Collection, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .distributions import FParams
 from .errors import DomainError, VarcompError
@@ -41,7 +43,7 @@ from .proofcheck.steps import (
     series_forms_even,
 )
 from .oracle import quad_beta_integral
-from .reporting import margin_row, rows_from_outcome, rows_from_step_report
+from .reporting import Block, margin_block, rows_from_outcome, rows_from_step_report
 from .varband import STRICTNESS_FLOOR, band_endpoints, d_exceeds_c
 
 __all__ = [
@@ -62,14 +64,30 @@ def _grid(lo: int, hi: int) -> list:
     return list(range(lo, hi + 1))
 
 
+def _claim(check_id: str, d1: int, d2: int, margin: float, note: str,
+           holds: bool = True) -> Block:
+    """Block of one tolerance-style claim (floor 0) checked once."""
+    return margin_block(check_id, d1, [d2], [margin], 0.0, note, holds=holds)
+
+
+def _step_blocks(d1: int, d2s: Sequence[int], margins_at: Callable,
+                 floor: float, exploratory: bool = False) -> list:
+    """Blocks of a scalar step evaluator over d2s; margins_at(d2) is its
+    form -> margin map at d2, with the same forms at every d2."""
+    columns: dict = {}
+    for d2 in d2s:
+        for form, margin in margins_at(d2).items():
+            columns.setdefault(form, []).append(margin)
+    return rows_from_step_report(d1, d2s, columns, floor, exploratory)
+
+
 def _lower_edge_bound_rows(floor: float) -> list:
     """The G1 table and the two-route v checks of the d1 = 3 lower-edge
     bound, shared by the table rows and the d1 = 3 program."""
-    rows = rows_from_outcome(
-        monotone_table_check(AuxFn.G1, _grid(25, 33), "decreasing", floor), d1=3)
-    for y in _grid(25, 40):
-        rows += rows_from_outcome(rational_V_consistency(y), d1=3, d2=y)
-    return rows
+    ys = _grid(25, 40)
+    return (rows_from_outcome(
+        [monotone_table_check(AuxFn.G1, _grid(25, 33), "decreasing", floor)], d1=3)
+        + rows_from_outcome([rational_V_consistency(y) for y in ys], 3, ys))
 
 
 def table_rows(floor: float = STRICTNESS_FLOOR) -> list:
@@ -79,14 +97,11 @@ def table_rows(floor: float = STRICTNESS_FLOOR) -> list:
     monotonicity those tables illustrate, and checks the two-route
     consistency of the rational lower-edge bound.
     """
-    rows: list = []
-    rows += rows_from_outcome(
-        monotone_table_check(AuxFn.H2, [3, 4, 5], "decreasing", floor), d1=2)
-    rows += rows_from_outcome(
-        monotone_table_check(AuxFn.H3, _grid(3, 12), "decreasing", floor), d1=3)
-    rows += rows_from_outcome(
-        monotone_table_check(AuxFn.H4, _grid(3, 12), "increasing", floor), d1=4)
-    return rows + _lower_edge_bound_rows(floor)
+    blocks = [rows_from_outcome([monotone_table_check(f, ys, direction, floor)], d1)[0]
+              for d1, f, ys, direction in ((2, AuxFn.H2, [3, 4, 5], "decreasing"),
+                                           (3, AuxFn.H3, _grid(3, 12), "decreasing"),
+                                           (4, AuxFn.H4, _grid(3, 12), "increasing"))]
+    return blocks + _lower_edge_bound_rows(floor)
 
 
 def certificate_rows(families: Optional[Collection[str]] = None) -> list:
@@ -97,14 +112,13 @@ def certificate_rows(families: Optional[Collection[str]] = None) -> list:
     bit-exactly, and every expansion must be all-positive (the positivity
     certificate for arguments beyond the shift).
     """
-    rows = []
+    blocks = []
     for family, table in REFERENCE_VALUES.items():
         if families is not None and family not in families:
             continue
         ok = all(FAMILIES[family](n) == v for n, v in table.items())
-        rows.append(margin_row(f"poly_values_{family.lower()}", 0, 0,
-                               1.0 if ok else -1.0, 0.0,
-                               "exact match" if ok else "reference value mismatch"))
+        blocks.append(_claim(f"poly_values_{family.lower()}", 0, 0, 1.0 if ok else -1.0,
+                             "exact match" if ok else "reference value mismatch"))
     for (family, shift), coeffs in REFERENCE_EXPANSIONS.items():
         if families is not None and family not in families:
             continue
@@ -116,11 +130,11 @@ def certificate_rows(families: Optional[Collection[str]] = None) -> list:
             note.append("coefficient mismatch")
         if not positive:
             note.append("not all positive")
-        rows.append(margin_row(f"expansion_{family.lower()}_{shift}", 0, shift,
-                               float(min(exp.coeffs)) if positive else -1.0, 0.0,
-                               "; ".join(note) if note else "all coefficients positive",
-                               holds=exact))
-    return rows
+        blocks.append(_claim(f"expansion_{family.lower()}_{shift}", 0, shift,
+                             float(min(exp.coeffs)) if positive else -1.0,
+                             "; ".join(note) if note else "all coefficients positive",
+                             holds=exact))
+    return blocks
 
 
 def _boundary_rows(d1: int, first_d2: int) -> list:
@@ -128,15 +142,14 @@ def _boundary_rows(d1: int, first_d2: int) -> list:
     before = FParams(d1, first_d2 - 1)
     at = FParams(d1, first_d2)
     ok = (not d_exceeds_c(before)) and d_exceeds_c(at)
-    return [margin_row(f"dc_boundary_d1_{d1}", d1, first_d2, 1.0 if ok else -1.0, 0.0,
-                       f"first d2 with d > c is {first_d2}" if ok else "boundary mismatch")]
+    return [_claim(f"dc_boundary_d1_{d1}", d1, first_d2, 1.0 if ok else -1.0,
+                   f"first d2 with d > c is {first_d2}" if ok else "boundary mismatch")]
 
 
 def _closed_form_rows(d2_values: Iterable[int], rel_tol: float = 1e-10) -> list:
     """For numerator df 2 the upper-edge integral is elementary:
     d2 * integral_a^b (1-t)^(d2/2-1) dt = 2 (1-a)^(d2/2) [1 - ((1-b)/(1-a))^(d2/2)].
     The quadrature oracle must match that closed form to rel_tol."""
-    rows = []
     worst = 0.0
     for d2 in d2_values:
         ep = band_endpoints(FParams(2, d2))
@@ -144,9 +157,8 @@ def _closed_form_rows(d2_values: Iterable[int], rel_tol: float = 1e-10) -> list:
         closed = 2.0 * math.exp(0.5 * d2 * math.log1p(-ep.a)) * (
             1.0 - math.exp(0.5 * d2 * (math.log1p(-ep.b) - math.log1p(-ep.a))))
         worst = max(worst, abs(quad - closed) / abs(closed))
-    rows.append(margin_row("upper_edge_closed_form", 2, 0, rel_tol - worst, 0.0,
-                           "quadrature vs elementary antiderivative"))
-    return rows
+    return [_claim("upper_edge_closed_form", 2, 0, rel_tol - worst,
+                   "quadrature vs elementary antiderivative")]
 
 
 def _g2_consistency_rows(ys: Iterable[int], rel_tol: float = 1e-9) -> list:
@@ -154,8 +166,8 @@ def _g2_consistency_rows(ys: Iterable[int], rel_tol: float = 1e-9) -> list:
     for y in ys:
         ga, gb = g2(float(y)), g2_expanded(float(y))
         worst = max(worst, abs(ga - gb) / max(abs(ga), abs(gb)))
-    return [margin_row("g2_expansion_consistency", 3, 0, rel_tol - worst, 0.0,
-                       "two transcriptions of the same factor agree")]
+    return [_claim("g2_expansion_consistency", 3, 0, rel_tol - worst,
+                   "two transcriptions of the same factor agree")]
 
 
 def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> list:
@@ -174,7 +186,7 @@ def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> 
     roundoff, so these margins certify the reduction steps themselves.
     """
     fn = {1: h1, 2: h2, 3: h3}.get(d1)
-    rows = []
+    blocks = []
     worst = 0.0
     if d1 in (1, 2, 3):
         for d2 in d2_values:
@@ -183,8 +195,8 @@ def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> 
             rhs = ((0.5 * d2 + 1.0) * math.log1p(-ep.a)
                    - 0.5 * d2 * math.log1p(-ep.b))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-        rows.append(margin_row(f"h{d1}_log_form_consistency", d1, 0, rel_tol - worst,
-                               0.0, "aux step equals the endpoint log ratio"))
+        blocks.append(_claim(f"h{d1}_log_form_consistency", d1, 0, rel_tol - worst,
+                             "aux step equals the endpoint log ratio"))
         if d1 == 1:
             worst = 0.0
             for d2 in d2_values:
@@ -192,9 +204,9 @@ def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> 
                 for lhs, rhs in ((d2 * ep.b, k_fun(float(d2))),
                                  ((d2 + 2) * ep.a, k_fun(float(d2 + 2)))):
                     worst = max(worst, abs(lhs - rhs) / abs(rhs))
-            rows.append(margin_row("k_matches_scaled_endpoints", 1, 0, rel_tol - worst,
-                                   0.0, "k(d2) = d2 b and k(d2+2) = (d2+2) a"))
-        return rows
+            blocks.append(_claim("k_matches_scaled_endpoints", 1, 0, rel_tol - worst,
+                                 "k(d2) = d2 b and k(d2+2) = (d2+2) a"))
+        return blocks
     if d1 == 4:
         worst_h = worst_r = 0.0
         any_r = False
@@ -218,13 +230,13 @@ def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> 
                 ]
                 for lhs, rhs in r_pairs:
                     worst_r = max(worst_r, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-        rows.append(margin_row("h4_log_form_consistency", 4, 0, rel_tol - worst_h, 0.0,
-                               "h4 equals the affine-power log form at the endpoints"))
+        blocks.append(_claim("h4_log_form_consistency", 4, 0, rel_tol - worst_h,
+                             "h4 equals the affine-power log form at the endpoints"))
         if any_r:
-            rows.append(margin_row(
-                "r4_log_form_consistency", 4, 0, rel_tol - worst_r, 0.0,
+            blocks.append(_claim(
+                "r4_log_form_consistency", 4, 0, rel_tol - worst_r,
                 "r4 equals the affine-power log form at the lower images"))
-        return rows
+        return blocks
     raise DomainError(f"log-form welds exist for d1 in 1..4, got {d1}")
 
 
@@ -243,11 +255,12 @@ def prove_rows(d1: int, d2_max: int = 400,
             f"exploratory scan for d1={d1}")
     if d2_max < 7:
         raise DomainError(f"d2_max must be at least 7, got {d2_max}")
-    rows: list = []
+    blocks: list = []
     dense_hi = max(_DENSE_MAX, min(d2_max, 400))
+    d2s = range(5, d2_max + 1)
 
     def add(row):
-        rows.extend(rows_from_outcome(row, d1))
+        blocks.extend(rows_from_outcome([row], d1))
 
     if d1 == 1:
         add(monotone_table_check(AuxFn.H1, _grid(3, dense_hi), "decreasing", floor))
@@ -257,28 +270,23 @@ def prove_rows(d1: int, d2_max: int = 400,
         add(value_sign_check(AuxFn.L1, _grid(3, dense_hi), -1, floor))
         add(algebra_identity_check("l1_prefactor_identity", _grid(3, 60)))
         add(algebra_identity_check("k_derivative_identity", _grid(5, 60)))
-        rows += _log_form_rows(1, range(5, min(d2_max, 150) + 1))
-        for d2 in range(5, d2_max + 1):
-            rows += rows_from_step_report(1, d2, coefficient_sign_checks(1, d2), floor)
+        blocks += _step_blocks(1, d2s, lambda d2: coefficient_sign_checks(1, d2), floor)
     elif d1 == 2:
         add(monotone_table_check(AuxFn.H2, _grid(3, dense_hi), "decreasing", floor))
         add(derivative_sign_check(AuxFn.H2, [6, 10, 20, 50, 100], -1, floor=floor))
         add(value_sign_check(AuxFn.L2, _grid(5, dense_hi), -1, floor))
         add(algebra_identity_check("l2_prefactor_identity", _grid(5, 60)))
-        rows += _log_form_rows(2, range(5, min(d2_max, 150) + 1))
-        rows += _closed_form_rows(range(5, min(d2_max, 100) + 1))
+        blocks += _closed_form_rows(range(5, min(d2_max, 100) + 1))
     elif d1 == 3:
         add(monotone_table_check(AuxFn.H3, _grid(3, dense_hi), "decreasing", floor))
         add(derivative_sign_check(AuxFn.H3, [13, 20, 50, 100], -1, floor=floor))
         add(value_sign_check(AuxFn.L3, _grid(12, dense_hi), -1, floor))
         add(algebra_identity_check("l3_prefactor_identity", _grid(12, 60)))
-        rows += _log_form_rows(3, range(5, min(d2_max, 150) + 1))
-        rows += certificate_rows(("U1", "U2", "P3", "Q5"))
-        rows += _boundary_rows(3, 25)
-        rows += _lower_edge_bound_rows(floor)
-        rows += _g2_consistency_rows(_grid(25, 60))
-        for d2 in range(5, d2_max + 1):
-            rows += rows_from_step_report(3, d2, coefficient_sign_checks(3, d2), floor)
+        blocks += certificate_rows(("U1", "U2", "P3", "Q5"))
+        blocks += _boundary_rows(3, 25)
+        blocks += _lower_edge_bound_rows(floor)
+        blocks += _g2_consistency_rows(_grid(25, 60))
+        blocks += _step_blocks(3, d2s, lambda d2: coefficient_sign_checks(3, d2), floor)
     else:
         add(monotone_table_check(AuxFn.H4, _grid(3, dense_hi), "increasing", floor))
         add(derivative_sign_check(AuxFn.H4, [13, 20, 50, 100], 1, floor=floor))
@@ -288,17 +296,15 @@ def prove_rows(d1: int, d2_max: int = 400,
         add(value_sign_check(AuxFn.Q4, _grid(15, dense_hi), 1, floor))
         add(algebra_identity_check("l4_prefactor_identity", _grid(12, 60)))
         add(algebra_identity_check("q4_prefactor_identity", _grid(15, 60)))
-        rows += _log_form_rows(4, range(5, min(d2_max, 150) + 1))
-        rows += certificate_rows(("T1", "T2", "P4"))
-        rows += _boundary_rows(4, 17)
+        blocks += certificate_rows(("T1", "T2", "P4"))
+        blocks += _boundary_rows(4, 17)
 
-    for d2 in range(5, d2_max + 1):
-        rows += rows_from_step_report(
-            d1, d2, check_step_inequalities(FParams(d1, d2)), floor)
-    return rows
+    blocks += _log_form_rows(d1, range(5, min(d2_max, 150) + 1))
+    return blocks + _step_blocks(
+        d1, d2s, lambda d2: check_step_inequalities(FParams(d1, d2)), floor)
 
 
-def explore_rows(d1: int, d2_values: Iterable[int],
+def explore_rows(d1: int, d2_values: Sequence[int],
                  floor: float = STRICTNESS_FLOOR) -> list:
     """Exploratory scan of the conjectured region d1 >= 5; never normative.
 
@@ -309,22 +315,24 @@ def explore_rows(d1: int, d2_values: Iterable[int],
     """
     if d1 < 5:
         raise DomainError(f"exploratory scans are for d1 >= 5, got d1={d1}")
-    rows: list = []
     if d1 % 2 == 1:
-        for d2 in d2_values:
-            rows += rows_from_step_report(
-                d1, d2, falling_factorial_bounds_odd(d1, d2), floor, exploratory=True)
-        return rows
+        return _step_blocks(d1, d2_values,
+                            lambda d2: falling_factorial_bounds_odd(d1, d2),
+                            floor, exploratory=True)
+    defined, upper, lower, undefined, notes = [], [], [], [], []
     for d2 in d2_values:
         try:
             j_prev, k_prev = series_forms_even(d1, float(d2 - 2))
             j_here, k_here = series_forms_even(d1, float(d2))
         except VarcompError as exc:
-            rows.append(margin_row("series_step", d1, d2, None, floor,
-                                   f"not applicable: {exc}", True))
+            undefined.append(d2)
+            notes.append(f"not applicable: {exc}")
             continue
-        rows.append(margin_row("series_upper_step", d1, d2, j_here - j_prev,
-                               floor, "", True))
-        rows.append(margin_row("series_lower_step", d1, d2, k_prev - k_here,
-                               floor, "", True))
-    return rows
+        defined.append(d2)
+        upper.append(j_here - j_prev)
+        lower.append(k_prev - k_here)
+    blocks = [margin_block("series_upper_step", d1, defined, upper, floor, "", True),
+              margin_block("series_lower_step", d1, defined, lower, floor, "", True),
+              margin_block("series_step", d1, undefined, [None] * len(undefined),
+                           floor, notes, True)]
+    return [block for block in blocks if block]

@@ -30,8 +30,8 @@ x1 < x0.
 
 Each evaluator returns an ordered map from claim id to signed margin, with
 None for a form that does not apply at that (d1, d2); it renders no
-verdict.  ``reporting.margin_row`` classifies the margins against the
-strictness floor (``reporting.rows_from_step_report`` for one point).
+verdict.  ``reporting.rows_from_step_report`` classifies them against the
+strictness floor, one block per form over a column of d2 values.
 
 ``step_inequalities_column`` is the sweep's route: it evaluates every form
 over a whole d2 column with numpy, its integrals through

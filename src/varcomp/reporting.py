@@ -1,12 +1,17 @@
-"""Report rows, the one verdict rule, summary buckets, and deterministic
+"""Report blocks, the one verdict rule, summary buckets, and deterministic
 CSV/JSON emission.
 
-Every result of every check is a ``Row``, and every row is made by
-``margin_row``: a row passes iff its side conditions hold and its signed
-margin beats the strictness floor, is inconclusive iff they hold and the
-margin is within the floor, fails otherwise, and is not applicable when it
-has no margin.  The status is a field of the row; ``bucket`` reads it and
-nothing else, apart from the exploratory quarantine.
+A report is a list of ``Block``s, exactly one per (check_id, d1): a claim
+over ascending d2s, with a signed margin, a status and a note per d2.  So
+ordering the blocks by (check_id, d1) orders the rows by (check_id, d1, d2).
+Iterating a block yields its rows as ``Row``s, the record of one check.
+
+Every status comes from ``margin_block`` (``margin_row`` is its one-row
+case): a row passes iff its side conditions hold and its signed margin
+beats the strictness floor, is inconclusive iff they hold and the margin is
+within the floor, fails otherwise, and is not applicable when it has no
+margin.  ``summarize`` counts the statuses block by block, and every row of
+an exploratory block in a bucket of its own.
 
 The CSV schema is fixed: columns check_id,d1,d2,margin,pass,note with the
 header row always present; lines starting with '#' before it carry the tool
@@ -16,7 +21,8 @@ per row plus an explicit exploratory flag.  Floats are emitted with
 byte-identical output.
 
 The rows, which are nearly all of a large report, are written by fixed
-per-row templates rather than walked by an encoder.  The output is byte for
+templates rather than walked by an encoder; each block binds its check_id
+and d1 (and, in JSON, its exploratory flag) once.  The output is byte for
 byte what ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
 and a default-dialect ``csv.writer`` with newline line endings emit for the
 same rows; the test suite keeps that encoder route as the reference.
@@ -28,18 +34,19 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "STATUSES",
+    "Block",
     "Row",
-    "bucket",
+    "margin_block",
     "margin_row",
     "rows_from_outcome",
     "rows_from_step_report",
-    "sort_rows",
     "summarize",
     "render_csv",
     "render_json",
@@ -71,83 +78,99 @@ class Row:
         return self.status == "pass"
 
 
-def bucket(row: Row) -> str:
-    """Disjoint summary bucket of a row.
+@dataclass(frozen=True, slots=True)
+class Block:
+    """One claim at one d1 over ascending d2s: the margin, status and note
+    of each d2; make it with ``margin_block``."""
 
-    Exploratory rows are quarantined first so open-conjecture territory can
-    never mask a regression in proved territory; not-applicable and
-    inconclusive rows are counted but do not fail a run.
+    check_id: str
+    d1: int
+    d2s: Sequence[int]
+    margins: Sequence[Optional[float]]
+    statuses: Sequence[str]
+    notes: Sequence[str]
+    exploratory: bool = False
+
+    def __len__(self) -> int:
+        return len(self.d2s)
+
+    def __iter__(self) -> Iterator[Row]:
+        for cells in zip(self.d2s, self.margins, self.statuses, self.notes):
+            yield Row(self.check_id, self.d1, *cells, self.exploratory)
+
+
+def margin_block(check_id: str, d1: int, d2s: Sequence[int],
+                 margins: Sequence[Optional[float]], floor: float,
+                 note: Union[str, Sequence[str]] = "", exploratory: bool = False,
+                 holds: bool = True) -> Block:
+    """Block of signed margins, one per d2, under the one verdict rule.
+
+    holds says whether the claim's side conditions (a reference table, an
+    exact certificate, a sign program) are met.  A row passes iff they hold
+    and margin > floor, is inconclusive iff they hold and |margin| <= floor
+    (the note gains "inconclusive"), and fails otherwise; a None margin is a
+    form that does not apply (the note defaults to "not applicable").  note
+    is shared by the column or given per row.  Tolerance-style checks, whose
+    margin is tol - residual, use floor 0.0.
     """
-    return "exploratory" if row.exploratory else row.status
+    statuses = ["not_applicable" if margin is None
+                else "pass" if holds and margin > floor
+                else "inconclusive" if holds and abs(margin) <= floor
+                else "fail"
+                for margin in margins]
+    notes = [(n + "; " if n else "") + "inconclusive" if s == "inconclusive"
+             else n or "not applicable" if s == "not_applicable" else n
+             for s, n in zip(statuses, [note] * len(statuses)
+                             if isinstance(note, str) else note)]
+    return Block(check_id, d1, d2s, margins, statuses, notes, exploratory)
 
 
 def margin_row(check_id: str, d1: int, d2: int, margin: Optional[float],
                floor: float, note: str = "", exploratory: bool = False,
                holds: bool = True) -> Row:
-    """Row for a signed margin under the one verdict rule.
-
-    holds says whether the check's side conditions (a reference table, an
-    exact certificate, a sign program) are met.  The row passes iff they
-    hold and margin > floor, is inconclusive iff they hold and
-    |margin| <= floor (the note gains "inconclusive"), and fails otherwise;
-    a None margin is a form that does not apply (the note defaults to
-    "not applicable").  Tolerance-style checks, whose margin is
-    tol - residual, use floor 0.0.
-    """
-    if margin is None:
-        status = "not_applicable"
-        note = note or "not applicable"
-    elif holds and margin > floor:
-        status = "pass"
-    elif holds and abs(margin) <= floor:
-        status = "inconclusive"
-        note = (note + "; " if note else "") + "inconclusive"
-    else:
-        status = "fail"
-    return Row(check_id, d1, d2, margin, status, note, exploratory)
+    """The one-row case of ``margin_block``, for a check of a single claim."""
+    (row,) = margin_block(check_id, d1, (d2,), (margin,), floor, note,
+                          exploratory, holds)
+    return row
 
 
-def rows_from_outcome(row: Row, d1: int, d2: int = 0) -> list:
-    """The row of an auxiliary check, a function of y alone, stamped with
-    the (d1, d2) of the program that runs it."""
-    return [replace(row, d1=d1, d2=d2)]
+def rows_from_outcome(rows: Sequence[Row], d1: int,
+                      d2s: Optional[Sequence[int]] = None) -> list:
+    """The block of the rows of one claim, each from a check of its own,
+    stamped with the d1 (and d2s, where given) of the program that runs
+    them; an auxiliary check is a function of y alone and leaves its own d1
+    and d2 at 0."""
+    margins, statuses, notes = zip(*[(r.margin, r.status, r.note) for r in rows])
+    return [Block(rows[0].check_id, d1, [r.d2 for r in rows] if d2s is None else list(d2s),
+                  margins, statuses, notes, rows[0].exploratory)]
 
 
-def rows_from_step_report(d1: int, d2: int, margins: Mapping[str, Optional[float]],
+def rows_from_step_report(d1: int, d2s: Sequence[int],
+                          margins: Mapping[str, Sequence[Optional[float]]],
                           floor: float, exploratory: bool = False) -> list:
-    """Rows of the step forms evaluated at (d1, d2): form -> margin, with
-    None for a form that does not apply there."""
-    return [margin_row(form, d1, d2, margin, floor, "", exploratory)
-            for form, margin in margins.items()]
+    """Blocks of the step forms evaluated over d2s: form -> margin column,
+    with None where a form does not apply."""
+    return [margin_block(form, d1, d2s, column, floor, "", exploratory)
+            for form, column in margins.items()]
 
 
-def sort_rows(rows: Iterable[Row]) -> list:
-    return sorted(rows, key=lambda r: (r.check_id, r.d1, r.d2))
+def summarize(blocks: Iterable[Block]) -> dict:
+    """Rows per disjoint bucket.
 
-
-def summarize(rows: Sequence[Row]) -> dict:
-    counts = {name: 0 for name in _BUCKETS}
-    for row in rows:
-        counts[bucket(row)] += 1
+    Exploratory rows are quarantined first so open-conjecture territory can
+    never mask a regression in proved territory; not-applicable and
+    inconclusive rows are counted but do not fail a run.
+    """
+    counts = dict.fromkeys(_BUCKETS, 0)
+    for block in blocks:
+        for status in STATUSES:
+            counts["exploratory" if block.exploratory else status] += (
+                block.statuses.count(status))
     return counts
 
 
+_ORDER = attrgetter("check_id", "d1")
 _INF = float("inf")
-
-# One JSON row at depth 2 of the indent=2 payload, keys in sorted order,
-# preceded by its ',' separator.
-_JSON_ROW = (
-    ',\n'
-    '    {\n'
-    '      "check_id": %s,\n'
-    '      "d1": %d,\n'
-    '      "d2": %d,\n'
-    '      "exploratory": %s,\n'
-    '      "margin": %s,\n'
-    '      "note": %s,\n'
-    '      "pass": %s\n'
-    '    }'
-)
 
 
 def _json_margin(margin: Optional[float]) -> str:
@@ -159,16 +182,6 @@ def _json_margin(margin: Optional[float]) -> str:
         raise ValueError("Out of range float values are not JSON compliant: "
                          + repr(margin))
     return float.__repr__(margin)
-
-
-def _chunks(rows: list) -> Iterator[list]:
-    """The rows in slices of 4096.
-
-    Each slice is rendered into one string, so a large report holds a few
-    hundred intermediate strings rather than one small string per row.
-    """
-    for i in range(0, len(rows), 4096):
-        yield rows[i:i + 4096]
 
 
 class _CsvFields(dict):
@@ -186,12 +199,13 @@ class _CsvFields(dict):
         return field
 
 
-def render_csv(rows: Sequence[Row], header: Mapping[str, object],
+def render_csv(blocks: Sequence[Block], header: Mapping[str, object],
                summary: Optional[dict] = None) -> str:
-    """CSV report; summary is ``summarize(rows)``, computed here if not given."""
-    rows = sort_rows(rows)
+    """CSV report; summary is ``summarize(blocks)``, computed here if not
+    given."""
+    blocks = sorted(blocks, key=_ORDER)
     if summary is None:
-        summary = summarize(rows)
+        summary = summarize(blocks)
     spec = json.dumps(header.get("spec", {}), sort_keys=True, separators=(",", ":"))
     head = (f"# varcomp {header.get('version', '')}\n"
             f"# spec: {spec}\n"
@@ -200,48 +214,58 @@ def render_csv(rows: Sequence[Row], header: Mapping[str, object],
     quoted = _CsvFields()
     repr_ = float.__repr__
     parts = [head]
-    for chunk in _chunks(rows):
+    for b in blocks:
+        lead = "%s,%d," % (quoted[b.check_id], b.d1)
         parts.append("".join([
-            "%s,%d,%d,%s,%s,%s\n" % (
-                quoted[r.check_id], r.d1, r.d2,
-                "" if r.margin is None else repr_(r.margin),
-                "true" if r.status == "pass" else "false", quoted[r.note])
-            for r in chunk]))
+            "%s%d,%s,%s,%s\n" % (
+                lead, d2, "" if margin is None else repr_(margin),
+                "true" if status == "pass" else "false", quoted[note])
+            for d2, margin, status, note in zip(b.d2s, b.margins, b.statuses,
+                                                b.notes)]))
     return "".join(parts)
 
 
-def render_json(rows: Sequence[Row], header: Mapping[str, object],
+def render_json(blocks: Sequence[Block], header: Mapping[str, object],
                 summary: Optional[dict] = None) -> str:
-    """JSON report; summary is ``summarize(rows)``, computed here if not given."""
-    rows = sort_rows(rows)
+    """JSON report; summary is ``summarize(blocks)``, computed here if not
+    given."""
+    blocks = sorted(blocks, key=_ORDER)
     if summary is None:
-        summary = summarize(rows)
+        summary = summarize(blocks)
 
-    def block(key: str, value) -> str:
+    def top(key: str, value) -> str:
         # '{\n  "key": value\n}', the top-level dict holding just this key
         return json.dumps({key: value}, indent=2, sort_keys=True, allow_nan=False)
 
     # the payload's keys sort as header < rows < summary: drop the closing
     # '\n}' of the header block and the opening '{' of the summary block
-    parts = [block("header", {"tool": "varcomp", **header})[:-2] + ',\n  "rows": [']
+    parts = [top("header", {"tool": "varcomp", **header})[:-2] + ',\n  "rows": [']
     enc = encode_basestring_ascii
-    for chunk in _chunks(rows):
+    for b in blocks:
+        if not b:
+            continue
+        # one row at depth 2 of the indent=2 payload, keys in sorted order,
+        # preceded by its ',' separator
+        lead = ',\n    {\n      "check_id": %s,\n      "d1": %d,\n      "d2": ' % (
+            enc(b.check_id), b.d1)
+        mid = ',\n      "exploratory": %s,\n      "margin": ' % (
+            "true" if b.exploratory else "false")
         parts.append("".join([
-            _JSON_ROW % (enc(r.check_id), r.d1, r.d2,
-                         "true" if r.exploratory else "false",
-                         _json_margin(r.margin), enc(r.note),
-                         "true" if r.status == "pass" else "false")
-            for r in chunk]))
-    if rows:
+            '%s%d%s%s,\n      "note": %s,\n      "pass": %s\n    }' % (
+                lead, d2, mid, _json_margin(margin), enc(note),
+                "true" if status == "pass" else "false")
+            for d2, margin, status, note in zip(b.d2s, b.margins, b.statuses,
+                                                b.notes)]))
+    if len(parts) > 1:
         parts[1] = parts[1][1:]  # no separator before the first row
         parts.append("\n  ]")
     else:
         parts.append("]")
-    parts.append("," + block("summary", summary)[1:] + "\n")
+    parts.append("," + top("summary", summary)[1:] + "\n")
     return "".join(parts)
 
 
-def write_report(rows: Sequence[Row], header: Mapping[str, object],
+def write_report(blocks: Sequence[Block], header: Mapping[str, object],
                  fmt: str, path: Optional[str],
                  summary: Optional[dict] = None) -> str:
     """Render and either write atomically to path or return for stdout;
@@ -251,9 +275,9 @@ def write_report(rows: Sequence[Row], header: Mapping[str, object],
     abort mid-write.
     """
     if fmt == "csv":
-        text = render_csv(rows, header, summary)
+        text = render_csv(blocks, header, summary)
     elif fmt == "json":
-        text = render_json(rows, header, summary)
+        text = render_json(blocks, header, summary)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     if path:

@@ -20,13 +20,10 @@ reference route.  numpy is imported only when the column route runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Accuracy",
-    "DEFAULT_ACCURACY",
     "log_gamma",
     "log_beta",
     "reg_inc_beta",
@@ -38,28 +35,12 @@ __all__ = [
 _FPMIN = 1e-300  # guard against division by zero inside Lentz iterations
 
 
-@dataclass(frozen=True)
-class Accuracy:
-    """Convergence policy for the iterative evaluations in this module.
-
-    abs_tol / rel_tol bound the accepted update of a converged iteration;
-    max_iter caps the number of continued-fraction or series steps.
-    """
-
-    abs_tol: float = 1e-15
-    rel_tol: float = 1e-15
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be a positive finite real, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be a positive finite real, got {self.rel_tol}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 50:
-            raise DomainError(f"max_iter must be an integer >= 50, got {self.max_iter}")
-
-
-DEFAULT_ACCURACY = Accuracy()
+# Convergence policy of the iterative evaluations: an update within these
+# bounds ends an iteration; more than _MAX_ITER continued-fraction or series
+# steps is a ConvergenceError.
+_ABS_TOL = 1e-15
+_REL_TOL = 1e-15
+_MAX_ITER = 500
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
 # reconstructed gamma is below 1e-14 over the positive real axis.
@@ -103,8 +84,25 @@ def _log_gamma_lanczos(x: float) -> float:
 
 
 def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln G(a) + ln G(b) - ln G(a+b) for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    """ln B(a, b) for a, b > 0.
+
+    While both arguments are below 10 this is ln G(a) + ln G(b) - ln G(a+b).
+    For a larger argument that sum cancels terms of size b ln b and loses
+    about b ln(b) eps, so the Stirling parts are regrouped as in
+    ``_ln_beta_front`` (Loader 2000; R's lbeta) and only the small
+    ``_stirlerr`` corrections and log1p terms are summed.
+    """
+    p, q = sorted((_finite("a", a), _finite("b", b)))
+    if p <= 0.0:
+        raise DomainError(f"log_beta requires a > 0 and b > 0, got a={a}, b={b}")
+    if q < 10.0:
+        return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    n = p + q
+    corr = _stirlerr(q) - _stirlerr(n)
+    if p < 10.0:
+        return log_gamma(p) + corr + p - p * math.log(n) + (q - 0.5) * math.log1p(-p / n)
+    return (-0.5 * math.log(q) + _LN_SQRT_2PI + _stirlerr(p) + corr
+            + (p - 0.5) * math.log(p / n) + q * math.log1p(-p / n))
 
 
 def _stirlerr(z: float) -> float:
@@ -152,7 +150,7 @@ def _ln_gamma_front(s: float, x: float) -> float:
     return -_bd0(s, x) + 0.5 * math.log(s / (2.0 * math.pi)) - _stirlerr(s)
 
 
-def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b) on 0 <= x <= 1.
 
     Continued fraction evaluated by the modified Lentz method.  When x lies
@@ -172,14 +170,14 @@ def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY)
         return 1.0
     ln_front = _ln_beta_front(x, a, b)
     if x < (a + 1.0) / (a + b + 2.0):
-        value = math.exp(ln_front) * _beta_cf(a, b, x, acc) / a
+        value = math.exp(ln_front) * _beta_cf(a, b, x) / a
     else:
-        value = 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - x, acc) / b
+        value = 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - x) / b
     # clamp roundoff excursions outside [0, 1]
     return min(1.0, max(0.0, value))
 
 
-def _beta_cf(a: float, b: float, x: float, acc: Accuracy) -> float:
+def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""
     qab = a + b
     qap = a + 1.0
@@ -190,7 +188,7 @@ def _beta_cf(a: float, b: float, x: float, acc: Accuracy) -> float:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, acc.max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -211,11 +209,11 @@ def _beta_cf(a: float, b: float, x: float, acc: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) <= max(acc.rel_tol, acc.abs_tol / max(abs(h), _FPMIN)):
+        if abs(delta - 1.0) <= max(_REL_TOL, _ABS_TOL / max(abs(h), _FPMIN)):
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge within "
-        f"{acc.max_iter} iterations (a={a}, b={b}, x={x})"
+        f"{_MAX_ITER} iterations (a={a}, b={b}, x={x})"
     )
 
 
@@ -223,12 +221,12 @@ def _beta_cf(a: float, b: float, x: float, acc: Accuracy) -> float:
 # column route: the same arithmetic over numpy arrays, lane by lane
 # ---------------------------------------------------------------------------
 
-def reg_inc_beta_column(x, a: float, b, acc: Accuracy = DEFAULT_ACCURACY):
-    """``reg_inc_beta(x[i], a, b[i], acc)`` for every i, as a float64 array.
+def reg_inc_beta_column(x, a: float, b):
+    """``reg_inc_beta(x[i], a, b[i])`` for every i, as a float64 array.
 
     x and b are equal-length 1-d arrays; a is one real shared by the column.
     Each continued fraction stops in its own lane by the scalar rule, and
-    any lane that reaches ``acc.max_iter`` raises ConvergenceError.
+    any lane that reaches ``_MAX_ITER`` raises ConvergenceError.
     """
     import numpy as np
 
@@ -248,7 +246,7 @@ def reg_inc_beta_column(x, a: float, b, acc: Accuracy = DEFAULT_ACCURACY):
     front = _each(math.exp, _ln_beta_front_column(x, a, b))
     flip = ~(x < (a + 1.0) / (a + b + 2.0))
     cf = _beta_cf_column(np.where(flip, b, a), np.where(flip, a, b),
-                         np.where(flip, 1.0 - x, x), acc)
+                         np.where(flip, 1.0 - x, x))
     value = np.where(flip, 1.0 - front * cf / b, front * cf / a)
     out[inner] = np.minimum(1.0, np.maximum(0.0, value))
     return out
@@ -315,7 +313,7 @@ def _fpmin_guard(v):
     return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
 
 
-def _beta_cf_column(a, b, x, acc: Accuracy):
+def _beta_cf_column(a, b, x):
     """_beta_cf lane by lane; a converged lane leaves the working set."""
     import numpy as np
 
@@ -327,7 +325,7 @@ def _beta_cf_column(a, b, x, acc: Accuracy):
     c = np.ones_like(x)
     d = 1.0 / _fpmin_guard(1.0 - qab * x / qap)
     h = d
-    for m in range(1, acc.max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         if not lanes.size:
             return out
         m2 = 2 * m
@@ -341,7 +339,7 @@ def _beta_cf_column(a, b, x, acc: Accuracy):
         delta = d * c
         h = h * delta
         done = np.abs(delta - 1.0) <= np.maximum(
-            acc.rel_tol, acc.abs_tol / np.maximum(np.abs(h), _FPMIN))
+            _REL_TOL, _ABS_TOL / np.maximum(np.abs(h), _FPMIN))
         if done.any():
             out[lanes[done]] = h[done]
             keep = ~done
@@ -351,12 +349,12 @@ def _beta_cf_column(a, b, x, acc: Accuracy):
         return out
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge within "
-        f"{acc.max_iter} iterations in {lanes.size} lane(s) (first: a={a[0]}, "
+        f"{_MAX_ITER} iterations in {lanes.size} lane(s) (first: a={a[0]}, "
         f"b={b[0]}, x={x[0]})"
     )
 
 
-def reg_lower_gamma(s: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_lower_gamma(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0.
 
     Power series for x < s + 1, continued fraction (modified Lentz) for the
@@ -373,33 +371,33 @@ def reg_lower_gamma(s: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> flo
     if x == 0.0:
         return 0.0
     if x < s + 1.0:
-        return _gamma_series(s, x, acc)
-    return 1.0 - _gamma_cf(s, x, acc)
+        return _gamma_series(s, x)
+    return 1.0 - _gamma_cf(s, x)
 
 
-def _gamma_series(s: float, x: float, acc: Accuracy) -> float:
+def _gamma_series(s: float, x: float) -> float:
     ap = s
     term = 1.0 / s
     total = term
-    for _ in range(acc.max_iter):
+    for _ in range(_MAX_ITER):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) <= abs(total) * acc.rel_tol + acc.abs_tol:
+        if abs(term) <= abs(total) * _REL_TOL + _ABS_TOL:
             return total * math.exp(_ln_gamma_front(s, x))
     raise ConvergenceError(
-        f"incomplete gamma series did not converge within {acc.max_iter} "
+        f"incomplete gamma series did not converge within {_MAX_ITER} "
         f"iterations (s={s}, x={x})"
     )
 
 
-def _gamma_cf(s: float, x: float, acc: Accuracy) -> float:
+def _gamma_cf(s: float, x: float) -> float:
     """Continued fraction for the regularized upper incomplete gamma Q(s, x)."""
     b = x + 1.0 - s
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, acc.max_iter + 1):
+    for i in range(1, _MAX_ITER + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -411,11 +409,11 @@ def _gamma_cf(s: float, x: float, acc: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) <= max(acc.rel_tol, acc.abs_tol / max(abs(h), _FPMIN)):
+        if abs(delta - 1.0) <= max(_REL_TOL, _ABS_TOL / max(abs(h), _FPMIN)):
             return h * math.exp(_ln_gamma_front(s, x))
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge within "
-        f"{acc.max_iter} iterations (s={s}, x={x})"
+        f"{_MAX_ITER} iterations (s={s}, x={x})"
     )
 
 

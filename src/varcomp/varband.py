@@ -42,8 +42,6 @@ from .distributions import ChiSquare, Dist, FDist, FParams, StdNormal, f_mean, f
 from .errors import DomainError, MomentUndefinedError
 from .reporting import Row, margin_row
 from .specfun import (
-    Accuracy,
-    DEFAULT_ACCURACY,
     reg_inc_beta,
     reg_inc_beta_column,
     reg_lower_gamma,
@@ -181,11 +179,11 @@ def band_endpoints_column(d1: int, d2) -> tuple:
     return a, b, c, d
 
 
-def variation_band(p: FParams, acc: Accuracy = DEFAULT_ACCURACY) -> VariationBand:
+def variation_band(p: FParams) -> VariationBand:
     """x-space band [max(0, E - sd), E + sd] and its probability."""
     mean = f_mean(p)
     sd = math.sqrt(f_variance(p))
-    prob = variation_probability(FDist(p), acc)
+    prob = variation_probability(FDist(p))
     return VariationBand(max(0.0, mean - sd), mean + sd, prob)
 
 
@@ -220,15 +218,15 @@ def normal_band_probability() -> float:
 NORMAL_BAND = normal_band_probability()
 
 
-def chi_square_band_probability(k: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def chi_square_band_probability(k: int) -> float:
     """P{|G - k| <= sqrt(2k)} for G ~ chi-square(k)."""
     sd = math.sqrt(2.0 * k)
-    hi = reg_lower_gamma(0.5 * k, 0.5 * (k + sd), acc)
-    lo = reg_lower_gamma(0.5 * k, 0.5 * (k - sd), acc) if k - sd > 0.0 else 0.0
+    hi = reg_lower_gamma(0.5 * k, 0.5 * (k + sd))
+    lo = reg_lower_gamma(0.5 * k, 0.5 * (k - sd)) if k - sd > 0.0 else 0.0
     return hi - lo
 
 
-def variation_probability(d: Dist, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def variation_probability(d: Dist) -> float:
     """P{|X - E[X]| <= sd(X)} for the given distribution.
 
     For F(d1, d2) this is I_b(d1/2, d2/2) - I_d(d1/2, d2/2) at the endpoint
@@ -237,7 +235,7 @@ def variation_probability(d: Dist, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     if isinstance(d, StdNormal):
         return normal_band_probability()
     if isinstance(d, ChiSquare):
-        return chi_square_band_probability(d.params.k, acc)
+        return chi_square_band_probability(d.params.k)
     if isinstance(d, FDist):
         p = d.params
         if p.d2 <= 4:
@@ -245,13 +243,13 @@ def variation_probability(d: Dist, acc: Accuracy = DEFAULT_ACCURACY) -> float:
                 f"variation probability undefined for d2 <= 4 (d2={p.d2})")
         ep = band_endpoints(p)
         a1, b1 = 0.5 * p.d1, 0.5 * p.d2
-        hi = reg_inc_beta(ep.b, a1, b1, acc)
-        lo = reg_inc_beta(ep.d, a1, b1, acc) if ep.d > 0.0 else 0.0
+        hi = reg_inc_beta(ep.b, a1, b1)
+        lo = reg_inc_beta(ep.d, a1, b1) if ep.d > 0.0 else 0.0
         return hi - lo
     raise DomainError(f"unknown distribution object {d!r}")
 
 
-def variation_probability_column(d1: int, d2, acc: Accuracy = DEFAULT_ACCURACY):
+def variation_probability_column(d1: int, d2):
     """``variation_probability(f_dist(d1, d2[i]))`` for every i, as a float64
     array; d2 is a sequence of integers >= 5."""
     import numpy as np
@@ -259,37 +257,34 @@ def variation_probability_column(d1: int, d2, acc: Accuracy = DEFAULT_ACCURACY):
     d2 = np.asarray(d2, dtype=np.int64)
     _, b, _, d = band_endpoints_column(d1, d2)
     a1, b1 = 0.5 * d1, 0.5 * d2
-    prob = reg_inc_beta_column(b, a1, b1, acc)
+    prob = reg_inc_beta_column(b, a1, b1)
     pos = d > 0.0
-    prob[pos] -= reg_inc_beta_column(d[pos], a1, b1[pos], acc)
+    prob[pos] -= reg_inc_beta_column(d[pos], a1, b1[pos])
     return prob
 
 
-def check_bound(p: FParams, floor: float = 0.0,
-                acc: Accuracy = DEFAULT_ACCURACY) -> Row:
+def check_bound(p: FParams, floor: float = 0.0) -> Row:
     """Margin of the band probability over the normal baseline 2 Phi(1) - 1.
 
     Outside d1 in {1, 2, 3, 4} the claim is conjectured, not proved, and the
     row is exploratory.
     """
-    margin = variation_probability(FDist(p), acc) - NORMAL_BAND
+    margin = variation_probability(FDist(p)) - NORMAL_BAND
     expl = p.d1 not in PROVED_D1
     return margin_row("bound_exceeds_normal", p.d1, p.d2, margin, floor,
                       "exploratory" if expl else "", expl)
 
 
-def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR,
-                        acc: Accuracy = DEFAULT_ACCURACY) -> Row:
+def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR) -> Row:
     """Margin of the step decrease: band prob at (d1, d2) minus at (d1, d2+2)."""
-    here = variation_probability(FDist(p), acc)
-    next_ = variation_probability(FDist(FParams(p.d1, p.d2 + 2)), acc)
+    here = variation_probability(FDist(p))
+    next_ = variation_probability(FDist(FParams(p.d1, p.d2 + 2)))
     expl = p.d1 not in PROVED_D1
     return margin_row("step_decreasing", p.d1, p.d2, here - next_, floor,
                       "exploratory" if expl else "", expl)
 
 
-def check_limit(d1: int, d2_large: int, tol: float = 1e-3,
-                acc: Accuracy = DEFAULT_ACCURACY) -> Row:
+def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Row:
     """Agreement of the band probability at large d2 with its chi-square limit.
 
     F(d1, d2) converges in distribution to chi-square(d1)/d1, so the band
@@ -298,7 +293,7 @@ def check_limit(d1: int, d2_large: int, tol: float = 1e-3,
     """
     if d2_large < 1000:
         raise DomainError(f"limit check requires d2_large >= 1000, got {d2_large}")
-    f_val = variation_probability(FDist(FParams(d1, d2_large)), acc)
-    chi_val = chi_square_band_probability(d1, acc)
+    f_val = variation_probability(FDist(FParams(d1, d2_large)))
+    chi_val = chi_square_band_probability(d1)
     return margin_row("limit_matches_chi_square", d1, d2_large,
                       tol - abs(f_val - chi_val), 0.0)

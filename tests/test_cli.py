@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
+import varcomp.cli
 from varcomp import FParams, __version__, check_bound, check_monotone_step
 from varcomp.cli import main
 from varcomp.programs import PROVED_D1_CASES
 from varcomp.proofcheck.steps import check_step_inequalities
-from varcomp.reporting import render_csv, rows_from_step_report
+from varcomp.reporting import margin_row, render_csv, rows_from_outcome, summarize
 
 
 def run_cli(*argv, capsys=None):
@@ -68,28 +69,43 @@ def test_sweep_csv_schema_and_exit(tmp_path, capsys):
     assert all(l.split(",")[4] == "true" for l in lines[header_idx + 1:])
 
 
-def test_sweep_matches_scalar_per_cell_path(tmp_path, capsys):
-    # the column kernel must reproduce, byte for byte, the report built one
-    # cell at a time from the scalar reference checks
+def test_sweep_matches_scalar_per_cell_path(monkeypatch, tmp_path, capsys):
+    # every row of the column kernel's blocks must be, field for field, the
+    # row the scalar reference checks give at its cell, and the report must
+    # be, byte for byte, the one those cells make
+    seen = []
+    monkeypatch.setattr(varcomp.cli, "summarize",
+                        lambda blocks: seen.append(blocks) or summarize(blocks))
     out_path = tmp_path / "kernel.csv"
     floor = 1e-12
     args = ["sweep", "--d1", "1..6", "--d2", "5..40", "--check",
             "bound,monotone,steps", "--exploratory", "--floor", repr(floor)]
     assert run_cli(*args, "--out", str(out_path), capsys=capsys)[0] == 0
-    rows = []
+    (blocks,) = seen
+    cells: dict = {}  # (check_id, d1) -> the scalar rows over d2 5..40
     for d1 in range(1, 7):
         expl = d1 not in PROVED_D1_CASES
         for d2 in range(5, 41):
             p = FParams(d1, d2)
-            rows.append(check_bound(p, floor=floor))
-            rows.append(check_monotone_step(p, floor=floor))
-            rows += rows_from_step_report(
-                d1, d2, check_step_inequalities(p), floor, exploratory=expl)
+            rows = [check_bound(p, floor=floor), check_monotone_step(p, floor=floor)]
+            rows += [margin_row(form, d1, d2, margin, floor, "", expl)
+                     for form, margin in check_step_inequalities(p).items()]
+            for row in rows:
+                cells.setdefault((row.check_id, d1), []).append(row)
+
+    def fields(row):
+        return (row.check_id, row.d1, row.d2, repr(row.margin), row.status,
+                row.note, row.exploratory)
+
+    assert {(b.check_id, b.d1): [fields(r) for r in b] for b in blocks} == {
+        key: [fields(r) for r in rows] for key, rows in cells.items()}
     header = {"version": __version__, "spec": {
         "command": "sweep", "d1": "1..6", "d2": "5..40",
         "checks": ["bound", "monotone", "steps"], "floor": floor,
         "d2_large": 10_000, "limit_tol": 1e-3, "exploratory": True}}
-    assert out_path.read_text() == render_csv(rows, header)
+    scalar_blocks = [block for (_, d1), rows in cells.items()
+                     for block in rows_from_outcome(rows, d1, range(5, 41))]
+    assert out_path.read_text() == render_csv(scalar_blocks, header)
 
 
 def test_sweep_bound_honours_floor(tmp_path, capsys):
@@ -280,25 +296,29 @@ def test_oracle_quad_tol_must_be_finite_and_positive(tol, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_main_pauses_and_restores_the_garbage_collector(monkeypatch, capsys):
-    import gc
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--d1", "1", "--d2", "5..10000000000000000000", "--check", "bound"],
+    ["sweep", "--d1", "1..10000000000000000000", "--check", "tables"],
+    ["explore", "--d1", "5", "--d2", "5..10000000000000000000"],
+    ["sweep", "--d1", "1", "--d2", str(2 ** 62), "--check", "limit"],
+])
+def test_range_bounds_at_or_above_2_62_are_usage_errors(argv, capsys):
+    # the column kernels hold d2 as int64; a larger bound is a one-line
+    # usage error, never an OverflowError traceback or an endless run
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be below 2**62" in err
+    assert len(err.strip().splitlines()) == 1
 
-    import varcomp.cli
 
-    seen = []
-    handler = varcomp.cli._cmd_varprob
-    monkeypatch.setattr(varcomp.cli, "_cmd_varprob",
-                        lambda ns: seen.append(gc.isenabled()) or handler(ns))
-    assert gc.isenabled()
-    assert run_cli("varprob", "--dist", "normal", capsys=capsys)[0] == 0
-    assert seen == [False]  # paused while the command runs
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        assert run_cli("varprob", "--dist", "normal", capsys=capsys)[0] == 0
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
+def test_oracle_agrees_at_huge_d2(capsys):
+    # log_beta keeps full precision at b = 5e11, so the quadrature route
+    # agrees with the analytic one
+    code, out, _ = run_cli("oracle", "--d1", "1", "--d2", "1000000000000",
+                           "--samples", "10000", capsys=capsys)
+    assert code == 0
+    assert out.count("agree") == 2 and "DISAGREE" not in out
 
 
 def test_explore_always_exit_zero(tmp_path, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import varcomp.oracle
+import varcomp.specfun
 from varcomp import (
-    Accuracy,
     ConvergenceError,
     DomainError,
     FParams,
@@ -72,18 +72,19 @@ def test_reg_inc_beta_column_rejects_bad_input():
         band_endpoints_column(2 ** 40, [5, 2 ** 30])
 
 
-def test_column_iteration_cap_raises():
+def test_column_iteration_cap_raises(monkeypatch):
     # at d1 = 3000 the fraction needs more than 50 iterations only at
     # d2 = 5000; that one lane must fail the whole column, as the scalar
     # route fails at that point
-    tiny = Accuracy(max_iter=50)
     d2 = list(range(5, 13)) + [5000]
+    monkeypatch.setattr(varcomp.specfun, "_MAX_ITER", 50)
     with pytest.raises(ConvergenceError):
-        variation_probability_column(3000, d2, tiny)
+        variation_probability_column(3000, d2)
     for v in d2[:-1]:
-        variation_probability(f_dist(3000, v), tiny)
+        variation_probability(f_dist(3000, v))
     with pytest.raises(ConvergenceError):
-        variation_probability(f_dist(3000, 5000), tiny)
+        variation_probability(f_dist(3000, 5000))
+    monkeypatch.undo()
     assert_column_matches_scalar(3000, d2)
 
 

@@ -1,42 +1,90 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import varcomp.cli
 from varcomp import FParams
+from varcomp.cli import main
 from varcomp.programs import certificate_rows, explore_rows, prove_rows, table_rows
 from varcomp.proofcheck import check_step_inequalities
 from varcomp.reporting import (
     _BUCKETS,
     CSV_COLUMNS,
     STATUSES,
+    Block,
     Row,
-    bucket,
+    margin_block,
     margin_row,
     render_csv,
     render_json,
     rows_from_outcome,
     rows_from_step_report,
-    sort_rows,
     summarize,
     write_report,
 )
 
 
+# ---------------------------------------------------------------------------
+# the row route: every row sorted by its own key and counted one at a time,
+# which a report of blocks must reproduce
+# ---------------------------------------------------------------------------
+
+def flatten(blocks) -> list:
+    return [row for block in blocks for row in block]
+
+
+def sort_rows(rows) -> list:
+    return sorted(rows, key=lambda r: (r.check_id, r.d1, r.d2))
+
+
+def bucket(row) -> str:
+    return "exploratory" if row.exploratory else row.status
+
+
+def bucket_counts(rows) -> dict:
+    counts = dict.fromkeys(_BUCKETS, 0)
+    for row in rows:
+        counts[bucket(row)] += 1
+    return counts
+
+
+def blocks_of(rows) -> list:
+    """The rows as one block per (check_id, d1), each in d2 order."""
+    groups: dict = {}
+    for row in sorted(rows, key=lambda r: r.d2):
+        groups.setdefault((row.check_id, row.d1), []).append(row)
+    return [block for (_, d1), group in groups.items()
+            for block in rows_from_outcome(group, d1, [r.d2 for r in group])]
+
+
+def assert_one_block_per_claim(blocks):
+    keys = [(b.check_id, b.d1) for b in blocks]
+    assert len(set(keys)) == len(keys)
+    for b in blocks:
+        assert list(b.d2s) == sorted(set(b.d2s)), b.check_id  # strictly ascending
+        assert len(b) == len(b.margins) == len(b.statuses) == len(b.notes) > 0
+
+
 def test_bucket_precedence():
-    assert bucket(Row("x", 1, 5, 0.5, "pass")) == "pass"
-    assert bucket(Row("x", 1, 5, -0.5, "fail")) == "fail"
-    assert bucket(Row("x", 1, 5, 1e-15, "inconclusive", "inconclusive")) == "inconclusive"
-    assert bucket(Row("x", 1, 5, None, "not_applicable", "not applicable")) == "not_applicable"
+    def bucket_of(row):
+        (name,) = [k for k, v in summarize(blocks_of([row])).items() if v]
+        return name
+
+    assert bucket_of(Row("x", 1, 5, 0.5, "pass")) == "pass"
+    assert bucket_of(Row("x", 1, 5, -0.5, "fail")) == "fail"
+    assert bucket_of(Row("x", 1, 5, 1e-15, "inconclusive", "inconclusive")) == "inconclusive"
+    assert bucket_of(Row("x", 1, 5, None, "not_applicable", "not applicable")) == "not_applicable"
     # the bucket is the status; the note text plays no part
-    assert bucket(Row("x", 1, 5, 0.5, "pass", "inconclusive, not applicable")) == "pass"
+    assert bucket_of(Row("x", 1, 5, 0.5, "pass", "inconclusive, not applicable")) == "pass"
     # exploratory quarantines even a failing margin
-    assert bucket(Row("x", 9, 5, -0.5, "fail", "", True)) == "exploratory"
-    assert summarize([Row("x", 9, 5, -0.5, "fail", "", True)])["fail"] == 0
-    assert summarize([Row("x", 1, 5, -0.5, "fail")])["fail"] == 1
+    assert bucket_of(Row("x", 9, 5, -0.5, "fail", "", True)) == "exploratory"
+    assert summarize(blocks_of([Row("x", 9, 5, -0.5, "fail", "", True)]))["fail"] == 0
+    assert summarize(blocks_of([Row("x", 1, 5, -0.5, "fail")]))["fail"] == 1
     assert _BUCKETS == STATUSES + ("exploratory",)
 
 
@@ -60,11 +108,34 @@ def test_margin_row_is_the_one_verdict_rule():
     assert margin_row("x", 1, 5, 0.0, 0.0).status == "inconclusive"
 
 
+def test_margin_block_is_margin_row_down_a_column():
+    floor = 1e-12
+    margins = [2e-12, -1e-12, 1e-12, -2e-12, float("nan"), None, 0.0, 5e-324, -0.0]
+    d2s = list(range(5, 5 + len(margins)))
+    for note in ("", "n"):
+        for holds in (True, False):
+            for expl in (False, True):
+                block = margin_block("x", 2, d2s, margins, floor, note, expl, holds)
+                assert list(block) == [margin_row("x", 2, d2, m, floor, note, expl, holds)
+                                       for d2, m in zip(d2s, margins)]
+    # a note per row
+    notes = ["a", "", "b", "c", "d", "", "e", "", "f"]
+    block = margin_block("x", 2, d2s, margins, floor, notes)
+    assert list(block) == [margin_row("x", 2, d2, m, floor, n)
+                           for d2, m, n in zip(d2s, margins, notes)]
+    # the columns are held as given, not copied
+    assert block.d2s is d2s and block.margins is margins
+
+
 def test_row_is_a_frozen_slotted_record():
     row = Row("x", 1, 5, 0.5, "pass")
     assert not hasattr(row, "__dict__")
     with pytest.raises(AttributeError):
         row.status = "fail"
+    block = margin_block("x", 1, [5], [0.5], 0.0)
+    assert not hasattr(block, "__dict__")
+    with pytest.raises(AttributeError):
+        block.statuses = ["fail"]
 
 
 def test_summary_counts_sum_to_row_count():
@@ -75,40 +146,47 @@ def test_summary_counts_sum_to_row_count():
         Row("b", 2, 5, None, "not_applicable", "not applicable"),
         Row("c", 9, 5, 0.1, "pass", "", True),
     ]
-    counts = summarize(rows)
+    counts = summarize(blocks_of(rows))
     assert sum(counts.values()) == len(rows)
     assert counts == {"pass": 1, "fail": 1, "inconclusive": 1,
                       "not_applicable": 1, "exploratory": 1}
+    assert counts == bucket_counts(rows)
 
 
 def test_rows_from_outcome_stamps_program_coordinates():
     # an auxiliary check is a function of y alone; the program supplies
     # (d1, d2) and nothing else about the row changes
     out = margin_row("claim", 0, 0, 0.25, 0.0, "note")
-    (row,) = rows_from_outcome(out, 3, 44)
+    ((row,),) = rows_from_outcome([out], 3, [44])
     assert (row.d1, row.d2, row.margin, row.passed) == (3, 44, 0.25, True)
     assert (row.check_id, row.status, row.note, row.exploratory) == (
         "claim", "pass", "note", False)
-    (row,) = rows_from_outcome(margin_row("claim", 0, 0, -1.0, 0.0), 2)
+    ((row,),) = rows_from_outcome([margin_row("claim", 0, 0, -1.0, 0.0)], 2)
     assert (row.d1, row.d2, row.status) == (2, 0, "fail")
+    # one claim checked at several y is one block
+    outs = [margin_row("v", 0, 0, 0.5, 0.0, "ok"),
+            margin_row("v", 0, 0, 0.5, 0.0, "bad", holds=False)]
+    (block,) = rows_from_outcome(outs, 3, [25, 26])
+    assert [(r.d1, r.d2, r.status, r.note) for r in block] == [
+        (3, 25, "pass", "ok"), (3, 26, "fail", "bad")]
 
 
 def test_rows_from_step_report_floor():
-    margins = check_step_inequalities(FParams(4, 17))
-    rows = rows_from_step_report(4, 17, margins, floor=1e-12)
-    assert {r.check_id for r in rows} >= {"step_integral", "upper_edge"}
-    assert [r.check_id for r in rows] == list(margins)
-    assert all((r.d1, r.d2) == (4, 17) for r in rows)
-    assert all(r.passed for r in rows if r.margin is not None)
+    d2s = [16, 17]
+    maps = [check_step_inequalities(FParams(4, d2)) for d2 in d2s]
+    columns = {form: [m[form] for m in maps] for form in maps[0]}
+    blocks = rows_from_step_report(4, d2s, columns, floor=1e-12)
+    assert [b.check_id for b in blocks] == list(columns)
+    assert {b.check_id for b in blocks} >= {"step_integral", "upper_edge"}
+    assert all(b.d1 == 4 and b.d2s == d2s for b in blocks)
+    assert all(r.passed for r in flatten(blocks) if r.margin is not None)
     # a huge floor turns every positive margin into inconclusive, not fail
-    rows = rows_from_step_report(4, 17, margins, floor=10.0)
-    assert all(bucket(r) == "inconclusive" for r in rows if r.margin is not None)
+    rows = flatten(rows_from_step_report(4, d2s, columns, floor=10.0))
+    assert all(r.status == "inconclusive" for r in rows if r.margin is not None)
     # a form that does not apply is a not-applicable row
-    rows = rows_from_step_report(4, 16, check_step_inequalities(FParams(4, 16)),
-                                 1e-12, exploratory=False)
-    (na,) = [r for r in rows if r.margin is None]
-    assert (na.check_id, na.status, na.note) == (
-        "poly_power_step_lower", "not_applicable", "not applicable")
+    (na,) = [r for r in flatten(blocks) if r.margin is None]
+    assert (na.check_id, na.d2, na.status, na.note) == (
+        "poly_power_step_lower", 16, "not_applicable", "not applicable")
 
 
 def test_csv_schema_and_determinism():
@@ -118,7 +196,8 @@ def test_csv_schema_and_determinism():
         Row("a_check", 1, 9, -0.25, "fail", ""),
     ]
     header = {"version": "0.1.0", "spec": {"command": "test", "seed": 0}}
-    text = render_csv(rows, header)
+    blocks = blocks_of(rows)
+    text = render_csv(blocks, header)
     lines = text.splitlines()
     assert lines[0].startswith("# varcomp")
     assert lines[1].startswith("# spec:")
@@ -128,13 +207,13 @@ def test_csv_schema_and_determinism():
     assert lines[4].startswith("a_check,1,5,,false")
     assert lines[5].startswith("a_check,1,9,-0.25,false")
     assert '"note, with comma"' in lines[6]
-    assert text == render_csv(list(rows), header)  # byte-identical rerun
+    assert text == render_csv(blocks[::-1], header)  # byte-identical rerun
 
 
 def test_json_mirror():
     rows = [Row("c", 1, 5, 0.5, "pass", "", False),
             Row("a", 1, 5, None, "not_applicable", "not applicable", True)]
-    payload = json.loads(render_json(rows, {"version": "x", "spec": {}}))
+    payload = json.loads(render_json(blocks_of(rows), {"version": "x", "spec": {}}))
     assert payload["header"]["tool"] == "varcomp"
     assert [r["check_id"] for r in payload["rows"]] == ["a", "c"]
     assert payload["rows"][0]["margin"] is None
@@ -144,16 +223,18 @@ def test_json_mirror():
     assert sum(payload["summary"].values()) == 2
 
 
-def test_sort_rows_stable_key():
-    rows = [Row("b", 1, 5, 0.1, "pass"), Row("a", 2, 5, 0.1, "pass"),
-            Row("a", 1, 9, 0.1, "pass"), Row("a", 1, 5, 0.1, "pass")]
-    ordered = sort_rows(rows)
-    assert [(r.check_id, r.d1, r.d2) for r in ordered] == [
-        ("a", 1, 5), ("a", 1, 9), ("a", 2, 5), ("b", 1, 5)]
+def test_blocks_render_in_check_id_d1_d2_order():
+    blocks = [margin_block("b", 1, [5], [0.1], 0.0),
+              margin_block("a", 2, [5], [0.1], 0.0),
+              margin_block("a", 1, [5, 9], [0.1, 0.1], 0.0)]
+    lines = render_csv(blocks, {}).splitlines()[4:]
+    assert [tuple(line.split(",")[:3]) for line in lines] == [
+        ("a", "1", "5"), ("a", "1", "9"), ("a", "2", "5"), ("b", "1", "5")]
 
 
 # ---------------------------------------------------------------------------
-# the encoder route the template renderers must reproduce byte for byte
+# the encoder route the template renderers must reproduce byte for byte,
+# fed the flattened rows
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
@@ -166,10 +247,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def reference_csv(rows, header, summary=None) -> str:
-    rows = sort_rows(rows)
+def reference_csv(blocks, header, summary=None) -> str:
+    rows = sort_rows(flatten(blocks))
     if summary is None:
-        summary = summarize(rows)
+        summary = bucket_counts(rows)
     buf = io.StringIO()
     buf.write(f"# varcomp {header.get('version', '')}\n")
     spec = header.get("spec", {})
@@ -183,8 +264,8 @@ def reference_csv(rows, header, summary=None) -> str:
     return buf.getvalue()
 
 
-def reference_json(rows, header, summary=None) -> str:
-    rows = sort_rows(rows)
+def reference_json(blocks, header, summary=None) -> str:
+    rows = sort_rows(flatten(blocks))
     payload = {
         "header": {"tool": "varcomp", **header},
         "rows": [
@@ -199,7 +280,7 @@ def reference_json(rows, header, summary=None) -> str:
             }
             for r in rows
         ],
-        "summary": summarize(rows) if summary is None else summary,
+        "summary": bucket_counts(rows) if summary is None else summary,
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -208,12 +289,13 @@ HEADER = {"version": "0.1.0", "spec": {"command": "test", "floor": 1e-12,
                                        "checks": ["bound", "steps"]}}
 
 
-def assert_renderers_match_reference(rows, header=HEADER):
-    assert render_csv(rows, header) == reference_csv(rows, header)
-    assert render_json(rows, header) == reference_json(rows, header)
-    summary = summarize(rows)
-    assert render_csv(rows, header, summary) == reference_csv(rows, header, summary)
-    assert render_json(rows, header, summary) == reference_json(rows, header, summary)
+def assert_renderers_match_reference(blocks, header=HEADER):
+    assert render_csv(blocks, header) == reference_csv(blocks, header)
+    assert render_json(blocks, header) == reference_json(blocks, header)
+    summary = summarize(blocks)
+    assert summary == bucket_counts(flatten(blocks))
+    assert render_csv(blocks, header, summary) == reference_csv(blocks, header, summary)
+    assert render_json(blocks, header, summary) == reference_json(blocks, header, summary)
 
 
 EDGE_ROWS = [
@@ -223,7 +305,7 @@ EDGE_ROWS = [
     Row("b", 2, 8, 1e-15, "inconclusive", 'a "quoted" note; inconclusive'),
     Row("b", 2, 9, 5e-324, "pass", "line one\nline two"),
     Row("b", 2, 10, -5e-324, "fail", "carriage\rreturn"),
-    Row("c", 3, 11, -0.0, "fail", "non-ASCII: d\u2082 \u2265 5, \u00e9t\u00e9 \U0001f600"),
+    Row("c", 3, 11, -0.0, "fail", "non-ASCII: d₂ ≥ 5, été \U0001f600"),
     Row("c", 3, 12, 1.7976931348623157e308, "pass", " leading and trailing "),
     Row("c, d", 9, 13, 2.5e-300, "pass", "", True),
     Row('e"f', 12, 14, None, "not_applicable", "not applicable", True),
@@ -232,22 +314,26 @@ EDGE_ROWS = [
 ]
 
 
+def many_edge_rows(copies: int) -> list:
+    return [replace(r, d2=r.d2 + 100 * i) for i in range(copies) for r in EDGE_ROWS]
+
+
 def test_renderers_match_reference_on_edge_rows():
-    assert_renderers_match_reference(EDGE_ROWS)
+    assert_renderers_match_reference(blocks_of(EDGE_ROWS))
     for row in EDGE_ROWS:
-        assert_renderers_match_reference([row])
+        assert_renderers_match_reference(blocks_of([row]))
 
 
 def test_renderers_match_reference_across_row_chunks():
-    # rows are rendered a few thousand at a time; 9,600 rows span three slices
-    assert_renderers_match_reference(EDGE_ROWS * 800)
+    # 9,600 rows in eight blocks of up to 3,200 rows
+    assert_renderers_match_reference(blocks_of(many_edge_rows(800)))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_write_report_writes_a_large_report_whole(fmt, tmp_path):
     # the file is written in 1 MiB slices; the non-ASCII notes cross them
     path = tmp_path / f"r.{fmt}"
-    text = write_report(EDGE_ROWS * 4000, HEADER, fmt, str(path))
+    text = write_report(blocks_of(many_edge_rows(4000)), HEADER, fmt, str(path))
     assert len(text) > 1 << 20
     written_whole = path.read_bytes() == text.encode("utf-8")
     assert written_whole
@@ -257,6 +343,10 @@ def test_write_report_writes_a_large_report_whole(fmt, tmp_path):
 def test_renderers_match_reference_on_empty_rows():
     assert_renderers_match_reference([])
     assert '"rows": [],' in render_json([], HEADER)
+    # an empty block renders no row
+    empty = [margin_block("a", 1, [], [], 0.0)]
+    assert_renderers_match_reference(empty)
+    assert_renderers_match_reference(empty + blocks_of(EDGE_ROWS))
 
 
 def test_header_text_cannot_confuse_the_json_splice():
@@ -264,55 +354,103 @@ def test_header_text_cannot_confuse_the_json_splice():
     # report's own structure is left alone
     header = {"version": '\n}\n  "rows": [', "spec": {
         "rows": ["\n  ]", '"summary": {'], "summary": "\n}", "tool": "x"}}
-    assert_renderers_match_reference(EDGE_ROWS, header)
+    assert_renderers_match_reference(blocks_of(EDGE_ROWS), header)
     assert_renderers_match_reference([], header)
 
 
 def test_numpy_float64_margin_renders_as_a_plain_float():
     rows = [Row("a", 1, 5, np.float64(0.1), "pass"),
             Row("a", 1, 6, np.float64(-3e-17), "fail")]
-    assert render_json(rows, HEADER) == reference_json(rows, HEADER)
+    assert render_json(blocks_of(rows), HEADER) == reference_json(blocks_of(rows), HEADER)
     # the encoder-free CSV writes float.__repr__, never 'np.float64(...)'
     plain = [Row(r.check_id, r.d1, r.d2, float(r.margin), r.status) for r in rows]
-    assert render_csv(rows, HEADER) == reference_csv(plain, HEADER)
+    assert render_csv(blocks_of(rows), HEADER) == reference_csv(blocks_of(plain), HEADER)
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf"),
                                     np.float64("nan")])
 def test_render_json_rejects_non_finite_margins(margin):
-    rows = [Row("a", 1, 5, 0.5, "pass"), Row("b", 1, 5, margin, "fail")]
+    blocks = blocks_of([Row("a", 1, 5, 0.5, "pass"), Row("b", 1, 5, margin, "fail")])
     with pytest.raises(ValueError) as want:
-        reference_json(rows, HEADER)
+        reference_json(blocks, HEADER)
     with pytest.raises(ValueError) as got:
-        render_json(rows, HEADER)
+        render_json(blocks, HEADER)
     assert str(got.value) == str(want.value)
     # CSV has no such restriction and writes them as repr does
-    assert render_csv(rows, HEADER) == reference_csv(
-        [Row("a", 1, 5, 0.5, "pass"), Row("b", 1, 5, float(margin), "fail")], HEADER)
+    assert render_csv(blocks, HEADER) == reference_csv(blocks_of(
+        [Row("a", 1, 5, 0.5, "pass"), Row("b", 1, 5, float(margin), "fail")]), HEADER)
 
 
-rows_strategy = st.lists(st.builds(
-    Row,
-    check_id=st.text(max_size=8),
-    d1=st.integers(-10, 10**6),
-    d2=st.integers(-10, 10**9),
-    margin=st.none() | st.floats(allow_nan=False, allow_infinity=False),
-    status=st.sampled_from(STATUSES),
-    note=st.text(max_size=12),
-    exploratory=st.booleans(),
-), max_size=25)
+@st.composite
+def block_lists(draw):
+    """Blocks with distinct (check_id, d1) and strictly ascending d2s."""
+    keys = draw(st.lists(st.tuples(st.text(max_size=8), st.integers(-10, 10**6)),
+                         unique=True, max_size=6))
+    blocks = []
+    for check_id, d1 in keys:
+        d2s = sorted(draw(st.sets(st.integers(-10, 10**9), min_size=1, max_size=6)))
+        column = st.lists(st.tuples(
+            st.none() | st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(STATUSES), st.text(max_size=12)),
+            min_size=len(d2s), max_size=len(d2s))
+        margins, statuses, notes = map(list, zip(*draw(column)))
+        blocks.append(Block(check_id, d1, d2s, margins, statuses, notes,
+                            draw(st.booleans())))
+    return blocks
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows_strategy)
-def test_renderers_match_reference_on_random_rows(rows):
-    assert_renderers_match_reference(rows)
+@given(block_lists())
+def test_renderers_match_reference_on_random_rows(blocks):
+    assert_renderers_match_reference(blocks)
 
 
-@pytest.mark.parametrize("make_rows", [
+@pytest.mark.parametrize("make_blocks", [
     lambda: prove_rows(3, 60),
     lambda: table_rows() + certificate_rows(),
     lambda: explore_rows(5, range(7, 80)) + explore_rows(6, range(7, 80)),
-], ids=["prove_rows_3", "tables_and_certificates", "explore_5_6"])
-def test_renderers_match_reference_on_real_reports(make_rows):
-    assert_renderers_match_reference(make_rows())
+    # undefined series forms below d2 = 7: a note per row
+    lambda: explore_rows(24, range(3, 80)),
+], ids=["prove_rows_3", "tables_and_certificates", "explore_5_6", "explore_24"])
+def test_renderers_match_reference_on_real_reports(make_blocks):
+    blocks = make_blocks()
+    assert_one_block_per_claim(blocks)
+    assert_renderers_match_reference(blocks)
+
+
+# ---------------------------------------------------------------------------
+# every command's report: one block per claim, the row route's bytes
+# ---------------------------------------------------------------------------
+
+COMMANDS = {
+    **{f"prove_{d1}": ["prove", "--d1", str(d1)] for d1 in (1, 2, 3, 4)},
+    "sweep_default": ["sweep", "--d1", "1..4", "--check",
+                      "bound,monotone,limit,steps,tables"],
+    "sweep_exploratory": ["sweep", "--d1", "1..12", "--d2", "5..120", "--check",
+                          "bound,monotone,limit,steps,tables,exploratory",
+                          "--exploratory"],
+    "explore": ["explore", "--d1", "5..12", "--d2", "5..120"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_reports_hold_one_block_per_claim(name, fmt, monkeypatch, tmp_path,
+                                                  capsys):
+    seen = []
+    monkeypatch.setattr(varcomp.cli, "summarize",
+                        lambda blocks: seen.append(blocks) or summarize(blocks))
+    path = tmp_path / f"r.{fmt}"
+    assert main([*COMMANDS[name], "--format", fmt, "--out", str(path)]) == 0
+    capsys.readouterr()
+    (blocks,) = seen
+    assert_one_block_per_claim(blocks)
+    # the report is the one the rows, sorted and counted one by one, give
+    text = path.read_text()
+    if fmt == "json":
+        header = json.loads(text)["header"]
+        del header["tool"]
+        assert text == reference_json(blocks, header)
+    else:
+        # past the version and spec lines, which only the header sets
+        assert text.split("\n", 2)[2] == reference_csv(blocks, {}).split("\n", 2)[2]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
+import varcomp.specfun as specfun
 from varcomp import (
-    Accuracy,
     ConvergenceError,
     DomainError,
     log_beta,
@@ -116,21 +116,32 @@ def test_reg_inc_beta_domain_errors():
         reg_inc_beta(math.nan, 1.0, 1.0)
 
 
-def test_convergence_cap_is_a_hard_error():
+def test_convergence_cap_is_a_hard_error(monkeypatch):
     # the continued fraction near s = x needs a few hundred iterations at
-    # s = 2000; a legal-but-small cap must raise, never return a bad value
-    capped = Accuracy(max_iter=50)
+    # s = 2000; a small cap must raise, never return a bad value
+    monkeypatch.setattr(specfun, "_MAX_ITER", 50)
     with pytest.raises(ConvergenceError):
-        reg_lower_gamma(2000.0, 2000.0, capped)
+        reg_lower_gamma(2000.0, 2000.0)
 
 
-def test_accuracy_validation():
-    with pytest.raises(DomainError):
-        Accuracy(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        Accuracy(rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        Accuracy(max_iter=10)
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 2.5, 9.5, 10.0, 12.5, 50.0, 100.0])
+def test_log_beta_against_mpmath(a):
+    # the log-gamma sum loses about b ln(b) eps at large b (8.5e-8 at
+    # (1.5, 5e7)); the regrouped form keeps full relative precision
+    mpmath = pytest.importorskip("mpmath")
+    for b in [10.0, 12.0, 20.0, 100.0, 1e3, 5e4, 5e7, 5e11, 1e15, 5e19]:
+        with mpmath.workdps(40):
+            exact = float(mpmath.log(mpmath.beta(a, b)))
+        for x, y in ((a, b), (b, a)):
+            assert abs(log_beta(x, y) - exact) <= 1e-14 * abs(exact), (x, y)
+
+
+def test_log_beta_small_arguments_keep_the_log_gamma_sum():
+    for a, b in [(0.5, 3.0), (2.0, 6.0), (4.5, 9.5)]:
+        assert log_beta(a, b) == log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    for a, b in [(0.0, 20.0), (20.0, -1.0), (math.nan, 20.0), (20.0, math.inf)]:
+        with pytest.raises(DomainError):
+            log_beta(a, b)
 
 
 def test_reg_lower_gamma_values():
