@@ -10,14 +10,20 @@ oracle     cross-validate the analytic value against Monte Carlo and quadrature
 explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
-failed, 2 usage, domain or I/O error.
+failed, 2 usage, domain, I/O or out-of-memory error.
 
 A sweep runs serially, one d1 column at a time: the column's endpoint images
 and band probabilities come from the numpy column kernel in ``varband``, and
 each band probability is computed once and shared by the bound and monotone
 blocks.  Its step forms come from ``proofcheck.steps.step_inequalities_column``,
-bit-identical to the scalar per-point route that ``prove`` runs.  Commands
-that draw no samples and sweep no grid never import numpy.
+bit-identical to the scalar per-point route.  ``prove`` runs that scalar
+route on a chain of fewer than ``programs._COLUMN_MIN`` d2 points (the
+default ``--d2-max 400`` among them) and the same kernels on a longer one.
+Commands that draw no samples, sweep no grid and prove no long chain never
+import numpy.
+
+A grid or chain too large for the process to hold is an input error: one
+``error:`` line and exit 2, like a domain error.
 
 Every report is a list of ``reporting.Block``s, one per claim and d1: each
 kernel column becomes one block as it is, and ``prove`` prints its
@@ -454,6 +460,12 @@ def main(argv=None) -> int:
         return handlers[ns.command](ns)
     except VarcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a grid or chain the process cannot hold is an input error: exit 1
+        # means a failed check, and write_report has removed its temp file
+        print("error: out of memory; ask for a smaller d1/d2 range",
+              file=sys.stderr)
         return 2
 
 

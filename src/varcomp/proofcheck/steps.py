@@ -33,12 +33,14 @@ None for a form that does not apply at that (d1, d2); it renders no
 verdict.  ``reporting.rows_from_step_report`` classifies them against the
 strictness floor, one block per form over a column of d2 values.
 
-``step_inequalities_column`` is the sweep's route: it evaluates every form
+``step_inequalities_column`` is the route of sweeps and of long ``prove``
+chains (``programs._COLUMN_MIN`` d2 points or more): it evaluates every form
 over a whole d2 column with numpy, its integrals through
 ``oracle.quad_beta_integral_column``, and its margins are bit-identical to
-``step_inequalities_at``, which ``check_step_inequalities``, ``prove`` and
-``explore`` use and which stays the reference route.  numpy is imported
-only when the column route runs.
+``step_inequalities_at``, which ``check_step_inequalities``, short ``prove``
+chains and ``explore`` use and which stays the reference route.
+``coefficient_sign_column`` is the same for ``coefficient_sign_checks``.
+numpy is imported only when a column route runs.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "step_inequalities_at",
     "step_inequalities_column",
     "coefficient_sign_checks",
+    "coefficient_sign_column",
     "series_forms_even",
     "falling_factorial_bounds_odd",
 ]
@@ -257,6 +260,32 @@ def coefficient_sign_checks(d1: int, d2: int) -> Margins:
             "coef_dominance": d2 * ep.b - (d2 + 2) * ep.a,
         }
     return {"cd_order": (d2 + 2) * ep.c - d2 * ep.d if ep.c > 0.0 else None}
+
+
+def coefficient_sign_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[str, list]:
+    """``coefficient_sign_checks(d1, d2s[i])`` for every i, as one map from
+    form to the list of its margins over the column.
+
+    a, b, c, d are the column's endpoint images (``band_endpoints_column``).
+    The keys, the None entries and every margin are those of
+    ``coefficient_sign_checks``, bit for bit: the same arithmetic in the
+    same order, vectorised.
+    """
+    import numpy as np
+
+    if d1 not in (1, 3):
+        raise DomainError(f"coefficient sign checks exist for d1 in {{1, 3}}, got {d1}")
+    n2 = np.asarray(d2s, dtype=float)
+    # d2 + 2 in integers, as the scalar route adds it, then rounded once
+    n2p2 = (np.asarray(d2s, dtype=np.int64) + 2).astype(float)
+    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
+    if d1 == 1:
+        return {
+            "coef_lower_bound": (n2p2 * a - 1.0).tolist(),
+            "coef_combination": (3.0 * n2p2 * a - 2.0 - n2 * b).tolist(),
+            "coef_dominance": (n2 * b - n2p2 * a).tolist(),
+        }
+    return {"cd_order": _masked((c > 0.0).tolist(), n2p2 * c - n2 * d)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import varcomp.cli
+import varcomp.programs
 from varcomp import FParams, __version__, check_bound, check_monotone_step
 from varcomp.cli import main
-from varcomp.programs import PROVED_D1_CASES
+from varcomp.programs import _COLUMN_MIN, PROVED_D1_CASES
 from varcomp.proofcheck.steps import check_step_inequalities
 from varcomp.reporting import margin_row, render_csv, rows_from_outcome, summarize
 
@@ -301,6 +303,8 @@ def test_oracle_quad_tol_must_be_finite_and_positive(tol, capsys):
     ["sweep", "--d1", "1..10000000000000000000", "--check", "tables"],
     ["explore", "--d1", "5", "--d2", "5..10000000000000000000"],
     ["sweep", "--d1", "1", "--d2", str(2 ** 62), "--check", "limit"],
+    ["prove", "--d1", "1", "--d2-max", str(2 ** 62)],
+    ["prove", "--d1", "3", "--d2-max", "10000000000000000000"],
 ])
 def test_range_bounds_at_or_above_2_62_are_usage_errors(argv, capsys):
     # the column kernels hold d2 as int64; a larger bound is a one-line
@@ -348,11 +352,7 @@ def test_console_script_installed():
     assert "varcomp" in out.stdout
 
 
-@pytest.mark.parametrize("argv", [["prove", "--d1", "1"],
-                                  ["explore", "--d1", "5..6", "--d2", "5..30"]])
-def test_scalar_commands_leave_numpy_unloaded(argv):
-    # prove and explore keep the scalar route: a numpy import would add more
-    # to their start-up than their whole computation takes
+def _numpy_loaded_by(argv):
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys\nfrom varcomp.cli import main\n"
@@ -360,7 +360,64 @@ def test_scalar_commands_leave_numpy_unloaded(argv):
          "print(code, 'numpy' in sys.modules, file=sys.stderr)"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stderr.strip().splitlines()[-1] == "0 False"
+    return out.stderr.strip().splitlines()[-1]
+
+
+# a prove chain over d2 = 5..d2_max has d2_max - 4 points
+_SHORT_CHAIN = str(_COLUMN_MIN + 3)
+_LONG_CHAIN = str(_COLUMN_MIN + 4)
+
+
+@pytest.mark.parametrize("argv", [["prove", "--d1", "1"],
+                                  ["explore", "--d1", "5..6", "--d2", "5..30"],
+                                  ["prove", "--d1", "3", "--d2-max", _SHORT_CHAIN]])
+def test_scalar_commands_leave_numpy_unloaded(argv):
+    # explore, and prove on a chain of fewer than _COLUMN_MIN d2 points (the
+    # default --d2-max 400 included), keep the scalar route: a numpy import
+    # would add more to their start-up than their whole computation takes
+    assert _numpy_loaded_by(argv) == "0 False"
+
+
+def test_long_prove_chain_takes_the_column_kernels():
+    assert _numpy_loaded_by(["prove", "--d1", "3", "--d2-max", _LONG_CHAIN]) == "0 True"
+
+
+@pytest.mark.parametrize("d2_max", [_SHORT_CHAIN, _LONG_CHAIN])
+def test_prove_report_equal_on_both_routes_at_the_size_edge(d2_max, tmp_path,
+                                                            monkeypatch, capsys):
+    # either side of _COLUMN_MIN, the report and the summary are the scalar
+    # route's, byte for byte
+    outputs = []
+    for column_min in (10 ** 12, _COLUMN_MIN):
+        monkeypatch.setattr(varcomp.programs, "_COLUMN_MIN", column_min)
+        out_path = tmp_path / f"{column_min}.json"
+        code, out, _ = run_cli("prove", "--d1", "3", "--d2-max", d2_max,
+                               "--format", "json", "--out", str(out_path),
+                               capsys=capsys)
+        assert code == 0
+        outputs.append((out.replace(str(out_path), "REPORT"), out_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _limit_address_space():
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--d1", "1", "--d2", "5..1000000000000", "--check", "bound"],
+    ["prove", "--d1", "1", "--d2-max", "1000000000000"]])
+def test_grid_the_process_cannot_hold_exits_2(argv, tmp_path):
+    # the d2 list alone would take 8 TB; with the address space capped the
+    # allocation fails at once, whatever the host's overcommit policy
+    report = tmp_path / "r.csv"
+    out = subprocess.run([sys.executable, "-m", "varcomp", *argv, "--out", str(report)],
+                         capture_output=True, text=True, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.splitlines() == [
+        "error: out of memory; ask for a smaller d1/d2 range"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_blas_threads_capped_before_numpy_loads():

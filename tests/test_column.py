@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import varcomp.oracle
+import varcomp.programs
 import varcomp.specfun
 from varcomp import (
     ConvergenceError,
@@ -16,7 +17,13 @@ from varcomp import (
     variation_probability,
 )
 from varcomp.oracle import quad_beta_integral, quad_beta_integral_column
-from varcomp.proofcheck.steps import step_inequalities_at, step_inequalities_column
+from varcomp.programs import prove_rows
+from varcomp.proofcheck.steps import (
+    coefficient_sign_checks,
+    coefficient_sign_column,
+    step_inequalities_at,
+    step_inequalities_column,
+)
 from varcomp.specfun import reg_inc_beta_column
 from varcomp.varband import band_endpoints_column, variation_probability_column
 
@@ -110,17 +117,26 @@ def scalar_quad_calls(monkeypatch):
     return calls
 
 
+def assert_forms_match(got, d2s, want_at):
+    """A form -> column map equals want_at(d2), form -> margin, at every d2."""
+    assert all(len(column) == len(d2s) for column in got.values())
+    for i, d2 in enumerate(d2s):
+        want = want_at(i, d2)
+        assert list(got) == list(want), d2
+        assert [_hex(got[form][i]) for form in want] == [_hex(v) for v in want.values()], d2
+
+
 def assert_steps_match_scalar(d1, d2_values, quad_tol=1e-13):
     d2s = [int(v) for v in d2_values]
     a, b, c, d = band_endpoints_column(d1, d2s)
-    got = step_inequalities_column(d1, d2s, a, b, c, d, quad_tol)
-    assert all(len(column) == len(d2s) for column in got.values())
-    for i, d2 in enumerate(d2s):
-        want = step_inequalities_at(d1, d2, float(a[i]), float(b[i]), float(c[i]),
-                                    float(d[i]), quad_tol)
-        assert list(got) == list(want), (d1, d2)
-        assert [_hex(got[form][i]) for form in want] == [_hex(v) for v in want.values()], (
-            d1, d2)
+    assert_forms_match(
+        step_inequalities_column(d1, d2s, a, b, c, d, quad_tol), d2s,
+        lambda i, d2: step_inequalities_at(d1, d2, float(a[i]), float(b[i]),
+                                           float(c[i]), float(d[i]), quad_tol))
+    if d1 in (1, 3):
+        # the coefficient signs, against their scalar route from FParams on
+        assert_forms_match(coefficient_sign_column(d1, d2s, a, b, c, d), d2s,
+                           lambda i, d2: coefficient_sign_checks(d1, d2))
 
 
 @pytest.mark.parametrize("d1", range(1, 13))
@@ -178,6 +194,24 @@ def test_quad_column_rejects_what_the_scalar_route_rejects():
         quad_beta_integral_column(1.5, [2.0], [0.1, 0.2], [0.2, 0.3])
 
 
+@pytest.mark.parametrize("d1", (1, 3))
+def test_coefficient_column_adds_d2_plus_2_in_integers(d1):
+    # beyond 2**53 the float d2 + 2.0 is not the scalar route's d2 + 2
+    d2s = [2 ** 53 + 1, 2 ** 53 + 3, 2 ** 60 + 7]
+    ends = band_endpoints_column(d1, d2s)
+    assert_forms_match(coefficient_sign_column(d1, d2s, *ends), d2s,
+                       lambda i, d2: coefficient_sign_checks(d1, d2))
+
+
+def test_coefficient_column_rejects_what_the_scalar_route_rejects():
+    ends = band_endpoints_column(2, [5, 6])
+    for d1 in (2, 4):
+        with pytest.raises(DomainError, match="d1 in"):
+            coefficient_sign_column(d1, [5, 6], *ends)
+        with pytest.raises(DomainError, match="d1 in"):
+            coefficient_sign_checks(d1, 5)
+
+
 def _raised(fn):
     with pytest.raises(ToleranceNotMetError) as info:
         fn()
@@ -200,3 +234,37 @@ def test_tolerance_not_met_parity():
         column = _raised(lambda: step_inequalities_column(3, d2s, a, b, c, d, tol))
         assert column == _raised(scalar)
     assert f"[{float(c[0])!r}, {float(d[0])!r}]" in column[0]  # lower, d2 = 5000
+
+
+# ---------------------------------------------------------------------------
+# prove: the column route of a long chain against the scalar route
+# ---------------------------------------------------------------------------
+
+def _block_fields(blocks):
+    return [(b.check_id, b.d1, list(b.d2s), list(b.statuses), list(b.notes),
+             [_hex(m) for m in b.margins], b.exploratory) for b in blocks]
+
+
+def _no_scalar_call(*args):
+    raise AssertionError("the column route called a scalar step evaluator")
+
+
+def assert_prove_routes_agree(monkeypatch, d1, d2_max):
+    monkeypatch.setattr(varcomp.programs, "_COLUMN_MIN", 10 ** 12)
+    scalar = prove_rows(d1, d2_max)
+    monkeypatch.setattr(varcomp.programs, "_COLUMN_MIN", 5)
+    monkeypatch.setattr(varcomp.programs, "check_step_inequalities", _no_scalar_call)
+    monkeypatch.setattr(varcomp.programs, "coefficient_sign_checks", _no_scalar_call)
+    assert _block_fields(prove_rows(d1, d2_max)) == _block_fields(scalar)
+
+
+@pytest.mark.parametrize("d1", range(1, 5))
+def test_prove_column_route_matches_scalar(d1, monkeypatch):
+    assert_prove_routes_agree(monkeypatch, d1, 600)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d1", range(1, 5))
+def test_prove_column_route_matches_scalar_deep(d1, monkeypatch):
+    # the chain length prove_deep runs, at every proved d1
+    assert_prove_routes_agree(monkeypatch, d1, 30_000)
