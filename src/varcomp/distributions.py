@@ -33,6 +33,9 @@ def _as_positive_int(name: str, value) -> int:
     value = int(value)
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")
+    if value >= 2 ** 1024 - 2 ** 970:  # float(value) would overflow
+        raise DomainError(f"{name} must convert to a float (below about 1.8e308), "
+                          f"got a {value.bit_length()}-bit integer")
     return value
 
 

@@ -165,6 +165,8 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d,
     import numpy as np
 
     n2 = np.asarray(d2s, dtype=float)
+    # d2 + 2 in integers, as the scalar route adds it, then rounded once
+    n2p2 = (np.asarray(d2s, dtype=np.int64) + 2).astype(float)
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
     a2, b2 = 0.5 * d1, 0.5 * n2
 
@@ -195,12 +197,12 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d,
     if d1 in (1, 2, 3):
         margins["power_step"] = one_m_a - one_m_b
     if d1 == 1:
-        lhs = (3.0 * (n2 + 2.0) * a - 2.0 - n2 * b) * one_m_b
-        rhs = 2.0 * ((n2 + 2.0) * a - 1.0) * one_m_a
+        lhs = (3.0 * n2p2 * a - 2.0 - n2 * b) * one_m_b
+        rhs = 2.0 * (n2p2 * a - 1.0) * one_m_a
         margins["affine_power_step"] = rhs - lhs
     if d1 == 4:
         lhs = (n2 * b + 2.0) * one_m_b
-        rhs = ((n2 + 2.0) * a + 2.0) * one_m_a
+        rhs = (n2p2 * a + 2.0) * one_m_a
         margins["poly_power_step"] = rhs - lhs
 
     if d1 in (3, 4):
@@ -210,11 +212,11 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d,
         one_m_c = _pow1m_column(c, b2 + 1.0)
         if d1 == 4:
             lhs = (n2 * d + 2.0) * one_m_d
-            rhs = ((n2 + 2.0) * c + 2.0) * one_m_c
+            rhs = (n2p2 * c + 2.0) * one_m_c
             margins["poly_power_step_lower"] = _masked(d_gt_c, lhs - rhs)
         else:
             lhs = (2.0 * (1.0 + c) + n2 * (c + d)) * one_m_d
-            rhs = 2.0 * ((n2 + 2.0) * c + 1.0) * one_m_c
+            rhs = 2.0 * (n2p2 * c + 1.0) * one_m_c
             margins["product_step_lower"] = _masked(d_gt_c, lhs - rhs)
             margins["ratio_bound_lower"] = [v_direct(float(n)) if gt else None
                                             for n, gt in zip(d2s, d_gt_c)]

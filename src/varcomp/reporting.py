@@ -20,11 +20,15 @@ per row plus an explicit exploratory flag.  Floats are emitted with
 ``float.__repr__`` (shortest round-trip), so identical inputs produce
 byte-identical output.
 
-The rows, which are nearly all of a large report, are written by fixed
-templates rather than walked by an encoder; each block binds its check_id
-and d1 (and, in JSON, its exploratory flag) once.  The output is byte for
-byte what ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
-and a default-dialect ``csv.writer`` with newline line endings emit for the
+The rows, which are nearly all of a large report, are written column by
+column rather than walked by an encoder or formatted one by one: each block
+fixes the text before its d2 (check_id and d1) and between its d2 and
+margin (in JSON, the exploratory flag) once, its margins become one list of
+texts in one pass, each d2 column shared by several blocks is formatted
+once, and each distinct (status, note) pair once; the block's rows are then
+one join of those columns.  The output is byte for byte what
+``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` and a
+default-dialect ``csv.writer`` with newline line endings emit for the
 same rows; the test suite keeps that encoder route as the reference.
 """
 
@@ -35,6 +39,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -170,33 +175,69 @@ def summarize(blocks: Iterable[Block]) -> dict:
 
 
 _ORDER = attrgetter("check_id", "d1")
-_INF = float("inf")
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))  # float.__repr__ of nan, inf, -inf
 
 
-def _json_margin(margin: Optional[float]) -> str:
-    """A margin as json.dumps(allow_nan=False) writes it; float.__repr__
+class _Memo(dict):
+    """A dict that computes each missing value once, as fn(key)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _csv_field(text: str) -> str:
+    """text quoted exactly as csv.writer quotes it, as the second field of a
+    two-field row: a lone empty field would be written as '""', an empty
+    field among others as nothing, which is what every report row needs."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(("x", text))
+    return buf.getvalue()[2:-1]
+
+
+def _margin_texts(margins: Sequence[Optional[float]], none: str) -> list:
+    """float.__repr__ of each margin, none for a None; float.__repr__
     keeps a numpy.float64 a plain float."""
-    if margin is None:
-        return "null"
-    if margin != margin or margin == _INF or margin == -_INF:
-        raise ValueError("Out of range float values are not JSON compliant: "
-                         + repr(margin))
-    return float.__repr__(margin)
+    repr_ = float.__repr__
+    try:
+        return list(map(repr_, margins))
+    except TypeError:  # a None among them
+        return [none if m is None else repr_(m) for m in margins]
 
 
-class _CsvFields(dict):
-    """Memo of string fields quoted exactly as csv.writer quotes them.
+def _render_rows(blocks: Sequence[Block], lead, mid, tail, none: str,
+                 finite: bool = False) -> Iterator[str]:
+    """The rows of each non-empty block as one string.
 
-    Each text is quoted as the second field of a two-field row: a lone
-    empty field would be written as '""', an empty field among others as
-    nothing, which is what every report row needs.
+    A row is lead(block), its d2, mid(block), its margin and tail((status,
+    note)), so each block is assembled column by column: the d2 texts are
+    made once per d2 column object (the blocks of a sweep column or a prove
+    chain share one), the tails once per (status, note) pair of the render,
+    and the margin texts in one pass.  finite rejects inf and nan margins as
+    json.dumps(allow_nan=False) does, naming the first in row order.
     """
-
-    def __missing__(self, text: str) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(("x", text))
-        field = self[text] = buf.getvalue()[2:-1]
-        return field
+    d2_texts: dict = {}  # id(d2s) -> (d2s, its texts); d2s held so no id is reused
+    tails = _Memo(tail)
+    for b in blocks:
+        if not b:
+            continue
+        held = d2_texts.get(id(b.d2s))
+        if held is None:
+            held = d2_texts[id(b.d2s)] = (b.d2s, list(map("%d".__mod__, b.d2s)))
+        margins = _margin_texts(b.margins, none)
+        if finite and not _NON_FINITE.isdisjoint(margins):
+            i = next(i for i, t in enumerate(margins) if t in _NON_FINITE)
+            raise ValueError("Out of range float values are not JSON compliant: "
+                             + repr(b.margins[i]))
+        yield "".join(chain.from_iterable(zip(
+            repeat(lead(b)), held[1], repeat(mid(b)), margins,
+            map(tails.__getitem__, zip(b.statuses, b.notes)))))
 
 
 def render_csv(blocks: Sequence[Block], header: Mapping[str, object],
@@ -211,17 +252,12 @@ def render_csv(blocks: Sequence[Block], header: Mapping[str, object],
             f"# spec: {spec}\n"
             "# summary: " + " ".join(f"{k}={summary[k]}" for k in _BUCKETS) + "\n"
             + ",".join(CSV_COLUMNS) + "\n")
-    quoted = _CsvFields()
-    repr_ = float.__repr__
     parts = [head]
-    for b in blocks:
-        lead = "%s,%d," % (quoted[b.check_id], b.d1)
-        parts.append("".join([
-            "%s%d,%s,%s,%s\n" % (
-                lead, d2, "" if margin is None else repr_(margin),
-                "true" if status == "pass" else "false", quoted[note])
-            for d2, margin, status, note in zip(b.d2s, b.margins, b.statuses,
-                                                b.notes)]))
+    parts += _render_rows(
+        blocks, lambda b: "%s,%d," % (_csv_field(b.check_id), b.d1), lambda b: ",",
+        lambda sn: ",%s,%s\n" % ("true" if sn[0] == "pass" else "false",
+                                  _csv_field(sn[1])),
+        "")
     return "".join(parts)
 
 
@@ -241,21 +277,17 @@ def render_json(blocks: Sequence[Block], header: Mapping[str, object],
     # '\n}' of the header block and the opening '{' of the summary block
     parts = [top("header", {"tool": "varcomp", **header})[:-2] + ',\n  "rows": [']
     enc = encode_basestring_ascii
-    for b in blocks:
-        if not b:
-            continue
-        # one row at depth 2 of the indent=2 payload, keys in sorted order,
-        # preceded by its ',' separator
-        lead = ',\n    {\n      "check_id": %s,\n      "d1": %d,\n      "d2": ' % (
-            enc(b.check_id), b.d1)
-        mid = ',\n      "exploratory": %s,\n      "margin": ' % (
-            "true" if b.exploratory else "false")
-        parts.append("".join([
-            '%s%d%s%s,\n      "note": %s,\n      "pass": %s\n    }' % (
-                lead, d2, mid, _json_margin(margin), enc(note),
-                "true" if status == "pass" else "false")
-            for d2, margin, status, note in zip(b.d2s, b.margins, b.statuses,
-                                                b.notes)]))
+    # one row at depth 2 of the indent=2 payload, keys in sorted order,
+    # preceded by its ',' separator
+    parts += _render_rows(
+        blocks,
+        lambda b: ',\n    {\n      "check_id": %s,\n      "d1": %d,\n      "d2": ' % (
+            enc(b.check_id), b.d1),
+        lambda b: ',\n      "exploratory": %s,\n      "margin": ' % (
+            "true" if b.exploratory else "false"),
+        lambda sn: ',\n      "note": %s,\n      "pass": %s\n    }' % (
+            enc(sn[1]), "true" if sn[0] == "pass" else "false"),
+        "null", finite=True)
     if len(parts) > 1:
         parts[1] = parts[1][1:]  # no separator before the first row
         parts.append("\n  ]")

@@ -316,6 +316,33 @@ def test_range_bounds_at_or_above_2_62_are_usage_errors(argv, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+_NO_FLOAT = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["varprob", "--dist", "f", "--d1", "1", "--d2", _NO_FLOAT],
+    ["varprob", "--dist", "chisq", "--k", _NO_FLOAT],
+    ["endpoints", "--d1", _NO_FLOAT, "--d2", "10"],
+    ["oracle", "--d1", "1", "--d2", _NO_FLOAT, "--samples", "10000"],
+    ["sweep", "--d1", "1", "--check", "limit", "--d2-large", _NO_FLOAT],
+], ids=["varprob_f", "varprob_chisq", "endpoints", "oracle", "sweep_limit"])
+def test_degrees_of_freedom_too_large_for_a_float_are_domain_errors(argv, capsys):
+    # exit 1 means a failed check: a df float() cannot hold is one error
+    # line and exit 2, never an OverflowError traceback
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "must convert to a float" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_varprob_at_a_huge_but_float_sized_d2(capsys):
+    code, out, _ = run_cli("varprob", "--dist", "f", "--d1", "3", "--d2",
+                           "100000000000000000000", "--format", "json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["prob"] == 0.9076623667059479
+
+
 def test_oracle_agrees_at_huge_d2(capsys):
     # log_beta keeps full precision at b = 5e11, so the quadrature route
     # agrees with the analytic one

@@ -203,6 +203,14 @@ def test_coefficient_column_adds_d2_plus_2_in_integers(d1):
                        lambda i, d2: coefficient_sign_checks(d1, d2))
 
 
+@pytest.mark.parametrize("d1", range(1, 5))
+def test_steps_column_adds_d2_plus_2_in_integers(d1):
+    # the step forms' d2 + 2 too: as the float d2 + 2.0, affine_power_step
+    # (d1 = 1), product_step_lower (d1 = 3) and poly_power_step_lower
+    # (d1 = 4) differ from the scalar route at 2**53 + 1
+    assert_steps_match_scalar(d1, [2 ** 53 + 1, 2 ** 53 + 3])
+
+
 def test_coefficient_column_rejects_what_the_scalar_route_rejects():
     ends = band_endpoints_column(2, [5, 6])
     for d1 in (2, 4):

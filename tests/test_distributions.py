@@ -33,6 +33,17 @@ def test_params_validation():
     assert FParams(np.int64(3), np.int64(7)).d1 == 3  # integral numpy scalars ok
 
 
+def test_params_reject_what_float_cannot_hold():
+    # 2**1024 - 2**970 is the first integer float() rounds to infinity
+    edge = 2 ** 1024 - 2 ** 970
+    assert float(FParams(1, edge - 1).d2) == 1.7976931348623157e308
+    for make in (lambda n: FParams(1, n), lambda n: FParams(n, 5),
+                 lambda n: ChiSquareParams(n)):
+        for n in (edge, 2 ** 1024, 10 ** 400):
+            with pytest.raises(DomainError, match="must convert to a float"):
+                make(n)
+
+
 def test_f_mean():
     assert f_mean(FParams(4, 6)) == 1.5
     assert f_mean(FParams(1, 4)) == 2.0

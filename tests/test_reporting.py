@@ -2,12 +2,14 @@ import csv
 import io
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import varcomp.cli
+import varcomp.programs
 from varcomp import FParams
 from varcomp.cli import main
 from varcomp.programs import certificate_rows, explore_rows, prove_rows, table_rows
@@ -27,6 +29,7 @@ from varcomp.reporting import (
     summarize,
     write_report,
 )
+from varcomp.varband import STRICTNESS_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +384,49 @@ def test_render_json_rejects_non_finite_margins(margin):
         [Row("a", 1, 5, 0.5, "pass"), Row("b", 1, 5, float(margin), "fail")]), HEADER)
 
 
+def test_render_json_names_the_first_non_finite_margin_in_row_order():
+    inf, nan = float("inf"), float("nan")
+    mixed = margin_block("b", 1, [5, 6, 7, 8, 9],
+                         (0.5, None, np.float64("nan"), -inf, None), 0.0)
+    for blocks in ([mixed],
+                   [margin_block("c", 1, [5], [nan], 0.0), mixed,
+                    margin_block("a", 2, [5, 6, 7], [None, None, inf], 0.0)],
+                   [margin_block("a", 1, [5, 6], [None, 0.25], 0.0), mixed]):
+        with pytest.raises(ValueError) as want:
+            reference_json(blocks, HEADER)
+        with pytest.raises(ValueError) as got:
+            render_json(blocks, HEADER)
+        assert str(got.value) == str(want.value)
+
+
+def d2_columns():
+    """Strictly ascending d2s, as a list or as a range."""
+    ranges = st.builds(lambda lo, n, step: range(lo, lo + n * step, step),
+                       st.integers(-10, 10**9), st.integers(1, 6), st.integers(1, 10**6))
+    return st.sets(st.integers(-10, 10**9), min_size=1, max_size=6).map(sorted) | ranges
+
+
 @st.composite
 def block_lists(draw):
-    """Blocks with distinct (check_id, d1) and strictly ascending d2s."""
+    """Blocks with distinct (check_id, d1) and strictly ascending d2s; some
+    share one d2s object, as a sweep column's or a prove chain's blocks do,
+    and some hold their margins as a tuple, as rows_from_outcome does."""
     keys = draw(st.lists(st.tuples(st.text(max_size=8), st.integers(-10, 10**6)),
                          unique=True, max_size=6))
+    shared = draw(st.none() | d2_columns())
     blocks = []
     for check_id, d1 in keys:
-        d2s = sorted(draw(st.sets(st.integers(-10, 10**9), min_size=1, max_size=6)))
+        if shared is not None and draw(st.booleans()):
+            d2s = shared
+        else:
+            d2s = draw(d2_columns())
         column = st.lists(st.tuples(
             st.none() | st.floats(allow_nan=False, allow_infinity=False),
             st.sampled_from(STATUSES), st.text(max_size=12)),
             min_size=len(d2s), max_size=len(d2s))
         margins, statuses, notes = map(list, zip(*draw(column)))
+        if draw(st.booleans()):
+            margins = tuple(margins)
         blocks.append(Block(check_id, d1, d2s, margins, statuses, notes,
                             draw(st.booleans())))
     return blocks
@@ -405,17 +438,46 @@ def test_renderers_match_reference_on_random_rows(blocks):
     assert_renderers_match_reference(blocks)
 
 
+def long_prove_chain(d1: int) -> list:
+    # the chain through the column kernels, its blocks sharing one d2s list
+    with mock.patch.object(varcomp.programs, "_COLUMN_MIN", 5):
+        return prove_rows(d1, 300)
+
+
 @pytest.mark.parametrize("make_blocks", [
     lambda: prove_rows(3, 60),
     lambda: table_rows() + certificate_rows(),
     lambda: explore_rows(5, range(7, 80)) + explore_rows(6, range(7, 80)),
     # undefined series forms below d2 = 7: a note per row
     lambda: explore_rows(24, range(3, 80)),
-], ids=["prove_rows_3", "tables_and_certificates", "explore_5_6", "explore_24"])
+    # a sweep column's blocks share one d2s list
+    *[lambda d1=d1: varcomp.cli._sweep_column(d1, 5, 300, ("bound", "monotone", "steps"),
+                                              1e-12) for d1 in range(1, 5)],
+    *[lambda d1=d1: long_prove_chain(d1) for d1 in range(1, 5)],
+], ids=["prove_rows_3", "tables_and_certificates", "explore_5_6", "explore_24",
+        *[f"sweep_column_{d1}" for d1 in range(1, 5)],
+        *[f"long_prove_chain_{d1}" for d1 in range(1, 5)]])
 def test_renderers_match_reference_on_real_reports(make_blocks):
     blocks = make_blocks()
     assert_one_block_per_claim(blocks)
     assert_renderers_match_reference(blocks)
+
+
+def grid_large_blocks() -> list:
+    # sweep --d1 1..4 --d2 5..20000 --check bound,monotone,steps
+    return [block for d1 in range(1, 5)
+            for block in varcomp.cli._sweep_column(
+                d1, 5, 20_000, ("bound", "monotone", "steps"), STRICTNESS_FLOOR)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("make_blocks, render, reference", [
+    (grid_large_blocks, render_csv, reference_csv),
+    (lambda: prove_rows(4, 30_000), render_json, reference_json),
+], ids=["grid_large_csv", "prove_deep_d1_4_json"])
+def test_renderers_match_reference_at_full_scale(make_blocks, render, reference):
+    blocks = make_blocks()
+    assert render(blocks, HEADER) == reference(blocks, HEADER)
 
 
 # ---------------------------------------------------------------------------
