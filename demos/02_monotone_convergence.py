@@ -25,11 +25,11 @@ for d1 in (1, 2, 3, 4):
     print(f"  {'d2':>6} {'band':>12} {'step to d2+2':>13}")
     for d2 in (5, 7, 9, 15, 25, 51, 101, 401, 1001, 10001):
         prob = variation_probability(f_dist(d1, d2))
-        step = check_monotone_step(FParams(d1, d2)).margin
+        step = check_monotone_step(FParams(d1, d2)).margins[0]
         print(f"  {d2:>6} {prob:>12.8f} {step:>13.3e}")
     out = check_limit(d1, 10_000)
-    print(f"  limit check at d2=10^4: margin {out.margin:.3e} "
-          f"-> {'PASS' if out.passed else 'FAIL'}")
+    print(f"  limit check at d2=10^4: margin {out.margins[0]:.3e} "
+          f"-> {'PASS' if out.statuses == ['pass'] else 'FAIL'}")
     print()
 
 print("the monotone step stays positive across the whole desk-scale grid;")

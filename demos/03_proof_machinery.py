@@ -24,8 +24,8 @@ print("reference table of the upper-edge log form h4 (increasing):")
 for y in range(3, 13):
     print(f"  h4({y:>2}) = {aux_eval(AuxFn.H4, y):+.5f}")
 out = monotone_table_check(AuxFn.H4, range(3, 201), "increasing")
-print(f"sampled monotone increase over 3..200: margin {out.margin:.3e} "
-      f"-> {'PASS' if out.passed else 'FAIL'}")
+print(f"sampled monotone increase over 3..200: margin {out.margins[0]:.3e} "
+      f"-> {'PASS' if out.statuses == ['pass'] else 'FAIL'}")
 print()
 
 print("positivity certificates (all coefficients positive => positive for r >= 0):")

@@ -15,7 +15,7 @@ print("band margins over the normal baseline in the conjectured region:")
 for d1 in (5, 7, 9, 12):
     for d2 in (5, 9, 33):
         out = check_bound(FParams(d1, d2))
-        print(f"  d1={d1:>2} d2={d2:>2}: margin {out.margin:+.6f}  ({out.note})")
+        print(f"  d1={d1:>2} d2={d2:>2}: margin {out.margins[0]:+.6f}  ({out.notes[0]})")
 print()
 
 print("odd d1: truncated-binomial sufficient bounds (exploratory):")

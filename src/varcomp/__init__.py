@@ -24,7 +24,7 @@ from .errors import (
     ToleranceNotMetError,
     VarcompError,
 )
-from .reporting import Row
+from .reporting import Block
 from .specfun import (
     log_beta,
     log_gamma,

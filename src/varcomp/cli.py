@@ -26,8 +26,8 @@ A grid or chain too large for the process to hold is an input error: one
 ``error:`` line and exit 2, like a domain error.
 
 Every report is a list of ``reporting.Block``s, one per claim and d1: each
-kernel column becomes one block as it is, and ``prove`` prints its
-PASS/INCONCLUSIVE/FAIL line per claim from that claim's block.
+kernel column, and each limit check's one-row block, is one block as it is,
+and ``prove`` prints its PASS/INCONCLUSIVE/FAIL line per claim from it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .programs import (
 )
 from .reporting import (
     margin_block,
-    rows_from_outcome,
     rows_from_step_report,
     summarize,
     write_report,
@@ -255,7 +254,7 @@ def _cmd_sweep(ns) -> int:
             blocks += _sweep_column(d1, d2_lo, d2_hi, checks, ns.floor)
     if "limit" in checks:
         for d1 in d1_values:
-            blocks += rows_from_outcome([check_limit(d1, ns.d2_large, ns.limit_tol)], d1)
+            blocks.append(check_limit(d1, ns.d2_large, ns.limit_tol))
     if "tables" in checks:
         blocks += table_rows(ns.floor)
         blocks += certificate_rows()

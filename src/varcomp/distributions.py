@@ -27,13 +27,17 @@ __all__ = [
 ]
 
 
+#: The least integer that float() rejects: it rounds to 2**1024.
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
 def _as_positive_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     value = int(value)
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")
-    if value >= 2 ** 1024 - 2 ** 970:  # float(value) would overflow
+    if value >= _FLOAT_LIMIT:
         raise DomainError(f"{name} must convert to a float (below about 1.8e308), "
                           f"got a {value.bit_length()}-bit integer")
     return value
@@ -99,7 +103,10 @@ def f_variance(p: FParams) -> float:
     if p.d2 <= 4:
         raise MomentUndefinedError(f"variance undefined for d2 <= 4 (d2={p.d2})")
     d1, d2 = p.d1, p.d2
-    return 2.0 * d2 * d2 * (d1 + d2 - 2) / (d1 * (d2 - 2) ** 2 * (d2 - 4))
+    num, den = 2.0 * d2 * d2 * (d1 + d2 - 2), d1 * (d2 - 2) ** 2 * (d2 - 4)
+    if num == math.inf or den >= _FLOAT_LIMIT:
+        raise DomainError(f"the variance of F({d1:.6g}, {d2:.6g}) overflows a float")
+    return num / den
 
 
 def cdf(d: Dist, x: float) -> float:

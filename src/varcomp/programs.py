@@ -3,7 +3,8 @@ certificates, per-case step programs, and the exploratory scans for d1 >= 5.
 
 Everything returns report blocks (``reporting.Block``), one per claim and
 d1, so the CLI (or a notebook) can batch, sort and emit them; nothing here
-prints or exits.
+prints or exits; the one-row blocks of a claim's single checks are joined
+into its block by ``reporting.rows_from_outcome``.
 
 A step chain (``prove_rows`` over d2 = 5..d2_max, ``explore_rows``) runs the
 scalar per-point evaluators, whose form -> margin maps are gathered into
@@ -166,10 +167,10 @@ def _boundary_rows(d1: int, first_d2: int) -> list:
                    f"first d2 with d > c is {first_d2}" if ok else "boundary mismatch")]
 
 
-def _closed_form_rows(d2_values: Iterable[int], rel_tol: float = 1e-10) -> list:
+def _closed_form_rows(d2_values: Iterable[int]) -> list:
     """For numerator df 2 the upper-edge integral is elementary:
     d2 * integral_a^b (1-t)^(d2/2-1) dt = 2 (1-a)^(d2/2) [1 - ((1-b)/(1-a))^(d2/2)].
-    The quadrature oracle must match that closed form to rel_tol."""
+    The quadrature oracle must match that closed form to 1e-10, relatively."""
     worst = 0.0
     for d2 in d2_values:
         ep = band_endpoints(FParams(2, d2))
@@ -177,20 +178,21 @@ def _closed_form_rows(d2_values: Iterable[int], rel_tol: float = 1e-10) -> list:
         closed = 2.0 * math.exp(0.5 * d2 * math.log1p(-ep.a)) * (
             1.0 - math.exp(0.5 * d2 * (math.log1p(-ep.b) - math.log1p(-ep.a))))
         worst = max(worst, abs(quad - closed) / abs(closed))
-    return [_claim("upper_edge_closed_form", 2, 0, rel_tol - worst,
+    return [_claim("upper_edge_closed_form", 2, 0, 1e-10 - worst,
                    "quadrature vs elementary antiderivative")]
 
 
-def _g2_consistency_rows(ys: Iterable[int], rel_tol: float = 1e-9) -> list:
+def _g2_consistency_rows(ys: Iterable[int]) -> list:
+    """The two transcriptions of g2 must agree to 1e-9, relatively."""
     worst = 0.0
     for y in ys:
         ga, gb = g2(float(y)), g2_expanded(float(y))
         worst = max(worst, abs(ga - gb) / max(abs(ga), abs(gb)))
-    return [_claim("g2_expansion_consistency", 3, 0, rel_tol - worst,
+    return [_claim("g2_expansion_consistency", 3, 0, 1e-9 - worst,
                    "two transcriptions of the same factor agree")]
 
 
-def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> list:
+def _log_form_rows(d1: int, d2_values: Iterable[int]) -> list:
     """Weld checks between the aux log forms and the endpoint inequalities.
 
     The reduced power/log inequalities are exactly the statement that an aux
@@ -205,6 +207,7 @@ def _log_form_rows(d1: int, d2_values: Iterable[int], rel_tol: float = 1e-9) -> 
     A transcription slip on either side shows up as a residual far above
     roundoff, so these margins certify the reduction steps themselves.
     """
+    rel_tol = 1e-9
     fn = {1: h1, 2: h2, 3: h3}.get(d1)
     blocks = []
     worst = 0.0
@@ -294,8 +297,8 @@ def prove_rows(d1: int, d2_max: int = 400,
             return _step_blocks(d1, d2s, form_at, floor)
         return rows_from_step_report(d1, d2s, column(d1, d2s, *ends), floor)
 
-    def add(row):
-        blocks.extend(rows_from_outcome([row], d1))
+    def add(block):
+        blocks.extend(rows_from_outcome([block], d1))
 
     if d1 == 1:
         add(monotone_table_check(AuxFn.H1, _grid(3, dense_hi), "decreasing", floor))

@@ -26,9 +26,9 @@ differentiation (exact to machine precision, no cancellation).  The
 derivative-sign checks exposed to the verifier use sampled strict
 monotonicity plus a five-point finite-difference screen instead.
 
-The checks below return one ``reporting.Row`` each, classified by
-``reporting.margin_row``.  Its d1 and d2 are 0, since each is a claim about a
-function of y alone; a program stamps its own (d1, d2) on the row.
+The checks below return a one-row ``reporting.Block`` each, made by
+``reporting.margin_block``.  Its d1 and d2 are 0, since each is a claim about
+a function of y alone; ``reporting.rows_from_outcome`` stamps a program's on it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from ..errors import DomainError
-from ..reporting import Row, margin_row
+from ..reporting import Block, margin_block
 from ..varband import STRICTNESS_FLOOR
 
 __all__ = [
@@ -342,7 +342,7 @@ def _table_mismatches(f: AuxFn, ys: Sequence[float], values: Sequence[float]):
 
 
 def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str,
-                         floor: float = STRICTNESS_FLOOR) -> Row:
+                         floor: float = STRICTNESS_FLOOR) -> Block:
     """Strict sampled monotonicity of f over ys, cross-checked against the
     reference table where one exists (1e-5 tolerance)."""
     if direction not in ("increasing", "decreasing"):
@@ -359,19 +359,19 @@ def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str,
             f"y={y}: got {v:.6g}, expected {r:.6g}" for y, v, r, _ in mismatches)
     else:
         note = "" if not GOLDEN_TABLES.get(f) else "table values reproduced"
-    return margin_row(f"{f.value}_{direction}", 0, 0, margin, floor, note,
-                      holds=not mismatches)
+    return margin_block(f"{f.value}_{direction}", 0, [0], [margin], floor, note,
+                        holds=not mismatches)
 
 
 def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
-                          step: float = 1e-5,
-                          floor: float = STRICTNESS_FLOOR) -> Row:
+                          floor: float = STRICTNESS_FLOOR) -> Block:
     """Secondary screen: the five-point finite-difference derivative at each
     y must have the expected sign; margin is the worst signed derivative."""
     if expected_sign not in (-1, 1):
         raise DomainError("expected_sign must be -1 or +1")
     ys = [float(y) for y in ys]
     y_min = _REGISTRY[f].y_min
+    step = 1e-5
     worst = math.inf
     for y in ys:
         if y - 2.0 * step < y_min:
@@ -379,12 +379,12 @@ def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
         fd = (-aux_eval(f, y + 2 * step) + 8.0 * aux_eval(f, y + step)
               - 8.0 * aux_eval(f, y - step) + aux_eval(f, y - 2 * step)) / (12.0 * step)
         worst = min(worst, expected_sign * fd)
-    return margin_row(f"{f.value}_derivative_sign", 0, 0, worst, floor,
-                      "finite-difference secondary check")
+    return margin_block(f"{f.value}_derivative_sign", 0, [0], [worst], floor,
+                        "finite-difference secondary check")
 
 
 def value_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
-                     floor: float = STRICTNESS_FLOOR) -> Row:
+                     floor: float = STRICTNESS_FLOOR) -> Block:
     """Sampled sign of f over ys: margin is the worst expected_sign * f(y)."""
     if expected_sign not in (-1, 1):
         raise DomainError("expected_sign must be -1 or +1")
@@ -393,10 +393,10 @@ def value_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
         raise DomainError("need at least one sample point")
     margin = min(expected_sign * aux_eval(f, y) for y in ys)
     suffix = "negative" if expected_sign < 0 else "positive"
-    return margin_row(f"{f.value}_{suffix}", 0, 0, margin, floor)
+    return margin_block(f"{f.value}_{suffix}", 0, [0], [margin], floor)
 
 
-def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Row:
+def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Block:
     """Agreement of the two v evaluation routes plus the sign program.
 
     Computes v directly from c_of/d_of and independently as g1/g2, requires
@@ -417,8 +417,8 @@ def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Row:
     if not direct > 0.0:
         problems.append(f"v({y}) = {direct:.6g} not positive")
     note = "; ".join(problems) if problems else "two evaluation routes agree"
-    return margin_row("v_rational_consistency", 0, 0, rel_tol - rel, 0.0, note,
-                      holds=not problems)
+    return margin_block("v_rational_consistency", 0, [0], [rel_tol - rel], 0.0, note,
+                        holds=not problems)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +513,7 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 
 
-def algebra_identity_check(name: str, ys: Sequence[float]) -> Row:
+def algebra_identity_check(name: str, ys: Sequence[float]) -> Block:
     """Residual of a named prefactor identity over sampled y.
 
     margin = rel_tol - max relative residual between the prefactor-multiplied
@@ -538,4 +538,4 @@ def algebra_identity_check(name: str, ys: Sequence[float]) -> Row:
         if slack < 0.0:
             bound_ok = False
     note = "" if bound_ok else "trailing polynomial bound violated"
-    return margin_row(name, 0, 0, rel_tol - worst_rel, 0.0, note, holds=bound_ok)
+    return margin_block(name, 0, [0], [rel_tol - worst_rel], 0.0, note, holds=bound_ok)

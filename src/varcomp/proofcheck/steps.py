@@ -94,22 +94,22 @@ def _boundary_term(x: float, d1: int, d2: int) -> float:
     return 2.0 * math.exp(0.5 * d1 * math.log(x) + 0.5 * d2 * math.log1p(-x))
 
 
-def check_step_inequalities(p: FParams, quad_tol: float = _QUAD_TOL) -> Margins:
+def check_step_inequalities(p: FParams) -> Margins:
     """Margin of every step-inequality form at (d1, d2)."""
     if p.d2 < 5:
         raise DomainError(f"step inequalities require d2 >= 5, got d2={p.d2}")
     ep = band_endpoints(p)
-    return step_inequalities_at(p.d1, p.d2, ep.a, ep.b, ep.c, ep.d, quad_tol)
+    return step_inequalities_at(p.d1, p.d2, ep.a, ep.b, ep.c, ep.d)
 
 
-def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float, d: float,
-                         quad_tol: float = _QUAD_TOL) -> Margins:
+def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float,
+                         d: float) -> Margins:
     """``check_step_inequalities`` at (d1, d2) given its endpoint images
     a, b, c, d (from ``band_endpoints`` or ``band_endpoints_column``)."""
     a2, b2 = 0.5 * d1, 0.5 * d2
 
-    upper_int = d2 * quad_beta_integral(a2, b2, a, b, quad_tol).value
-    lower_int = d2 * _signed_beta_integral(a2, b2, c, d, quad_tol)
+    upper_int = d2 * quad_beta_integral(a2, b2, a, b, _QUAD_TOL).value
+    lower_int = d2 * _signed_beta_integral(a2, b2, c, d, _QUAD_TOL)
     term_a = _boundary_term(a, d1, d2)
     term_c = _boundary_term(c, d1, d2)
 
@@ -151,8 +151,7 @@ def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float, d: floa
     return margins
 
 
-def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d,
-                             quad_tol: float = _QUAD_TOL) -> Dict[str, list]:
+def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[str, list]:
     """``step_inequalities_at(d1, d2s[i], a[i], b[i], c[i], d[i])`` for every
     i, as one map from form to the list of its margins over the column.
 
@@ -180,7 +179,7 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d,
     use = np.stack((np.ones_like(lower), lower), axis=1).ravel()
     ints = np.zeros(lo.shape)
     ints[use] = quad_beta_integral_column(a2, np.repeat(b2, 2)[use], lo[use], hi[use],
-                                          quad_tol)
+                                          _QUAD_TOL)
     upper_int = n2 * ints[0::2]
     lower_int = n2 * np.where(rev, -ints[1::2], ints[1::2])
     term_a = _boundary_term_column(a, d1, b2)

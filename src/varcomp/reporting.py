@@ -1,16 +1,17 @@
 """Report blocks, the one verdict rule, summary buckets, and deterministic
 CSV/JSON emission.
 
-A report is a list of ``Block``s, exactly one per (check_id, d1): a claim
-over ascending d2s, with a signed margin, a status and a note per d2.  So
-ordering the blocks by (check_id, d1) orders the rows by (check_id, d1, d2).
-Iterating a block yields its rows as ``Row``s, the record of one check.
+A ``Block`` is the one record of a result: a claim at one d1 over
+ascending d2s, with a signed margin, a status and a note per d2.  A check of
+a single claim returns a one-row block, and a report is a list of blocks,
+exactly one per (check_id, d1), so ordering the blocks by (check_id, d1)
+orders the rows by (check_id, d1, d2).
 
-Every status comes from ``margin_block`` (``margin_row`` is its one-row
-case): a row passes iff its side conditions hold and its signed margin
-beats the strictness floor, is inconclusive iff they hold and the margin is
-within the floor, fails otherwise, and is not applicable when it has no
-margin.  ``summarize`` counts the statuses block by block, and every row of
+Every status comes from ``margin_block``, a block's only constructor: a row
+passes iff its side conditions hold and its signed margin beats the
+strictness floor, is inconclusive iff they hold and the margin is within
+the floor, fails otherwise, and is not applicable when it has no margin.
+``summarize`` counts the statuses block by block, and every row of
 an exploratory block in a bucket of its own.
 
 The CSV schema is fixed: columns check_id,d1,d2,margin,pass,note with the
@@ -47,9 +48,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 __all__ = [
     "STATUSES",
     "Block",
-    "Row",
     "margin_block",
-    "margin_row",
     "rows_from_outcome",
     "rows_from_step_report",
     "summarize",
@@ -60,27 +59,9 @@ __all__ = [
 
 CSV_COLUMNS = ("check_id", "d1", "d2", "margin", "pass", "note")
 
-#: Row statuses; with "exploratory" they are the summary buckets.
+#: Statuses of a report row; with "exploratory" they are the summary buckets.
 STATUSES = ("pass", "fail", "inconclusive", "not_applicable")
 _BUCKETS = STATUSES + ("exploratory",)
-
-
-@dataclass(frozen=True, slots=True)
-class Row:
-    """One report line: a signed margin (None for a form that does not
-    apply) and its status, one of ``STATUSES``; make it with ``margin_row``."""
-
-    check_id: str
-    d1: int
-    d2: int
-    margin: Optional[float]
-    status: str
-    note: str = ""
-    exploratory: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,10 +79,6 @@ class Block:
 
     def __len__(self) -> int:
         return len(self.d2s)
-
-    def __iter__(self) -> Iterator[Row]:
-        for cells in zip(self.d2s, self.margins, self.statuses, self.notes):
-            yield Row(self.check_id, self.d1, *cells, self.exploratory)
 
 
 def margin_block(check_id: str, d1: int, d2s: Sequence[int],
@@ -130,24 +107,17 @@ def margin_block(check_id: str, d1: int, d2s: Sequence[int],
     return Block(check_id, d1, d2s, margins, statuses, notes, exploratory)
 
 
-def margin_row(check_id: str, d1: int, d2: int, margin: Optional[float],
-               floor: float, note: str = "", exploratory: bool = False,
-               holds: bool = True) -> Row:
-    """The one-row case of ``margin_block``, for a check of a single claim."""
-    (row,) = margin_block(check_id, d1, (d2,), (margin,), floor, note,
-                          exploratory, holds)
-    return row
-
-
-def rows_from_outcome(rows: Sequence[Row], d1: int,
+def rows_from_outcome(blocks: Sequence[Block], d1: int,
                       d2s: Optional[Sequence[int]] = None) -> list:
-    """The block of the rows of one claim, each from a check of its own,
-    stamped with the d1 (and d2s, where given) of the program that runs
-    them; an auxiliary check is a function of y alone and leaves its own d1
-    and d2 at 0."""
-    margins, statuses, notes = zip(*[(r.margin, r.status, r.note) for r in rows])
-    return [Block(rows[0].check_id, d1, [r.d2 for r in rows] if d2s is None else list(d2s),
-                  margins, statuses, notes, rows[0].exploratory)]
+    """The one-row blocks of one claim, each from a check of its own, joined
+    into one block stamped with the d1 (and d2s, where given) of the program
+    that runs them; an auxiliary check is a function of y alone and leaves
+    its own d1 and d2 at 0."""
+    columns = [list(chain.from_iterable(map(attrgetter(name), blocks)))
+               for name in ("d2s", "margins", "statuses", "notes")]
+    if d2s is not None:
+        columns[0] = list(d2s)
+    return [Block(blocks[0].check_id, d1, *columns, blocks[0].exploratory)]
 
 
 def rows_from_step_report(d1: int, d2s: Sequence[int],

@@ -384,7 +384,13 @@ def _gamma_series(s: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) <= abs(total) * _REL_TOL + _ABS_TOL:
-            return total * math.exp(_ln_gamma_front(s, x))
+            # the terms left fall by x / (ap + 1) or more each: a tail bound
+            # above the sum means _ABS_TOL cut it short (1/s near _ABS_TOL)
+            front = math.exp(_ln_gamma_front(s, x))
+            if front and term * x >= total * (ap + 1.0 - x):
+                raise ConvergenceError("incomplete gamma series stopped with a tail "
+                                       f"bound above its sum (s={s}, x={x})")
+            return total * front
     raise ConvergenceError(
         f"incomplete gamma series did not converge within {_MAX_ITER} "
         f"iterations (s={s}, x={x})"
@@ -394,6 +400,9 @@ def _gamma_series(s: float, x: float) -> float:
 def _gamma_cf(s: float, x: float) -> float:
     """Continued fraction for the regularized upper incomplete gamma Q(s, x)."""
     b = x + 1.0 - s
+    if b == 0.0:  # x >= s + 1 only because s + 1 rounds to s
+        raise ConvergenceError(f"incomplete gamma continued fraction cannot start: "
+                               f"x + 1 - s rounds to 0 (s={s}, x={x})")
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d

@@ -28,8 +28,8 @@ the reference route.  ``band_endpoints_column`` and
 numpy (the grid sweep's fast route); they repeat the scalar arithmetic in the
 same order and agree with it bit for bit.
 
-``check_bound``, ``check_monotone_step`` and ``check_limit`` return one
-``reporting.Row`` each, classified by ``reporting.margin_row``.
+``check_bound``, ``check_monotone_step`` and ``check_limit`` return a
+one-row ``reporting.Block`` each, classified by ``reporting.margin_block``.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import ChiSquare, Dist, FDist, FParams, StdNormal, f_mean, f_variance
+from .distributions import (_FLOAT_LIMIT, ChiSquare, Dist, FDist, FParams, StdNormal,
+                            f_mean, f_variance)
 from .errors import DomainError, MomentUndefinedError
-from .reporting import Row, margin_row
+from .reporting import Block, margin_block
 from .specfun import (
     reg_inc_beta,
     reg_inc_beta_column,
@@ -120,6 +121,8 @@ def band_endpoints(p: FParams) -> Endpoints:
     d1, d2 = p.d1, p.d2
     if d2 < 5:
         raise DomainError(f"band endpoints require d2 >= 5, got d2={d2}")
+    if d1 * (d2 - 2) >= _FLOAT_LIMIT:
+        raise DomainError(f"the band endpoints of F({d1:.6g}, {d2:.6g}) overflow a float")
     r1 = math.sqrt(2.0 * (d1 + d2) / (d1 * (d2 - 2)))
     r2 = math.sqrt(2.0 * (d1 + d2 - 2) / (d1 * (d2 - 4)))
     a = d1 / (d1 + d2 / (1.0 + r1))
@@ -220,6 +223,8 @@ NORMAL_BAND = normal_band_probability()
 
 def chi_square_band_probability(k: int) -> float:
     """P{|G - k| <= sqrt(2k)} for G ~ chi-square(k)."""
+    if 2 * k >= _FLOAT_LIMIT:
+        raise DomainError(f"the chi-square band of k={k:.6g} overflows a float")
     sd = math.sqrt(2.0 * k)
     hi = reg_lower_gamma(0.5 * k, 0.5 * (k + sd))
     lo = reg_lower_gamma(0.5 * k, 0.5 * (k - sd)) if k - sd > 0.0 else 0.0
@@ -263,7 +268,7 @@ def variation_probability_column(d1: int, d2):
     return prob
 
 
-def check_bound(p: FParams, floor: float = 0.0) -> Row:
+def check_bound(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
     """Margin of the band probability over the normal baseline 2 Phi(1) - 1.
 
     Outside d1 in {1, 2, 3, 4} the claim is conjectured, not proved, and the
@@ -271,20 +276,20 @@ def check_bound(p: FParams, floor: float = 0.0) -> Row:
     """
     margin = variation_probability(FDist(p)) - NORMAL_BAND
     expl = p.d1 not in PROVED_D1
-    return margin_row("bound_exceeds_normal", p.d1, p.d2, margin, floor,
-                      "exploratory" if expl else "", expl)
+    return margin_block("bound_exceeds_normal", p.d1, [p.d2], [margin], floor,
+                        "exploratory" if expl else "", expl)
 
 
-def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR) -> Row:
+def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
     """Margin of the step decrease: band prob at (d1, d2) minus at (d1, d2+2)."""
     here = variation_probability(FDist(p))
     next_ = variation_probability(FDist(FParams(p.d1, p.d2 + 2)))
     expl = p.d1 not in PROVED_D1
-    return margin_row("step_decreasing", p.d1, p.d2, here - next_, floor,
-                      "exploratory" if expl else "", expl)
+    return margin_block("step_decreasing", p.d1, [p.d2], [here - next_], floor,
+                        "exploratory" if expl else "", expl)
 
 
-def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Row:
+def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Block:
     """Agreement of the band probability at large d2 with its chi-square limit.
 
     F(d1, d2) converges in distribution to chi-square(d1)/d1, so the band
@@ -295,5 +300,5 @@ def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Row:
         raise DomainError(f"limit check requires d2_large >= 1000, got {d2_large}")
     f_val = variation_probability(FDist(FParams(d1, d2_large)))
     chi_val = chi_square_band_probability(d1)
-    return margin_row("limit_matches_chi_square", d1, d2_large,
-                      tol - abs(f_val - chi_val), 0.0)
+    return margin_block("limit_matches_chi_square", d1, [d2_large],
+                        [tol - abs(f_val - chi_val)], 0.0)

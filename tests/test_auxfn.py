@@ -53,33 +53,33 @@ def test_domain_enforcement():
 
 def test_monotone_tables():
     out = monotone_table_check(AuxFn.H2, [3, 4, 5], "decreasing")
-    assert out.passed and "table" in out.note
+    assert out.statuses == ["pass"] and "table" in out.notes[0]
     out = monotone_table_check(AuxFn.H4, range(3, 13), "increasing")
-    assert out.passed
+    assert out.statuses == ["pass"]
     out = monotone_table_check(AuxFn.H3, range(3, 13), "decreasing")
-    assert out.passed
+    assert out.statuses == ["pass"]
     # wrong direction must fail with a negative margin
     out = monotone_table_check(AuxFn.H3, range(3, 13), "increasing")
-    assert not out.passed and out.margin < 0
+    assert out.statuses != ["pass"] and out.margins[0] < 0
 
 
 def test_monotonicity_beyond_tables():
-    assert monotone_table_check(AuxFn.H1, range(3, 201), "decreasing").passed
-    assert monotone_table_check(AuxFn.H2, range(5, 201), "decreasing").passed
-    assert monotone_table_check(AuxFn.H3, range(12, 201), "decreasing").passed
-    assert monotone_table_check(AuxFn.H4, range(12, 201), "increasing").passed
-    assert monotone_table_check(AuxFn.R4, range(15, 201), "decreasing").passed
-    assert monotone_table_check(AuxFn.KFUN, range(5, 201), "decreasing").passed
-    assert monotone_table_check(AuxFn.G1, range(25, 34), "decreasing").passed
+    assert monotone_table_check(AuxFn.H1, range(3, 201), "decreasing").statuses == ["pass"]
+    assert monotone_table_check(AuxFn.H2, range(5, 201), "decreasing").statuses == ["pass"]
+    assert monotone_table_check(AuxFn.H3, range(12, 201), "decreasing").statuses == ["pass"]
+    assert monotone_table_check(AuxFn.H4, range(12, 201), "increasing").statuses == ["pass"]
+    assert monotone_table_check(AuxFn.R4, range(15, 201), "decreasing").statuses == ["pass"]
+    assert monotone_table_check(AuxFn.KFUN, range(5, 201), "decreasing").statuses == ["pass"]
+    assert monotone_table_check(AuxFn.G1, range(25, 34), "decreasing").statuses == ["pass"]
 
 
 def test_derivative_sign_secondary_checks():
-    assert derivative_sign_check(AuxFn.H1, [4, 10, 50], -1).passed
-    assert derivative_sign_check(AuxFn.H2, [6, 20, 100], -1).passed
-    assert derivative_sign_check(AuxFn.H3, [13, 40, 150], -1).passed
-    assert derivative_sign_check(AuxFn.H4, [13, 40, 150], 1).passed
-    assert derivative_sign_check(AuxFn.R4, [16, 40, 150], -1).passed
-    assert derivative_sign_check(AuxFn.KFUN, [6, 30], -1).passed
+    assert derivative_sign_check(AuxFn.H1, [4, 10, 50], -1).statuses == ["pass"]
+    assert derivative_sign_check(AuxFn.H2, [6, 20, 100], -1).statuses == ["pass"]
+    assert derivative_sign_check(AuxFn.H3, [13, 40, 150], -1).statuses == ["pass"]
+    assert derivative_sign_check(AuxFn.H4, [13, 40, 150], 1).statuses == ["pass"]
+    assert derivative_sign_check(AuxFn.R4, [16, 40, 150], -1).statuses == ["pass"]
+    assert derivative_sign_check(AuxFn.KFUN, [6, 30], -1).statuses == ["pass"]
     with pytest.raises(DomainError):
         derivative_sign_check(AuxFn.R4, [15], -1)  # stencil exits the domain
 
@@ -88,19 +88,19 @@ def test_derivative_sign_check_uses_the_verdict_rule():
     # h1 decreases, so its derivative at 100 (about -2.02e-4) has the wrong
     # sign for an increase claim: that fails, however small it is
     out = derivative_sign_check(AuxFn.H1, [100], +1)
-    assert out.margin == pytest.approx(-2.02e-4, rel=1e-2)
-    assert not out.passed
-    assert out.status == "fail"
+    assert out.margins[0] == pytest.approx(-2.02e-4, rel=1e-2)
+    assert out.statuses != ["pass"]
+    assert out.statuses == ["fail"]
     # the program's floor classifies the margin like any other
-    assert derivative_sign_check(AuxFn.H1, [100], -1, floor=1e-3).status == "inconclusive"
+    assert derivative_sign_check(AuxFn.H1, [100], -1, floor=1e-3).statuses == ["inconclusive"]
 
 
 def test_bound_function_signs():
-    assert value_sign_check(AuxFn.L1, range(3, 201), -1).passed
-    assert value_sign_check(AuxFn.L2, range(5, 201), -1).passed
-    assert value_sign_check(AuxFn.L3, range(12, 201), -1).passed
-    assert value_sign_check(AuxFn.L4, range(12, 201), -1).passed
-    assert value_sign_check(AuxFn.Q4, range(15, 201), 1).passed
+    assert value_sign_check(AuxFn.L1, range(3, 201), -1).statuses == ["pass"]
+    assert value_sign_check(AuxFn.L2, range(5, 201), -1).statuses == ["pass"]
+    assert value_sign_check(AuxFn.L3, range(12, 201), -1).statuses == ["pass"]
+    assert value_sign_check(AuxFn.L4, range(12, 201), -1).statuses == ["pass"]
+    assert value_sign_check(AuxFn.Q4, range(15, 201), 1).statuses == ["pass"]
 
 
 def test_bound_functions_bound_the_derivatives():
@@ -132,7 +132,7 @@ def test_algebra_identities():
     assert set(grids) == set(IDENTITY_IDS)
     for name, ys in grids.items():
         out = algebra_identity_check(name, ys)
-        assert out.passed, (name, out)
+        assert out.statuses == ["pass"], (name, out)
     with pytest.raises(DomainError):
         algebra_identity_check("unknown", [10])
     with pytest.raises(DomainError):
@@ -142,8 +142,8 @@ def test_algebra_identities():
 def test_v_consistency_range():
     for y in range(25, 41):
         out = rational_V_consistency(y)
-        assert out.passed, (y, out)
-        assert out.margin > 0.0
+        assert out.statuses == ["pass"], (y, out)
+        assert out.margins[0] > 0.0
     with pytest.raises(DomainError):
         rational_V_consistency(24.0)
 
@@ -174,5 +174,5 @@ def test_c_d_match_integer_endpoints():
 
 def test_v_matches_ratio_closely():
     out = rational_V_consistency(30.0)
-    rel = 1e-9 - out.margin
+    rel = 1e-9 - out.margins[0]
     assert rel < 1e-11  # two routes agree far inside the tolerance

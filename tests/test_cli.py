@@ -12,7 +12,7 @@ from varcomp import FParams, __version__, check_bound, check_monotone_step
 from varcomp.cli import main
 from varcomp.programs import _COLUMN_MIN, PROVED_D1_CASES
 from varcomp.proofcheck.steps import check_step_inequalities
-from varcomp.reporting import margin_row, render_csv, rows_from_outcome, summarize
+from varcomp.reporting import margin_block, render_csv, rows_from_outcome, summarize
 
 
 def run_cli(*argv, capsys=None):
@@ -73,8 +73,8 @@ def test_sweep_csv_schema_and_exit(tmp_path, capsys):
 
 def test_sweep_matches_scalar_per_cell_path(monkeypatch, tmp_path, capsys):
     # every row of the column kernel's blocks must be, field for field, the
-    # row the scalar reference checks give at its cell, and the report must
-    # be, byte for byte, the one those cells make
+    # one-row block the scalar reference checks give at its cell, and the
+    # report must be, byte for byte, the one those cells make
     seen = []
     monkeypatch.setattr(varcomp.cli, "summarize",
                         lambda blocks: seen.append(blocks) or summarize(blocks))
@@ -84,29 +84,30 @@ def test_sweep_matches_scalar_per_cell_path(monkeypatch, tmp_path, capsys):
             "bound,monotone,steps", "--exploratory", "--floor", repr(floor)]
     assert run_cli(*args, "--out", str(out_path), capsys=capsys)[0] == 0
     (blocks,) = seen
-    cells: dict = {}  # (check_id, d1) -> the scalar rows over d2 5..40
+    cells: dict = {}  # (check_id, d1) -> the scalar one-row blocks over d2 5..40
     for d1 in range(1, 7):
         expl = d1 not in PROVED_D1_CASES
         for d2 in range(5, 41):
             p = FParams(d1, d2)
-            rows = [check_bound(p, floor=floor), check_monotone_step(p, floor=floor)]
-            rows += [margin_row(form, d1, d2, margin, floor, "", expl)
+            outs = [check_bound(p, floor=floor), check_monotone_step(p, floor=floor)]
+            outs += [margin_block(form, d1, [d2], [margin], floor, "", expl)
                      for form, margin in check_step_inequalities(p).items()]
-            for row in rows:
-                cells.setdefault((row.check_id, d1), []).append(row)
+            for out in outs:
+                cells.setdefault((out.check_id, d1), []).append(out)
 
-    def fields(row):
-        return (row.check_id, row.d1, row.d2, repr(row.margin), row.status,
-                row.note, row.exploratory)
+    def fields(blocks):
+        return [(b.check_id, b.d1, d2, repr(margin), status, note, b.exploratory)
+                for b in blocks
+                for d2, margin, status, note in zip(b.d2s, b.margins, b.statuses, b.notes)]
 
-    assert {(b.check_id, b.d1): [fields(r) for r in b] for b in blocks} == {
-        key: [fields(r) for r in rows] for key, rows in cells.items()}
+    assert {(b.check_id, b.d1): fields([b]) for b in blocks} == {
+        key: fields(outs) for key, outs in cells.items()}
     header = {"version": __version__, "spec": {
         "command": "sweep", "d1": "1..6", "d2": "5..40",
         "checks": ["bound", "monotone", "steps"], "floor": floor,
         "d2_large": 10_000, "limit_tol": 1e-3, "exploratory": True}}
-    scalar_blocks = [block for (_, d1), rows in cells.items()
-                     for block in rows_from_outcome(rows, d1, range(5, 41))]
+    scalar_blocks = [block for (_, d1), outs in cells.items()
+                     for block in rows_from_outcome(outs, d1, range(5, 41))]
     assert out_path.read_text() == render_csv(scalar_blocks, header)
 
 
@@ -334,6 +335,38 @@ def test_degrees_of_freedom_too_large_for_a_float_are_domain_errors(argv, capsys
     assert out == ""
     assert "must convert to a float" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--d1", "1", "--d2", str(10 ** 160), "--samples", "10000"],
+     "error: the variance of F(1, 1e+160) overflows a float"),
+    (["endpoints", "--d1", str(10 ** 308), "--d2", "10"],
+     "error: the band endpoints of F(1e+308, 10) overflow a float"),
+], ids=["oracle_variance", "endpoints"])
+def test_degree_of_freedom_products_too_large_for_a_float_are_domain_errors(
+        argv, message, capsys):
+    # each df converts to a float, but a product of them formed for a float
+    # division does not: one error line and exit 2, never a traceback
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_chisq_band_at_huge_k_is_an_error_not_a_value(capsys):
+    # from k near 2e15 up the lower-gamma series cannot converge in binary64:
+    # the band is a ConvergenceError (or, once 2k overflows, a DomainError),
+    # never the 0.8413 the truncated series gave
+    ks = [1_999_990_000_000_000, 1_999_999_000_000_000]
+    ks += [10 ** e for e in range(16, 309)] + [2 ** 1023 - 2 ** 969, 2 ** 1024 - 2 ** 971]
+    for k in ks:
+        code, out, err = run_cli("varprob", "--dist", "chisq", "--k", str(k),
+                                 capsys=capsys)
+        assert (code, out) == (2, ""), k
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, k
+    code, out, _ = run_cli("varprob", "--dist", "chisq", "--k", "1000", capsys=capsys)
+    assert code == 0 and float(out) == pytest.approx(0.6828509764095, abs=1e-12)
 
 
 def test_varprob_at_a_huge_but_float_sized_d2(capsys):

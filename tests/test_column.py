@@ -5,6 +5,7 @@ import pytest
 
 import varcomp.oracle
 import varcomp.programs
+import varcomp.proofcheck.steps
 import varcomp.specfun
 from varcomp import (
     ConvergenceError,
@@ -126,13 +127,13 @@ def assert_forms_match(got, d2s, want_at):
         assert [_hex(got[form][i]) for form in want] == [_hex(v) for v in want.values()], d2
 
 
-def assert_steps_match_scalar(d1, d2_values, quad_tol=1e-13):
+def assert_steps_match_scalar(d1, d2_values):
     d2s = [int(v) for v in d2_values]
     a, b, c, d = band_endpoints_column(d1, d2s)
     assert_forms_match(
-        step_inequalities_column(d1, d2s, a, b, c, d, quad_tol), d2s,
+        step_inequalities_column(d1, d2s, a, b, c, d), d2s,
         lambda i, d2: step_inequalities_at(d1, d2, float(a[i]), float(b[i]),
-                                           float(c[i]), float(d[i]), quad_tol))
+                                           float(c[i]), float(d[i])))
     if d1 in (1, 3):
         # the coefficient signs, against their scalar route from FParams on
         assert_forms_match(coefficient_sign_column(d1, d2s, a, b, c, d), d2s,
@@ -227,19 +228,20 @@ def _raised(fn):
     return str(exc), _hex(exc.value), _hex(exc.error_bound)
 
 
-def test_tolerance_not_met_parity():
+def test_tolerance_not_met_parity(monkeypatch):
     # at an unattainable tolerance the column raises what the scalar route
     # raises first, message and best value alike.  At 1e-28 the d1 = 3 upper
     # integral at d2 = 5000 converges and the lower one does not, while the
     # upper integral at d2 = 80 fails too: the point order decides.
     for d2s, tol in (([11, 12, 13, 14], 1e-300), ([5000, 80], 1e-28)):
+        monkeypatch.setattr(varcomp.proofcheck.steps, "_QUAD_TOL", tol)
         a, b, c, d = band_endpoints_column(3, d2s)
 
         def scalar():
             for i, d2 in enumerate(d2s):
-                step_inequalities_at(3, d2, a[i], b[i], c[i], d[i], tol)
+                step_inequalities_at(3, d2, a[i], b[i], c[i], d[i])
 
-        column = _raised(lambda: step_inequalities_column(3, d2s, a, b, c, d, tol))
+        column = _raised(lambda: step_inequalities_column(3, d2s, a, b, c, d))
         assert column == _raised(scalar)
     assert f"[{float(c[0])!r}, {float(d[0])!r}]" in column[0]  # lower, d2 = 5000
 

@@ -1,27 +1,35 @@
 import csv
+import inspect
 import io
 import json
-from dataclasses import replace
+from typing import NamedTuple, Optional
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import varcomp
 import varcomp.cli
 import varcomp.programs
-from varcomp import FParams
+from varcomp import FParams, check_bound, check_limit, check_monotone_step
 from varcomp.cli import main
 from varcomp.programs import certificate_rows, explore_rows, prove_rows, table_rows
-from varcomp.proofcheck import check_step_inequalities
+from varcomp.proofcheck import (
+    AuxFn,
+    algebra_identity_check,
+    check_step_inequalities,
+    derivative_sign_check,
+    monotone_table_check,
+    rational_V_consistency,
+    value_sign_check,
+)
 from varcomp.reporting import (
     _BUCKETS,
     CSV_COLUMNS,
     STATUSES,
     Block,
-    Row,
     margin_block,
-    margin_row,
     render_csv,
     render_json,
     rows_from_outcome,
@@ -37,8 +45,25 @@ from varcomp.varband import STRICTNESS_FLOOR
 # which a report of blocks must reproduce
 # ---------------------------------------------------------------------------
 
+class Row(NamedTuple):
+    """One report line, as the row route walks it."""
+
+    check_id: str
+    d1: int
+    d2: int
+    margin: Optional[float]
+    status: str
+    note: str = ""
+    exploratory: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+
 def flatten(blocks) -> list:
-    return [row for block in blocks for row in block]
+    return [Row(b.check_id, b.d1, *cells, b.exploratory) for b in blocks
+            for cells in zip(b.d2s, b.margins, b.statuses, b.notes)]
 
 
 def sort_rows(rows) -> list:
@@ -61,8 +86,9 @@ def blocks_of(rows) -> list:
     groups: dict = {}
     for row in sorted(rows, key=lambda r: r.d2):
         groups.setdefault((row.check_id, row.d1), []).append(row)
-    return [block for (_, d1), group in groups.items()
-            for block in rows_from_outcome(group, d1, [r.d2 for r in group])]
+    return [Block(check_id, d1, [r.d2 for r in group], [r.margin for r in group],
+                  [r.status for r in group], [r.note for r in group], group[0].exploratory)
+            for (check_id, d1), group in groups.items()]
 
 
 def assert_one_block_per_claim(blocks):
@@ -91,27 +117,34 @@ def test_bucket_precedence():
     assert _BUCKETS == STATUSES + ("exploratory",)
 
 
-def test_margin_row_is_the_one_verdict_rule():
+def one_row(margin, floor, note="", exploratory=False, holds=True) -> Row:
+    """The row of the one-row block margin_block makes at (d1, d2) = (1, 5)."""
+    (row,) = flatten([margin_block("x", 1, [5], [margin], floor, note, exploratory,
+                                   holds)])
+    return row
+
+
+def test_margin_block_is_the_one_verdict_rule():
     floor = 1e-12
-    row = margin_row("x", 1, 5, 2e-12, floor, "n")
+    row = one_row(2e-12, floor, "n")
     assert (row.status, row.passed, row.note) == ("pass", True, "n")
-    row = margin_row("x", 1, 5, -1e-12, floor, "n")
+    row = one_row(-1e-12, floor, "n")
     assert (row.status, row.passed, row.note) == ("inconclusive", False, "n; inconclusive")
-    assert margin_row("x", 1, 5, 1e-12, floor).note == "inconclusive"
-    assert margin_row("x", 1, 5, -2e-12, floor).status == "fail"
-    assert margin_row("x", 1, 5, float("nan"), floor).status == "fail"
+    assert one_row(1e-12, floor).note == "inconclusive"
+    assert one_row(-2e-12, floor).status == "fail"
+    assert one_row(float("nan"), floor).status == "fail"
     # a side condition that does not hold fails the row whatever the margin
-    row = margin_row("x", 1, 5, 1.0, floor, "table mismatch", holds=False)
+    row = one_row(1.0, floor, "table mismatch", holds=False)
     assert (row.status, row.note) == ("fail", "table mismatch")
-    assert margin_row("x", 1, 5, 0.0, floor, holds=False).status == "fail"
-    row = margin_row("x", 1, 5, None, floor, "not applicable", True)
+    assert one_row(0.0, floor, holds=False).status == "fail"
+    row = one_row(None, floor, "not applicable", True)
     assert (row.status, row.exploratory, row.passed) == ("not_applicable", True, False)
     # floor 0 for tolerance-style margins: only an exact zero is inconclusive
-    assert margin_row("x", 1, 5, 5e-324, 0.0).status == "pass"
-    assert margin_row("x", 1, 5, 0.0, 0.0).status == "inconclusive"
+    assert one_row(5e-324, 0.0).status == "pass"
+    assert one_row(0.0, 0.0).status == "inconclusive"
 
 
-def test_margin_block_is_margin_row_down_a_column():
+def test_margin_block_column_is_its_one_row_blocks():
     floor = 1e-12
     margins = [2e-12, -1e-12, 1e-12, -2e-12, float("nan"), None, 0.0, 5e-324, -0.0]
     d2s = list(range(5, 5 + len(margins)))
@@ -119,22 +152,19 @@ def test_margin_block_is_margin_row_down_a_column():
         for holds in (True, False):
             for expl in (False, True):
                 block = margin_block("x", 2, d2s, margins, floor, note, expl, holds)
-                assert list(block) == [margin_row("x", 2, d2, m, floor, note, expl, holds)
-                                       for d2, m in zip(d2s, margins)]
+                assert flatten([block]) == flatten(
+                    [margin_block("x", 2, [d2], [m], floor, note, expl, holds)
+                     for d2, m in zip(d2s, margins)])
     # a note per row
     notes = ["a", "", "b", "c", "d", "", "e", "", "f"]
     block = margin_block("x", 2, d2s, margins, floor, notes)
-    assert list(block) == [margin_row("x", 2, d2, m, floor, n)
-                           for d2, m, n in zip(d2s, margins, notes)]
+    assert flatten([block]) == flatten([margin_block("x", 2, [d2], [m], floor, n)
+                                        for d2, m, n in zip(d2s, margins, notes)])
     # the columns are held as given, not copied
     assert block.d2s is d2s and block.margins is margins
 
 
-def test_row_is_a_frozen_slotted_record():
-    row = Row("x", 1, 5, 0.5, "pass")
-    assert not hasattr(row, "__dict__")
-    with pytest.raises(AttributeError):
-        row.status = "fail"
+def test_block_is_a_frozen_slotted_record():
     block = margin_block("x", 1, [5], [0.5], 0.0)
     assert not hasattr(block, "__dict__")
     with pytest.raises(AttributeError):
@@ -159,19 +189,89 @@ def test_summary_counts_sum_to_row_count():
 def test_rows_from_outcome_stamps_program_coordinates():
     # an auxiliary check is a function of y alone; the program supplies
     # (d1, d2) and nothing else about the row changes
-    out = margin_row("claim", 0, 0, 0.25, 0.0, "note")
-    ((row,),) = rows_from_outcome([out], 3, [44])
+    out = margin_block("claim", 0, [0], [0.25], 0.0, "note")
+    (block,) = rows_from_outcome([out], 3, [44])
+    (row,) = flatten([block])
     assert (row.d1, row.d2, row.margin, row.passed) == (3, 44, 0.25, True)
     assert (row.check_id, row.status, row.note, row.exploratory) == (
         "claim", "pass", "note", False)
-    ((row,),) = rows_from_outcome([margin_row("claim", 0, 0, -1.0, 0.0)], 2)
+    (block,) = rows_from_outcome([margin_block("claim", 0, [0], [-1.0], 0.0)], 2)
+    (row,) = flatten([block])
     assert (row.d1, row.d2, row.status) == (2, 0, "fail")
     # one claim checked at several y is one block
-    outs = [margin_row("v", 0, 0, 0.5, 0.0, "ok"),
-            margin_row("v", 0, 0, 0.5, 0.0, "bad", holds=False)]
+    outs = [margin_block("v", 0, [0], [0.5], 0.0, "ok"),
+            margin_block("v", 0, [0], [0.5], 0.0, "bad", holds=False)]
     (block,) = rows_from_outcome(outs, 3, [25, 26])
-    assert [(r.d1, r.d2, r.status, r.note) for r in block] == [
+    assert [(r.d1, r.d2, r.status, r.note) for r in flatten([block])] == [
         (3, 25, "pass", "ok"), (3, 26, "fail", "bad")]
+
+
+def test_rows_from_outcome_joins_the_one_row_blocks_of_checks():
+    # an aux check keeps d1 = d2 = 0 until a program stamps its d1 on it
+    out = value_sign_check(AuxFn.L3, range(12, 40), -1)
+    assert (out.d1, out.d2s) == (0, [0])
+    (block,) = rows_from_outcome([out], 3)
+    assert flatten([block]) == [row._replace(d1=3) for row in flatten([out])]
+    # the v checks of the d1 = 3 program: one block over the program's d2s
+    ys = [25, 26, 27]
+    outs = [rational_V_consistency(y) for y in ys]
+    (block,) = rows_from_outcome(outs, 3, ys)
+    assert flatten([block]) == [flatten([out])[0]._replace(d1=3, d2=y)
+                                for y, out in zip(ys, outs)]
+    # checks at (d1, d2) keep their own d2s when none are given
+    outs = [check_monotone_step(FParams(2, d2)) for d2 in (5, 6, 7)]
+    (block,) = rows_from_outcome(outs, 2)
+    assert flatten([block]) == [row for out in outs for row in flatten([out])]
+    assert block.d2s == [5, 6, 7] and block.statuses == ["pass"] * 3
+
+
+#: Each single check: the function, its arguments but the floor, and the
+#: (d1, d2) of its row.  The last three take no floor: their margins are
+#: tolerance-style, at floor 0.
+SINGLE_CHECKS = {
+    "check_bound": (check_bound, (FParams(3, 9),), (3, 9)),
+    "check_monotone_step": (check_monotone_step, (FParams(4, 17),), (4, 17)),
+    "monotone_table_check": (
+        monotone_table_check, (AuxFn.H3, range(3, 13), "decreasing"), (0, 0)),
+    "derivative_sign_check": (derivative_sign_check, (AuxFn.H1, [4, 10], -1), (0, 0)),
+    "value_sign_check": (value_sign_check, (AuxFn.L2, range(5, 30), -1), (0, 0)),
+    "check_limit": (check_limit, (2, 10_000), (2, 10_000)),
+    "rational_V_consistency": (rational_V_consistency, (30,), (0, 0)),
+    "algebra_identity_check": (
+        algebra_identity_check, ("l2_prefactor_identity", range(5, 20)), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(SINGLE_CHECKS))
+def test_each_single_check_returns_a_one_row_block(name):
+    fn, args, (d1, d2) = SINGLE_CHECKS[name]
+    params = inspect.signature(fn).parameters
+    takes_floor = "floor" in params
+    if takes_floor:
+        # every floor default is the strictness floor
+        assert params["floor"].default == STRICTNESS_FLOOR
+        outs = {floor: fn(*args, floor=floor) for floor in (STRICTNESS_FLOOR, 1.0)}
+    else:
+        outs = {0.0: fn(*args)}
+    for floor, out in outs.items():
+        assert type(out) is Block
+        assert (len(out), out.d1, list(out.d2s)) == (1, d1, [d2])
+        (margin,), (status,), (note,) = out.margins, out.statuses, out.notes
+        # margin_block's rule, the side conditions of these samples holding
+        assert status == ("pass" if margin > floor
+                          else "inconclusive" if abs(margin) <= floor else "fail")
+        assert note.endswith("inconclusive") == (status == "inconclusive")
+    # each passes at the strictness floor, and a floor above its margin makes
+    # it inconclusive
+    assert [out.statuses[0] for out in outs.values()] == (
+        ["pass", "inconclusive"] if takes_floor else ["pass"])
+
+
+def test_package_exports_the_one_result_record():
+    assert varcomp.Block is Block
+    assert not hasattr(varcomp, "Row")
+    assert not hasattr(varcomp.reporting, "Row")
+    assert not hasattr(varcomp.reporting, "margin_row")
 
 
 def test_rows_from_step_report_floor():
@@ -318,7 +418,7 @@ EDGE_ROWS = [
 
 
 def many_edge_rows(copies: int) -> list:
-    return [replace(r, d2=r.d2 + 100 * i) for i in range(copies) for r in EDGE_ROWS]
+    return [r._replace(d2=r.d2 + 100 * i) for i in range(copies) for r in EDGE_ROWS]
 
 
 def test_renderers_match_reference_on_edge_rows():
@@ -410,7 +510,7 @@ def d2_columns():
 def block_lists(draw):
     """Blocks with distinct (check_id, d1) and strictly ascending d2s; some
     share one d2s object, as a sweep column's or a prove chain's blocks do,
-    and some hold their margins as a tuple, as rows_from_outcome does."""
+    and some hold their margins as a tuple."""
     keys = draw(st.lists(st.tuples(st.text(max_size=8), st.integers(-10, 10**6)),
                          unique=True, max_size=6))
     shared = draw(st.none() | d2_columns())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from varcomp import (
     reg_lower_gamma,
     std_normal_cdf,
 )
+from varcomp.varband import chi_square_band_probability
 
 
 def test_log_gamma_small_integers():
@@ -177,6 +179,27 @@ def test_reg_lower_gamma_domain():
     with pytest.raises(DomainError):
         reg_lower_gamma(1.0, -0.5)
     assert reg_lower_gamma(2.0, math.inf) == 1.0
+
+
+def test_chi_square_band_is_bit_identical_for_k_up_to_2000():
+    # the series' tail guard raises or leaves a value as it was: the digest
+    # (sha256 of the space-joined float.hex of each band probability) is that
+    # of the series before the guard
+    text = " ".join(chi_square_band_probability(k).hex() for k in range(1, 2001))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f3642308282c2aa47ba5613c3e4d8142877724ce3a36701ee24acde25d708f1c")
+
+
+def test_gamma_series_cut_short_by_the_absolute_tolerance_fails_loud():
+    # at s = 5e15 the first term 1/s is below the absolute tolerance, so the
+    # stop rule ends the sum at once; near x = s its tail is far above it
+    s = 5e15
+    for x in (s - 1e9, s - 3.0 * math.sqrt(s), s - 1.0):
+        with pytest.raises(ConvergenceError, match="tail bound above its sum"):
+            reg_lower_gamma(s, x)
+    # where the front factor underflows the value is 0 whatever the sum
+    assert reg_lower_gamma(s, 0.8 * s) == 0.0 == float(special.gammainc(s, 0.8 * s))
+    assert reg_lower_gamma(s, 1.0) == 0.0
 
 
 def test_std_normal_cdf_symmetry_and_anchor():

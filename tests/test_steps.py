@@ -71,7 +71,7 @@ def test_step_integral_equiv_monotone_step():
     from varcomp.specfun import log_beta
     for (d1, d2) in [(1, 9), (2, 14), (3, 25), (4, 17), (4, 44)]:
         margins = check_step_inequalities(FParams(d1, d2))
-        prob_margin = check_monotone_step(FParams(d1, d2)).margin
+        prob_margin = check_monotone_step(FParams(d1, d2)).margins[0]
         scale = d2 * math.exp(log_beta(0.5 * d1, 0.5 * d2))
         assert margins["step_integral"] / scale == pytest.approx(
             prob_margin, rel=1e-6)
@@ -82,7 +82,7 @@ def test_chain_consistency_implication():
     for d1 in (1, 2, 3, 4):
         for d2 in range(5, 120):
             if holds(check_step_inequalities(FParams(d1, d2))):
-                assert check_monotone_step(FParams(d1, d2)).margin > 0.0, (d1, d2)
+                assert check_monotone_step(FParams(d1, d2)).margins[0] > 0.0, (d1, d2)
 
 
 def test_domain_guards():

@@ -120,26 +120,26 @@ def test_variation_band_limits():
 
 
 def test_check_bound():
-    assert check_bound(FParams(1, 5)).passed
+    assert check_bound(FParams(1, 5)).statuses == ["pass"]
     out = check_bound(FParams(4, 1000))
-    assert out.passed
+    assert out.statuses == ["pass"]
     # at d2 = 1000 the margin is close to the chi-square(4) limit margin
     limit_margin = chi_square_band_probability(4) - NORMAL_BAND
-    assert out.margin == pytest.approx(limit_margin, abs=2e-3)
+    assert out.margins[0] == pytest.approx(limit_margin, abs=2e-3)
     expl = check_bound(FParams(12, 7))
-    assert expl.passed and expl.note == "exploratory"
+    assert expl.statuses == ["pass"] and expl.notes == ["exploratory"]
 
 
 def test_check_monotone_step():
-    assert check_monotone_step(FParams(2, 5)).passed
-    assert check_monotone_step(FParams(4, 17)).passed
+    assert check_monotone_step(FParams(2, 5)).statuses == ["pass"]
+    assert check_monotone_step(FParams(4, 17)).statuses == ["pass"]
     out = check_monotone_step(FParams(9, 50))
-    assert out.note == "exploratory"
-    assert out.margin > 0.0
+    assert out.notes == ["exploratory"]
+    assert out.margins[0] > 0.0
 
 
 def test_check_limit():
-    assert check_limit(1, 10_000).passed
-    assert check_limit(4, 10_000).passed
+    assert check_limit(1, 10_000).statuses == ["pass"]
+    assert check_limit(4, 10_000).statuses == ["pass"]
     with pytest.raises(DomainError):
         check_limit(4, 10)
