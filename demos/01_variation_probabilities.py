@@ -11,8 +11,7 @@ from varcomp import (
     FParams,
     NORMAL_BAND,
     band_endpoints,
-    chi_square,
-    f_dist,
+    chi_square_band_probability,
     f_mean,
     f_variance,
     variation_band,
@@ -24,22 +23,22 @@ print()
 
 print("chi-square bands P{|X - k| <= sqrt(2k)}:")
 for k in (1, 2, 3, 4, 8, 16, 64):
-    print(f"  k={k:>3}: {variation_probability(chi_square(k)):.10f}")
+    print(f"  k={k:>3}: {chi_square_band_probability(k):.10f}")
 print()
 
 print("F-distribution bands P{|X - E| <= sd} and their margins over the baseline:")
 print(f"  {'d1':>3} {'d2':>4} {'E':>8} {'sd':>8} {'band':>12} {'margin':>10}")
 for (d1, d2) in [(1, 5), (1, 100), (2, 7), (3, 25), (4, 12), (4, 17), (10, 30)]:
     p = FParams(d1, d2)
-    prob = variation_probability(f_dist(d1, d2))
+    prob = variation_probability(p)
     print(f"  {d1:>3} {d2:>4} {f_mean(p):>8.4f} {f_variance(p) ** 0.5:>8.4f} "
           f"{prob:>12.8f} {prob - NORMAL_BAND:>10.6f}")
 print()
 
 print("the band in x-space is [max(0, E - sd), E + sd]; for heavy-tailed")
-print("cases the lower limit clips at zero:")
+print("cases the lower limit clips at zero, and so does its beta-space image d:")
 for (d1, d2) in [(4, 12), (11, 5)]:
-    band = variation_band(FParams(d1, d2))
+    lower, upper = variation_band(FParams(d1, d2))
     ep = band_endpoints(FParams(d1, d2))
-    print(f"  F({d1},{d2}): band [{band.lower:.4f}, {band.upper:.4f}], "
-          f"beta-space images b={ep.b:.4f} d={ep.d:.4f}, region {ep.region.name}")
+    print(f"  F({d1},{d2}): band [{lower:.4f}, {upper:.4f}], "
+          f"beta-space images b={ep.b:.4f} d={ep.d:.4f}")

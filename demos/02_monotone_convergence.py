@@ -14,7 +14,6 @@ from varcomp import (
     check_limit,
     check_monotone_step,
     chi_square_band_probability,
-    f_dist,
     variation_probability,
 )
 
@@ -24,7 +23,7 @@ for d1 in (1, 2, 3, 4):
           f"(margin over baseline {chi_val - NORMAL_BAND:+.6f})")
     print(f"  {'d2':>6} {'band':>12} {'step to d2+2':>13}")
     for d2 in (5, 7, 9, 15, 25, 51, 101, 401, 1001, 10001):
-        prob = variation_probability(f_dist(d1, d2))
+        prob = variation_probability(FParams(d1, d2))
         step = check_monotone_step(FParams(d1, d2)).margins[0]
         print(f"  {d2:>6} {prob:>12.8f} {step:>13.3e}")
     out = check_limit(d1, 10_000)

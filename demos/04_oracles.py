@@ -10,13 +10,13 @@ by substitution).
 
 import math
 
-from varcomp import FParams, f_dist, log_beta, variation_probability
+from varcomp import FParams, log_beta, variation_probability
 from varcomp.oracle import mc_variation_probability, quad_beta_integral
 from varcomp.varband import band_endpoints
 
 for (d1, d2) in [(1, 5), (4, 12), (6, 100)]:
     p = FParams(d1, d2)
-    analytic = variation_probability(f_dist(d1, d2))
+    analytic = variation_probability(p)
 
     mc = mc_variation_probability(p, 1_000_000, seed=42)
     sigma = abs(analytic - mc.estimate) / mc.stderr

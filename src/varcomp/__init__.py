@@ -4,19 +4,7 @@ machine-checks the inequality program showing the F band probability
 exceeds the normal baseline for small numerator degrees of freedom.
 """
 
-from .distributions import (
-    ChiSquare,
-    ChiSquareParams,
-    Dist,
-    FDist,
-    FParams,
-    StdNormal,
-    cdf,
-    chi_square,
-    f_dist,
-    f_mean,
-    f_variance,
-)
+from .distributions import FParams, chi_square_cdf, f_cdf, f_mean, f_variance
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -33,18 +21,15 @@ from .specfun import (
     std_normal_cdf,
 )
 from .varband import (
-    ConditionRegion,
     Endpoints,
     NORMAL_BAND,
     STRICTNESS_FLOOR,
-    VariationBand,
     band_endpoints,
     check_bound,
     check_limit,
     check_monotone_step,
     chi_square_band_probability,
     d_exceeds_c,
-    normal_band_probability,
     variation_band,
     variation_probability,
 )

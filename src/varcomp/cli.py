@@ -2,7 +2,8 @@
 
 Commands
 --------
-varprob    print the variation probability of one distribution
+varprob    print the variation probability of one distribution: the F, chi-square
+           or normal band, each from its degrees of freedom
 endpoints  varprob for an F distribution with the endpoint details
 sweep      run selected checks over a (d1, d2) grid, emit a CSV/JSON report
 prove      run the full verification program for one case d1 in {1,2,3,4}
@@ -10,7 +11,9 @@ oracle     cross-validate the analytic value against Monte Carlo and quadrature
 explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
-failed, 2 usage, domain, I/O or out-of-memory error.
+failed, 2 usage, domain, I/O or out-of-memory error.  Every input error of a
+command, its own checks and the library's domain errors alike, is a
+``VarcompError`` that ``main`` prints as one ``error:`` line.
 
 A sweep runs serially, one d1 column at a time: the column's endpoint images
 and band probabilities come from the numpy column kernel in ``varband``, and
@@ -39,16 +42,10 @@ import os
 import sys
 
 from . import __version__
-from .distributions import FDist, FParams, chi_square, f_dist
+from .distributions import FParams
 from .errors import VarcompError
 from .oracle import mc_variation_probability, quad_beta_integral
-from .programs import (
-    PROVED_D1_CASES,
-    certificate_rows,
-    explore_rows,
-    prove_rows,
-    table_rows,
-)
+from .programs import certificate_rows, explore_rows, prove_rows, table_rows
 from .reporting import (
     margin_block,
     rows_from_step_report,
@@ -58,10 +55,12 @@ from .reporting import (
 from .specfun import log_beta
 from .varband import (
     NORMAL_BAND,
+    PROVED_D1,
     STRICTNESS_FLOOR,
     band_endpoints,
     band_endpoints_column,
     check_limit,
+    chi_square_band_probability,
     variation_band,
     variation_probability,
     variation_probability_column,
@@ -203,7 +202,7 @@ def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list
     """Blocks of the per-point checks (bound, monotone, steps) for one d1
     over d2_lo..d2_hi.  Each band probability is computed once, for d2 up to
     d2_hi + 2, and read by both the bound and the monotone blocks."""
-    expl = d1 not in PROVED_D1_CASES
+    expl = d1 not in PROVED_D1
     note = "exploratory" if expl else ""
     # one list of d2 ints shared by every block: a range would mint a new
     # int object per row for d2 > 256 each time it is iterated
@@ -231,15 +230,12 @@ def _cmd_sweep(ns) -> int:
     d2_lo, d2_hi = ns.d2
     checks = ns.check
     if d1_lo < 1:
-        print("error: d1 must be >= 1", file=sys.stderr)
-        return 2
+        raise VarcompError("d1 must be >= 1")
     if any(c in _VARIANCE_CHECKS for c in checks) and d2_lo < 5:
-        print("error: checks needing a finite variance require d2 >= 5",
-              file=sys.stderr)
-        return 2
+        raise VarcompError("checks needing a finite variance require d2 >= 5")
     d1_values = list(range(d1_lo, d1_hi + 1))
     if not ns.exploratory:
-        in_region = [d1 for d1 in d1_values if d1 in PROVED_D1_CASES]
+        in_region = [d1 for d1 in d1_values if d1 in PROVED_D1]
         skipped = sorted(set(d1_values) - set(in_region))
         if skipped and any(c in ("bound", "monotone", "steps") for c in checks):
             print(f"note: skipping conjectured d1 values {skipped} "
@@ -303,10 +299,9 @@ def _write(blocks: list, header: dict, ns) -> dict:
 
 
 def _cmd_prove(ns) -> int:
-    if ns.d1 not in PROVED_D1_CASES:
-        print(f"error: prove covers d1 in {sorted(PROVED_D1_CASES)}; "
-              f"use 'explore' for d1 >= 5", file=sys.stderr)
-        return 2
+    if ns.d1 not in PROVED_D1:
+        raise VarcompError(f"prove covers d1 in {sorted(PROVED_D1)}; "
+                           f"use 'explore' for d1 >= 5")
     blocks = prove_rows(ns.d1, ns.d2_max, ns.floor)
     counts = summarize(blocks)
     header = {
@@ -337,13 +332,11 @@ def _cmd_prove(ns) -> int:
 
 def _cmd_oracle(ns) -> int:
     if ns.d2 < 5:
-        print("error: the band probability requires d2 >= 5", file=sys.stderr)
-        return 2
+        raise VarcompError("the band probability requires d2 >= 5")
     if ns.samples < 10_000:
-        print("error: --samples must be at least 10000", file=sys.stderr)
-        return 2
+        raise VarcompError("--samples must be at least 10000")
     p = FParams(ns.d1, ns.d2)
-    analytic = variation_probability(FDist(p))
+    analytic = variation_probability(p)
     mc = mc_variation_probability(p, ns.samples, ns.seed)
     ep = band_endpoints(p)
     a, b = 0.5 * p.d1, 0.5 * p.d2
@@ -368,28 +361,28 @@ def _cmd_oracle(ns) -> int:
 
 
 def _varprob_payload(ns) -> dict:
+    """The band of --dist from its degrees of freedom; with --endpoints an F
+    band adds its endpoint images, its region (3 if d > 0, else 2 if c > 0,
+    else 1; see ``varband``) and its x-space limits."""
     if ns.dist == "normal":
-        from .distributions import StdNormal
-        return {"dist": "normal", "prob": variation_probability(StdNormal())}
+        return {"dist": "normal", "prob": NORMAL_BAND}
     if ns.dist == "chisq":
         if ns.k is None:
             raise VarcompError("--k is required for --dist chisq")
-        return {"dist": "chisq", "k": ns.k,
-                "prob": variation_probability(chi_square(ns.k))}
+        return {"dist": "chisq", "k": ns.k, "prob": chi_square_band_probability(ns.k)}
     if ns.d1 is None or ns.d2 is None:
         raise VarcompError("--d1 and --d2 are required for --dist f")
     if ns.d2 <= 4:
         raise VarcompError(f"variance undefined for d2 <= 4 (d2={ns.d2})")
     p = FParams(ns.d1, ns.d2)
-    payload = {"dist": "f", "d1": ns.d1, "d2": ns.d2,
-               "prob": variation_probability(f_dist(ns.d1, ns.d2))}
+    payload = {"dist": "f", "d1": ns.d1, "d2": ns.d2, "prob": variation_probability(p)}
     if ns.endpoints:
-        ep = band_endpoints(p)
-        band = variation_band(p)
+        a, b, c, d = band_endpoints(p)
+        lower, upper = variation_band(p)
         payload.update({
-            "a": ep.a, "b": ep.b, "c": ep.c, "d": ep.d,
-            "region": ep.region.value,
-            "band_lower": band.lower, "band_upper": band.upper,
+            "a": a, "b": b, "c": c, "d": d,
+            "region": 3 if d > 0.0 else 2 if c > 0.0 else 1,
+            "band_lower": lower, "band_upper": upper,
         })
     return payload
 
@@ -419,12 +412,9 @@ def _cmd_explore(ns) -> int:
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
     if d1_lo < 5:
-        print("error: explore is for d1 >= 5; use sweep/prove below that",
-              file=sys.stderr)
-        return 2
+        raise VarcompError("explore is for d1 >= 5; use sweep/prove below that")
     if d2_lo < 5:
-        print("error: d2 must be >= 5", file=sys.stderr)
-        return 2
+        raise VarcompError("d2 must be >= 5")
     blocks = []
     for d1 in range(d1_lo, d1_hi + 1):
         blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)

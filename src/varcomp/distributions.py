@@ -1,7 +1,8 @@
-"""Distribution objects: F(d1, d2), chi-square(k), standard normal.
+"""F(d1, d2) parameters, moments and CDF, and the chi-square(k) CDF.
 
 Degrees of freedom are positive integers only; real-valued df is rejected so
-that the integer sign tests used by the verification layer stay exact.
+that the integer sign tests used by the verification layer stay exact.  The
+standard normal CDF is ``specfun.std_normal_cdf``.
 """
 
 from __future__ import annotations
@@ -9,21 +10,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import DomainError, MomentUndefinedError
-from .specfun import reg_inc_beta, reg_lower_gamma, std_normal_cdf
+from .specfun import reg_inc_beta, reg_lower_gamma
 
 __all__ = [
     "FParams",
-    "ChiSquareParams",
-    "FDist",
-    "ChiSquare",
-    "StdNormal",
-    "Dist",
     "f_mean",
     "f_variance",
-    "cdf",
+    "f_cdf",
+    "chi_square_cdf",
 ]
 
 
@@ -55,42 +51,6 @@ class FParams:
         object.__setattr__(self, "d2", _as_positive_int("d2", self.d2))
 
 
-@dataclass(frozen=True)
-class ChiSquareParams:
-    """Degrees of freedom of a chi-square distribution."""
-
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", _as_positive_int("k", self.k))
-
-
-@dataclass(frozen=True)
-class FDist:
-    params: FParams
-
-
-@dataclass(frozen=True)
-class ChiSquare:
-    params: ChiSquareParams
-
-
-@dataclass(frozen=True)
-class StdNormal:
-    pass
-
-
-Dist = Union[FDist, ChiSquare, StdNormal]
-
-
-def f_dist(d1: int, d2: int) -> FDist:
-    return FDist(FParams(d1, d2))
-
-
-def chi_square(k: int) -> ChiSquare:
-    return ChiSquare(ChiSquareParams(k))
-
-
 def f_mean(p: FParams) -> float:
     """E[F(d1, d2)] = d2 / (d2 - 2); requires d2 > 2."""
     if p.d2 <= 2:
@@ -109,31 +69,32 @@ def f_variance(p: FParams) -> float:
     return num / den
 
 
-def cdf(d: Dist, x: float) -> float:
-    """CDF of the given distribution at x.
-
-    The F CDF is I_w(d1/2, d2/2) at the beta argument w = d1 x / (d1 x + d2);
-    chi-square uses the regularized lower incomplete gamma.  For the two
-    nonnegative families, negative x gives 0 and x = +inf gives exactly 1.
-    """
-    if isinstance(d, StdNormal):
-        return std_normal_cdf(x)
+def _support_edge(x) -> float | None:
+    """The CDF value both nonnegative families share outside (0, inf): 0 for
+    x <= 0 and exactly 1 at x = +inf; None inside.  NaN is a DomainError."""
     if isinstance(x, float) and math.isnan(x):
         raise DomainError("cdf argument must not be NaN")
-    if isinstance(d, FDist):
-        if x == math.inf:
-            return 1.0
-        x = float(x)
-        if x <= 0.0:
-            return 0.0
-        d1, d2 = d.params.d1, d.params.d2
-        w = d1 * x / (d1 * x + d2)
-        return reg_inc_beta(w, 0.5 * d1, 0.5 * d2)
-    if isinstance(d, ChiSquare):
-        if x == math.inf:
-            return 1.0
-        x = float(x)
-        if x <= 0.0:
-            return 0.0
-        return reg_lower_gamma(0.5 * d.params.k, 0.5 * x)
-    raise DomainError(f"unknown distribution object {d!r}")
+    if x == math.inf:
+        return 1.0
+    return 0.0 if float(x) <= 0.0 else None
+
+
+def f_cdf(p: FParams, x: float) -> float:
+    """CDF of F(d1, d2) at x: I_w(d1/2, d2/2) at the beta argument
+    w = d1 x / (d1 x + d2)."""
+    edge = _support_edge(x)
+    if edge is not None:
+        return edge
+    x = float(x)
+    d1, d2 = p.d1, p.d2
+    return reg_inc_beta(d1 * x / (d1 * x + d2), 0.5 * d1, 0.5 * d2)
+
+
+def chi_square_cdf(k: int, x: float) -> float:
+    """CDF of chi-square(k) at x: the regularized lower incomplete gamma
+    P(k/2, x/2)."""
+    k = _as_positive_int("k", k)
+    edge = _support_edge(x)
+    if edge is not None:
+        return edge
+    return reg_lower_gamma(0.5 * k, 0.5 * float(x))

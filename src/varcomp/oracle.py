@@ -191,7 +191,8 @@ def quad_beta_integral(a: float, b: float, lo: float, hi: float,
     if hi == 1.0 and _corner_is_rough(b):
         tail_cut = max(lo, head_cut if head_cut is not None else lo, 0.5)
         m = _sub_power(b)
-        pieces.append((_substituted_tail(a, b, m), 0.0, (1.0 - tail_cut) ** (1.0 / m)))
+        # t = 1 - u^m is the head substitution with a and b swapped
+        pieces.append((_substituted_head(b, a, m), 0.0, (1.0 - tail_cut) ** (1.0 / m)))
     plain_lo = head_cut if head_cut is not None else lo
     plain_hi = tail_cut if tail_cut is not None else hi
     if plain_lo < plain_hi:
@@ -254,19 +255,6 @@ def _substituted_head(a: float, b: float, m: int):
         if u <= 0.0:
             return float(m) if ex == 0.0 else 0.0
         return m * math.exp(ex * math.log(u) + bm1 * math.log1p(-(u ** m)))
-
-    return f
-
-
-def _substituted_tail(a: float, b: float, m: int):
-    # t = 1 - u^m: integrand becomes m u^(m b - 1) (1 - u^m)^(a-1)
-    ex = m * b - 1.0
-    am1 = a - 1.0
-
-    def f(u: float) -> float:
-        if u <= 0.0:
-            return float(m) if ex == 0.0 else 0.0
-        return m * math.exp(ex * math.log(u) + am1 * math.log1p(-(u ** m)))
 
     return f
 

@@ -54,17 +54,15 @@ from .proofcheck.steps import (
 )
 from .oracle import quad_beta_integral
 from .reporting import Block, margin_block, rows_from_outcome, rows_from_step_report
-from .varband import STRICTNESS_FLOOR, band_endpoints, band_endpoints_column, d_exceeds_c
+from .varband import (PROVED_D1, STRICTNESS_FLOOR, band_endpoints, band_endpoints_column,
+                      d_exceeds_c)
 
 __all__ = [
     "table_rows",
     "certificate_rows",
     "prove_rows",
     "explore_rows",
-    "PROVED_D1_CASES",
 ]
-
-PROVED_D1_CASES = (1, 2, 3, 4)
 
 #: Sampling grid used for monotonicity-beyond-table and sign scans.
 _DENSE_MAX = 200
@@ -273,9 +271,9 @@ def prove_rows(d1: int, d2_max: int = 400,
     over 5 <= d2 <= d2_max, through the column kernels once the chain has
     ``_COLUMN_MIN`` points (same blocks either way).
     """
-    if d1 not in PROVED_D1_CASES:
+    if d1 not in PROVED_D1:
         raise DomainError(
-            f"prove program covers d1 in {PROVED_D1_CASES}; use the "
+            f"prove program covers d1 in {PROVED_D1}; use the "
             f"exploratory scan for d1={d1}")
     if d2_max < 7:
         raise DomainError(f"d2_max must be at least 7, got {d2_max}")

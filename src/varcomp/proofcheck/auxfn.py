@@ -12,9 +12,11 @@ a real argument y (the denominator degrees of freedom, treated as real):
                    h4 increasing, the lower edge needs r4 decreasing.
 * k_fun            rational-in-sqrt form whose monotone decrease orders the
                    affine coefficients of the x = 1 program.
-* l1, l2, l3, l4   upper bounds for the h-derivatives obtained by the cubic
-                   truncation ln(1+t) <= t - t^2/2 + t^3/3; all negative on
-                   their domains, certifying the derivative signs.
+* l1, l2, l3       upper bounds for h1', h2', h3' obtained by the cubic
+                   truncation ln(1+t) <= t - t^2/2 + t^3/3; negative on
+                   their domains, so h1..h3 decrease.
+* l4               the same cubic truncation bounds -h4' from above (not h4'
+                   itself); l4 < 0 on its domain, so h4 increases.
 * q4               lower bound for -r4' via ln(1+t) > t - t^2/2; positive on
                    y >= 15.
 * v, g1, g2        the lower-edge sufficient bound for x = 3: v(y) > 0 is

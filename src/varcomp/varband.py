@@ -1,4 +1,7 @@
-"""One-standard-deviation variation bands for the F distribution.
+"""One-standard-deviation variation bands, each a function of its degrees
+of freedom: ``variation_probability(FParams(d1, d2))`` for F(d1, d2),
+``chi_square_band_probability(k)`` for chi-square(k) and the constant
+``NORMAL_BAND`` for the standard normal.
 
 For X ~ F(d1, d2) with d2 >= 5 the band [max(0, E - sd), E + sd] maps into
 beta-function space through w(x) = d1 x / (d1 x + d2).  Writing
@@ -13,7 +16,8 @@ the four endpoint images used throughout the verification layer are
 with c (resp. d) equal to 0 exactly when 1 - r1 <= 0 (resp. 1 - r2 <= 0),
 i.e. when the band's lower limit in x-space is clipped at 0.  The sign of
 1 - r1 is decided with exact integer arithmetic on (d1, d2), never by
-floating-point division, so the three-region classification is bit-stable:
+floating-point division, so the zero pattern of (c, d) is bit-stable.  It
+sorts each point into one of three regions:
 
     region 1:  c = 0            (both lower limits clipped)
     region 2:  c > 0, d = 0
@@ -35,11 +39,9 @@ one-row ``reporting.Block`` each, classified by ``reporting.margin_block``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
-from .distributions import (_FLOAT_LIMIT, ChiSquare, Dist, FDist, FParams, StdNormal,
-                            f_mean, f_variance)
+from .distributions import _FLOAT_LIMIT, FParams, _as_positive_int, f_mean, f_variance
 from .errors import DomainError, MomentUndefinedError
 from .reporting import Block, margin_block
 from .specfun import (
@@ -50,12 +52,10 @@ from .specfun import (
 )
 
 __all__ = [
-    "ConditionRegion",
     "Endpoints",
-    "VariationBand",
     "STRICTNESS_FLOOR",
+    "PROVED_D1",
     "NORMAL_BAND",
-    "normal_band_probability",
     "chi_square_band_probability",
     "band_endpoints",
     "band_endpoints_column",
@@ -75,35 +75,17 @@ STRICTNESS_FLOOR = 1e-12
 
 #: Degrees of freedom covered by the proved monotonicity result; anything
 #: else is conjectured territory and is reported as exploratory.
-PROVED_D1 = frozenset({1, 2, 3, 4})
+PROVED_D1 = (1, 2, 3, 4)
 
 
-class ConditionRegion(Enum):
-    """Zero pattern of the lower endpoint images (c, d)."""
-
-    COND1_C_ZERO = 1
-    COND2_C_POS_D_ZERO = 2
-    COND3_D_POS = 3
-
-
-@dataclass(frozen=True)
-class Endpoints:
-    """Beta-space endpoint images and the classified condition region."""
+class Endpoints(NamedTuple):
+    """Beta-space endpoint images; c = 0 (d = 0) where its lower band limit
+    is clipped at 0."""
 
     a: float
     b: float
     c: float
     d: float
-    region: ConditionRegion
-
-
-@dataclass(frozen=True)
-class VariationBand:
-    """Band limits in x-space and the probability mass inside them."""
-
-    lower: float
-    upper: float
-    prob: float
 
 
 def _c_positive(d1: int, d2: int) -> bool:
@@ -116,8 +98,19 @@ def _d_positive(d1: int, d2: int) -> bool:
     return d1 * (d2 - 4) > 2 * (d1 + d2 - 2)
 
 
+def _one_minus_r(num: int, den: int, r: float) -> float:
+    # 1 - r = num / (den (1 + r)), num an exact integer, which avoids
+    # cancellation when r is close to 1.  Where den (1 + r) overflows to inf
+    # (den near the float limit) the exact ratio num / den is divided by
+    # 1 + r instead; below that the one rounding of the product is kept.
+    scaled = den * (1.0 + r)
+    if scaled == math.inf:
+        return num / den / (1.0 + r)
+    return num / scaled
+
+
 def band_endpoints(p: FParams) -> Endpoints:
-    """Endpoint images a, b, c, d and the condition region for (d1, d2)."""
+    """Endpoint images a, b, c, d for (d1, d2)."""
     d1, d2 = p.d1, p.d2
     if d2 < 5:
         raise DomainError(f"band endpoints require d2 >= 5, got d2={d2}")
@@ -128,24 +121,16 @@ def band_endpoints(p: FParams) -> Endpoints:
     a = d1 / (d1 + d2 / (1.0 + r1))
     b = d1 / (d1 + (d2 - 2) / (1.0 + r2))
     if _c_positive(d1, d2):
-        # 1 - r1 = (d1(d2-2) - 2(d1+d2)) / (d1(d2-2)(1+r1)): the numerator is
-        # an exact integer, which avoids cancellation when r1 is close to 1
-        one_minus_r1 = (d1 * (d2 - 2) - 2 * (d1 + d2)) / (d1 * (d2 - 2) * (1.0 + r1))
+        one_minus_r1 = _one_minus_r(d1 * (d2 - 2) - 2 * (d1 + d2), d1 * (d2 - 2), r1)
         c = d1 * one_minus_r1 / (d1 * one_minus_r1 + d2)
     else:
         c = 0.0
     if _d_positive(d1, d2):
-        one_minus_r2 = (d1 * (d2 - 4) - 2 * (d1 + d2 - 2)) / (d1 * (d2 - 4) * (1.0 + r2))
+        one_minus_r2 = _one_minus_r(d1 * (d2 - 4) - 2 * (d1 + d2 - 2), d1 * (d2 - 4), r2)
         d = d1 * one_minus_r2 / (d1 * one_minus_r2 + (d2 - 2))
     else:
         d = 0.0
-    if d > 0.0:
-        region = ConditionRegion.COND3_D_POS
-    elif c > 0.0:
-        region = ConditionRegion.COND2_C_POS_D_ZERO
-    else:
-        region = ConditionRegion.COND1_C_ZERO
-    return Endpoints(a, b, c, d, region)
+    return Endpoints(a, b, c, d)
 
 
 def band_endpoints_column(d1: int, d2) -> tuple:
@@ -182,12 +167,11 @@ def band_endpoints_column(d1: int, d2) -> tuple:
     return a, b, c, d
 
 
-def variation_band(p: FParams) -> VariationBand:
-    """x-space band [max(0, E - sd), E + sd] and its probability."""
+def variation_band(p: FParams) -> tuple:
+    """x-space band limits (max(0, E - sd), E + sd) of F(d1, d2)."""
     mean = f_mean(p)
     sd = math.sqrt(f_variance(p))
-    prob = variation_probability(FDist(p))
-    return VariationBand(max(0.0, mean - sd), mean + sd, prob)
+    return max(0.0, mean - sd), mean + sd
 
 
 def d_exceeds_c(p: FParams) -> bool:
@@ -213,16 +197,13 @@ def _d_exceeds_c(d1: int, d2: int) -> bool:
     return lhs > rhs
 
 
-def normal_band_probability() -> float:
-    """P{|Z| <= 1} = 2 Phi(1) - 1 for standard normal Z."""
-    return 2.0 * std_normal_cdf(1.0) - 1.0
-
-
-NORMAL_BAND = normal_band_probability()
+#: P{|Z| <= 1} = 2 Phi(1) - 1 for standard normal Z.
+NORMAL_BAND = 2.0 * std_normal_cdf(1.0) - 1.0
 
 
 def chi_square_band_probability(k: int) -> float:
-    """P{|G - k| <= sqrt(2k)} for G ~ chi-square(k)."""
+    """P{|G - k| <= sqrt(2k)} for G ~ chi-square(k); k a positive integer."""
+    k = _as_positive_int("k", k)
     if 2 * k >= _FLOAT_LIMIT:
         raise DomainError(f"the chi-square band of k={k:.6g} overflows a float")
     sd = math.sqrt(2.0 * k)
@@ -231,31 +212,24 @@ def chi_square_band_probability(k: int) -> float:
     return hi - lo
 
 
-def variation_probability(d: Dist) -> float:
-    """P{|X - E[X]| <= sd(X)} for the given distribution.
+def variation_probability(p: FParams) -> float:
+    """P{|X - E[X]| <= sd(X)} for X ~ F(d1, d2).
 
-    For F(d1, d2) this is I_b(d1/2, d2/2) - I_d(d1/2, d2/2) at the endpoint
-    images of (d1, d2); requires d2 >= 5 so the variance exists.
+    This is I_b(d1/2, d2/2) - I_d(d1/2, d2/2) at the endpoint images of
+    (d1, d2); requires d2 >= 5 so the variance exists.
     """
-    if isinstance(d, StdNormal):
-        return normal_band_probability()
-    if isinstance(d, ChiSquare):
-        return chi_square_band_probability(d.params.k)
-    if isinstance(d, FDist):
-        p = d.params
-        if p.d2 <= 4:
-            raise MomentUndefinedError(
-                f"variation probability undefined for d2 <= 4 (d2={p.d2})")
-        ep = band_endpoints(p)
-        a1, b1 = 0.5 * p.d1, 0.5 * p.d2
-        hi = reg_inc_beta(ep.b, a1, b1)
-        lo = reg_inc_beta(ep.d, a1, b1) if ep.d > 0.0 else 0.0
-        return hi - lo
-    raise DomainError(f"unknown distribution object {d!r}")
+    if p.d2 <= 4:
+        raise MomentUndefinedError(
+            f"variation probability undefined for d2 <= 4 (d2={p.d2})")
+    _, b, _, d = band_endpoints(p)
+    a1, b1 = 0.5 * p.d1, 0.5 * p.d2
+    hi = reg_inc_beta(b, a1, b1)
+    lo = reg_inc_beta(d, a1, b1) if d > 0.0 else 0.0
+    return hi - lo
 
 
 def variation_probability_column(d1: int, d2):
-    """``variation_probability(f_dist(d1, d2[i]))`` for every i, as a float64
+    """``variation_probability(FParams(d1, d2[i]))`` for every i, as a float64
     array; d2 is a sequence of integers >= 5."""
     import numpy as np
 
@@ -274,7 +248,7 @@ def check_bound(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
     Outside d1 in {1, 2, 3, 4} the claim is conjectured, not proved, and the
     row is exploratory.
     """
-    margin = variation_probability(FDist(p)) - NORMAL_BAND
+    margin = variation_probability(p) - NORMAL_BAND
     expl = p.d1 not in PROVED_D1
     return margin_block("bound_exceeds_normal", p.d1, [p.d2], [margin], floor,
                         "exploratory" if expl else "", expl)
@@ -282,8 +256,8 @@ def check_bound(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
 
 def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
     """Margin of the step decrease: band prob at (d1, d2) minus at (d1, d2+2)."""
-    here = variation_probability(FDist(p))
-    next_ = variation_probability(FDist(FParams(p.d1, p.d2 + 2)))
+    here = variation_probability(p)
+    next_ = variation_probability(FParams(p.d1, p.d2 + 2))
     expl = p.d1 not in PROVED_D1
     return margin_block("step_decreasing", p.d1, [p.d2], [here - next_], floor,
                         "exploratory" if expl else "", expl)
@@ -298,7 +272,7 @@ def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Block:
     """
     if d2_large < 1000:
         raise DomainError(f"limit check requires d2_large >= 1000, got {d2_large}")
-    f_val = variation_probability(FDist(FParams(d1, d2_large)))
+    f_val = variation_probability(FParams(d1, d2_large))
     chi_val = chi_square_band_probability(d1)
     return margin_block("limit_matches_chi_square", d1, [d2_large],
                         [tol - abs(f_val - chi_val)], 0.0)

@@ -13,10 +13,8 @@ from varcomp import (
     FParams,
     NORMAL_BAND,
     STRICTNESS_FLOOR,
-    StdNormal,
     chi_square_band_probability,
     d_exceeds_c,
-    f_dist,
     log_beta,
     log_gamma,
     reg_inc_beta,
@@ -47,7 +45,7 @@ def f_band_table():
     table = {}
     for d1 in range(1, 5):
         for d2 in range(5, D2_MAX + 3):
-            table[(d1, d2)] = variation_probability(f_dist(d1, d2))
+            table[(d1, d2)] = variation_probability(FParams(d1, d2))
     return table
 
 
@@ -56,7 +54,7 @@ def _report(n, name):
 
 
 def test_criterion_01_normal_baseline():
-    assert variation_probability(StdNormal()) == pytest.approx(0.6826895, abs=1e-6)
+    assert NORMAL_BAND == pytest.approx(0.6826895, abs=1e-6)
     _report(1, "normal baseline 2*Phi(1)-1")
 
 
@@ -112,7 +110,7 @@ def test_criterion_05_monotone_step(f_band_table):
 def test_criterion_06_slutsky_limit():
     for d1 in range(1, 11):
         chi_val = chi_square_band_probability(d1)
-        seq = [variation_probability(f_dist(d1, d2)) for d2 in (100, 1_000, 10_000)]
+        seq = [variation_probability(FParams(d1, d2)) for d2 in (100, 1_000, 10_000)]
         assert abs(seq[-1] - chi_val) < 1e-3, d1
         assert seq[0] > seq[1] > seq[2] > chi_val, d1
     _report(6, "chi-square limit at d2 = 10^4 and monotone approach")
@@ -146,7 +144,7 @@ def test_criterion_08_oracle_agreement():
     worst_quad = 0.0
     for (d1, d2) in pairs:
         p = FParams(d1, d2)
-        analytic = variation_probability(f_dist(d1, d2))
+        analytic = variation_probability(FParams(d1, d2))
         mc = mc_variation_probability(p, 1_000_000, seed=42)
         sigma = abs(analytic - mc.estimate) / mc.stderr
         worst_sigma = max(worst_sigma, sigma)

@@ -8,11 +8,13 @@ import pytest
 
 import varcomp.cli
 import varcomp.programs
+import varcomp.varband
 from varcomp import FParams, __version__, check_bound, check_monotone_step
 from varcomp.cli import main
-from varcomp.programs import _COLUMN_MIN, PROVED_D1_CASES
+from varcomp.programs import _COLUMN_MIN
 from varcomp.proofcheck.steps import check_step_inequalities
 from varcomp.reporting import margin_block, render_csv, rows_from_outcome, summarize
+from varcomp.varband import PROVED_D1
 
 
 def run_cli(*argv, capsys=None):
@@ -60,6 +62,27 @@ def test_endpoints_alias(capsys):
     assert payload["band_lower"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("endpoints", "--d1", "4", "--d2", "11"),
+    ("varprob", "--dist", "f", "--d1", "4", "--d2", "11", "--endpoints",
+     "--format", "json"),
+])
+def test_endpoints_evaluate_the_band_once(argv, monkeypatch, capsys):
+    # the payload's prob is the one band evaluation; the band limits are
+    # moments only
+    calls = []
+    real = varcomp.varband.variation_probability
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(varcomp.varband, "variation_probability", counted)
+    monkeypatch.setattr(varcomp.cli, "variation_probability", counted)
+    assert run_cli(*argv, capsys=capsys)[0] == 0
+    assert calls == [FParams(4, 11)]
+
+
 def test_sweep_csv_schema_and_exit(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code, _, _ = run_cli("sweep", "--d1", "1..4", "--d2", "5..20",
@@ -86,7 +109,7 @@ def test_sweep_matches_scalar_per_cell_path(monkeypatch, tmp_path, capsys):
     (blocks,) = seen
     cells: dict = {}  # (check_id, d1) -> the scalar one-row blocks over d2 5..40
     for d1 in range(1, 7):
-        expl = d1 not in PROVED_D1_CASES
+        expl = d1 not in PROVED_D1
         for d2 in range(5, 41):
             p = FParams(d1, d2)
             outs = [check_bound(p, floor=floor), check_monotone_step(p, floor=floor)]

@@ -13,7 +13,6 @@ from varcomp import (
     FParams,
     ToleranceNotMetError,
     band_endpoints,
-    f_dist,
     reg_inc_beta,
     variation_probability,
 )
@@ -35,7 +34,7 @@ def assert_column_matches_scalar(d1, d2_values):
         variation_probability_column(d1, d2_values),)
     for i, d2 in enumerate(d2_values):
         ep = band_endpoints(FParams(d1, d2))
-        want = (ep.a, ep.b, ep.c, ep.d, variation_probability(f_dist(d1, d2)))
+        want = (ep.a, ep.b, ep.c, ep.d, variation_probability(FParams(d1, d2)))
         # hex() tells 0.0 from -0.0 and compares every bit
         assert [float(v[i]).hex() for v in got] == [w.hex() for w in want], (d1, d2)
 
@@ -89,9 +88,9 @@ def test_column_iteration_cap_raises(monkeypatch):
     with pytest.raises(ConvergenceError):
         variation_probability_column(3000, d2)
     for v in d2[:-1]:
-        variation_probability(f_dist(3000, v))
+        variation_probability(FParams(3000, v))
     with pytest.raises(ConvergenceError):
-        variation_probability(f_dist(3000, 5000))
+        variation_probability(FParams(3000, 5000))
     monkeypatch.undo()
     assert_column_matches_scalar(3000, d2)
 

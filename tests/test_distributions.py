@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from varcomp import (
-    ChiSquareParams,
     DomainError,
     FParams,
     MomentUndefinedError,
-    StdNormal,
-    cdf,
-    chi_square,
-    f_dist,
+    chi_square_band_probability,
+    chi_square_cdf,
+    f_cdf,
     f_mean,
     f_variance,
+    std_normal_cdf,
 )
 from varcomp.oracle import f_draws, stream
 
@@ -28,8 +27,11 @@ def test_params_validation():
         FParams(2.5, 5)
     with pytest.raises(DomainError):
         FParams(True, 5)
-    with pytest.raises(DomainError):
-        ChiSquareParams(0)
+    for k in (0, -3, 2.5, True):
+        with pytest.raises(DomainError):
+            chi_square_cdf(k, 1.0)
+        with pytest.raises(DomainError):
+            chi_square_band_probability(k)
     assert FParams(np.int64(3), np.int64(7)).d1 == 3  # integral numpy scalars ok
 
 
@@ -38,7 +40,7 @@ def test_params_reject_what_float_cannot_hold():
     edge = 2 ** 1024 - 2 ** 970
     assert float(FParams(1, edge - 1).d2) == 1.7976931348623157e308
     for make in (lambda n: FParams(1, n), lambda n: FParams(n, 5),
-                 lambda n: ChiSquareParams(n)):
+                 lambda n: chi_square_cdf(n, 1.0), chi_square_band_probability):
         for n in (edge, 2 ** 1024, 10 ** 400):
             with pytest.raises(DomainError, match="must convert to a float"):
                 make(n)
@@ -59,17 +61,21 @@ def test_f_variance():
 
 
 def test_cdf_anchors():
-    assert cdf(f_dist(3, 7), 0.0) == 0.0
-    assert cdf(f_dist(3, 7), -2.0) == 0.0
-    assert cdf(StdNormal(), 0.0) == 0.5
+    assert f_cdf(FParams(3, 7), 0.0) == 0.0
+    assert f_cdf(FParams(3, 7), -2.0) == 0.0
+    assert chi_square_cdf(4, 0.0) == 0.0
+    assert chi_square_cdf(4, -2.0) == 0.0
+    assert std_normal_cdf(0.0) == 0.5
     # I_x(1, b) = 1 - (1-x)^b with x = d1/(d1 x + d2) mapped from x=1
-    assert cdf(f_dist(2, 4), 1.0) == pytest.approx(5.0 / 9.0, abs=1e-14)
-    assert cdf(f_dist(5, 9), math.inf) == 1.0
-    assert cdf(chi_square(4), math.inf) == 1.0
+    assert f_cdf(FParams(2, 4), 1.0) == pytest.approx(5.0 / 9.0, abs=1e-14)
+    assert f_cdf(FParams(5, 9), math.inf) == 1.0
+    assert chi_square_cdf(4, math.inf) == 1.0
     with pytest.raises(DomainError):
-        cdf(f_dist(2, 4), math.nan)
+        f_cdf(FParams(2, 4), math.nan)
     with pytest.raises(DomainError):
-        cdf(StdNormal(), math.inf)
+        chi_square_cdf(4, math.nan)
+    with pytest.raises(DomainError):
+        std_normal_cdf(math.inf)
 
 
 def test_f_cdf_matches_scipy_grid():
@@ -78,8 +84,8 @@ def test_f_cdf_matches_scipy_grid():
         d1 = int(rng.integers(1, 30))
         d2 = int(rng.integers(1, 120))
         x = float(rng.uniform(0.01, 8.0))
-        assert cdf(f_dist(d1, d2), x) == pytest.approx(
-            float(stats.f.cdf(x, d1, d2)), abs=1e-12)
+        assert f_cdf(FParams(d1, d2), x) == pytest.approx(
+            float(special.fdtr(d1, d2, x)), abs=1e-12)
 
 
 def test_chi_square_cdf_matches_scipy():
@@ -87,14 +93,14 @@ def test_chi_square_cdf_matches_scipy():
     for _ in range(100):
         k = int(rng.integers(1, 80))
         x = float(rng.uniform(0.0, 3.0 * k))
-        assert cdf(chi_square(k), x) == pytest.approx(
-            float(stats.chi2.cdf(x, k)), abs=1e-12)
+        assert chi_square_cdf(k, x) == pytest.approx(
+            float(special.chdtr(k, x)), abs=1e-12)
 
 
 def test_f_cdf_at_mean_strictly_interior():
     for d1 in (1, 2, 5, 17, 40):
         for d2 in (5, 9, 33, 101):
-            v = cdf(f_dist(d1, d2), f_mean(FParams(d1, d2)))
+            v = f_cdf(FParams(d1, d2), f_mean(FParams(d1, d2)))
             assert 0.0 < v < 1.0
 
 
@@ -102,13 +108,13 @@ def test_chi_square_cdf_at_mean_envelope():
     # value at the mean decreases from ~0.68 (k=1) toward 1/2, staying in
     # (0.5, 0.7); spot-verified against an independent quadrature
     for k in range(1, 51):
-        v = cdf(chi_square(k), float(k))
+        v = chi_square_cdf(k, float(k))
         assert 0.5 < v < 0.7, k
     for k in (1, 7, 50):
         def dens(t, k=k):
             return stats.chi2.pdf(t, k)
         ref, _ = integrate.quad(dens, 0.0, k, limit=300)
-        assert cdf(chi_square(k), float(k)) == pytest.approx(ref, abs=1e-10)
+        assert chi_square_cdf(k, float(k)) == pytest.approx(ref, abs=1e-10)
 
 
 def test_f_cdf_matches_empirical_cdf():
@@ -118,6 +124,6 @@ def test_f_cdf_matches_empirical_cdf():
         draws = f_draws(p, 1_000_000, stream(seed, d1, d2))
         for x in (0.4, 1.0, 2.5):
             emp = float(np.mean(draws <= x))
-            ana = cdf(f_dist(d1, d2), x)
+            ana = f_cdf(FParams(d1, d2), x)
             se = math.sqrt(max(ana * (1 - ana), 1e-12) / draws.size)
             assert abs(emp - ana) < 4.0 * se, (d1, d2, x)

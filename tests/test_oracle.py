@@ -8,8 +8,7 @@ from varcomp import (
     FParams,
     MomentUndefinedError,
     ToleranceNotMetError,
-    cdf,
-    f_dist,
+    f_cdf,
     f_mean,
     f_variance,
     log_beta,
@@ -66,7 +65,7 @@ def test_mc_variation_probability():
     assert isinstance(est, McEstimate)
     assert est.stderr == pytest.approx(
         math.sqrt(est.estimate * (1 - est.estimate) / est.n), rel=1e-12)
-    ana = variation_probability(f_dist(1, 5))
+    ana = variation_probability(FParams(1, 5))
     assert abs(est.estimate - ana) < 4.0 * est.stderr
     # deterministic for a fixed seed
     again = mc_variation_probability(FParams(1, 5), 200_000, seed=42)
@@ -83,7 +82,7 @@ def test_mc_agreement_random_grid():
         d1 = int(rng.integers(1, 7))
         d2 = int(rng.integers(5, 51))
         est = mc_variation_probability(FParams(d1, d2), 200_000, seed=5)
-        ana = variation_probability(f_dist(d1, d2))
+        ana = variation_probability(FParams(d1, d2))
         assert abs(est.estimate - ana) < 4.0 * est.stderr, (d1, d2)
 
 
@@ -94,7 +93,7 @@ def test_mc_agreement_full_grid_one_million():
     for d1 in range(1, 7):
         for d2 in range(5, 51):
             est = mc_variation_probability(FParams(d1, d2), 1_000_000, seed=9)
-            ana = variation_probability(f_dist(d1, d2))
+            ana = variation_probability(FParams(d1, d2))
             assert abs(est.estimate - ana) < 4.0 * est.stderr, (d1, d2)
 
 
@@ -102,7 +101,7 @@ def test_kolmogorov_smirnov_fit():
     n = 100_000
     for (d1, d2, seed) in [(1, 5, 21), (3, 11, 22), (6, 40, 23)]:
         draws = np.sort(f_draws(FParams(d1, d2), n, stream(seed, d1, d2)))
-        cdf_vals = np.array([cdf(f_dist(d1, d2), float(x)) for x in draws[:: n // 2000]])
+        cdf_vals = np.array([f_cdf(FParams(d1, d2), float(x)) for x in draws[:: n // 2000]])
         idx = np.arange(0, n, n // 2000)
         emp_hi = (idx + 1) / n
         emp_lo = idx / n

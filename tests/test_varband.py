@@ -1,40 +1,46 @@
+import json
 import math
 
 import pytest
-from scipy import stats
+from scipy import special
 
 from varcomp import (
-    ConditionRegion,
     DomainError,
     FParams,
     MomentUndefinedError,
     NORMAL_BAND,
-    StdNormal,
     band_endpoints,
     check_bound,
     check_limit,
     check_monotone_step,
-    chi_square,
     chi_square_band_probability,
     d_exceeds_c,
-    f_dist,
+    f_cdf,
     f_mean,
     f_variance,
     variation_band,
     variation_probability,
 )
+from varcomp.cli import main
 
 
 def scipy_band_prob(d1, d2):
     m = d2 / (d2 - 2)
     sd = math.sqrt(2 * d2**2 * (d1 + d2 - 2) / (d1 * (d2 - 2) ** 2 * (d2 - 4)))
-    return stats.f.cdf(m + sd, d1, d2) - stats.f.cdf(max(0.0, m - sd), d1, d2)
+    return special.fdtr(d1, d2, m + sd) - special.fdtr(d1, d2, max(0.0, m - sd))
 
 
-def test_region_classification_examples():
-    assert band_endpoints(FParams(1, 10)).region is ConditionRegion.COND1_C_ZERO
-    assert band_endpoints(FParams(4, 11)).region is ConditionRegion.COND3_D_POS
-    assert band_endpoints(FParams(11, 5)).region is ConditionRegion.COND2_C_POS_D_ZERO
+def test_region_classification_examples(capsys):
+    # region 1: c = 0; region 2: c > 0 = d; region 3: d > 0
+    for (d1, d2), c_pos, d_pos, region in [((1, 10), False, False, 1),
+                                           ((4, 11), True, True, 3),
+                                           ((11, 5), True, False, 2)]:
+        ep = band_endpoints(FParams(d1, d2))
+        assert (ep.c > 0.0, ep.d > 0.0) == (c_pos, d_pos), (d1, d2)
+        assert ep.c >= 0.0 and ep.d >= 0.0
+        assert main(["endpoints", "--d1", str(d1), "--d2", str(d2),
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["region"] == region
     with pytest.raises(DomainError):
         band_endpoints(FParams(3, 4))
 
@@ -45,31 +51,46 @@ def test_endpoint_ordering_and_region_consistency_grid():
             ep = band_endpoints(FParams(d1, d2))
             assert ep.a < ep.b, (d1, d2)
             assert 0.0 < ep.a < 1.0 and 0.0 < ep.b < 1.0
-            if ep.region is ConditionRegion.COND3_D_POS:
-                assert ep.c > 0.0 and ep.d > 0.0
-            elif ep.region is ConditionRegion.COND2_C_POS_D_ZERO:
-                assert ep.c > 0.0 and ep.d == 0.0
-            else:
-                assert ep.c == 0.0 and ep.d == 0.0
+            assert ep.c >= 0.0 and ep.d >= 0.0, (d1, d2)
+            # c > 0 exactly where the integer test says 1 - r1 > 0
+            assert (ep.c > 0.0) == (d1 * (d2 - 2) > 2 * (d1 + d2)), (d1, d2)
             if ep.d > 0.0:
                 assert ep.c > 0.0
 
 
 def test_condition_tables_reproduced_exactly():
     # region 1 iff d1 <= 2, or 3 <= d1 <= 10 and d2 <= 4 + 8/(d1-2);
-    # region 3 iff d1 >= 3 and d2 > 6 + 8/(d1-2); region 2 between
+    # region 3 iff d1 >= 3 and d2 > 6 + 8/(d1-2); region 2 between.
+    # Each region is a zero pattern (c > 0, d > 0) of the lower images.
     for d1 in range(1, 40):
         for d2 in range(5, 200):
-            region = band_endpoints(FParams(d1, d2)).region
+            ep = band_endpoints(FParams(d1, d2))
             if d1 <= 2:
-                expected = ConditionRegion.COND1_C_ZERO
+                expected = (False, False)
             elif d2 * (d1 - 2) <= 4 * d1:       # d2 <= 4 + 8/(d1-2)
-                expected = ConditionRegion.COND1_C_ZERO
+                expected = (False, False)
             elif d2 * (d1 - 2) <= 6 * d1 - 4:   # d2 <= 6 + 8/(d1-2)
-                expected = ConditionRegion.COND2_C_POS_D_ZERO
+                expected = (True, False)
             else:
-                expected = ConditionRegion.COND3_D_POS
-            assert region is expected, (d1, d2)
+                expected = (True, True)
+            assert (ep.c > 0.0, ep.d > 0.0) == expected, (d1, d2)
+
+
+def test_lower_images_at_the_float_edge():
+    # d1 (d2-2) (1 + r1) overflows to inf while d1 (d2-2) still fits a float;
+    # at d2 = 7 so does d1 (d2-4) (1 + r2).  The lower images stay near 1.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for d1, d2 in [(5 * 10**307, 5), (35 * 10**306, 7)]:
+            ep = band_endpoints(FParams(d1, d2))
+            m1, m2 = mp.mpf(d1), mp.mpf(d2)
+            one_minus_r1 = 1 - mp.sqrt(2 * (m1 + m2) / (m1 * (m2 - 2)))
+            one_minus_r2 = 1 - mp.sqrt(2 * (m1 + m2 - 2) / (m1 * (m2 - 4)))
+            c = m1 * one_minus_r1 / (m1 * one_minus_r1 + m2)
+            d = m1 * one_minus_r2 / (m1 * one_minus_r2 + m2 - 2) if d2 == 7 else 0
+            assert ep.c == pytest.approx(float(c), rel=1e-15), (d1, d2)
+            assert ep.d == pytest.approx(float(d), rel=1e-15), (d1, d2)
+            assert ep.c > 0.0
 
 
 def test_endpoints_relate_neighbouring_d2():
@@ -97,26 +118,29 @@ def test_d_exceeds_c_agrees_with_float_comparison():
 
 
 def test_variation_probability_values():
-    assert variation_probability(StdNormal()) == pytest.approx(0.6826894921370859, abs=1e-14)
+    assert NORMAL_BAND == pytest.approx(0.6826894921370859, abs=1e-14)
     # chi-square(1) band has the closed form 2 Phi(sqrt(1 + sqrt 2)) - 1
     closed = math.erf(math.sqrt((1.0 + math.sqrt(2.0)) / 2.0))
-    assert variation_probability(chi_square(1)) == pytest.approx(closed, abs=1e-10)
-    assert variation_probability(chi_square(1)) == pytest.approx(0.8798, abs=5e-5)
+    assert chi_square_band_probability(1) == pytest.approx(closed, abs=1e-10)
+    assert chi_square_band_probability(1) == pytest.approx(0.8798, abs=5e-5)
     for (d1, d2) in [(1, 5), (2, 7), (3, 25), (4, 12), (9, 33)]:
-        assert variation_probability(f_dist(d1, d2)) == pytest.approx(
+        assert variation_probability(FParams(d1, d2)) == pytest.approx(
             scipy_band_prob(d1, d2), abs=1e-12)
     with pytest.raises(MomentUndefinedError):
-        variation_probability(f_dist(3, 4))
+        variation_probability(FParams(3, 4))
 
 
 def test_variation_band_limits():
-    band = variation_band(FParams(4, 12))
     p = FParams(4, 12)
+    lower, upper = variation_band(p)
     sd = math.sqrt(f_variance(p))
-    assert band.upper == pytest.approx(f_mean(p) + sd, rel=1e-15)
-    assert band.lower == pytest.approx(f_mean(p) - sd, rel=1e-13)
-    assert 0.0 < band.prob < 1.0
-    assert variation_band(FParams(11, 5)).lower == 0.0  # clipped at zero
+    assert upper == pytest.approx(f_mean(p) + sd, rel=1e-15)
+    assert lower == pytest.approx(f_mean(p) - sd, rel=1e-13)
+    # the mass between the limits is the band probability
+    prob = variation_probability(p)
+    assert 0.0 < prob < 1.0
+    assert f_cdf(p, upper) - f_cdf(p, lower) == pytest.approx(prob, abs=1e-13)
+    assert variation_band(FParams(11, 5))[0] == 0.0  # clipped at zero
 
 
 def test_check_bound():
