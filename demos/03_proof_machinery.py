@@ -31,7 +31,7 @@ print()
 print("positivity certificates (all coefficients positive => positive for r >= 0):")
 for family, shift in (("T1", 12), ("T2", 12), ("P4", 17)):
     exp = shifted_expansion(family, shift)
-    print(f"  {family}({shift}+r): {exp.coeffs}  all positive: {exp.all_coeffs_positive}")
+    print(f"  {family}({shift}+r): {exp}  all positive: {all(c > 0 for c in exp)}")
 print()
 
 print("P4 values pin the region boundary exactly:")

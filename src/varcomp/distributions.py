@@ -87,7 +87,10 @@ def f_cdf(p: FParams, x: float) -> float:
         return edge
     x = float(x)
     d1, d2 = p.d1, p.d2
-    return reg_inc_beta(d1 * x / (d1 * x + d2), 0.5 * d1, 0.5 * d2)
+    den = d1 * x + d2
+    # where den overflows, the same ratio in a form that does not
+    w = d1 * x / den if den < math.inf else 1.0 / (1.0 + d2 / (d1 * x))
+    return reg_inc_beta(w, 0.5 * d1, 0.5 * d2)
 
 
 def chi_square_cdf(k: int, x: float) -> float:

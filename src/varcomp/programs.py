@@ -39,9 +39,9 @@ from .proofcheck.auxfn import (
     value_sign_check,
 )
 from .proofcheck.polynomials import (
-    FAMILIES,
     REFERENCE_EXPANSIONS,
     REFERENCE_VALUES,
+    poly_value,
     shifted_expansion,
 )
 from .proofcheck.steps import (
@@ -135,22 +135,22 @@ def certificate_rows(families: Optional[Collection[str]] = None) -> list:
     for family, table in REFERENCE_VALUES.items():
         if families is not None and family not in families:
             continue
-        ok = all(FAMILIES[family](n) == v for n, v in table.items())
+        ok = all(poly_value(family, n) == v for n, v in table.items())
         blocks.append(_claim(f"poly_values_{family.lower()}", 0, 0, 1.0 if ok else -1.0,
                              "exact match" if ok else "reference value mismatch"))
     for (family, shift), coeffs in REFERENCE_EXPANSIONS.items():
         if families is not None and family not in families:
             continue
         exp = shifted_expansion(family, shift)
-        exact = exp.coeffs == tuple(coeffs)
-        positive = exp.all_coeffs_positive
+        exact = exp == coeffs
+        positive = all(c > 0 for c in exp)
         note = []
         if not exact:
             note.append("coefficient mismatch")
         if not positive:
             note.append("not all positive")
         blocks.append(_claim(f"expansion_{family.lower()}_{shift}", 0, shift,
-                             float(min(exp.coeffs)) if positive else -1.0,
+                             float(min(exp)) if positive else -1.0,
                              "; ".join(note) if note else "all coefficients positive",
                              holds=exact))
     return blocks

@@ -16,10 +16,8 @@ from .auxfn import (
 )
 from .polynomials import (
     FAMILIES,
-    POSITIVITY_SHIFTS,
     REFERENCE_EXPANSIONS,
     REFERENCE_VALUES,
-    ExactPoly,
     poly_value,
     shifted_expansion,
 )
@@ -42,10 +40,8 @@ __all__ = [
     "rational_V_consistency",
     "value_sign_check",
     "FAMILIES",
-    "POSITIVITY_SHIFTS",
     "REFERENCE_EXPANSIONS",
     "REFERENCE_VALUES",
-    "ExactPoly",
     "poly_value",
     "shifted_expansion",
     "check_step_inequalities",

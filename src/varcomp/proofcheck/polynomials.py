@@ -1,89 +1,20 @@
 """Exact integer polynomial certificates.
 
-All arithmetic is over Python's unbounded integers: evaluation, shifting and
-the all-coefficients-positive positivity certificate are exact, with no
-overflow and no rounding.  A polynomial rewritten as p(s + r) with every
-coefficient positive is a proof that p > 0 for all arguments >= s.
+Each family is a frozen tuple of integer coefficients in ascending degree,
+and the two operations on it run over Python's unbounded integers, so
+evaluation and shifting are exact, with no overflow and no rounding.  A
+polynomial rewritten as p(s + r) with every coefficient positive is a proof
+that p > 0 for all arguments >= s; the keys of ``REFERENCE_EXPANSIONS`` name
+that shift s for each family.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 from ..errors import DomainError
 
-__all__ = ["ExactPoly", "FAMILIES", "poly_value", "shifted_expansion"]
-
-
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{what} must be an exact integer, got {value!r}")
-    return int(value)
-
-
-@dataclass(frozen=True)
-class ExactPoly:
-    """Integer-coefficient polynomial, coefficients in ascending degree."""
-
-    coeffs: tuple
-    name: str = ""
-
-    def __post_init__(self):
-        cs = tuple(_as_int(c, f"coefficient of {self.name or 'polynomial'}") for c in self.coeffs)
-        if not cs:
-            cs = (0,)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __call__(self, n) -> int:
-        n = _as_int(n, "polynomial argument")
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
-
-    @property
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
-    @property
-    def all_coeffs_positive(self) -> bool:
-        """True iff every coefficient up to the degree is > 0 (certifies
-        positivity of the polynomial for all arguments >= 0)."""
-        return all(c > 0 for c in self.coeffs[: self.degree + 1])
-
-    def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return ExactPoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __mul__(self, other: "ExactPoly") -> "ExactPoly":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return ExactPoly(tuple(out))
-
-    def scale(self, k: int) -> "ExactPoly":
-        k = _as_int(k, "scale factor")
-        return ExactPoly(tuple(k * c for c in self.coeffs), self.name)
-
-    def shifted(self, shift) -> "ExactPoly":
-        """Exact expansion of p(shift + r) in powers of r."""
-        shift = _as_int(shift, "shift")
-        # Horner in polynomial arithmetic: result = ... * (shift + r) + c_k
-        lin = ExactPoly((shift, 1))
-        acc = ExactPoly((self.coeffs[-1],))
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * lin + ExactPoly((c,))
-        trimmed = acc.coeffs[: acc.degree + 1]
-        return ExactPoly(trimmed, f"{self.name}({shift}+r)" if self.name else "")
+__all__ = ["FAMILIES", "poly_value", "shifted_expansion"]
 
 
 #: Certificate families used by the d1 = 3 and d1 = 4 step programs:
@@ -92,24 +23,13 @@ class ExactPoly:
 #: derivative-sign bounds of the band-edge log forms; Q5 certifies the
 #: square-root gap bound used in the closing-term sign analysis.
 FAMILIES = {
-    "P3": ExactPoly((-288, 192, 4, -25, 1), "P3"),
-    "P4": ExactPoly((-256, 192, -20, -16, 1), "P4"),
-    "T1": ExactPoly((2048, 1536, -1040, -368, 10, 3), "T1"),
-    "T2": ExactPoly((-2048, 3072, -112, -484, 8, 3), "T2"),
-    "U1": ExactPoly((-396, -87, 19), "U1"),
-    "U2": ExactPoly((-432, -528, 18, 3), "U2"),
-    "Q5": ExactPoly((-23543936, -8238032, 6438956, -489960, -70261, 2751), "Q5"),
-}
-
-#: Shift at which each family's expansion has all-positive coefficients.
-POSITIVITY_SHIFTS = {
-    "P3": 25,
-    "P4": 17,
-    "T1": 12,
-    "T2": 12,
-    "U1": 12,
-    "U2": 12,
-    "Q5": 30,
+    "P3": (-288, 192, 4, -25, 1),
+    "P4": (-256, 192, -20, -16, 1),
+    "T1": (2048, 1536, -1040, -368, 10, 3),
+    "T2": (-2048, 3072, -112, -484, 8, 3),
+    "U1": (-396, -87, 19),
+    "U2": (-432, -528, 18, 3),
+    "Q5": (-23543936, -8238032, 6438956, -489960, -70261, 2751),
 }
 
 #: Reference point values; evaluation must reproduce these bit-exactly.
@@ -132,7 +52,13 @@ REFERENCE_EXPANSIONS = {
 }
 
 
-def get_family(family: str) -> ExactPoly:
+def _as_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an exact integer, got {value!r}")
+    return int(value)
+
+
+def _coeffs(family: str) -> tuple:
     try:
         return FAMILIES[family]
     except KeyError:
@@ -141,10 +67,21 @@ def get_family(family: str) -> ExactPoly:
 
 
 def poly_value(family: str, n) -> int:
-    """Exact value of the named family at integer n."""
-    return get_family(family)(n)
+    """Exact value of the named family at integer n (Horner's rule)."""
+    coeffs = _coeffs(family)
+    n = _as_int(n, "polynomial argument")
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
 
 
-def shifted_expansion(family: str, shift) -> ExactPoly:
-    """Exact expansion of the named family at (shift + r)."""
-    return get_family(family).shifted(shift)
+def shifted_expansion(family: str, shift) -> tuple:
+    """Ascending coefficients of the named family at (shift + r), by
+    repeated synthetic division (Taylor shift)."""
+    c = list(_coeffs(family))
+    shift = _as_int(shift, "shift")
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += shift * c[j + 1]
+    return tuple(c)

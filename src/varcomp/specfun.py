@@ -168,6 +168,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    if 2.0 * math.pi * (a + b) == math.inf:
+        raise DomainError(f"reg_inc_beta requires a + b below about 2.86e307, got {a + b:.6g}")
     ln_front = _ln_beta_front(x, a, b)
     if x < (a + 1.0) / (a + b + 2.0):
         value = math.exp(ln_front) * _beta_cf(a, b, x) / a

@@ -114,7 +114,7 @@ def band_endpoints(p: FParams) -> Endpoints:
     d1, d2 = p.d1, p.d2
     if d2 < 5:
         raise DomainError(f"band endpoints require d2 >= 5, got d2={d2}")
-    if d1 * (d2 - 2) >= _FLOAT_LIMIT:
+    if d1 * (d2 - 2) >= _FLOAT_LIMIT or 2 * (d1 + d2) >= _FLOAT_LIMIT:
         raise DomainError(f"the band endpoints of F({d1:.6g}, {d2:.6g}) overflow a float")
     r1 = math.sqrt(2.0 * (d1 + d2) / (d1 * (d2 - 2)))
     r2 = math.sqrt(2.0 * (d1 + d2 - 2) / (d1 * (d2 - 4)))

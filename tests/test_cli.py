@@ -377,6 +377,21 @@ def test_degree_of_freedom_products_too_large_for_a_float_are_domain_errors(
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("d2", [6 * 10 ** 307, 8 * 10 ** 307, 9 * 10 ** 307, 17 * 10 ** 307])
+@pytest.mark.parametrize("argv", [
+    ["varprob", "--dist", "f", "--d1", "1", "--d2"],
+    ["endpoints", "--d1", "1", "--d2"],
+    ["sweep", "--d1", "1", "--d2", "5..6", "--check", "limit", "--d2-large"],
+], ids=["varprob", "endpoints", "sweep_limit"])
+def test_float_sized_d2_past_the_beta_front_is_a_domain_error(argv, d2, capsys):
+    # from a + b = 2.86e307 the beta front factor's 2 pi (a + b) overflows,
+    # and from d2 = 9e307 so does 2 (d1 + d2) in the endpoints: one error
+    # line and exit 2, never a math domain error traceback or a band of 1.0
+    code, out, err = run_cli(*argv, str(d2), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_chisq_band_at_huge_k_is_an_error_not_a_value(capsys):
     # from k near 2e15 up the lower-gamma series cannot converge in binary64:
     # the band is a ConvergenceError (or, once 2k overflows, a DomainError),

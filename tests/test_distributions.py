@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +77,14 @@ def test_cdf_anchors():
         chi_square_cdf(4, math.nan)
     with pytest.raises(DomainError):
         std_normal_cdf(math.inf)
+
+
+def test_f_cdf_at_the_float_edge():
+    # d1 x overflows to inf, so the beta argument is taken as
+    # 1 / (1 + d2 / (d1 x)) rather than inf / inf
+    for x in (1e308, sys.float_info.max):
+        assert f_cdf(FParams(3, 7), x) == 1.0
+        assert f_cdf(FParams(3, 7), x) == float(special.fdtr(3, 7, x))
 
 
 def test_f_cdf_matches_scipy_grid():
