@@ -392,7 +392,7 @@ def _cmd_varprob(ns) -> int:
     if ns.format == "json":
         print(json.dumps(payload, sort_keys=True))
         return 0
-    if set(payload) == {"dist", "prob"} or not ns.endpoints:
+    if "a" not in payload:  # no --endpoints, or a band without endpoint images
         print(repr(payload["prob"]))
         return 0
     for key in ("prob", "a", "b", "c", "d", "region", "band_lower", "band_upper"):

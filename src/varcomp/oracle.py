@@ -37,7 +37,6 @@ __all__ = [
     "QuadResult",
     "stream",
     "chi_square_draws",
-    "sample_f",
     "f_draws",
     "mc_variation_probability",
     "quad_beta_integral",
@@ -81,26 +80,21 @@ def stream(seed: int, d1: int = 0, d2: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(d1), int(d2)]))
 
 
-def chi_square_draws(k: int, size: int, rng: np.random.Generator,
-                     method: str = "auto") -> np.ndarray:
+def chi_square_draws(k: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Chi-square(k) variates.
 
-    For k <= 16 (or method='normal-sum') each draw is the sum of k squared
-    standard normals, matching the defining representation exactly; above
-    that the gamma(k/2, scale=2) rejection sampler is used for speed.
+    For k <= 16 each draw is the sum of k squared standard normals, matching
+    the defining representation exactly; above that the gamma(k/2, scale=2)
+    rejection sampler is used for speed.
     """
     if k < 1:
         raise DomainError(f"chi-square df must be >= 1, got {k}")
-    if method == "auto":
-        method = "normal-sum" if k <= _NORMAL_SUM_MAX_DF else "gamma"
-    if method == "normal-sum":
-        import numpy as np
-
-        z = rng.standard_normal((size, k))
-        return np.einsum("ij,ij->i", z, z)
-    if method == "gamma":
+    if k > _NORMAL_SUM_MAX_DF:
         return rng.gamma(0.5 * k, 2.0, size)
-    raise DomainError(f"unknown chi-square sampling method {method!r}")
+    import numpy as np
+
+    z = rng.standard_normal((size, k))
+    return np.einsum("ij,ij->i", z, z)
 
 
 def f_draws(p: FParams, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -116,11 +110,6 @@ def f_draws(p: FParams, size: int, rng: np.random.Generator) -> np.ndarray:
         den[bad] = chi_square_draws(p.d2, int(bad.sum()), rng) / p.d2
         bad = den == 0.0
     return num / den
-
-
-def sample_f(p: FParams, rng: np.random.Generator) -> float:
-    """One F(d1, d2) variate, strictly positive."""
-    return float(f_draws(p, 1, rng)[0])
 
 
 def mc_variation_probability(p: FParams, n: int, seed: int = 0) -> McEstimate:

@@ -33,14 +33,17 @@ None for a form that does not apply at that (d1, d2); it renders no
 verdict.  ``reporting.rows_from_step_report`` classifies them against the
 strictness floor, one block per form over a column of d2 values.
 
-``step_inequalities_column`` is the route of sweeps and of long ``prove``
-chains (``programs._COLUMN_MIN`` d2 points or more): it evaluates every form
-over a whole d2 column with numpy, its integrals through
-``oracle.quad_beta_integral_column``, and its margins are bit-identical to
-``step_inequalities_at``, which ``check_step_inequalities``, short ``prove``
-chains and ``explore`` use and which stays the reference route.
-``coefficient_sign_column`` is the same for ``coefficient_sign_checks``.
-numpy is imported only when a column route runs.
+``step_inequalities_at`` (``check_step_inequalities``, short ``prove``
+chains, ``explore``) and ``step_inequalities_column`` (sweeps and ``prove``
+chains of ``programs._COLUMN_MIN`` d2 points or more, integrals through
+``oracle.quad_beta_integral_column``) write every form through one body,
+``_step_forms``.  It uses only +, -, * and /, which round alike on floats
+and on float64 columns; each route supplies its integrals and its exp and
+log (through ``math``) and applies the applicability rules, so the margins
+are bit-identical and the scalar route stays the reference.
+``coefficient_sign_checks`` and ``coefficient_sign_column`` share
+``_coefficient_forms`` the same way.  numpy is imported only when a column
+route runs.
 """
 
 from __future__ import annotations
@@ -75,6 +78,9 @@ _QUAD_TOL = 1e-13
 #: Form -> signed margin, None where the form does not apply.
 Margins = Dict[str, Optional[float]]
 
+#: The lower-edge step form of each d1 that has one; it applies where d > c > 0.
+_LOWER_STEP = {3: "product_step_lower", 4: "poly_power_step_lower"}
+
 
 def _pow1m(x: float, e: float) -> float:
     """(1 - x)^e without cancellation for small x."""
@@ -107,47 +113,18 @@ def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float,
     """``check_step_inequalities`` at (d1, d2) given its endpoint images
     a, b, c, d (from ``band_endpoints`` or ``band_endpoints_column``)."""
     a2, b2 = 0.5 * d1, 0.5 * d2
-
-    upper_int = d2 * quad_beta_integral(a2, b2, a, b, _QUAD_TOL).value
-    lower_int = d2 * _signed_beta_integral(a2, b2, c, d, _QUAD_TOL)
-    term_a = _boundary_term(a, d1, d2)
-    term_c = _boundary_term(c, d1, d2)
-
-    margins: Margins = {
-        "step_integral": (upper_int + term_c) - (term_a + lower_int),
-        "upper_edge": upper_int - term_a,
-        "lower_edge": term_c - lower_int if c > 0.0 else None,
-    }
-
-    one_m_a = _pow1m(a, b2 + 1.0)
-    one_m_b = _pow1m(b, b2)
-    if d1 in (1, 2, 3):
-        margins["power_step"] = one_m_a - one_m_b
-    if d1 == 1:
-        lhs = (3.0 * (d2 + 2) * a - 2.0 - d2 * b) * one_m_b
-        rhs = 2.0 * ((d2 + 2) * a - 1.0) * one_m_a
-        margins["affine_power_step"] = rhs - lhs
-    if d1 == 4:
-        lhs = (d2 * b + 2.0) * one_m_b
-        rhs = ((d2 + 2) * a + 2.0) * one_m_a
-        margins["poly_power_step"] = rhs - lhs
-
-    d_gt_c = d > 0.0 and _d_exceeds_c(d1, d2) if d1 >= 3 else False
-    if d1 == 4:
-        margin = None
-        if d_gt_c:
-            lhs = (d2 * d + 2.0) * _pow1m(d, b2)
-            rhs = ((d2 + 2) * c + 2.0) * _pow1m(c, b2 + 1.0)
-            margin = lhs - rhs
-        margins["poly_power_step_lower"] = margin
-    if d1 == 3:
-        product = ratio = None
-        if d_gt_c:
-            lhs = (2.0 * (1.0 + c) + d2 * (c + d)) * _pow1m(d, b2)
-            rhs = 2.0 * ((d2 + 2) * c + 1.0) * _pow1m(c, b2 + 1.0)
-            product, ratio = lhs - rhs, v_direct(float(d2))
-        margins["product_step_lower"] = product
-        margins["ratio_bound_lower"] = ratio
+    margins = _step_forms(d1, float(d2), float(d2 + 2), a, b, c, d,
+                          quad_beta_integral(a2, b2, a, b, _QUAD_TOL).value,
+                          _signed_beta_integral(a2, b2, c, d, _QUAD_TOL),
+                          _boundary_term(a, d1, d2), _boundary_term(c, d1, d2), _pow1m)
+    if not c > 0.0:
+        margins["lower_edge"] = None
+    if d1 in (3, 4):
+        d_gt_c = d > 0.0 and _d_exceeds_c(d1, d2)
+        if not d_gt_c:
+            margins[_LOWER_STEP[d1]] = None
+        if d1 == 3:
+            margins["ratio_bound_lower"] = v_direct(float(d2)) if d_gt_c else None
     return margins
 
 
@@ -157,16 +134,13 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[st
 
     a, b, c, d are the column's endpoint images (``band_endpoints_column``).
     The keys, their order, the None entries and every margin are those of
-    ``step_inequalities_at``, bit for bit: only +, -, * and / are
-    vectorised, in scalar order, and every exp and log goes through
-    ``math``.
+    ``step_inequalities_at``, bit for bit: both routes evaluate the forms
+    through ``_step_forms``, whose +, -, * and / round alike on floats and
+    on float64 arrays, and every exp and log goes through ``math``.
     """
     import numpy as np
 
-    n2 = np.asarray(d2s, dtype=float)
-    # d2 + 2 in integers, as the scalar route adds it, then rounded once
-    n2p2 = (np.asarray(d2s, dtype=np.int64) + 2).astype(float)
-    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
+    n2, n2p2, a, b, c, d = _column_args(d2s, a, b, c, d)
     a2, b2 = 0.5 * d1, 0.5 * n2
 
     # both integrals of each point in one kernel call, interleaved in the
@@ -180,52 +154,69 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[st
     ints = np.zeros(lo.shape)
     ints[use] = quad_beta_integral_column(a2, np.repeat(b2, 2)[use], lo[use], hi[use],
                                           _QUAD_TOL)
-    upper_int = n2 * ints[0::2]
-    lower_int = n2 * np.where(rev, -ints[1::2], ints[1::2])
-    term_a = _boundary_term_column(a, d1, b2)
-    term_c = _boundary_term_column(c, d1, b2)
-
-    margins = {
-        "step_integral": (upper_int + term_c) - (term_a + lower_int),
-        "upper_edge": upper_int - term_a,
-        "lower_edge": _masked((c > 0.0).tolist(), term_c - lower_int),
-    }
-
-    one_m_a = _pow1m_column(a, b2 + 1.0)
-    one_m_b = _pow1m_column(b, b2)
-    if d1 in (1, 2, 3):
-        margins["power_step"] = one_m_a - one_m_b
-    if d1 == 1:
-        lhs = (3.0 * n2p2 * a - 2.0 - n2 * b) * one_m_b
-        rhs = 2.0 * (n2p2 * a - 1.0) * one_m_a
-        margins["affine_power_step"] = rhs - lhs
-    if d1 == 4:
-        lhs = (n2 * b + 2.0) * one_m_b
-        rhs = (n2p2 * a + 2.0) * one_m_a
-        margins["poly_power_step"] = rhs - lhs
-
+    forms = _step_forms(d1, n2, n2p2, a, b, c, d,
+                        ints[0::2], np.where(rev, -ints[1::2], ints[1::2]),
+                        _boundary_term_column(a, d1, b2), _boundary_term_column(c, d1, b2),
+                        _pow1m_column)
+    margins = {form: v.tolist() for form, v in forms.items()}
+    margins["lower_edge"] = _masked((c > 0.0).tolist(), margins["lower_edge"])
     if d1 in (3, 4):
-        d_gt_c = [dv > 0.0 and _d_exceeds_c(d1, n)
-                  for n, dv in zip(d2s, d.tolist())]
-        one_m_d = _pow1m_column(d, b2)
-        one_m_c = _pow1m_column(c, b2 + 1.0)
-        if d1 == 4:
-            lhs = (n2 * d + 2.0) * one_m_d
-            rhs = (n2p2 * c + 2.0) * one_m_c
-            margins["poly_power_step_lower"] = _masked(d_gt_c, lhs - rhs)
-        else:
-            lhs = (2.0 * (1.0 + c) + n2 * (c + d)) * one_m_d
-            rhs = 2.0 * (n2p2 * c + 1.0) * one_m_c
-            margins["product_step_lower"] = _masked(d_gt_c, lhs - rhs)
+        d_gt_c = [dv > 0.0 and _d_exceeds_c(d1, n) for n, dv in zip(d2s, d.tolist())]
+        margins[_LOWER_STEP[d1]] = _masked(d_gt_c, margins[_LOWER_STEP[d1]])
+        if d1 == 3:
             margins["ratio_bound_lower"] = [v_direct(float(n)) if gt else None
                                             for n, gt in zip(d2s, d_gt_c)]
-    return {form: v if isinstance(v, list) else v.tolist()
-            for form, v in margins.items()}
+    return margins
 
 
-def _masked(mask, values) -> list:
+def _step_forms(d1, d2, d2p2, a, b, c, d, upper, lower, term_a, term_c, pow1m) -> dict:
+    """Every step form's margin at d1, before the applicability rules.
+
+    d2p2 is d2 + 2, upper and lower the integrals I[a,b] and I[c,d], term_a
+    and term_c the boundary terms and pow1m(x, e) gives (1 - x)^e: floats
+    on the scalar route, float64 columns on the column route.
+    """
+    upper_int, lower_int = d2 * upper, d2 * lower
+    forms = {
+        "step_integral": (upper_int + term_c) - (term_a + lower_int),
+        "upper_edge": upper_int - term_a,
+        "lower_edge": term_c - lower_int,
+    }
+    b2 = 0.5 * d2
+    one_m_a = pow1m(a, b2 + 1.0)
+    one_m_b = pow1m(b, b2)
+    if d1 in (1, 2, 3):
+        forms["power_step"] = one_m_a - one_m_b
+    if d1 == 1:
+        forms["affine_power_step"] = (2.0 * (d2p2 * a - 1.0) * one_m_a
+                                      - (3.0 * d2p2 * a - 2.0 - d2 * b) * one_m_b)
+    if d1 == 4:
+        forms["poly_power_step"] = (d2p2 * a + 2.0) * one_m_a - (d2 * b + 2.0) * one_m_b
+    if d1 in (3, 4):
+        one_m_d = pow1m(d, b2)
+        one_m_c = pow1m(c, b2 + 1.0)
+        if d1 == 4:
+            forms["poly_power_step_lower"] = ((d2 * d + 2.0) * one_m_d
+                                              - (d2p2 * c + 2.0) * one_m_c)
+        else:
+            forms["product_step_lower"] = ((2.0 * (1.0 + c) + d2 * (c + d)) * one_m_d
+                                           - 2.0 * (d2p2 * c + 1.0) * one_m_c)
+    return forms
+
+
+def _column_args(d2s, a, b, c, d) -> tuple:
+    # d2, d2 + 2 and the endpoint images as float64 columns; d2 + 2 is added
+    # in integers, as the scalar route adds it, then rounded once
+    import numpy as np
+
+    return (np.asarray(d2s, dtype=float),
+            (np.asarray(d2s, dtype=np.int64) + 2).astype(float),
+            *(np.asarray(v, dtype=float) for v in (a, b, c, d)))
+
+
+def _masked(mask: list, values: list) -> list:
     # values[i] where mask[i] holds, None elsewhere
-    return [v if m else None for v, m in zip(values.tolist(), mask)]
+    return [v if m else None for v, m in zip(values, mask)]
 
 
 def _pow1m_column(x, e):
@@ -251,16 +242,12 @@ def coefficient_sign_checks(d1: int, d2: int) -> Margins:
     d1 = 1:  (d2+2) a > 1,   3(d2+2) a - 2 - d2 b > 0,   d2 b > (d2+2) a
     d1 = 3:  (d2+2) c > d2 d   (requires c > 0, else not applicable)
     """
-    if d1 not in (1, 3):
-        raise DomainError(f"coefficient sign checks exist for d1 in {{1, 3}}, got {d1}")
-    ep = band_endpoints(FParams(d1, d2))
-    if d1 == 1:
-        return {
-            "coef_lower_bound": (d2 + 2) * ep.a - 1.0,
-            "coef_combination": 3.0 * (d2 + 2) * ep.a - 2.0 - d2 * ep.b,
-            "coef_dominance": d2 * ep.b - (d2 + 2) * ep.a,
-        }
-    return {"cd_order": (d2 + 2) * ep.c - d2 * ep.d if ep.c > 0.0 else None}
+    _check_coefficient_d1(d1)
+    a, b, c, d = band_endpoints(FParams(d1, d2))
+    margins = _coefficient_forms(d1, float(d2), float(d2 + 2), a, b, c, d)
+    if d1 == 3 and not c > 0.0:
+        margins["cd_order"] = None
+    return margins
 
 
 def coefficient_sign_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[str, list]:
@@ -269,24 +256,33 @@ def coefficient_sign_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[str
 
     a, b, c, d are the column's endpoint images (``band_endpoints_column``).
     The keys, the None entries and every margin are those of
-    ``coefficient_sign_checks``, bit for bit: the same arithmetic in the
-    same order, vectorised.
+    ``coefficient_sign_checks``, bit for bit: both evaluate
+    ``_coefficient_forms``.
     """
-    import numpy as np
+    _check_coefficient_d1(d1)
+    n2, n2p2, a, b, c, d = _column_args(d2s, a, b, c, d)
+    margins = {form: v.tolist()
+               for form, v in _coefficient_forms(d1, n2, n2p2, a, b, c, d).items()}
+    if d1 == 3:
+        margins["cd_order"] = _masked((c > 0.0).tolist(), margins["cd_order"])
+    return margins
 
+
+def _check_coefficient_d1(d1: int) -> None:
     if d1 not in (1, 3):
         raise DomainError(f"coefficient sign checks exist for d1 in {{1, 3}}, got {d1}")
-    n2 = np.asarray(d2s, dtype=float)
-    # d2 + 2 in integers, as the scalar route adds it, then rounded once
-    n2p2 = (np.asarray(d2s, dtype=np.int64) + 2).astype(float)
-    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
+
+
+def _coefficient_forms(d1, d2, d2p2, a, b, c, d) -> dict:
+    # the coefficient claims before the c > 0 rule, from floats or float64
+    # columns alike (see _step_forms)
     if d1 == 1:
         return {
-            "coef_lower_bound": (n2p2 * a - 1.0).tolist(),
-            "coef_combination": (3.0 * n2p2 * a - 2.0 - n2 * b).tolist(),
-            "coef_dominance": (n2 * b - n2p2 * a).tolist(),
+            "coef_lower_bound": d2p2 * a - 1.0,
+            "coef_combination": 3.0 * d2p2 * a - 2.0 - d2 * b,
+            "coef_dominance": d2 * b - d2p2 * a,
         }
-    return {"cd_order": _masked((c > 0.0).tolist(), n2p2 * c - n2 * d)}
+    return {"cd_order": d2p2 * c - d2 * d}
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ the usual symmetry flip for the beta function so the fraction is always used
 in its fast-converging region.  Iteration caps are hard errors, never silent
 best-effort values.
 
-The column route repeats the scalar arithmetic operation for operation: it
-vectorises only the correctly rounded IEEE operations (+, -, *, /) and calls
-every exp and log through ``math``, element by element, because numpy's
-transcendental functions may differ from ``math`` in the last ulp.  Its
-results are therefore bit-identical to ``reg_inc_beta``, which stays the
-reference route.  numpy is imported only when the column route runs.
+Both routes run one Lentz step, ``_lentz_pair``: its body uses only the
+correctly rounded IEEE operations (+, -, *, /), which round alike on
+Python floats and on float64 columns, and each route passes in its own
+``_FPMIN`` guard.  The column route calls every exp and log through
+``math``, element by element, because numpy's transcendental functions may
+differ from ``math`` in the last ulp.  Its results are therefore
+bit-identical to ``reg_inc_beta``, which stays the reference route.  numpy
+is imported only when the column route runs.
 """
 
 from __future__ import annotations
@@ -185,38 +187,39 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    d = 1.0 / _fpmin(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        c, d, even, delta = _lentz_pair(m, a, b, x, qab, qap, qam, c, d, _fpmin)
+        h = h * even * delta
         if abs(delta - 1.0) <= max(_REL_TOL, _ABS_TOL / max(abs(h), _FPMIN)):
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge within "
         f"{_MAX_ITER} iterations (a={a}, b={b}, x={x})"
     )
+
+
+def _fpmin(v: float) -> float:
+    return _FPMIN if abs(v) < _FPMIN else v
+
+
+def _lentz_pair(m, a, b, x, qab, qap, qam, c, d, guard):
+    """Step m of ``_beta_cf``: its even and its odd Lentz update.
+
+    Returns the new (c, d) and the two factors of h, from floats or float64
+    columns alike: the body uses only +, -, * and /, and guard lifts a
+    value below ``_FPMIN`` in magnitude to ``_FPMIN`` on either route.
+    """
+    m2 = 2 * m
+    aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    d = 1.0 / guard(1.0 + aa * d)
+    c = guard(1.0 + aa / c)
+    even = d * c
+    aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+    d = 1.0 / guard(1.0 + aa * d)
+    c = guard(1.0 + aa / c)
+    return c, d, even, d * c
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,7 @@ def _bd0_column(x, mu):
 
 
 def _fpmin_guard(v):
+    # _fpmin lane by lane
     import numpy as np
     return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
 
@@ -330,16 +334,8 @@ def _beta_cf_column(a, b, x):
     for m in range(1, _MAX_ITER + 1):
         if not lanes.size:
             return out
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _fpmin_guard(1.0 + aa * d)
-        c = _fpmin_guard(1.0 + aa / c)
-        h = h * (d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _fpmin_guard(1.0 + aa * d)
-        c = _fpmin_guard(1.0 + aa / c)
-        delta = d * c
-        h = h * delta
+        c, d, even, delta = _lentz_pair(m, a, b, x, qab, qap, qam, c, d, _fpmin_guard)
+        h = h * even * delta
         done = np.abs(delta - 1.0) <= np.maximum(
             _REL_TOL, _ABS_TOL / np.maximum(np.abs(h), _FPMIN))
         if done.any():

@@ -39,6 +39,17 @@ def test_varprob_f_with_endpoints(capsys):
     assert float(lines["a"]) < float(lines["b"])
 
 
+@pytest.mark.parametrize("argv, prob", [
+    (("--dist", "chisq", "--k", "3"), "0.7659712696182989"),
+    (("--dist", "normal"), "0.6826894921370859"),
+], ids=["chisq", "normal"])
+def test_varprob_endpoints_without_images(argv, prob, capsys):
+    # a band with no endpoint images prints its probability alone
+    code, out, err = run_cli("varprob", *argv, "--endpoints", capsys=capsys)
+    assert code == 0
+    assert (out, err) == (prob + "\n", "")
+
+
 def test_varprob_domain_error_exit_2(capsys):
     code, _, err = run_cli("varprob", "--dist", "f", "--d1", "1", "--d2", "4",
                            capsys=capsys)

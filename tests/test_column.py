@@ -64,6 +64,18 @@ def test_reg_inc_beta_column_edges_and_flip():
     assert [v.hex() for v in got.tolist()] == [w.hex() for w in want]
 
 
+def test_beta_cf_lentz_guard_parity():
+    # at these (a, b, x) the first Lentz denominator 1 - (a+b) x / (a+1) is
+    # exactly 0, so _FPMIN lifts it on both routes
+    points = [(1.0, 3.0, 0.5), (2.0, 2.0, 0.75), (0.5, 1.5, 0.75)]
+    a, b, x = (np.array(v) for v in zip(*points))
+    assert (1.0 - (a + b) * x / (a + 1.0) == 0.0).all()
+    got = varcomp.specfun._beta_cf_column(a, b, x)
+    want = [varcomp.specfun._beta_cf(*p) for p in points]
+    assert [v.hex() for v in got.tolist()] == [w.hex() for w in want]
+    assert all(map(np.isfinite, want))
+
+
 def test_reg_inc_beta_column_rejects_bad_input():
     with pytest.raises(DomainError):
         reg_inc_beta_column(np.array([0.5, 1.5]), 1.0, np.array([2.0, 2.0]))

@@ -8,6 +8,7 @@ from varcomp import (
     FParams,
     MomentUndefinedError,
     ToleranceNotMetError,
+    chi_square_cdf,
     f_cdf,
     f_mean,
     f_variance,
@@ -21,17 +22,16 @@ from varcomp.oracle import (
     f_draws,
     mc_variation_probability,
     quad_beta_integral,
-    sample_f,
     stream,
 )
 
 
 def test_sample_determinism():
-    a = sample_f(FParams(1, 5), stream(7, 1, 5))
-    b = sample_f(FParams(1, 5), stream(7, 1, 5))
+    a = f_draws(FParams(1, 5), 1, stream(7, 1, 5))[0]
+    b = f_draws(FParams(1, 5), 1, stream(7, 1, 5))[0]
     assert a == b and a > 0.0
     # distinct (seed, d1, d2) keys give distinct streams
-    c = sample_f(FParams(1, 5), stream(8, 1, 5))
+    c = f_draws(FParams(1, 5), 1, stream(8, 1, 5))[0]
     assert a != c
 
 
@@ -46,18 +46,17 @@ def test_mc_moments_match_formulas():
     assert f_variance(p6) == pytest.approx(draws.var(ddof=1), rel=0.1)
 
 
-def test_chi_square_two_sampler_paths_agree():
-    # normal-sum (k <= 16) and the gamma rejection sampler must produce the
-    # same distribution: compare empirical CDFs on a common grid
-    k, n = 8, 200_000
-    a = chi_square_draws(k, n, stream(11, k, 0), method="normal-sum")
-    b = chi_square_draws(k, n, stream(12, k, 0), method="gamma")
-    grid = np.linspace(1.0, 20.0, 9)
-    for x in grid:
-        pa = float(np.mean(a <= x))
-        pb = float(np.mean(b <= x))
-        se = math.sqrt(2.0 * max(pa * (1 - pa), 1e-8) / n)
-        assert abs(pa - pb) < 4.5 * se, x
+def test_chi_square_sampler_paths_match_cdf():
+    # k <= 16 draws sums of squared normals (k = 8), larger k the gamma
+    # sampler (k = 40): each empirical CDF against chi_square_cdf on a grid
+    # around the mean
+    n = 200_000
+    for k in (8, 40):
+        draws = chi_square_draws(k, n, stream(11, k, 0))
+        for x in np.linspace(0.25 * k, 2.0 * k, 8):
+            p = chi_square_cdf(k, float(x))
+            se = math.sqrt(max(p * (1.0 - p), 1e-8) / n)
+            assert abs(float(np.mean(draws <= x)) - p) < 4.5 * se, (k, x)
 
 
 def test_mc_variation_probability():
