@@ -152,6 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_end.add_argument("--d1", type=int, required=True)
     p_end.add_argument("--d2", type=int, required=True)
     p_end.add_argument("--format", choices=("text", "json"), default="text")
+    p_end.set_defaults(dist="f", endpoints=True)
 
     p_sweep = sub.add_parser("sweep", help="run checks over a (d1, d2) grid")
     p_sweep.add_argument("--d1", type=_parse_range, required=True, metavar="LO..HI")
@@ -401,13 +402,6 @@ def _cmd_varprob(ns) -> int:
     return 0
 
 
-def _cmd_endpoints(ns) -> int:
-    ns.dist = "f"
-    ns.endpoints = True
-    ns.k = None
-    return _cmd_varprob(ns)
-
-
 def _cmd_explore(ns) -> int:
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
@@ -435,7 +429,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     handlers = {
         "varprob": _cmd_varprob,
-        "endpoints": _cmd_endpoints,
+        "endpoints": _cmd_varprob,
         "sweep": _cmd_sweep,
         "prove": _cmd_prove,
         "oracle": _cmd_oracle,

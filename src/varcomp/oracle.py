@@ -2,11 +2,12 @@
 the chi-square ratio representation, and adaptive Simpson quadrature of the
 beta integrand t^(a-1) (1-t)^(b-1).
 
-Random streams are keyed by (seed, d1, d2) so grid sweeps are reproducible
-and parallelize without shared state.  The quadrature handles the integrable
-endpoint singularities (a < 1 at t=0, b < 1 at t=1) by the substitutions
-t = u^2 and t = 1 - u^2 on the affected panels, never by clipping the
-integration limits.
+Random streams are keyed by (seed, d1, d2), so each grid point draws the
+same variates whatever else runs; every chi-square variate comes from one
+sampler, numpy's ``Generator.chisquare``.  The quadrature handles the
+integrable endpoint singularities (a < 1 at t=0, b < 1 at t=1) by the
+substitutions t = u^2 and t = 1 - u^2 on the affected panels, never by
+clipping the integration limits.
 
 ``quad_beta_integral_column`` is the numpy fast route for a column of
 integrals, used by sweeps for the step forms: it takes the first panel and
@@ -43,12 +44,8 @@ __all__ = [
     "quad_beta_integral_column",
 ]
 
-#: Above this df the chi-square sampler switches from the sum of squared
-#: normals to the gamma(k/2, 2) rejection sampler.
-_NORMAL_SUM_MAX_DF = 16
-
-#: Draw block size for the big Monte Carlo loops; bounds peak memory at
-#: roughly block * df doubles.
+#: Draw block size for the big Monte Carlo loops; bounds the draws held at
+#: once to a few arrays of block doubles.
 _BLOCK = 250_000
 
 
@@ -81,20 +78,11 @@ def stream(seed: int, d1: int = 0, d2: int = 0) -> np.random.Generator:
 
 
 def chi_square_draws(k: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Chi-square(k) variates.
-
-    For k <= 16 each draw is the sum of k squared standard normals, matching
-    the defining representation exactly; above that the gamma(k/2, scale=2)
-    rejection sampler is used for speed.
-    """
+    """Chi-square(k) variates from numpy's chi-square sampler, which draws
+    gamma(k/2, scale=2) for every k (bit for bit ``rng.gamma(k/2, 2.0)``)."""
     if k < 1:
         raise DomainError(f"chi-square df must be >= 1, got {k}")
-    if k > _NORMAL_SUM_MAX_DF:
-        return rng.gamma(0.5 * k, 2.0, size)
-    import numpy as np
-
-    z = rng.standard_normal((size, k))
-    return np.einsum("ij,ij->i", z, z)
+    return rng.chisquare(k, size)
 
 
 def f_draws(p: FParams, size: int, rng: np.random.Generator) -> np.ndarray:

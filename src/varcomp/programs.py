@@ -53,7 +53,8 @@ from .proofcheck.steps import (
     step_inequalities_column,
 )
 from .oracle import quad_beta_integral
-from .reporting import Block, margin_block, rows_from_outcome, rows_from_step_report
+from .reporting import (Block, gap_block, margin_block, rows_from_outcome,
+                        rows_from_step_report)
 from .varband import (PROVED_D1, STRICTNESS_FLOOR, band_endpoints, band_endpoints_column,
                       d_exceeds_c)
 
@@ -169,25 +170,22 @@ def _closed_form_rows(d2_values: Iterable[int]) -> list:
     """For numerator df 2 the upper-edge integral is elementary:
     d2 * integral_a^b (1-t)^(d2/2-1) dt = 2 (1-a)^(d2/2) [1 - ((1-b)/(1-a))^(d2/2)].
     The quadrature oracle must match that closed form to 1e-10, relatively."""
-    worst = 0.0
+    pairs = []
     for d2 in d2_values:
         ep = band_endpoints(FParams(2, d2))
         quad = d2 * quad_beta_integral(1.0, 0.5 * d2, ep.a, ep.b, 1e-14).value
         closed = 2.0 * math.exp(0.5 * d2 * math.log1p(-ep.a)) * (
             1.0 - math.exp(0.5 * d2 * (math.log1p(-ep.b) - math.log1p(-ep.a))))
-        worst = max(worst, abs(quad - closed) / abs(closed))
-    return [_claim("upper_edge_closed_form", 2, 0, 1e-10 - worst,
-                   "quadrature vs elementary antiderivative")]
+        pairs.append((quad, closed))
+    return [gap_block("upper_edge_closed_form", 2, pairs, 1e-10,
+                      "quadrature vs elementary antiderivative")]
 
 
 def _g2_consistency_rows(ys: Iterable[int]) -> list:
     """The two transcriptions of g2 must agree to 1e-9, relatively."""
-    worst = 0.0
-    for y in ys:
-        ga, gb = g2(float(y)), g2_expanded(float(y))
-        worst = max(worst, abs(ga - gb) / max(abs(ga), abs(gb)))
-    return [_claim("g2_expansion_consistency", 3, 0, 1e-9 - worst,
-                   "two transcriptions of the same factor agree")]
+    return [gap_block("g2_expansion_consistency", 3,
+                      [(g2(float(y)), g2_expanded(float(y))) for y in ys], 1e-9,
+                      "two transcriptions of the same factor agree")]
 
 
 def _log_form_rows(d1: int, d2_values: Iterable[int]) -> list:
@@ -205,60 +203,47 @@ def _log_form_rows(d1: int, d2_values: Iterable[int]) -> list:
     A transcription slip on either side shows up as a residual far above
     roundoff, so these margins certify the reduction steps themselves.
     """
+    if d1 not in PROVED_D1:
+        raise DomainError(f"log-form welds exist for d1 in 1..4, got {d1}")
     rel_tol = 1e-9
-    fn = {1: h1, 2: h2, 3: h3}.get(d1)
-    blocks = []
-    worst = 0.0
-    if d1 in (1, 2, 3):
-        for d2 in d2_values:
-            ep = band_endpoints(FParams(d1, d2))
-            lhs = fn(float(d2 - 2)) - fn(float(d2))
-            rhs = ((0.5 * d2 + 1.0) * math.log1p(-ep.a)
-                   - 0.5 * d2 * math.log1p(-ep.b))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-        blocks.append(_claim(f"h{d1}_log_form_consistency", d1, 0, rel_tol - worst,
-                             "aux step equals the endpoint log ratio"))
-        if d1 == 1:
-            worst = 0.0
-            for d2 in d2_values:
-                ep = band_endpoints(FParams(1, d2))
-                for lhs, rhs in ((d2 * ep.b, k_fun(float(d2))),
-                                 ((d2 + 2) * ep.a, k_fun(float(d2 + 2)))):
-                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
-            blocks.append(_claim("k_matches_scaled_endpoints", 1, 0, rel_tol - worst,
-                                 "k(d2) = d2 b and k(d2+2) = (d2+2) a"))
-        return blocks
+    ends = [(d2, band_endpoints(FParams(d1, d2))) for d2 in d2_values]
     if d1 == 4:
-        worst_h = worst_r = 0.0
-        any_r = False
-        for d2 in d2_values:
-            ep = band_endpoints(FParams(4, d2))
-            pairs = [
+        h_pairs, r_pairs = [], []
+        for d2, ep in ends:
+            h_pairs += [
                 (h4(float(d2)),
                  math.log((d2 + 2) * ep.a + 2.0) + (0.5 * d2 + 1.0) * math.log1p(-ep.a)),
                 (h4(float(d2 - 2)),
                  math.log(d2 * ep.b + 2.0) + 0.5 * d2 * math.log1p(-ep.b)),
             ]
-            for lhs, rhs in pairs:
-                worst_h = max(worst_h, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
             if d2 - 2 >= 15 and ep.d > 0.0 and ep.c > 0.0:
-                any_r = True
-                r_pairs = [
+                r_pairs += [
                     (r4(float(d2)),
                      math.log((d2 + 2) * ep.c + 2.0) + (0.5 * d2 + 1.0) * math.log1p(-ep.c)),
                     (r4(float(d2 - 2)),
                      math.log(d2 * ep.d + 2.0) + 0.5 * d2 * math.log1p(-ep.d)),
                 ]
-                for lhs, rhs in r_pairs:
-                    worst_r = max(worst_r, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-        blocks.append(_claim("h4_log_form_consistency", 4, 0, rel_tol - worst_h,
-                             "h4 equals the affine-power log form at the endpoints"))
-        if any_r:
-            blocks.append(_claim(
-                "r4_log_form_consistency", 4, 0, rel_tol - worst_r,
+        blocks = [gap_block("h4_log_form_consistency", 4, h_pairs, rel_tol,
+                            "h4 equals the affine-power log form at the endpoints")]
+        if r_pairs:
+            blocks.append(gap_block(
+                "r4_log_form_consistency", 4, r_pairs, rel_tol,
                 "r4 equals the affine-power log form at the lower images"))
         return blocks
-    raise DomainError(f"log-form welds exist for d1 in 1..4, got {d1}")
+    fn = (h1, h2, h3)[d1 - 1]
+    blocks = [gap_block(f"h{d1}_log_form_consistency", d1,
+                        [(fn(float(d2 - 2)) - fn(float(d2)),
+                          (0.5 * d2 + 1.0) * math.log1p(-ep.a)
+                          - 0.5 * d2 * math.log1p(-ep.b)) for d2, ep in ends],
+                        rel_tol, "aux step equals the endpoint log ratio")]
+    if d1 == 1:
+        blocks.append(gap_block(
+            "k_matches_scaled_endpoints", 1,
+            [pair for d2, ep in ends
+             for pair in ((d2 * ep.b, k_fun(float(d2))),
+                          ((d2 + 2) * ep.a, k_fun(float(d2 + 2))))],
+            rel_tol, "k(d2) = d2 b and k(d2+2) = (d2+2) a"))
+    return blocks
 
 
 def prove_rows(d1: int, d2_max: int = 400,

@@ -29,8 +29,10 @@ derivative-sign checks exposed to the verifier use sampled strict
 monotonicity plus a five-point finite-difference screen instead.
 
 The checks below return a one-row ``reporting.Block`` each, made by
-``reporting.margin_block``.  Its d1 and d2 are 0, since each is a claim about
-a function of y alone; ``reporting.rows_from_outcome`` stamps a program's on it.
+``reporting.margin_block``, or by ``reporting.gap_block`` for the two-route
+checks (``rational_V_consistency``, ``algebra_identity_check``).  Its d1
+and d2 are 0, since each is a claim about a function of y alone;
+``reporting.rows_from_outcome`` stamps a program's on it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from ..errors import DomainError
-from ..reporting import Block, margin_block
+from ..reporting import Block, gap_block, margin_block
 from ..varband import STRICTNESS_FLOOR
 
 __all__ = [
@@ -402,15 +404,14 @@ def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Block:
     """Agreement of the two v evaluation routes plus the sign program.
 
     Computes v directly from c_of/d_of and independently as g1/g2, requires
-    relative agreement within rel_tol, and asserts g1 < 0, g2 < 0, v > 0.
+    their relative gap (``reporting.relative_gap``) to be within rel_tol, and
+    asserts g1 < 0, g2 < 0, v > 0.
     """
     y = float(y)
     if y < 25.0:
         raise DomainError(f"the v sign program applies for y >= 25, got {y}")
     direct = v_direct(y)
     num, den = g1(y), g2(y)
-    ratio = num / den
-    rel = abs(direct - ratio) / max(abs(direct), abs(ratio))
     problems = []
     if not num < 0.0:
         problems.append(f"g1({y}) = {num:.6g} not negative")
@@ -419,8 +420,8 @@ def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Block:
     if not direct > 0.0:
         problems.append(f"v({y}) = {direct:.6g} not positive")
     note = "; ".join(problems) if problems else "two evaluation routes agree"
-    return margin_block("v_rational_consistency", 0, [0], [rel_tol - rel], 0.0, note,
-                        holds=not problems)
+    return gap_block("v_rational_consistency", 0, [(direct, num / den)], rel_tol, note,
+                     holds=not problems)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +519,10 @@ IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 def algebra_identity_check(name: str, ys: Sequence[float]) -> Block:
     """Residual of a named prefactor identity over sampled y.
 
-    margin = rel_tol - max relative residual between the prefactor-multiplied
-    bound function and its cleared algebraic form; the identity's trailing
-    polynomial lower bound must also stay nonnegative at each sample.
+    margin = rel_tol - the relative gap (``reporting.relative_gap``) between
+    the prefactor-multiplied bound function and its cleared algebraic form;
+    the identity's trailing polynomial lower bound must also stay
+    nonnegative at each sample.
     """
     try:
         fn, y_min, rel_tol = _IDENTITIES[name]
@@ -530,14 +532,11 @@ def algebra_identity_check(name: str, ys: Sequence[float]) -> Block:
     ys = [float(y) for y in ys]
     if not ys:
         raise DomainError("need at least one sample point")
-    worst_rel = 0.0
-    bound_ok = True
     for y in ys:
         if y < y_min:
             raise DomainError(f"identity {name} applies for y >= {y_min}, got {y}")
-        lhs, rhs, slack = fn(y)
-        worst_rel = max(worst_rel, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-        if slack < 0.0:
-            bound_ok = False
+    values = [fn(y) for y in ys]
+    bound_ok = not any(slack < 0.0 for _, _, slack in values)
     note = "" if bound_ok else "trailing polynomial bound violated"
-    return margin_block(name, 0, [0], [rel_tol - worst_rel], 0.0, note, holds=bound_ok)
+    return gap_block(name, 0, [(lhs, rhs) for lhs, rhs, _ in values], rel_tol, note,
+                     holds=bound_ok)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -49,6 +50,8 @@ __all__ = [
     "STATUSES",
     "Block",
     "margin_block",
+    "relative_gap",
+    "gap_block",
     "rows_from_outcome",
     "rows_from_step_report",
     "summarize",
@@ -93,7 +96,8 @@ def margin_block(check_id: str, d1: int, d2s: Sequence[int],
     (the note gains "inconclusive"), and fails otherwise; a None margin is a
     form that does not apply (the note defaults to "not applicable").  note
     is shared by the column or given per row.  Tolerance-style checks, whose
-    margin is tol - residual, use floor 0.0.
+    margin is tol - residual, use floor 0.0; a check that two routes agree
+    takes ``relative_gap`` as its residual, through ``gap_block``.
     """
     statuses = ["not_applicable" if margin is None
                 else "pass" if holds and margin > floor
@@ -105,6 +109,26 @@ def margin_block(check_id: str, d1: int, d2s: Sequence[int],
              for s, n in zip(statuses, [note] * len(statuses)
                              if isinstance(note, str) else note)]
     return Block(check_id, d1, d2s, margins, statuses, notes, exploratory)
+
+
+def relative_gap(pairs: Iterable[tuple[float, float]]) -> float:
+    """The residual of a two-route check: the largest relative gap
+    |l - r| / max(|l|, |r|) over its (l, r) pairs: 0.0 where l == r, and NaN
+    where a side is NaN or only one side is infinite, so that such a pair
+    fails the check."""
+    gaps = [abs(left - right) / max(abs(left), abs(right))
+            for left, right in pairs if left != right]
+    if any(math.isnan(gap) for gap in gaps):
+        return math.nan
+    return max(gaps, default=0.0)
+
+
+def gap_block(check_id: str, d1: int, pairs: Iterable[tuple[float, float]],
+              tol: float, note: str = "", holds: bool = True) -> Block:
+    """One-row block (d2 0) of a claim that two routes agree within the
+    relative tolerance tol: margin tol - relative_gap(pairs) at floor 0."""
+    return margin_block(check_id, d1, [0], [tol - relative_gap(pairs)], 0.0, note,
+                        holds=holds)
 
 
 def rows_from_outcome(blocks: Sequence[Block], d1: int,

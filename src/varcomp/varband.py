@@ -137,8 +137,9 @@ def band_endpoints_column(d1: int, d2) -> tuple:
     """Endpoint images (a, b, c, d) of ``band_endpoints`` at (d1, d2[i]) for
     every i, as four float64 arrays.
 
-    d2 is a sequence of integers >= 5.  The region tests run on int64 arrays,
-    so they are as exact as the scalar integer tests.
+    d2 is a sequence of integers >= 5.  The scalar region tests
+    (``_c_positive``, ``_d_positive``) run on the int64 column, so they are
+    as exact there as on Python integers.
     """
     import numpy as np
 
@@ -150,17 +151,17 @@ def band_endpoints_column(d1: int, d2) -> tuple:
     if d2.size and int(d1) * int(d2.max()) >= 2 ** 62:
         raise DomainError("band endpoints need d1 * d2 < 2**62 so the int64 "
                           "region tests cannot overflow")
-    r1 =np.sqrt(2.0 * (d1 + d2) / (d1 * (d2 - 2)))
+    r1 = np.sqrt(2.0 * (d1 + d2) / (d1 * (d2 - 2)))
     r2 = np.sqrt(2.0 * (d1 + d2 - 2) / (d1 * (d2 - 4)))
     a = d1 / (d1 + d2 / (1.0 + r1))
     b = d1 / (d1 + (d2 - 2) / (1.0 + r2))
     c = np.zeros(d2.shape)
-    pos = d1 * (d2 - 2) > 2 * (d1 + d2)  # _c_positive
+    pos = _c_positive(d1, d2)
     n2, r = d2[pos], r1[pos]
     one_minus_r1 = (d1 * (n2 - 2) - 2 * (d1 + n2)) / (d1 * (n2 - 2) * (1.0 + r))
     c[pos] = d1 * one_minus_r1 / (d1 * one_minus_r1 + n2)
     d = np.zeros(d2.shape)
-    pos = d1 * (d2 - 4) > 2 * (d1 + d2 - 2)  # _d_positive
+    pos = _d_positive(d1, d2)
     n2, r = d2[pos], r2[pos]
     one_minus_r2 = (d1 * (n2 - 4) - 2 * (d1 + n2 - 2)) / (d1 * (n2 - 4) * (1.0 + r))
     d[pos] = d1 * one_minus_r2 / (d1 * one_minus_r2 + (n2 - 2))

@@ -133,6 +133,10 @@ def test_algebra_identities():
     for name, ys in grids.items():
         out = algebra_identity_check(name, ys)
         assert out.statuses == ["pass"], (name, out)
+    # a side that overflows to inf is no agreement: the identity fails
+    for name, y in (("l1_prefactor_identity", 1e55), ("l4_prefactor_identity", 1e45)):
+        out = algebra_identity_check(name, [20.0, y])
+        assert out.statuses == ["fail"], (name, out)
     with pytest.raises(DomainError):
         algebra_identity_check("unknown", [10])
     with pytest.raises(DomainError):

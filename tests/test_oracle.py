@@ -46,12 +46,12 @@ def test_mc_moments_match_formulas():
     assert f_variance(p6) == pytest.approx(draws.var(ddof=1), rel=0.1)
 
 
-def test_chi_square_sampler_paths_match_cdf():
-    # k <= 16 draws sums of squared normals (k = 8), larger k the gamma
-    # sampler (k = 40): each empirical CDF against chi_square_cdf on a grid
-    # around the mean
+def test_chi_square_sampler_matches_cdf():
+    # one sampler, gamma(k/2, 2), across the branches of numpy's gamma
+    # sampler (shape < 1, = 1 and > 1): each empirical CDF against
+    # chi_square_cdf on a grid around the mean
     n = 200_000
-    for k in (8, 40):
+    for k in (1, 2, 8, 40):
         draws = chi_square_draws(k, n, stream(11, k, 0))
         for x in np.linspace(0.25 * k, 2.0 * k, 8):
             p = chi_square_cdf(k, float(x))

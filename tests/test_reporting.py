@@ -2,6 +2,7 @@ import csv
 import inspect
 import io
 import json
+import math
 from typing import NamedTuple, Optional
 from unittest import mock
 
@@ -29,7 +30,9 @@ from varcomp.reporting import (
     CSV_COLUMNS,
     STATUSES,
     Block,
+    gap_block,
     margin_block,
+    relative_gap,
     render_csv,
     render_json,
     rows_from_outcome,
@@ -162,6 +165,77 @@ def test_margin_block_column_is_its_one_row_blocks():
                                         for d2, m, n in zip(d2s, margins, notes)])
     # the columns are held as given, not copied
     assert block.d2s is d2s and block.margins is margins
+
+
+def test_relative_gap_is_the_two_route_residual():
+    assert relative_gap([(1.0, 1.0 + 1e-12), (2.0, 2.0), (-4.0, -4.0 * (1 + 1e-9))]) \
+        == pytest.approx(1e-9, rel=1e-6)
+    assert relative_gap([(3.0, -1.0)]) == pytest.approx(4.0 / 3.0)
+    # equal sides, zeros included, have no gap; no pairs, no gap
+    assert relative_gap([(0.0, 0.0), (0.0, -0.0), (5.0, 5.0)]) == 0.0
+    assert relative_gap([]) == 0.0
+    assert relative_gap([(0.0, 1e-300)]) == 1.0
+    # a NaN side, or one infinite side, is a NaN gap wherever it falls
+    nan, inf = float("nan"), float("inf")
+    for bad in ((nan, 1.0), (1.0, nan), (inf, 1.0)):
+        assert math.isnan(relative_gap([(1.0, 1.5), bad, (2.0, 2.0)]))
+    # the claim's block: margin tol - gap at floor 0, at d2 0
+    block = gap_block("g", 3, [(1.0, 1.0 + 2e-10)], 1e-9, "agree")
+    assert (block.check_id, block.d1, list(block.d2s), block.statuses, block.notes) \
+        == ("g", 3, [0], ["pass"], ["agree"])
+    assert block.margins == [1e-9 - relative_gap([(1.0, 1.0 + 2e-10)])]
+    assert gap_block("g", 3, [(1.0, 2.0)], 1e-9).statuses == ["fail"]
+    assert gap_block("g", 3, [(1.0, nan)], 1e-9).statuses == ["fail"]
+    assert gap_block("g", 3, [(1.0, 1.0)], 1e-9, holds=False).statuses == ["fail"]
+
+
+def test_two_route_claims_pinned():
+    # every claim whose residual is relative_gap, with the margins each
+    # program reports for it (d2_max 400 for prove_rows)
+    agree = "two evaluation routes agree"
+    v_margins = [
+        "9.99840834026894e-10", "9.99852706505438e-10", "9.99649594276761e-10",
+        "9.996791306899971e-10", "9.998422908953037e-10", "9.998428450249489e-10",
+        "9.99969176740099e-10", "9.99726501438199e-10", "9.999976065105495e-10",
+        "9.998080793747532e-10", "9.998038907781238e-10", "9.999992136728472e-10",
+        "9.997619560348505e-10", "9.998362485739751e-10", "9.996860900514794e-10",
+        "9.995500294512185e-10"]
+    v_rows = ("v_rational_consistency", 3, list(range(25, 41)), v_margins, agree)
+    expected = {
+        1: [("l1_prefactor_identity", 1, [0], ["9.99999987945532e-07"], ""),
+            ("k_derivative_identity", 1, [0], ["9.9908492328675e-05"], ""),
+            ("h1_log_form_consistency", 1, [0], ["9.226743589118752e-10"],
+             "aux step equals the endpoint log ratio"),
+            ("k_matches_scaled_endpoints", 1, [0], ["9.999996333225406e-10"],
+             "k(d2) = d2 b and k(d2+2) = (d2+2) a")],
+        2: [("l2_prefactor_identity", 2, [0], ["9.999999765071232e-07"], ""),
+            ("upper_edge_closed_form", 2, [0], ["9.999475168988685e-11"],
+             "quadrature vs elementary antiderivative"),
+            ("h2_log_form_consistency", 2, [0], ["9.398728873164342e-10"],
+             "aux step equals the endpoint log ratio")],
+        3: [("l3_prefactor_identity", 3, [0], ["9.999999669646372e-07"], ""),
+            v_rows,
+            ("g2_expansion_consistency", 3, [0], ["9.999995825110288e-10"],
+             "two transcriptions of the same factor agree"),
+            ("h3_log_form_consistency", 3, [0], ["8.916780375261163e-10"],
+             "aux step equals the endpoint log ratio")],
+        4: [("l4_prefactor_identity", 4, [0], ["9.999998590866387e-07"], ""),
+            ("q4_prefactor_identity", 4, [0], ["9.99999512030536e-07"], ""),
+            ("h4_log_form_consistency", 4, [0], ["9.999515143611478e-10"],
+             "h4 equals the affine-power log form at the endpoints"),
+            ("r4_log_form_consistency", 4, [0], ["9.999091144788493e-10"],
+             "r4 equals the affine-power log form at the lower images")],
+        "tables": [v_rows],
+    }
+    ids = {row[0] for rows in expected.values() for row in rows}
+    assert len(ids) == 15
+    for key, rows in expected.items():
+        blocks = table_rows() if key == "tables" else prove_rows(key)
+        got = [(b.check_id, b.d1, list(b.d2s), [repr(m) for m in b.margins],
+                list(b.statuses), list(b.notes)) for b in blocks if b.check_id in ids]
+        assert got == [(check_id, d1, d2s, margins, ["pass"] * len(d2s),
+                        [note] * len(d2s))
+                       for check_id, d1, d2s, margins, note in rows], key
 
 
 def test_block_is_a_frozen_slotted_record():
