@@ -11,16 +11,21 @@ oracle     cross-validate the analytic value against Monte Carlo and quadrature
 explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
-failed, 2 usage, domain, I/O or out-of-memory error.  Every input error of a
-command, its own checks and the library's domain errors alike, is a
-``VarcompError`` that ``main`` prints as one ``error:`` line.
+failed, 2 usage, domain, I/O or out-of-memory error, or a sweep worker
+process that died.  Every input error of a command, its own checks and the
+library's domain errors alike, is a ``VarcompError`` that ``main`` prints as
+one ``error:`` line.
 
-A sweep runs serially, one d1 column at a time: the column's endpoint images
-and band probabilities come from the numpy column kernel in ``varband``, and
-each band probability is computed once and shared by the bound and monotone
+A sweep runs one d1 column at a time: the column's endpoint images and band
+probabilities come from the numpy column kernel in ``varband``, and each
+band probability is computed once and shared by the bound and monotone
 blocks.  Its step forms come from ``proofcheck.steps.step_inequalities_column``,
-bit-identical to the scalar per-point route.  ``prove`` runs that scalar
-route on a chain of fewer than ``programs._COLUMN_MIN`` d2 points (the
+bit-identical to the scalar per-point route.  A steps check over two or
+more columns and at least ``_POOL_MIN`` points runs the columns in forked
+worker processes, one per usable CPU, and each worker renders its column's rows;
+the report is the same byte for byte on either route.  Only that route
+imports ``multiprocessing`` and ``concurrent.futures``.  ``prove`` runs the
+scalar route on a chain of fewer than ``programs._COLUMN_MIN`` d2 points (the
 default ``--d2-max 400`` among them) and the same kernels on a longer one.
 Commands that draw no samples, sweep no grid and prove no long chain never
 import numpy.
@@ -36,6 +41,7 @@ and ``prove`` prints its PASS/INCONCLUSIVE/FAIL line per claim from it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -48,8 +54,10 @@ from .oracle import mc_variation_probability, quad_beta_integral
 from .programs import certificate_rows, explore_rows, prove_rows, table_rows
 from .reporting import (
     margin_block,
+    render_rows,
     rows_from_step_report,
     summarize,
+    write_rendered,
     write_report,
 )
 from .specfun import log_beta
@@ -69,6 +77,19 @@ from .proofcheck.steps import step_inequalities_column
 
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables", "exploratory")
 _VARIANCE_CHECKS = {"bound", "monotone", "steps"}
+#: Grid points (d1 columns x d2 values) from which a sweep of two or more
+#: columns that checks steps runs its columns in worker processes
+#: (``_sweep_parts``).  The pool costs a fork per worker and the pickling
+#: of each column's text, and 10-20% more CPU time in all.  Measured on a
+#: 2-core host, ``sweep --d1 1..4 --d2 5..N --check bound,monotone,steps
+#: --out``, medians of 11 alternating runs, wall time in this process vs in
+#: the pool: 4 x 400 points 0.38 vs 0.42 s, 4 x 1,000 0.42 vs 0.46 s,
+#: 4 x 1,500 0.36 vs 0.42 s, 4 x 2,000 0.48 vs 0.43 s, 4 x 3,000 0.62 vs
+#: 0.53 s, 4 x 5,000 0.70 vs 0.66 s, 4 x 19,996 2.28 vs 1.61 s.  Without the
+#: step check a point costs too little for the pool to pay: over 4 x 19,996
+#: points, 7 runs each, ``--check bound`` took 0.54 s either way and
+#: ``--check bound,monotone`` 0.70 vs 0.65 s, for a third more CPU time.
+_POOL_MIN = 8_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,6 +247,58 @@ def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list
     return blocks
 
 
+def _sweep_part(d1: int, d2_lo: int, d2_hi: int, checks, floor: float,
+                fmt: str) -> list:
+    """The ``Rendered`` blocks of one sweep column: a worker's whole task."""
+    return render_rows(_sweep_column(d1, d2_lo, d2_hi, checks, floor), fmt)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_parts(grid_d1: list, d2_lo: int, d2_hi: int, checks, floor: float,
+                 fmt: str) -> list:
+    """The ``Rendered`` blocks of every sweep column, in d1 order.
+
+    A steps check over at least ``_POOL_MIN`` points in two or more columns
+    runs the columns in forked worker processes, as many as there are usable
+    CPUs and columns, handed one column at a time; each worker renders its
+    column's rows, so the parent only joins texts.  Any other grid runs the
+    same task in this process.  An error raised in a worker is raised here;
+    a worker that dies is an error of its own.
+    """
+    task = functools.partial(_sweep_part, d2_lo=d2_lo, d2_hi=d2_hi, checks=checks,
+                             floor=floor, fmt=fmt)
+    cpus = _usable_cpus()
+    if ("steps" not in checks or len(grid_d1) < 2 or cpus < 2
+            or not hasattr(os, "fork")
+            or len(grid_d1) * (d2_hi - d2_lo + 1) < _POOL_MIN):
+        return [part for d1 in grid_d1 for part in task(d1)]
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # a forked worker starts with this process's modules: numpy, loaded here
+    # once (its BLAS threads capped by main, so none runs at the fork), is
+    # not imported again per worker.  A worker flushes the stdout and stderr
+    # it was forked with as it exits, so text still buffered here would be
+    # written again by each worker.  With "fork" the pool starts every
+    # worker before its own manager thread.
+    import numpy  # noqa: F401
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        with ProcessPoolExecutor(min(len(grid_d1), cpus),
+                                 multiprocessing.get_context("fork")) as pool:
+            return [part for parts in pool.map(task, grid_d1) for part in parts]
+    except BrokenProcessPool:
+        raise VarcompError("a sweep worker process died before it returned "
+                           "its column") from None
+
+
 def _cmd_sweep(ns) -> int:
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
@@ -245,10 +318,10 @@ def _cmd_sweep(ns) -> int:
     else:
         grid_d1 = d1_values
 
-    blocks: list = []
+    parts: list = []
     if _VARIANCE_CHECKS.intersection(checks):
-        for d1 in grid_d1:
-            blocks += _sweep_column(d1, d2_lo, d2_hi, checks, ns.floor)
+        parts += _sweep_parts(grid_d1, d2_lo, d2_hi, checks, ns.floor, ns.format)
+    blocks: list = []
     if "limit" in checks:
         for d1 in d1_values:
             blocks.append(check_limit(d1, ns.d2_large, ns.limit_tol))
@@ -259,6 +332,7 @@ def _cmd_sweep(ns) -> int:
         for d1 in d1_values:
             if d1 >= 5:
                 blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)
+    parts += render_rows(blocks, ns.format)
 
     header = {
         "version": __version__,
@@ -273,25 +347,26 @@ def _cmd_sweep(ns) -> int:
             "exploratory": bool(ns.exploratory),
         },
     }
-    counts = _write(blocks, header, ns)
+    counts = _write(write_rendered, parts, header, ns)
     return 1 if counts["fail"] else 0
 
 
-def _report(blocks: list, header: dict, ns, counts: dict) -> str:
-    """write_report in ns.format to ns.out (None: only render); a path that
-    cannot be written is an error with exit 2."""
+def _report(write, items: list, header: dict, ns, counts: dict) -> str:
+    """write(items, header, ns.format, ns.out, counts), ``write_report`` of
+    blocks or ``write_rendered`` of their parts, to ns.out (None: only
+    render); a path that cannot be written is an error with exit 2."""
     try:
-        return write_report(blocks, header, ns.format, ns.out, counts)
+        return write(items, header, ns.format, ns.out, counts)
     except OSError as exc:
         raise VarcompError(
             f"cannot write report {ns.out}: {exc.strerror or exc}") from None
 
 
-def _write(blocks: list, header: dict, ns) -> dict:
-    """Emit a sweep or explore report to ns.out or stdout; returns the
-    summary counts, computed once."""
-    counts = summarize(blocks)
-    text = _report(blocks, header, ns, counts)
+def _write(write, items: list, header: dict, ns) -> dict:
+    """Emit a sweep or explore report to ns.out or stdout through write (see
+    ``_report``); returns the summary counts, computed once."""
+    counts = summarize(items)
+    text = _report(write, items, header, ns, counts)
     if not ns.out:
         sys.stdout.write(text)
     else:
@@ -311,7 +386,7 @@ def _cmd_prove(ns) -> int:
                  "floor": ns.floor},
     }
     if ns.out:
-        _report(blocks, header, ns, counts)
+        _report(write_report, blocks, header, ns, counts)
         print(f"wrote {ns.out}")
     # each claim of the program is one block; it passes only when none of
     # its rows failed or was inconclusive
@@ -417,7 +492,7 @@ def _cmd_explore(ns) -> int:
         "spec": {"command": "explore", "d1": f"{d1_lo}..{d1_hi}",
                  "d2": f"{d2_lo}..{d2_hi}", "floor": ns.floor},
     }
-    _write(blocks, header, ns)
+    _write(write_report, blocks, header, ns)
     return 0
 
 

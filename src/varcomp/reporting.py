@@ -21,6 +21,14 @@ per row plus an explicit exploratory flag.  Floats are emitted with
 ``float.__repr__`` (shortest round-trip), so identical inputs produce
 byte-identical output.
 
+A report is rendered in two steps.  ``render_rows`` turns blocks into
+``Rendered`` parts, the rows of each block as one text with the block's
+(check_id, d1), exploratory flag and status counts; ``render_csv`` and
+``render_json`` order those parts by (check_id, d1), sum their counts and
+join them under the header and summary.  ``write_report`` runs both steps,
+and a sweep runs the first step per d1 column, in the process that computed
+the column.
+
 The rows, which are nearly all of a large report, are written column by
 column rather than walked by an encoder or formatted one by one: each block
 fixes the text before its d2 (check_id and d1) and between its d2 and
@@ -44,20 +52,23 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "STATUSES",
     "Block",
+    "Rendered",
     "margin_block",
     "relative_gap",
     "gap_block",
     "rows_from_outcome",
     "rows_from_step_report",
     "summarize",
+    "render_rows",
     "render_csv",
     "render_json",
     "write_report",
+    "write_rendered",
 ]
 
 CSV_COLUMNS = ("check_id", "d1", "d2", "margin", "pass", "note")
@@ -82,6 +93,22 @@ class Block:
 
     def __len__(self) -> int:
         return len(self.d2s)
+
+    @property
+    def counts(self) -> tuple:
+        """Rows per status, in ``STATUSES`` order."""
+        return tuple(map(self.statuses.count, STATUSES))
+
+
+class Rendered(NamedTuple):
+    """The rows of one block as report text, from ``render_rows``, with the
+    block's key, exploratory flag and rows per status (``Block.counts``)."""
+
+    check_id: str
+    d1: int
+    exploratory: bool
+    counts: tuple
+    text: str
 
 
 def margin_block(check_id: str, d1: int, d2s: Sequence[int],
@@ -153,8 +180,8 @@ def rows_from_step_report(d1: int, d2s: Sequence[int],
             for form, column in margins.items()]
 
 
-def summarize(blocks: Iterable[Block]) -> dict:
-    """Rows per disjoint bucket.
+def summarize(blocks: Iterable[Union[Block, Rendered]]) -> dict:
+    """Rows per disjoint bucket, of blocks or of their ``Rendered`` parts.
 
     Exploratory rows are quarantined first so open-conjecture territory can
     never mask a regression in proved territory; not-applicable and
@@ -162,9 +189,8 @@ def summarize(blocks: Iterable[Block]) -> dict:
     """
     counts = dict.fromkeys(_BUCKETS, 0)
     for block in blocks:
-        for status in STATUSES:
-            counts["exploratory" if block.exploratory else status] += (
-                block.statuses.count(status))
+        for status, n in zip(STATUSES, block.counts):
+            counts["exploratory" if block.exploratory else status] += n
     return counts
 
 
@@ -206,8 +232,8 @@ def _margin_texts(margins: Sequence[Optional[float]], none: str) -> list:
 
 
 def _render_rows(blocks: Sequence[Block], lead, mid, tail, none: str,
-                 finite: bool = False) -> Iterator[str]:
-    """The rows of each non-empty block as one string.
+                 finite: bool) -> Iterator[str]:
+    """The rows of each block as one string, '' for an empty block.
 
     A row is lead(block), its d2, mid(block), its margin and tail((status,
     note)), so each block is assembled column by column: the d2 texts are
@@ -220,6 +246,7 @@ def _render_rows(blocks: Sequence[Block], lead, mid, tail, none: str,
     tails = _Memo(tail)
     for b in blocks:
         if not b:
+            yield ""
             continue
         held = d2_texts.get(id(b.d2s))
         if held is None:
@@ -234,34 +261,65 @@ def _render_rows(blocks: Sequence[Block], lead, mid, tail, none: str,
             map(tails.__getitem__, zip(b.statuses, b.notes)))))
 
 
-def render_csv(blocks: Sequence[Block], header: Mapping[str, object],
-               summary: Optional[dict] = None) -> str:
-    """CSV report; summary is ``summarize(blocks)``, computed here if not
-    given."""
+#: Per format, the arguments of ``_render_rows`` after the blocks.  A JSON
+#: row is one object at depth 2 of the indent=2 payload, keys in sorted
+#: order, preceded by its ',' separator.
+_ROW_FORMATS = {
+    "csv": (
+        lambda b: "%s,%d," % (_csv_field(b.check_id), b.d1),
+        lambda b: ",",
+        lambda sn: ",%s,%s\n" % ("true" if sn[0] == "pass" else "false",
+                                   _csv_field(sn[1])),
+        "", False),
+    "json": (
+        lambda b: ',\n    {\n      "check_id": %s,\n      "d1": %d,\n      "d2": ' % (
+            encode_basestring_ascii(b.check_id), b.d1),
+        lambda b: ',\n      "exploratory": %s,\n      "margin": ' % (
+            "true" if b.exploratory else "false"),
+        lambda sn: ',\n      "note": %s,\n      "pass": %s\n    }' % (
+            encode_basestring_ascii(sn[1]), "true" if sn[0] == "pass" else "false"),
+        "null", True),
+}
+
+
+def render_rows(blocks: Iterable[Block], fmt: str) -> list:
+    """The ``Rendered`` rows of each block in fmt ("csv" or "json"), in
+    (check_id, d1) order; an empty block renders as ''.  Every JSON row
+    starts with its ',' separator, which ``render_json`` drops before the
+    first row of the report."""
+    try:
+        row_format = _ROW_FORMATS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown report format {fmt!r}") from None
     blocks = sorted(blocks, key=_ORDER)
+    return [Rendered(b.check_id, b.d1, b.exploratory, b.counts, text)
+            for b, text in zip(blocks, _render_rows(blocks, *row_format))]
+
+
+def render_csv(parts: Iterable[Rendered], header: Mapping[str, object],
+               summary: Optional[dict] = None) -> str:
+    """CSV report of the parts ``render_rows(blocks, "csv")`` gave, from
+    one or several calls; summary is ``summarize(parts)``, computed here if
+    not given."""
+    parts = sorted(parts, key=_ORDER)
     if summary is None:
-        summary = summarize(blocks)
+        summary = summarize(parts)
     spec = json.dumps(header.get("spec", {}), sort_keys=True, separators=(",", ":"))
     head = (f"# varcomp {header.get('version', '')}\n"
             f"# spec: {spec}\n"
             "# summary: " + " ".join(f"{k}={summary[k]}" for k in _BUCKETS) + "\n"
             + ",".join(CSV_COLUMNS) + "\n")
-    parts = [head]
-    parts += _render_rows(
-        blocks, lambda b: "%s,%d," % (_csv_field(b.check_id), b.d1), lambda b: ",",
-        lambda sn: ",%s,%s\n" % ("true" if sn[0] == "pass" else "false",
-                                  _csv_field(sn[1])),
-        "")
-    return "".join(parts)
+    return "".join([head, *(p.text for p in parts)])
 
 
-def render_json(blocks: Sequence[Block], header: Mapping[str, object],
+def render_json(parts: Iterable[Rendered], header: Mapping[str, object],
                 summary: Optional[dict] = None) -> str:
-    """JSON report; summary is ``summarize(blocks)``, computed here if not
-    given."""
-    blocks = sorted(blocks, key=_ORDER)
+    """JSON report of the parts ``render_rows(blocks, "json")`` gave, from
+    one or several calls; summary is ``summarize(parts)``, computed here if
+    not given."""
+    parts = sorted(parts, key=_ORDER)
     if summary is None:
-        summary = summarize(blocks)
+        summary = summarize(parts)
 
     def top(key: str, value) -> str:
         # '{\n  "key": value\n}', the top-level dict holding just this key
@@ -269,41 +327,40 @@ def render_json(blocks: Sequence[Block], header: Mapping[str, object],
 
     # the payload's keys sort as header < rows < summary: drop the closing
     # '\n}' of the header block and the opening '{' of the summary block
-    parts = [top("header", {"tool": "varcomp", **header})[:-2] + ',\n  "rows": [']
-    enc = encode_basestring_ascii
-    # one row at depth 2 of the indent=2 payload, keys in sorted order,
-    # preceded by its ',' separator
-    parts += _render_rows(
-        blocks,
-        lambda b: ',\n    {\n      "check_id": %s,\n      "d1": %d,\n      "d2": ' % (
-            enc(b.check_id), b.d1),
-        lambda b: ',\n      "exploratory": %s,\n      "margin": ' % (
-            "true" if b.exploratory else "false"),
-        lambda sn: ',\n      "note": %s,\n      "pass": %s\n    }' % (
-            enc(sn[1]), "true" if sn[0] == "pass" else "false"),
-        "null", finite=True)
-    if len(parts) > 1:
-        parts[1] = parts[1][1:]  # no separator before the first row
-        parts.append("\n  ]")
+    out = [top("header", {"tool": "varcomp", **header})[:-2] + ',\n  "rows": [']
+    rows = [p.text for p in parts if p.text]
+    if rows:
+        out.append(rows[0][1:])  # no separator before the first row
+        out += rows[1:]
+        out.append("\n  ]")
     else:
-        parts.append("]")
-    parts.append("," + top("summary", summary)[1:] + "\n")
-    return "".join(parts)
+        out.append("]")
+    out.append("," + top("summary", summary)[1:] + "\n")
+    return "".join(out)
 
 
-def write_report(blocks: Sequence[Block], header: Mapping[str, object],
+def write_report(blocks: Iterable[Block], header: Mapping[str, object],
                  fmt: str, path: Optional[str],
                  summary: Optional[dict] = None) -> str:
-    """Render and either write atomically to path or return for stdout;
-    summary is passed on to the renderer.
+    """Render the blocks and either write the report atomically to path or
+    return it for stdout; ``write_rendered`` of ``render_rows``."""
+    return write_rendered(render_rows(blocks, fmt), header, fmt, path, summary)
+
+
+def write_rendered(parts: Iterable[Rendered], header: Mapping[str, object],
+                   fmt: str, path: Optional[str],
+                   summary: Optional[dict] = None) -> str:
+    """Assemble the report of parts rendered in fmt and either write it
+    atomically to path or return it for stdout; summary is passed on to the
+    renderer.
 
     The temp-file + rename dance guarantees no partial report survives an
     abort mid-write.
     """
     if fmt == "csv":
-        text = render_csv(blocks, header, summary)
+        text = render_csv(parts, header, summary)
     elif fmt == "json":
-        text = render_json(blocks, header, summary)
+        text = render_json(parts, header, summary)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     if path:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -9,11 +10,23 @@ import pytest
 import varcomp.cli
 import varcomp.programs
 import varcomp.varband
-from varcomp import FParams, __version__, check_bound, check_monotone_step
+from varcomp import (
+    ConvergenceError,
+    FParams,
+    VarcompError,
+    __version__,
+    check_bound,
+    check_monotone_step,
+)
 from varcomp.cli import main
 from varcomp.programs import _COLUMN_MIN
 from varcomp.proofcheck.steps import check_step_inequalities
-from varcomp.reporting import margin_block, render_csv, rows_from_outcome, summarize
+from varcomp.reporting import (
+    margin_block,
+    render_csv,
+    render_rows,
+    rows_from_outcome,
+)
 from varcomp.varband import PROVED_D1
 
 
@@ -105,19 +118,16 @@ def test_sweep_csv_schema_and_exit(tmp_path, capsys):
     assert all(l.split(",")[4] == "true" for l in lines[header_idx + 1:])
 
 
-def test_sweep_matches_scalar_per_cell_path(monkeypatch, tmp_path, capsys):
+def test_sweep_matches_scalar_per_cell_path(rendered_blocks, tmp_path, capsys):
     # every row of the column kernel's blocks must be, field for field, the
     # one-row block the scalar reference checks give at its cell, and the
     # report must be, byte for byte, the one those cells make
-    seen = []
-    monkeypatch.setattr(varcomp.cli, "summarize",
-                        lambda blocks: seen.append(blocks) or summarize(blocks))
+    blocks = rendered_blocks
     out_path = tmp_path / "kernel.csv"
     floor = 1e-12
     args = ["sweep", "--d1", "1..6", "--d2", "5..40", "--check",
             "bound,monotone,steps", "--exploratory", "--floor", repr(floor)]
     assert run_cli(*args, "--out", str(out_path), capsys=capsys)[0] == 0
-    (blocks,) = seen
     cells: dict = {}  # (check_id, d1) -> the scalar one-row blocks over d2 5..40
     for d1 in range(1, 7):
         expl = d1 not in PROVED_D1
@@ -142,7 +152,7 @@ def test_sweep_matches_scalar_per_cell_path(monkeypatch, tmp_path, capsys):
         "d2_large": 10_000, "limit_tol": 1e-3, "exploratory": True}}
     scalar_blocks = [block for (_, d1), outs in cells.items()
                      for block in rows_from_outcome(outs, d1, range(5, 41))]
-    assert out_path.read_text() == render_csv(scalar_blocks, header)
+    assert out_path.read_text() == render_csv(render_rows(scalar_blocks, "csv"), header)
 
 
 def test_sweep_bound_honours_floor(tmp_path, capsys):
@@ -461,12 +471,14 @@ def test_console_script_installed():
     assert "varcomp" in out.stdout
 
 
-def _numpy_loaded_by(argv):
+def _loaded_by(argv, modules=("numpy",)):
+    """'code loaded...': main(argv)'s exit code, then whether each module
+    is loaded after it, in a fresh interpreter."""
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys\nfrom varcomp.cli import main\n"
          f"code = main({argv!r})\n"
-         "print(code, 'numpy' in sys.modules, file=sys.stderr)"],
+         f"print(code, *(m in sys.modules for m in {modules!r}), file=sys.stderr)"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return out.stderr.strip().splitlines()[-1]
@@ -484,11 +496,34 @@ def test_scalar_commands_leave_numpy_unloaded(argv):
     # explore, and prove on a chain of fewer than _COLUMN_MIN d2 points (the
     # default --d2-max 400 included), keep the scalar route: a numpy import
     # would add more to their start-up than their whole computation takes
-    assert _numpy_loaded_by(argv) == "0 False"
+    assert _loaded_by(argv) == "0 False"
+
+
+_POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["varprob", "--dist", "f", "--d1", "3", "--d2", "40"],
+    ["prove", "--d1", "1"],
+    ["sweep", "--d1", "1..4", "--check", "bound,monotone,limit,steps,tables"]])
+def test_commands_off_the_pool_route_leave_its_modules_unloaded(argv):
+    # importing the sweep's process pool costs about 35 ms
+    assert _loaded_by(argv, _POOL_MODULES) == "0 False False"
+
+
+@pytest.mark.skipif(varcomp.cli._usable_cpus() < 2, reason="one usable CPU")
+def test_large_sweep_loads_the_pool_modules():
+    argv = ["sweep", "--d1", "1..2", "--d2", f"5..{varcomp.cli._POOL_MIN // 2 + 4}",
+            "--check", "steps"]
+    assert _loaded_by(argv, _POOL_MODULES) == "0 True True"
+    # a sweep without the step check stays in this process at any size
+    argv[-1] = "bound,monotone"
+    assert _loaded_by(argv, _POOL_MODULES) == "0 False False"
 
 
 def test_long_prove_chain_takes_the_column_kernels():
-    assert _numpy_loaded_by(["prove", "--d1", "3", "--d2-max", _LONG_CHAIN]) == "0 True"
+    assert _loaded_by(["prove", "--d1", "3", "--d2-max", _LONG_CHAIN]) == "0 True"
 
 
 @pytest.mark.parametrize("d2_max", [_SHORT_CHAIN, _LONG_CHAIN])
@@ -515,10 +550,13 @@ def _limit_address_space():
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--d1", "1", "--d2", "5..1000000000000", "--check", "bound"],
+    # four columns: in worker processes, given two usable CPUs
+    ["sweep", "--d1", "1..4", "--d2", "5..1000000000000", "--check", "steps"],
     ["prove", "--d1", "1", "--d2-max", "1000000000000"]])
 def test_grid_the_process_cannot_hold_exits_2(argv, tmp_path):
     # the d2 list alone would take 8 TB; with the address space capped the
-    # allocation fails at once, whatever the host's overcommit policy
+    # allocation fails at once, whatever the host's overcommit policy; a
+    # worker's MemoryError is raised again in the parent
     report = tmp_path / "r.csv"
     out = subprocess.run([sys.executable, "-m", "varcomp", *argv, "--out", str(report)],
                          capture_output=True, text=True, timeout=120,
@@ -544,3 +582,133 @@ def test_blas_threads_capped_before_numpy_loads():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env={**env, "OPENBLAS_NUM_THREADS": "2"})
     assert out.stdout.splitlines()[-1] == "2 1 1"
+
+
+# ---------------------------------------------------------------------------
+# a large sweep runs its d1 columns in worker processes
+# ---------------------------------------------------------------------------
+
+_IN_PROCESS, _POOL = 10 ** 18, 0  # _POOL_MIN of each route
+
+
+def _route(monkeypatch, pool_min):
+    """Send every sweep of two or more columns down one route, whatever the
+    host's CPU count."""
+    monkeypatch.setattr(varcomp.cli, "_POOL_MIN", pool_min)
+    monkeypatch.setattr(varcomp.cli, "_usable_cpus", lambda: 2)
+
+
+def _record_column_pids(monkeypatch):
+    """Record the id of each process that runs a sweep column; call the
+    function returned, once, after the sweep to read them."""
+    read, write = os.pipe()
+    column = varcomp.cli._sweep_column
+
+    def recorded(d1, *args):
+        os.write(write, b"%d\n" % os.getpid())  # one short write: atomic
+        return column(d1, *args)
+
+    monkeypatch.setattr(varcomp.cli, "_sweep_column", recorded)
+
+    def column_pids():
+        os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            return {int(pid) for pid in fh.read().split()}
+
+    return column_pids
+
+
+_MIXED = ["--d1", "1..6", "--d2", "5..60", "--exploratory",
+          "--check", "bound,monotone,steps,limit,tables,exploratory"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("argv", [
+    ["--d1", "1..4", "--d2", "5..80", "--check", "bound,monotone,steps"],
+    _MIXED], ids=["proved", "mixed"])
+def test_sweep_report_equal_on_both_routes(argv, to_file, fmt, monkeypatch,
+                                           tmp_path, capsys):
+    outputs = []
+    for pool_min in (_IN_PROCESS, _POOL):
+        with monkeypatch.context() as patch:
+            _route(patch, pool_min)
+            column_pids = _record_column_pids(patch)
+            out_path = tmp_path / f"{pool_min}.{fmt}"
+            code, out, err = run_cli("sweep", *argv, "--format", fmt,
+                                     *(["--out", str(out_path)] if to_file else []),
+                                     capsys=capsys)
+            pids = column_pids()
+        if pool_min == _IN_PROCESS:
+            assert pids == {os.getpid()}
+        else:  # one worker may take every column before the other starts
+            assert pids and os.getpid() not in pids
+        report = out_path.read_bytes() if to_file else b""
+        outputs.append((code, out.replace(str(out_path), "REPORT"), err, report))
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_default_sweep_starts_no_worker(monkeypatch, capsys):
+    # 4 x 396 points lie far below _POOL_MIN: a worker would cost more than
+    # it saves
+    column_pids = _record_column_pids(monkeypatch)
+    code, _, _ = run_cli("sweep", "--d1", "1..4",
+                         "--check", "bound,monotone,limit,steps,tables", capsys=capsys)
+    assert code == 0
+    assert column_pids() == {os.getpid()}
+    assert multiprocessing.active_children() == []
+
+
+def _fail_at_d1_3(failure):
+    column = varcomp.cli._sweep_column
+
+    def failing(d1, *args):
+        if d1 == 3:
+            failure()
+        return column(d1, *args)
+
+    return failing
+
+
+def _raise(error):
+    def failure():
+        raise error
+    return failure
+
+
+@pytest.mark.parametrize("failure, message", [
+    (_raise(VarcompError("bad column")), "error: bad column"),
+    (_raise(ConvergenceError("no convergence at d1 = 3")),
+     "error: no convergence at d1 = 3"),
+    (lambda: os._exit(3),
+     "error: a sweep worker process died before it returned its column"),
+], ids=["varcomp_error", "convergence_error", "worker_died"])
+def test_failure_in_a_sweep_worker_exits_2(failure, message, monkeypatch, tmp_path,
+                                           capsys):
+    _route(monkeypatch, _POOL)
+    # the worker is a fork of this process, so it runs the patched column
+    monkeypatch.setattr(varcomp.cli, "_sweep_column", _fail_at_d1_3(failure))
+    code, out, err = run_cli("sweep", "--d1", "1..4", "--d2", "5..30",
+                             "--check", "bound,steps",
+                             "--out", str(tmp_path / "r.csv"), capsys=capsys)
+    assert (code, out, err) == (2, "", message + "\n")
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_text_buffered_before_the_workers_start_is_written_once():
+    # a worker flushes the standard streams it was forked with as it exits
+    script = ("import sys\nimport varcomp.cli as cli\n"
+              "cli._POOL_MIN, cli._usable_cpus = 0, lambda: 2\n"
+              "print('before the sweep')\n"
+              "sys.exit(cli.main(['sweep', '--d1', '1..4', '--d2', '5..30',"
+              " '--check', 'steps,limit']))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "before the sweep"
+    assert lines[4] == "check_id,d1,d2,margin,pass,note"
+    assert len(lines) == len(set(lines)) > 5 + 4 * 26
+    assert out.stderr == ""

@@ -35,6 +35,7 @@ from varcomp.reporting import (
     relative_gap,
     render_csv,
     render_json,
+    render_rows,
     rows_from_outcome,
     rows_from_step_report,
     summarize,
@@ -374,7 +375,7 @@ def test_csv_schema_and_determinism():
     ]
     header = {"version": "0.1.0", "spec": {"command": "test", "seed": 0}}
     blocks = blocks_of(rows)
-    text = render_csv(blocks, header)
+    text = csv_of(blocks, header)
     lines = text.splitlines()
     assert lines[0].startswith("# varcomp")
     assert lines[1].startswith("# spec:")
@@ -384,13 +385,13 @@ def test_csv_schema_and_determinism():
     assert lines[4].startswith("a_check,1,5,,false")
     assert lines[5].startswith("a_check,1,9,-0.25,false")
     assert '"note, with comma"' in lines[6]
-    assert text == render_csv(blocks[::-1], header)  # byte-identical rerun
+    assert text == csv_of(blocks[::-1], header)  # byte-identical rerun
 
 
 def test_json_mirror():
     rows = [Row("c", 1, 5, 0.5, "pass", "", False),
             Row("a", 1, 5, None, "not_applicable", "not applicable", True)]
-    payload = json.loads(render_json(blocks_of(rows), {"version": "x", "spec": {}}))
+    payload = json.loads(json_of(blocks_of(rows), {"version": "x", "spec": {}}))
     assert payload["header"]["tool"] == "varcomp"
     assert [r["check_id"] for r in payload["rows"]] == ["a", "c"]
     assert payload["rows"][0]["margin"] is None
@@ -404,7 +405,7 @@ def test_blocks_render_in_check_id_d1_d2_order():
     blocks = [margin_block("b", 1, [5], [0.1], 0.0),
               margin_block("a", 2, [5], [0.1], 0.0),
               margin_block("a", 1, [5, 9], [0.1, 0.1], 0.0)]
-    lines = render_csv(blocks, {}).splitlines()[4:]
+    lines = csv_of(blocks, {}).splitlines()[4:]
     assert [tuple(line.split(",")[:3]) for line in lines] == [
         ("a", "1", "5"), ("a", "1", "9"), ("a", "2", "5"), ("b", "1", "5")]
 
@@ -462,17 +463,32 @@ def reference_json(blocks, header, summary=None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def csv_of(blocks, header, summary=None) -> str:
+    return render_csv(render_rows(blocks, "csv"), header, summary)
+
+
+def json_of(blocks, header, summary=None) -> str:
+    return render_json(render_rows(blocks, "json"), header, summary)
+
+
 HEADER = {"version": "0.1.0", "spec": {"command": "test", "floor": 1e-12,
                                        "checks": ["bound", "steps"]}}
 
 
 def assert_renderers_match_reference(blocks, header=HEADER):
-    assert render_csv(blocks, header) == reference_csv(blocks, header)
-    assert render_json(blocks, header) == reference_json(blocks, header)
+    assert csv_of(blocks, header) == reference_csv(blocks, header)
+    assert json_of(blocks, header) == reference_json(blocks, header)
     summary = summarize(blocks)
     assert summary == bucket_counts(flatten(blocks))
-    assert render_csv(blocks, header, summary) == reference_csv(blocks, header, summary)
-    assert render_json(blocks, header, summary) == reference_json(blocks, header, summary)
+    assert csv_of(blocks, header, summary) == reference_csv(blocks, header, summary)
+    assert json_of(blocks, header, summary) == reference_json(blocks, header, summary)
+    # the parts of several render_rows calls, as a sweep's columns give
+    # them, in any order, make the same report and summary
+    for fmt, render, reference in (("csv", render_csv, reference_csv),
+                                   ("json", render_json, reference_json)):
+        parts = [part for block in blocks[::-1] for part in render_rows([block], fmt)]
+        assert summarize(parts) == summary
+        assert render(parts, header) == reference(blocks, header)
 
 
 EDGE_ROWS = [
@@ -519,7 +535,7 @@ def test_write_report_writes_a_large_report_whole(fmt, tmp_path):
 
 def test_renderers_match_reference_on_empty_rows():
     assert_renderers_match_reference([])
-    assert '"rows": [],' in render_json([], HEADER)
+    assert '"rows": [],' in json_of([], HEADER)
     # an empty block renders no row
     empty = [margin_block("a", 1, [], [], 0.0)]
     assert_renderers_match_reference(empty)
@@ -538,10 +554,10 @@ def test_header_text_cannot_confuse_the_json_splice():
 def test_numpy_float64_margin_renders_as_a_plain_float():
     rows = [Row("a", 1, 5, np.float64(0.1), "pass"),
             Row("a", 1, 6, np.float64(-3e-17), "fail")]
-    assert render_json(blocks_of(rows), HEADER) == reference_json(blocks_of(rows), HEADER)
+    assert json_of(blocks_of(rows), HEADER) == reference_json(blocks_of(rows), HEADER)
     # the encoder-free CSV writes float.__repr__, never 'np.float64(...)'
     plain = [Row(r.check_id, r.d1, r.d2, float(r.margin), r.status) for r in rows]
-    assert render_csv(blocks_of(rows), HEADER) == reference_csv(blocks_of(plain), HEADER)
+    assert csv_of(blocks_of(rows), HEADER) == reference_csv(blocks_of(plain), HEADER)
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf"),
@@ -551,10 +567,10 @@ def test_render_json_rejects_non_finite_margins(margin):
     with pytest.raises(ValueError) as want:
         reference_json(blocks, HEADER)
     with pytest.raises(ValueError) as got:
-        render_json(blocks, HEADER)
+        json_of(blocks, HEADER)
     assert str(got.value) == str(want.value)
     # CSV has no such restriction and writes them as repr does
-    assert render_csv(blocks, HEADER) == reference_csv(blocks_of(
+    assert csv_of(blocks, HEADER) == reference_csv(blocks_of(
         [Row("a", 1, 5, 0.5, "pass"), Row("b", 1, 5, float(margin), "fail")]), HEADER)
 
 
@@ -569,7 +585,7 @@ def test_render_json_names_the_first_non_finite_margin_in_row_order():
         with pytest.raises(ValueError) as want:
             reference_json(blocks, HEADER)
         with pytest.raises(ValueError) as got:
-            render_json(blocks, HEADER)
+            json_of(blocks, HEADER)
         assert str(got.value) == str(want.value)
 
 
@@ -646,8 +662,8 @@ def grid_large_blocks() -> list:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("make_blocks, render, reference", [
-    (grid_large_blocks, render_csv, reference_csv),
-    (lambda: prove_rows(4, 30_000), render_json, reference_json),
+    (grid_large_blocks, csv_of, reference_csv),
+    (lambda: prove_rows(4, 30_000), json_of, reference_json),
 ], ids=["grid_large_csv", "prove_deep_d1_4_json"])
 def test_renderers_match_reference_at_full_scale(make_blocks, render, reference):
     blocks = make_blocks()
@@ -671,15 +687,12 @@ COMMANDS = {
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_command_reports_hold_one_block_per_claim(name, fmt, monkeypatch, tmp_path,
+def test_command_reports_hold_one_block_per_claim(name, fmt, rendered_blocks, tmp_path,
                                                   capsys):
-    seen = []
-    monkeypatch.setattr(varcomp.cli, "summarize",
-                        lambda blocks: seen.append(blocks) or summarize(blocks))
+    blocks = rendered_blocks
     path = tmp_path / f"r.{fmt}"
     assert main([*COMMANDS[name], "--format", fmt, "--out", str(path)]) == 0
     capsys.readouterr()
-    (blocks,) = seen
     assert_one_block_per_claim(blocks)
     # the report is the one the rows, sorted and counted one by one, give
     text = path.read_text()
