@@ -28,7 +28,10 @@ imports ``multiprocessing`` and ``concurrent.futures``.  ``prove`` runs the
 scalar route on a chain of fewer than ``programs._COLUMN_MIN`` d2 points (the
 default ``--d2-max 400`` among them) and the same kernels on a longer one.
 Commands that draw no samples, sweep no grid and prove no long chain never
-import numpy.
+import numpy.  Each command imports the modules it runs when it runs:
+``varprob``, ``endpoints`` and ``--version`` load neither ``oracle`` nor
+``programs`` and ``proofcheck``, whose compilation is a large part of a
+short command's start-up when no bytecode cache is written.
 
 A grid or chain too large for the process to hold is an input error: one
 ``error:`` line and exit 2, like a domain error.
@@ -50,8 +53,6 @@ import sys
 from . import __version__
 from .distributions import FParams
 from .errors import VarcompError
-from .oracle import mc_variation_probability, quad_beta_integral
-from .programs import certificate_rows, explore_rows, prove_rows, table_rows
 from .reporting import (
     margin_block,
     render_rows,
@@ -73,7 +74,6 @@ from .varband import (
     variation_probability,
     variation_probability_column,
 )
-from .proofcheck.steps import step_inequalities_column
 
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables", "exploratory")
 _VARIANCE_CHECKS = {"bound", "monotone", "steps"}
@@ -242,6 +242,8 @@ def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list
             blocks.append(margin_block("step_decreasing", d1, d2s, margins,
                                        floor, note, expl))
         elif check == "steps":
+            from .proofcheck.steps import step_inequalities_column
+
             margins = step_inequalities_column(d1, d2s, *band_endpoints_column(d1, d2s))
             blocks += rows_from_step_report(d1, d2s, margins, floor, expl)
     return blocks
@@ -281,13 +283,14 @@ def _sweep_parts(grid_d1: list, d2_lo: int, d2_hi: int, checks, floor: float,
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    # a forked worker starts with this process's modules: numpy, loaded here
-    # once (its BLAS threads capped by main, so none runs at the fork), is
-    # not imported again per worker.  A worker flushes the stdout and stderr
-    # it was forked with as it exits, so text still buffered here would be
-    # written again by each worker.  With "fork" the pool starts every
-    # worker before its own manager thread.
+    # a forked worker starts with this process's modules: numpy and the step
+    # kernels, loaded here once (numpy's BLAS threads capped by main, so none
+    # runs at the fork), are not imported again per worker.  A worker
+    # flushes the stdout and stderr it was forked with as it exits, so text
+    # still buffered here would be written again by each worker.  With
+    # "fork" the pool starts every worker before its own manager thread.
     import numpy  # noqa: F401
+    from .proofcheck import steps  # noqa: F401
     sys.stdout.flush()
     sys.stderr.flush()
     try:
@@ -321,6 +324,8 @@ def _cmd_sweep(ns) -> int:
     parts: list = []
     if _VARIANCE_CHECKS.intersection(checks):
         parts += _sweep_parts(grid_d1, d2_lo, d2_hi, checks, ns.floor, ns.format)
+    from .programs import certificate_rows, explore_rows, table_rows
+
     blocks: list = []
     if "limit" in checks:
         for d1 in d1_values:
@@ -378,6 +383,8 @@ def _cmd_prove(ns) -> int:
     if ns.d1 not in PROVED_D1:
         raise VarcompError(f"prove covers d1 in {sorted(PROVED_D1)}; "
                            f"use 'explore' for d1 >= 5")
+    from .programs import prove_rows
+
     blocks = prove_rows(ns.d1, ns.d2_max, ns.floor)
     counts = summarize(blocks)
     header = {
@@ -411,6 +418,8 @@ def _cmd_oracle(ns) -> int:
         raise VarcompError("the band probability requires d2 >= 5")
     if ns.samples < 10_000:
         raise VarcompError("--samples must be at least 10000")
+    from .oracle import mc_variation_probability, quad_beta_integral
+
     p = FParams(ns.d1, ns.d2)
     analytic = variation_probability(p)
     mc = mc_variation_probability(p, ns.samples, ns.seed)
@@ -484,6 +493,8 @@ def _cmd_explore(ns) -> int:
         raise VarcompError("explore is for d1 >= 5; use sweep/prove below that")
     if d2_lo < 5:
         raise VarcompError("d2 must be >= 5")
+    from .programs import explore_rows
+
     blocks = []
     for d1 in range(d1_lo, d1_hi + 1):
         blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)

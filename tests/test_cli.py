@@ -522,6 +522,25 @@ def test_large_sweep_loads_the_pool_modules():
     assert _loaded_by(argv, _POOL_MODULES) == "0 False False"
 
 
+_PROGRAM_MODULES = ("varcomp.oracle", "varcomp.programs", "varcomp.proofcheck")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["varprob", "--dist", "chisq", "--k", "7"],
+    ["varprob", "--dist", "f", "--d1", "3", "--d2", "40", "--format", "json"],
+    ["endpoints", "--d1", "3", "--d2", "40"]])
+def test_band_commands_leave_the_program_modules_unloaded(argv):
+    # with no bytecode cache, compiling these modules costs a short command
+    # about 30 ms of start-up
+    assert _loaded_by(argv, _PROGRAM_MODULES) == "0 False False False"
+
+
+def test_oracle_leaves_the_prove_programs_unloaded():
+    argv = ["oracle", "--d1", "3", "--d2", "40", "--samples", "10000"]
+    assert _loaded_by(argv, _PROGRAM_MODULES) == "0 True False False"
+
+
 def test_long_prove_chain_takes_the_column_kernels():
     assert _loaded_by(["prove", "--d1", "3", "--d2-max", _LONG_CHAIN]) == "0 True"
 
