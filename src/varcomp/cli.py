@@ -16,22 +16,35 @@ process that died.  Every input error of a command, its own checks and the
 library's domain errors alike, is a ``VarcompError`` that ``main`` prints as
 one ``error:`` line.
 
-A sweep runs one d1 column at a time: the column's endpoint images and band
-probabilities come from the numpy column kernel in ``varband``, and each
-band probability is computed once and shared by the bound and monotone
-blocks.  Its step forms come from ``proofcheck.steps.step_inequalities_column``,
-bit-identical to the scalar per-point route.  A steps check over two or
-more columns and at least ``_POOL_MIN`` points runs the columns in forked
-worker processes, one per usable CPU, and each worker renders its column's rows;
-the report is the same byte for byte on either route.  Only that route
-imports ``multiprocessing`` and ``concurrent.futures``.  ``prove`` runs the
-scalar route on a chain of fewer than ``programs._COLUMN_MIN`` d2 points (the
-default ``--d2-max 400`` among them) and the same kernels on a longer one.
-Commands that draw no samples, sweep no grid and prove no long chain never
-import numpy.  Each command imports the modules it runs when it runs:
-``varprob``, ``endpoints`` and ``--version`` load neither ``oracle`` nor
-``programs`` and ``proofcheck``, whose compilation is a large part of a
-short command's start-up when no bytecode cache is written.
+A sweep runs one d1 column at a time, and each band probability is
+computed once and shared by the bound and monotone blocks.  A grid of fewer
+than ``programs._COLUMN_MIN`` points (the default 4 x 396 among them) runs
+point by point through the scalar functions; a larger one runs each column
+through the numpy column kernels of ``varband`` and ``proofcheck.steps``,
+bit-identical to the scalar route.  ``programs.runs_columns`` holds that
+rule for sweeps and ``prove`` chains alike: ``prove`` runs the scalar route
+on a chain of fewer than ``_COLUMN_MIN`` d2 points (the default
+``--d2-max 400`` among them) and the kernels on a longer one.  A steps
+check over two or more columns and at least ``_POOL_MIN`` points runs the
+columns in forked worker processes, one per usable CPU, and each worker
+renders its column's rows; the report is the same byte for byte on either
+route.  Only that route imports ``multiprocessing`` and
+``concurrent.futures``.
+
+Each command imports the modules it runs when it runs, and the package
+resolves its public names lazily, so a short command, whose start-up is
+most of its time, loads and compiles (no bytecode cache is written on some
+hosts) only what it needs:
+
+    --version, --help   ``varcomp``, ``cli`` and ``errors``; a usage error too
+    varprob, endpoints  also ``distributions``, ``specfun`` and ``varband``
+    oracle              also ``oracle`` and numpy
+    prove, sweep,       also ``oracle``, ``programs``, ``proofcheck`` and
+    explore             ``reporting``; numpy only for a grid or chain of
+                        ``_COLUMN_MIN`` points or more
+
+An unset ``--floor`` is ``varband.STRICTNESS_FLOOR``, read once a command
+runs.
 
 A grid or chain too large for the process to hold is an input error: one
 ``error:`` line and exit 2, like a domain error.
@@ -45,35 +58,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 
 from . import __version__
-from .distributions import FParams
 from .errors import VarcompError
-from .reporting import (
-    margin_block,
-    render_rows,
-    rows_from_step_report,
-    summarize,
-    write_rendered,
-    write_report,
-)
-from .specfun import log_beta
-from .varband import (
-    NORMAL_BAND,
-    PROVED_D1,
-    STRICTNESS_FLOOR,
-    band_endpoints,
-    band_endpoints_column,
-    check_limit,
-    chi_square_band_probability,
-    variation_band,
-    variation_probability,
-    variation_probability_column,
-)
 
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables", "exploratory")
 _VARIANCE_CHECKS = {"bound", "monotone", "steps"}
@@ -184,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"subset of: {', '.join(_CHECK_NAMES)}")
     p_sweep.add_argument("--out", help="report path (default: stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--floor", type=_parse_floor, default=STRICTNESS_FLOOR,
+    p_sweep.add_argument("--floor", type=_parse_floor,
                          help="strictness floor for strict inequalities")
     p_sweep.add_argument("--limit-tol", type=_parse_floor, default=1e-3,
                          help="tolerance of the limit check")
@@ -196,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prove = sub.add_parser("prove", help="full verification program for one d1")
     p_prove.add_argument("--d1", type=int, required=True)
     p_prove.add_argument("--d2-max", type=int, default=400)
-    p_prove.add_argument("--floor", type=_parse_floor, default=STRICTNESS_FLOOR)
+    p_prove.add_argument("--floor", type=_parse_floor)
     p_prove.add_argument("--out", help="report path (default: summary to stdout)")
     p_prove.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -212,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--d2", type=_parse_range, required=True, metavar="LO..HI")
     p_ex.add_argument("--out", help="report path (default: stdout)")
     p_ex.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ex.add_argument("--floor", type=_parse_floor, default=STRICTNESS_FLOOR)
+    p_ex.add_argument("--floor", type=_parse_floor)
     return parser
 
 
@@ -220,17 +210,34 @@ def _build_parser() -> argparse.ArgumentParser:
 # sweep machinery
 # ---------------------------------------------------------------------------
 
-def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list:
+def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float,
+                  points: int) -> list:
     """Blocks of the per-point checks (bound, monotone, steps) for one d1
-    over d2_lo..d2_hi.  Each band probability is computed once, for d2 up to
-    d2_hi + 2, and read by both the bound and the monotone blocks."""
+    over d2_lo..d2_hi, through the numpy column kernels when the sweep's
+    grid of ``points`` points is large enough for them to pay
+    (``programs.runs_columns``) and point by point otherwise; the two give
+    the same blocks bit for bit.  Each band probability is computed once,
+    for d2 up to d2_hi + 2, and read by both the bound and the monotone
+    blocks."""
+    from .distributions import FParams
+    from .programs import runs_columns, step_blocks
+    from .proofcheck.steps import check_step_inequalities, step_inequalities_column
+    from .reporting import margin_block, rows_from_step_report
+    from .varband import (NORMAL_BAND, PROVED_D1, band_endpoints_column,
+                          variation_probability, variation_probability_column)
+
+    columns = runs_columns(points)
     expl = d1 not in PROVED_D1
     note = "exploratory" if expl else ""
     # one list of d2 ints shared by every block: a range would mint a new
     # int object per row for d2 > 256 each time it is iterated
     d2s = list(range(d2_lo, d2_hi + 1))
     if "bound" in checks or "monotone" in checks:
-        prob = variation_probability_column(d1, range(d2_lo, d2_hi + 3)).tolist()
+        if columns:
+            prob = variation_probability_column(d1, range(d2_lo, d2_hi + 3)).tolist()
+        else:
+            prob = [variation_probability(FParams(d1, d2))
+                    for d2 in range(d2_lo, d2_hi + 3)]
     blocks: list = []
     for check in checks:
         if check == "bound":
@@ -241,18 +248,22 @@ def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float) -> list
             margins = [here - next_ for here, next_ in zip(prob, prob[2:])]
             blocks.append(margin_block("step_decreasing", d1, d2s, margins,
                                        floor, note, expl))
-        elif check == "steps":
-            from .proofcheck.steps import step_inequalities_column
-
+        elif check == "steps" and columns:
             margins = step_inequalities_column(d1, d2s, *band_endpoints_column(d1, d2s))
             blocks += rows_from_step_report(d1, d2s, margins, floor, expl)
+        elif check == "steps":
+            blocks += step_blocks(d1, d2s,
+                                  lambda d2: check_step_inequalities(FParams(d1, d2)),
+                                  floor, expl)
     return blocks
 
 
 def _sweep_part(d1: int, d2_lo: int, d2_hi: int, checks, floor: float,
-                fmt: str) -> list:
+                points: int, fmt: str) -> list:
     """The ``Rendered`` blocks of one sweep column: a worker's whole task."""
-    return render_rows(_sweep_column(d1, d2_lo, d2_hi, checks, floor), fmt)
+    from .reporting import render_rows
+
+    return render_rows(_sweep_column(d1, d2_lo, d2_hi, checks, floor, points), fmt)
 
 
 def _usable_cpus() -> int:
@@ -273,24 +284,25 @@ def _sweep_parts(grid_d1: list, d2_lo: int, d2_hi: int, checks, floor: float,
     same task in this process.  An error raised in a worker is raised here;
     a worker that dies is an error of its own.
     """
+    points = len(grid_d1) * (d2_hi - d2_lo + 1)
     task = functools.partial(_sweep_part, d2_lo=d2_lo, d2_hi=d2_hi, checks=checks,
-                             floor=floor, fmt=fmt)
+                             floor=floor, points=points, fmt=fmt)
     cpus = _usable_cpus()
     if ("steps" not in checks or len(grid_d1) < 2 or cpus < 2
-            or not hasattr(os, "fork")
-            or len(grid_d1) * (d2_hi - d2_lo + 1) < _POOL_MIN):
+            or not hasattr(os, "fork") or points < _POOL_MIN):
         return [part for d1 in grid_d1 for part in task(d1)]
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    # a forked worker starts with this process's modules: numpy and the step
-    # kernels, loaded here once (numpy's BLAS threads capped by main, so none
-    # runs at the fork), are not imported again per worker.  A worker
+    # a forked worker starts with this process's modules: numpy and the
+    # programs with the step kernels they import, loaded here once (numpy's
+    # BLAS threads capped by main, so none runs at the fork), are not
+    # imported again per worker.  A worker
     # flushes the stdout and stderr it was forked with as it exits, so text
     # still buffered here would be written again by each worker.  With
     # "fork" the pool starts every worker before its own manager thread.
     import numpy  # noqa: F401
-    from .proofcheck import steps  # noqa: F401
+    from . import programs  # noqa: F401
     sys.stdout.flush()
     sys.stderr.flush()
     try:
@@ -303,6 +315,10 @@ def _sweep_parts(grid_d1: list, d2_lo: int, d2_hi: int, checks, floor: float,
 
 
 def _cmd_sweep(ns) -> int:
+    from .programs import certificate_rows, explore_rows, table_rows
+    from .reporting import render_rows, write_rendered
+    from .varband import PROVED_D1, check_limit
+
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
     checks = ns.check
@@ -324,8 +340,6 @@ def _cmd_sweep(ns) -> int:
     parts: list = []
     if _VARIANCE_CHECKS.intersection(checks):
         parts += _sweep_parts(grid_d1, d2_lo, d2_hi, checks, ns.floor, ns.format)
-    from .programs import certificate_rows, explore_rows, table_rows
-
     blocks: list = []
     if "limit" in checks:
         for d1 in d1_values:
@@ -370,6 +384,8 @@ def _report(write, items: list, header: dict, ns, counts: dict) -> str:
 def _write(write, items: list, header: dict, ns) -> dict:
     """Emit a sweep or explore report to ns.out or stdout through write (see
     ``_report``); returns the summary counts, computed once."""
+    from .reporting import summarize
+
     counts = summarize(items)
     text = _report(write, items, header, ns, counts)
     if not ns.out:
@@ -380,10 +396,13 @@ def _write(write, items: list, header: dict, ns) -> dict:
 
 
 def _cmd_prove(ns) -> int:
+    from .varband import PROVED_D1
+
     if ns.d1 not in PROVED_D1:
         raise VarcompError(f"prove covers d1 in {sorted(PROVED_D1)}; "
                            f"use 'explore' for d1 >= 5")
     from .programs import prove_rows
+    from .reporting import summarize, write_report
 
     blocks = prove_rows(ns.d1, ns.d2_max, ns.floor)
     counts = summarize(blocks)
@@ -418,7 +437,10 @@ def _cmd_oracle(ns) -> int:
         raise VarcompError("the band probability requires d2 >= 5")
     if ns.samples < 10_000:
         raise VarcompError("--samples must be at least 10000")
+    from .distributions import FParams
     from .oracle import mc_variation_probability, quad_beta_integral
+    from .specfun import log_beta
+    from .varband import band_endpoints, variation_probability
 
     p = FParams(ns.d1, ns.d2)
     analytic = variation_probability(p)
@@ -449,6 +471,10 @@ def _varprob_payload(ns) -> dict:
     """The band of --dist from its degrees of freedom; with --endpoints an F
     band adds its endpoint images, its region (3 if d > 0, else 2 if c > 0,
     else 1; see ``varband``) and its x-space limits."""
+    from .distributions import FParams
+    from .varband import (NORMAL_BAND, band_endpoints, chi_square_band_probability,
+                          variation_band, variation_probability)
+
     if ns.dist == "normal":
         return {"dist": "normal", "prob": NORMAL_BAND}
     if ns.dist == "chisq":
@@ -475,6 +501,8 @@ def _varprob_payload(ns) -> dict:
 def _cmd_varprob(ns) -> int:
     payload = _varprob_payload(ns)
     if ns.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True))
         return 0
     if "a" not in payload:  # no --endpoints, or a band without endpoint images
@@ -494,6 +522,7 @@ def _cmd_explore(ns) -> int:
     if d2_lo < 5:
         raise VarcompError("d2 must be >= 5")
     from .programs import explore_rows
+    from .reporting import write_report
 
     blocks = []
     for d1 in range(d1_lo, d1_hi + 1):
@@ -513,6 +542,10 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(ns, "floor", 0.0) is None:  # no --floor: the package's floor
+        from .varband import STRICTNESS_FLOOR
+
+        ns.floor = STRICTNESS_FLOOR
     handlers = {
         "varprob": _cmd_varprob,
         "endpoints": _cmd_varprob,

@@ -59,6 +59,8 @@ from .varband import (PROVED_D1, STRICTNESS_FLOOR, band_endpoints, band_endpoint
                       d_exceeds_c)
 
 __all__ = [
+    "runs_columns",
+    "step_blocks",
     "table_rows",
     "certificate_rows",
     "prove_rows",
@@ -69,7 +71,8 @@ __all__ = [
 _DENSE_MAX = 200
 
 #: Step-chain length (d2 points) from which ``prove_rows`` runs the sweep's
-#: numpy column kernels instead of the scalar per-point route; the margins
+#: numpy column kernels instead of the scalar per-point route, and grid size
+#: ((d1, d2) points) from which a sweep does (``runs_columns``); the margins
 #: are the same bit for bit.  The kernels are faster per point but cost
 #: numpy's import (about 0.1 s and 14 MiB).  Measured on a 2-core host,
 #: ``prove --d1 3 --format json``, medians of 5 alternating runs, scalar vs
@@ -78,6 +81,12 @@ _DENSE_MAX = 200
 #: break even between about 4,000 and 8,000 points (d1 = 1: 6,000 points
 #: 0.49 s either way, 8,000 0.59 vs 0.44 s).
 _COLUMN_MIN = 4096
+
+
+def runs_columns(points: int) -> bool:
+    """Whether a step chain or sweep grid of this many points runs the numpy
+    column kernels rather than the scalar per-point route."""
+    return points >= _COLUMN_MIN
 
 
 def _grid(lo: int, hi: int) -> list:
@@ -90,8 +99,8 @@ def _claim(check_id: str, d1: int, d2: int, margin: float, note: str,
     return margin_block(check_id, d1, [d2], [margin], 0.0, note, holds=holds)
 
 
-def _step_blocks(d1: int, d2s: Sequence[int], margins_at: Callable,
-                 floor: float, exploratory: bool = False) -> list:
+def step_blocks(d1: int, d2s: Sequence[int], margins_at: Callable,
+                floor: float, exploratory: bool = False) -> list:
     """Blocks of a scalar step evaluator over d2s; margins_at(d2) is its
     form -> margin map at d2, with the same forms at every d2."""
     columns: dict = {}
@@ -268,7 +277,7 @@ def prove_rows(d1: int, d2_max: int = 400,
     dense_hi = max(_DENSE_MAX, min(d2_max, 400))
     d2s = range(5, d2_max + 1)
     ends = None
-    if len(d2s) >= _COLUMN_MIN:
+    if runs_columns(len(d2s)):
         d2s = list(d2s)
         ends = band_endpoints_column(d1, d2s)
 
@@ -277,7 +286,7 @@ def prove_rows(d1: int, d2_max: int = 400,
         # by point on a short chain, its column kernel over the endpoint
         # columns on a long one; the two agree bit for bit
         if ends is None:
-            return _step_blocks(d1, d2s, form_at, floor)
+            return step_blocks(d1, d2s, form_at, floor)
         return rows_from_step_report(d1, d2s, column(d1, d2s, *ends), floor)
 
     def add(block):
@@ -337,9 +346,9 @@ def explore_rows(d1: int, d2_values: Sequence[int],
     if d1 < 5:
         raise DomainError(f"exploratory scans are for d1 >= 5, got d1={d1}")
     if d1 % 2 == 1:
-        return _step_blocks(d1, d2_values,
-                            lambda d2: falling_factorial_bounds_odd(d1, d2),
-                            floor, exploratory=True)
+        return step_blocks(d1, d2_values,
+                           lambda d2: falling_factorial_bounds_odd(d1, d2),
+                           floor, exploratory=True)
     defined, upper, lower, undefined, notes = [], [], [], [], []
     for d2 in d2_values:
         try:

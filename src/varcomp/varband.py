@@ -33,23 +33,27 @@ numpy (the grid sweep's fast route); they repeat the scalar arithmetic in the
 same order and agree with it bit for bit.
 
 ``check_bound``, ``check_monotone_step`` and ``check_limit`` return a
-one-row ``reporting.Block`` each, classified by ``reporting.margin_block``.
+one-row ``reporting.Block`` each, classified by ``reporting.margin_block``;
+they import ``reporting`` when they run, so the band commands (``varprob``,
+``endpoints``, ``oracle``) never load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .distributions import _FLOAT_LIMIT, FParams, _as_positive_int, f_mean, f_variance
 from .errors import DomainError, MomentUndefinedError
-from .reporting import Block, margin_block
 from .specfun import (
     reg_inc_beta,
     reg_inc_beta_column,
     reg_lower_gamma,
     std_normal_cdf,
 )
+
+if TYPE_CHECKING:
+    from .reporting import Block
 
 __all__ = [
     "Endpoints",
@@ -249,6 +253,8 @@ def check_bound(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
     Outside d1 in {1, 2, 3, 4} the claim is conjectured, not proved, and the
     row is exploratory.
     """
+    from .reporting import margin_block
+
     margin = variation_probability(p) - NORMAL_BAND
     expl = p.d1 not in PROVED_D1
     return margin_block("bound_exceeds_normal", p.d1, [p.d2], [margin], floor,
@@ -257,6 +263,8 @@ def check_bound(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
 
 def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
     """Margin of the step decrease: band prob at (d1, d2) minus at (d1, d2+2)."""
+    from .reporting import margin_block
+
     here = variation_probability(p)
     next_ = variation_probability(FParams(p.d1, p.d2 + 2))
     expl = p.d1 not in PROVED_D1
@@ -271,6 +279,8 @@ def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Block:
     probability approaches the chi-square(d1) band probability; margin is
     tol minus the observed absolute gap, at floor 0.
     """
+    from .reporting import margin_block
+
     if d2_large < 1000:
         raise DomainError(f"limit check requires d2_large >= 1000, got {d2_large}")
     f_val = variation_probability(FParams(d1, d2_large))

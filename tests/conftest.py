@@ -1,6 +1,5 @@
 import pytest
 
-import varcomp.cli
 import varcomp.reporting
 
 
@@ -16,6 +15,5 @@ def rendered_blocks(monkeypatch):
         seen.extend(blocks)
         return render(blocks, fmt)
 
-    for module in (varcomp.reporting, varcomp.cli):
-        monkeypatch.setattr(module, "render_rows", spy)
+    monkeypatch.setattr(varcomp.reporting, "render_rows", spy)
     return seen

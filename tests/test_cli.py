@@ -102,7 +102,6 @@ def test_endpoints_evaluate_the_band_once(argv, monkeypatch, capsys):
         return real(p)
 
     monkeypatch.setattr(varcomp.varband, "variation_probability", counted)
-    monkeypatch.setattr(varcomp.cli, "variation_probability", counted)
     assert run_cli(*argv, capsys=capsys)[0] == 0
     assert calls == [FParams(4, 11)]
 
@@ -665,6 +664,26 @@ def test_sweep_report_equal_on_both_routes(argv, to_file, fmt, monkeypatch,
         report = out_path.read_bytes() if to_file else b""
         outputs.append((code, out.replace(str(out_path), "REPORT"), err, report))
     assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_report_equal_on_the_scalar_and_column_routes(fmt, monkeypatch, tmp_path,
+                                                            capsys):
+    # a grid of fewer than _COLUMN_MIN points runs point by point, a larger
+    # one through the column kernels, in this process or in the pool: the
+    # same report and stdout byte for byte
+    outputs = []
+    for column_min, pool_min in ((10 ** 12, _IN_PROCESS), (0, _IN_PROCESS), (0, _POOL)):
+        with monkeypatch.context() as patch:
+            _route(patch, pool_min)
+            patch.setattr(varcomp.programs, "_COLUMN_MIN", column_min)
+            out_path = tmp_path / f"{column_min}-{pool_min}.{fmt}"
+            code, out, err = run_cli("sweep", *_MIXED, "--format", fmt,
+                                     "--out", str(out_path), capsys=capsys)
+        outputs.append((code, out.replace(str(out_path), "REPORT"), err,
+                        out_path.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
     assert multiprocessing.active_children() == []
 
 

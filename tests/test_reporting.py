@@ -15,7 +15,8 @@ import varcomp.cli
 import varcomp.programs
 from varcomp import FParams, check_bound, check_limit, check_monotone_step
 from varcomp.cli import main
-from varcomp.programs import certificate_rows, explore_rows, prove_rows, table_rows
+from varcomp.programs import (_COLUMN_MIN, certificate_rows, explore_rows, prove_rows,
+                              table_rows)
 from varcomp.proofcheck import (
     AuxFn,
     algebra_identity_check,
@@ -640,9 +641,10 @@ def long_prove_chain(d1: int) -> list:
     lambda: explore_rows(5, range(7, 80)) + explore_rows(6, range(7, 80)),
     # undefined series forms below d2 = 7: a note per row
     lambda: explore_rows(24, range(3, 80)),
-    # a sweep column's blocks share one d2s list
+    # a sweep column's blocks share one d2s list; a grid of _COLUMN_MIN
+    # points takes the column kernels
     *[lambda d1=d1: varcomp.cli._sweep_column(d1, 5, 300, ("bound", "monotone", "steps"),
-                                              1e-12) for d1 in range(1, 5)],
+                                              1e-12, _COLUMN_MIN) for d1 in range(1, 5)],
     *[lambda d1=d1: long_prove_chain(d1) for d1 in range(1, 5)],
 ], ids=["prove_rows_3", "tables_and_certificates", "explore_5_6", "explore_24",
         *[f"sweep_column_{d1}" for d1 in range(1, 5)],
@@ -657,7 +659,8 @@ def grid_large_blocks() -> list:
     # sweep --d1 1..4 --d2 5..20000 --check bound,monotone,steps
     return [block for d1 in range(1, 5)
             for block in varcomp.cli._sweep_column(
-                d1, 5, 20_000, ("bound", "monotone", "steps"), STRICTNESS_FLOOR)]
+                d1, 5, 20_000, ("bound", "monotone", "steps"), STRICTNESS_FLOOR,
+                4 * 19_996)]
 
 
 @pytest.mark.slow
