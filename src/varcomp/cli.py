@@ -11,22 +11,15 @@ oracle     cross-validate the analytic value against Monte Carlo and quadrature
 explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
-failed, 2 usage, domain, I/O or out-of-memory error, or a sweep worker
-process that died.  Every input error of a command, its own checks and the
-library's domain errors alike, is a ``VarcompError`` that ``main`` prints as
-one ``error:`` line.
+failed, 2 usage, domain, I/O (a stdout closed by its reader among them) or
+out-of-memory error, or a sweep worker process that died.  Every input error
+of a command, its own checks and the library's domain errors alike, is a
+``VarcompError`` that ``main`` prints as one ``error:`` line.
 
-A sweep runs one d1 column at a time, and each band probability is
-computed once and shared by the bound and monotone blocks.  A grid of fewer
-than ``programs._COLUMN_MIN`` points (the default 4 x 396 among them) runs
-point by point through the scalar functions; a larger one runs each column
-through the numpy column kernels of ``varband`` and ``proofcheck.steps``,
-bit-identical to the scalar route.  ``programs.runs_columns`` holds that
-rule for sweeps and ``prove`` chains alike: ``prove`` runs the scalar route
-on a chain of fewer than ``_COLUMN_MIN`` d2 points (the default
-``--d2-max 400`` among them) and the kernels on a longer one.  A steps
-check over two or more columns and at least ``_POOL_MIN`` points runs the
-columns in forked worker processes, one per usable CPU, and each worker
+A sweep runs one d1 column at a time through ``programs.chain_blocks``,
+which picks the scalar or numpy route for the whole grid (see there).  A
+steps check over two or more columns and at least ``_POOL_MIN`` points runs
+the columns in forked worker processes, one per usable CPU, and each worker
 renders its column's rows; the report is the same byte for byte on either
 route.  Only that route imports ``multiprocessing`` and
 ``concurrent.futures``.
@@ -40,8 +33,8 @@ hosts) only what it needs:
     varprob, endpoints  also ``distributions``, ``specfun`` and ``varband``
     oracle              also ``oracle`` and numpy
     prove, sweep,       also ``oracle``, ``programs``, ``proofcheck`` and
-    explore             ``reporting``; numpy only for a grid or chain of
-                        ``_COLUMN_MIN`` points or more
+    explore             ``reporting``; numpy only on the column route of
+                        ``programs.chain_blocks``
 
 An unset ``--floor`` is ``varband.STRICTNESS_FLOOR``, read once a command
 runs.
@@ -66,7 +59,7 @@ from . import __version__
 from .errors import VarcompError
 
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables", "exploratory")
-_VARIANCE_CHECKS = {"bound", "monotone", "steps"}
+_CHAIN_CHECKS = ("bound", "monotone", "steps")  # per point, over each d1's d2 chain
 #: Grid points (d1 columns x d2 values) from which a sweep of two or more
 #: columns that checks steps runs its columns in worker processes
 #: (``_sweep_parts``).  The pool costs a fork per worker and the pickling
@@ -112,10 +105,12 @@ def _parse_range(text: str) -> tuple:
 
 def _parse_checks(text: str) -> tuple:
     names = tuple(s.strip() for s in text.split(",") if s.strip())
-    for name in names:
+    for i, name in enumerate(names):
         if name not in _CHECK_NAMES:
             raise argparse.ArgumentTypeError(
                 f"unknown check {name!r}; choose from {', '.join(_CHECK_NAMES)}")
+        if name in names[:i]:  # a second block of the same claim and d1
+            raise argparse.ArgumentTypeError(f"check {name!r} is given twice")
     if not names:
         raise argparse.ArgumentTypeError("at least one check is required")
     return names
@@ -210,60 +205,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # sweep machinery
 # ---------------------------------------------------------------------------
 
-def _sweep_column(d1: int, d2_lo: int, d2_hi: int, checks, floor: float,
-                  points: int) -> list:
-    """Blocks of the per-point checks (bound, monotone, steps) for one d1
-    over d2_lo..d2_hi, through the numpy column kernels when the sweep's
-    grid of ``points`` points is large enough for them to pay
-    (``programs.runs_columns``) and point by point otherwise; the two give
-    the same blocks bit for bit.  Each band probability is computed once,
-    for d2 up to d2_hi + 2, and read by both the bound and the monotone
-    blocks."""
-    from .distributions import FParams
-    from .programs import runs_columns, step_blocks
-    from .proofcheck.steps import check_step_inequalities, step_inequalities_column
-    from .reporting import margin_block, rows_from_step_report
-    from .varband import (NORMAL_BAND, PROVED_D1, band_endpoints_column,
-                          variation_probability, variation_probability_column)
-
-    columns = runs_columns(points)
-    expl = d1 not in PROVED_D1
-    note = "exploratory" if expl else ""
-    # one list of d2 ints shared by every block: a range would mint a new
-    # int object per row for d2 > 256 each time it is iterated
-    d2s = list(range(d2_lo, d2_hi + 1))
-    if "bound" in checks or "monotone" in checks:
-        if columns:
-            prob = variation_probability_column(d1, range(d2_lo, d2_hi + 3)).tolist()
-        else:
-            prob = [variation_probability(FParams(d1, d2))
-                    for d2 in range(d2_lo, d2_hi + 3)]
-    blocks: list = []
-    for check in checks:
-        if check == "bound":
-            margins = [p - NORMAL_BAND for p in prob[:len(d2s)]]
-            blocks.append(margin_block("bound_exceeds_normal", d1, d2s, margins,
-                                       floor, note, expl))
-        elif check == "monotone":
-            margins = [here - next_ for here, next_ in zip(prob, prob[2:])]
-            blocks.append(margin_block("step_decreasing", d1, d2s, margins,
-                                       floor, note, expl))
-        elif check == "steps" and columns:
-            margins = step_inequalities_column(d1, d2s, *band_endpoints_column(d1, d2s))
-            blocks += rows_from_step_report(d1, d2s, margins, floor, expl)
-        elif check == "steps":
-            blocks += step_blocks(d1, d2s,
-                                  lambda d2: check_step_inequalities(FParams(d1, d2)),
-                                  floor, expl)
-    return blocks
-
-
 def _sweep_part(d1: int, d2_lo: int, d2_hi: int, checks, floor: float,
                 points: int, fmt: str) -> list:
     """The ``Rendered`` blocks of one sweep column: a worker's whole task."""
+    from .programs import chain_blocks
     from .reporting import render_rows
 
-    return render_rows(_sweep_column(d1, d2_lo, d2_hi, checks, floor, points), fmt)
+    return render_rows(chain_blocks(d1, range(d2_lo, d2_hi + 1), checks, floor, points),
+                       fmt)
 
 
 def _usable_cpus() -> int:
@@ -322,24 +271,21 @@ def _cmd_sweep(ns) -> int:
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
     checks = ns.check
+    chain_checks = [c for c in checks if c in _CHAIN_CHECKS]
     if d1_lo < 1:
         raise VarcompError("d1 must be >= 1")
-    if any(c in _VARIANCE_CHECKS for c in checks) and d2_lo < 5:
+    if chain_checks and d2_lo < 5:
         raise VarcompError("checks needing a finite variance require d2 >= 5")
     d1_values = list(range(d1_lo, d1_hi + 1))
-    if not ns.exploratory:
-        in_region = [d1 for d1 in d1_values if d1 in PROVED_D1]
-        skipped = sorted(set(d1_values) - set(in_region))
-        if skipped and any(c in ("bound", "monotone", "steps") for c in checks):
-            print(f"note: skipping conjectured d1 values {skipped} "
-                  f"(pass --exploratory to include them)", file=sys.stderr)
-        grid_d1 = in_region
-    else:
-        grid_d1 = d1_values
+    grid_d1 = [d1 for d1 in d1_values if ns.exploratory or d1 in PROVED_D1]
+    if chain_checks and len(grid_d1) < len(d1_values):
+        skipped = [d1 for d1 in d1_values if d1 not in PROVED_D1]
+        print(f"note: skipping conjectured d1 values {skipped} "
+              f"(pass --exploratory to include them)", file=sys.stderr)
 
     parts: list = []
-    if _VARIANCE_CHECKS.intersection(checks):
-        parts += _sweep_parts(grid_d1, d2_lo, d2_hi, checks, ns.floor, ns.format)
+    if chain_checks:
+        parts += _sweep_parts(grid_d1, d2_lo, d2_hi, chain_checks, ns.floor, ns.format)
     blocks: list = []
     if "limit" in checks:
         for d1 in d1_values:
@@ -559,7 +505,15 @@ def main(argv=None) -> int:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, "1")
     try:
-        return handlers[ns.command](ns)
+        code = handlers[ns.command](ns)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (``| head``): an I/O error.  What is
+        # still buffered goes to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 2
     except VarcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

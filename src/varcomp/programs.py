@@ -6,13 +6,8 @@ d1, so the CLI (or a notebook) can batch, sort and emit them; nothing here
 prints or exits; the one-row blocks of a claim's single checks are joined
 into its block by ``reporting.rows_from_outcome``.
 
-A step chain (``prove_rows`` over d2 = 5..d2_max, ``explore_rows``) runs the
-scalar per-point evaluators, whose form -> margin maps are gathered into
-form -> column once per program, and never imports numpy.  The one exception
-is a ``prove_rows`` chain of at least ``_COLUMN_MIN`` points: it runs the
-sweep's column kernels (``band_endpoints_column``,
-``step_inequalities_column``, ``coefficient_sign_column``), which give the
-same margins bit for bit and pay for numpy's import only on a long chain.
+The per-point claims of one d1 over a d2 chain, of a sweep column and of a
+``prove`` chain alike, come from ``chain_blocks``, with the one route rule.
 """
 
 from __future__ import annotations
@@ -56,10 +51,11 @@ from .oracle import quad_beta_integral
 from .reporting import (Block, gap_block, margin_block, rows_from_outcome,
                         rows_from_step_report)
 from .varband import (PROVED_D1, STRICTNESS_FLOOR, band_endpoints, band_endpoints_column,
-                      d_exceeds_c)
+                      _check_int64, bound_block, d_exceeds_c, monotone_block,
+                      variation_probability, variation_probability_column)
 
 __all__ = [
-    "runs_columns",
+    "chain_blocks",
     "step_blocks",
     "table_rows",
     "certificate_rows",
@@ -70,23 +66,16 @@ __all__ = [
 #: Sampling grid used for monotonicity-beyond-table and sign scans.
 _DENSE_MAX = 200
 
-#: Step-chain length (d2 points) from which ``prove_rows`` runs the sweep's
-#: numpy column kernels instead of the scalar per-point route, and grid size
-#: ((d1, d2) points) from which a sweep does (``runs_columns``); the margins
-#: are the same bit for bit.  The kernels are faster per point but cost
-#: numpy's import (about 0.1 s and 14 MiB).  Measured on a 2-core host,
-#: ``prove --d1 3 --format json``, medians of 5 alternating runs, scalar vs
-#: kernels: 396 points 0.23 vs 0.32 s, 1,000 0.29 vs 0.38 s, 2,500 0.45 vs
-#: 0.45 s, 4,000 0.57 vs 0.50 s, 10,000 1.11 vs 0.63 s.  d1 = 1, 2 and 4
-#: break even between about 4,000 and 8,000 points (d1 = 1: 6,000 points
-#: 0.49 s either way, 8,000 0.59 vs 0.44 s).
+#: Points from which ``chain_blocks`` runs the numpy column kernels instead
+#: of the scalar per-point route; the margins are the same bit for bit.  The
+#: kernels are faster per point but cost numpy's import (about 0.1 s and
+#: 14 MiB).  Measured on a 2-core host, ``prove --d1 3 --format json``,
+#: medians of 5 alternating runs, scalar vs kernels: 396 points 0.23 vs
+#: 0.32 s, 1,000 0.29 vs 0.38 s, 2,500 0.45 vs 0.45 s, 4,000 0.57 vs 0.50 s,
+#: 10,000 1.11 vs 0.63 s.  d1 = 1, 2 and 4 break even between about 4,000
+#: and 8,000 points (d1 = 1: 6,000 points 0.49 s either way, 8,000 0.59 vs
+#: 0.44 s).
 _COLUMN_MIN = 4096
-
-
-def runs_columns(points: int) -> bool:
-    """Whether a step chain or sweep grid of this many points runs the numpy
-    column kernels rather than the scalar per-point route."""
-    return points >= _COLUMN_MIN
 
 
 def _grid(lo: int, hi: int) -> list:
@@ -108,6 +97,55 @@ def step_blocks(d1: int, d2s: Sequence[int], margins_at: Callable,
         for form, margin in margins_at(d2).items():
             columns.setdefault(form, []).append(margin)
     return rows_from_step_report(d1, d2s, columns, floor, exploratory)
+
+
+def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str], floor: float,
+                 points: Optional[int] = None) -> list:
+    """Blocks of the per-point claims of one d1 over d2s, a run of
+    consecutive integers >= 5, for each of checks in turn: "bound"
+    (``varband.bound_block``), "monotone" (``varband.monotone_block``),
+    "coefficients" (the coefficient sign forms, d1 = 1 and 3) and "steps".
+
+    The one route rule: the numpy column kernels once points (default
+    len(d2s); a sweep passes its whole grid's size) reaches ``_COLUMN_MIN``,
+    the scalar per-point evaluators below it; the blocks are the same bit
+    for bit.  Either route first needs d1 * (d2s[-1] + 2) < 2**62, the
+    kernels' int64 bound.  Rows of a d1 outside ``PROVED_D1`` are
+    exploratory; each band probability is computed once.
+    """
+    _check_int64(d1, d2s[-1] + 2)
+    columns = (len(d2s) if points is None else points) >= _COLUMN_MIN
+    # one list of d2 ints shared by every block: a range would mint a new
+    # int object per row for d2 > 256 each time it is iterated
+    d2s = list(d2s)
+    expl = d1 not in PROVED_D1
+    if "bound" in checks or "monotone" in checks:
+        band_d2s = range(d2s[0], d2s[-1] + 3)
+        if columns:
+            bands = variation_probability_column(d1, band_d2s).tolist()
+        else:
+            bands = [variation_probability(FParams(d1, d2)) for d2 in band_d2s]
+    if columns and ("coefficients" in checks or "steps" in checks):
+        ends = band_endpoints_column(d1, d2s)
+    blocks: list = []
+    for check in checks:
+        if check == "bound":
+            blocks.append(bound_block(d1, d2s, bands, floor))
+        elif check == "monotone":
+            blocks.append(monotone_block(d1, d2s, bands, bands[2:], floor))
+        elif check in ("coefficients", "steps") and columns:
+            kernel = step_inequalities_column if check == "steps" else coefficient_sign_column
+            blocks += rows_from_step_report(d1, d2s, kernel(d1, d2s, *ends), floor, expl)
+        elif check == "coefficients":
+            blocks += step_blocks(d1, d2s, lambda d2: coefficient_sign_checks(d1, d2),
+                                  floor, expl)
+        elif check == "steps":
+            blocks += step_blocks(d1, d2s,
+                                  lambda d2: check_step_inequalities(FParams(d1, d2)),
+                                  floor, expl)
+        else:
+            raise ValueError(f"unknown chain check {check!r}")
+    return blocks
 
 
 def _lower_edge_bound_rows(floor: float) -> list:
@@ -262,8 +300,7 @@ def prove_rows(d1: int, d2_max: int = 400,
     Combines the golden tables, sampled monotonicity with finite-difference
     secondary checks, the prefactor algebra identities, exact positivity
     certificates, coefficient sign programs, and the step-inequality chain
-    over 5 <= d2 <= d2_max, through the column kernels once the chain has
-    ``_COLUMN_MIN`` points (same blocks either way).
+    over 5 <= d2 <= d2_max (``chain_blocks``).
     """
     if d1 not in PROVED_D1:
         raise DomainError(
@@ -275,19 +312,6 @@ def prove_rows(d1: int, d2_max: int = 400,
         raise DomainError(f"d2_max must be below 2**62, got {d2_max}")
     blocks: list = []
     dense_hi = max(_DENSE_MAX, min(d2_max, 400))
-    d2s = range(5, d2_max + 1)
-    ends = None
-    if runs_columns(len(d2s)):
-        d2s = list(d2s)
-        ends = band_endpoints_column(d1, d2s)
-
-    def chain(form_at, column):
-        # the blocks of one step evaluator over the chain: form_at(d2) point
-        # by point on a short chain, its column kernel over the endpoint
-        # columns on a long one; the two agree bit for bit
-        if ends is None:
-            return step_blocks(d1, d2s, form_at, floor)
-        return rows_from_step_report(d1, d2s, column(d1, d2s, *ends), floor)
 
     def add(block):
         blocks.extend(rows_from_outcome([block], d1))
@@ -300,7 +324,6 @@ def prove_rows(d1: int, d2_max: int = 400,
         add(value_sign_check(AuxFn.L1, _grid(3, dense_hi), -1, floor))
         add(algebra_identity_check("l1_prefactor_identity", _grid(3, 60)))
         add(algebra_identity_check("k_derivative_identity", _grid(5, 60)))
-        blocks += chain(lambda d2: coefficient_sign_checks(1, d2), coefficient_sign_column)
     elif d1 == 2:
         add(monotone_table_check(AuxFn.H2, _grid(3, dense_hi), "decreasing", floor))
         add(derivative_sign_check(AuxFn.H2, [6, 10, 20, 50, 100], -1, floor=floor))
@@ -316,7 +339,6 @@ def prove_rows(d1: int, d2_max: int = 400,
         blocks += _boundary_rows(3, 25)
         blocks += _lower_edge_bound_rows(floor)
         blocks += _g2_consistency_rows(_grid(25, 60))
-        blocks += chain(lambda d2: coefficient_sign_checks(3, d2), coefficient_sign_column)
     else:
         add(monotone_table_check(AuxFn.H4, _grid(3, dense_hi), "increasing", floor))
         add(derivative_sign_check(AuxFn.H4, [13, 20, 50, 100], 1, floor=floor))
@@ -330,8 +352,8 @@ def prove_rows(d1: int, d2_max: int = 400,
         blocks += _boundary_rows(4, 17)
 
     blocks += _log_form_rows(d1, range(5, min(d2_max, 150) + 1))
-    return blocks + chain(lambda d2: check_step_inequalities(FParams(d1, d2)),
-                          step_inequalities_column)
+    checks = ("coefficients", "steps") if d1 in (1, 3) else ("steps",)
+    return blocks + chain_blocks(d1, range(5, d2_max + 1), checks, floor)
 
 
 def explore_rows(d1: int, d2_values: Sequence[int],

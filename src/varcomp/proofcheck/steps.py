@@ -33,10 +33,10 @@ None for a form that does not apply at that (d1, d2); it renders no
 verdict.  ``reporting.rows_from_step_report`` classifies them against the
 strictness floor, one block per form over a column of d2 values.
 
-``step_inequalities_at`` (``check_step_inequalities``, short ``prove``
-chains, ``explore``) and ``step_inequalities_column`` (sweeps and ``prove``
-chains of ``programs._COLUMN_MIN`` d2 points or more, integrals through
-``oracle.quad_beta_integral_column``) write every form through one body,
+``step_inequalities_at`` (``check_step_inequalities``, ``explore``, the
+scalar route of ``programs.chain_blocks``) and ``step_inequalities_column``
+(its column route, integrals through ``oracle.quad_beta_integral_column``)
+write every form through one body,
 ``_step_forms``.  It uses only +, -, * and /, which round alike on floats
 and on float64 columns; each route supplies its integrals and its exp and
 log (through ``math``) and applies the applicability rules, so the margins

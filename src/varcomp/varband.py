@@ -32,9 +32,10 @@ the reference route.  ``band_endpoints_column`` and
 numpy (the grid sweep's fast route); they repeat the scalar arithmetic in the
 same order and agree with it bit for bit.
 
-``check_bound``, ``check_monotone_step`` and ``check_limit`` return a
-one-row ``reporting.Block`` each, classified by ``reporting.margin_block``;
-they import ``reporting`` when they run, so the band commands (``varprob``,
+``bound_block`` and ``monotone_block`` (a d2 column), ``check_bound`` and
+``check_monotone_step`` (one point, through them) and ``check_limit`` return
+a ``reporting.Block``, classified by ``reporting.margin_block``; they import
+``reporting`` when they run, so the band commands (``varprob``,
 ``endpoints``, ``oracle``) never load it.
 """
 
@@ -67,6 +68,8 @@ __all__ = [
     "d_exceeds_c",
     "variation_probability",
     "variation_probability_column",
+    "bound_block",
+    "monotone_block",
     "check_bound",
     "check_monotone_step",
     "check_limit",
@@ -137,6 +140,13 @@ def band_endpoints(p: FParams) -> Endpoints:
     return Endpoints(a, b, c, d)
 
 
+def _check_int64(d1: int, d2_max: int) -> None:
+    # the int64 bound of the column kernels; d2_max is a column's largest d2
+    if d1 * d2_max >= 2 ** 62:
+        raise DomainError("band endpoints need d1 * d2 < 2**62 so the int64 "
+                          "region tests cannot overflow")
+
+
 def band_endpoints_column(d1: int, d2) -> tuple:
     """Endpoint images (a, b, c, d) of ``band_endpoints`` at (d1, d2[i]) for
     every i, as four float64 arrays.
@@ -152,9 +162,8 @@ def band_endpoints_column(d1: int, d2) -> tuple:
         raise DomainError(f"band endpoints require d1 >= 1, got d1={d1}")
     if d2.size and d2.min() < 5:
         raise DomainError(f"band endpoints require d2 >= 5, got d2={d2.min()}")
-    if d2.size and int(d1) * int(d2.max()) >= 2 ** 62:
-        raise DomainError("band endpoints need d1 * d2 < 2**62 so the int64 "
-                          "region tests cannot overflow")
+    if d2.size:
+        _check_int64(int(d1), int(d2.max()))
     r1 = np.sqrt(2.0 * (d1 + d2) / (d1 * (d2 - 2)))
     r2 = np.sqrt(2.0 * (d1 + d2 - 2) / (d1 * (d2 - 4)))
     a = d1 / (d1 + d2 / (1.0 + r1))
@@ -247,29 +256,38 @@ def variation_probability_column(d1: int, d2):
     return prob
 
 
-def check_bound(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
-    """Margin of the band probability over the normal baseline 2 Phi(1) - 1.
-
-    Outside d1 in {1, 2, 3, 4} the claim is conjectured, not proved, and the
-    row is exploratory.
-    """
+def _band_block(check_id: str, d1: int, d2s, margins, floor: float) -> Block:
+    # outside d1 in {1, 2, 3, 4} a band claim is conjectured, not proved
     from .reporting import margin_block
 
-    margin = variation_probability(p) - NORMAL_BAND
-    expl = p.d1 not in PROVED_D1
-    return margin_block("bound_exceeds_normal", p.d1, [p.d2], [margin], floor,
+    expl = d1 not in PROVED_D1
+    return margin_block(check_id, d1, d2s, margins, floor,
                         "exploratory" if expl else "", expl)
+
+
+def bound_block(d1: int, d2s, bands, floor: float) -> Block:
+    """Block of the band's margin over the normal baseline 2 Phi(1) - 1 at
+    each d2s[i], bands[i] its band probability (bands may run on)."""
+    return _band_block("bound_exceeds_normal", d1, d2s,
+                       [p - NORMAL_BAND for p in bands[:len(d2s)]], floor)
+
+
+def monotone_block(d1: int, d2s, bands, next_bands, floor: float) -> Block:
+    """Block of the step decrease bands[i] - next_bands[i], the band
+    probabilities at (d1, d2s[i]) and (d1, d2s[i] + 2)."""
+    return _band_block("step_decreasing", d1, d2s,
+                       [here - next_ for here, next_ in zip(bands, next_bands)], floor)
+
+
+def check_bound(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
+    """The bound claim (``bound_block``) at one point."""
+    return bound_block(p.d1, [p.d2], [variation_probability(p)], floor)
 
 
 def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
-    """Margin of the step decrease: band prob at (d1, d2) minus at (d1, d2+2)."""
-    from .reporting import margin_block
-
-    here = variation_probability(p)
-    next_ = variation_probability(FParams(p.d1, p.d2 + 2))
-    expl = p.d1 not in PROVED_D1
-    return margin_block("step_decreasing", p.d1, [p.d2], [here - next_], floor,
-                        "exploratory" if expl else "", expl)
+    """The step-decrease claim (``monotone_block``) at one point."""
+    return monotone_block(p.d1, [p.d2], [variation_probability(p)],
+                          [variation_probability(FParams(p.d1, p.d2 + 2))], floor)
 
 
 def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Block:

@@ -30,6 +30,18 @@ from varcomp.reporting import (
 from varcomp.varband import PROVED_D1
 
 
+#: The source tree of the varcomp under test.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(varcomp.cli.__file__)))
+
+
+def child_env(env=None):
+    """env (default os.environ) with this varcomp's source tree first on
+    PYTHONPATH: the environment of a child interpreter."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -226,6 +238,16 @@ def test_sweep_bad_check_name(capsys):
     assert code == 2
 
 
+def test_sweep_repeated_check_name(capsys):
+    # a repeated name would give its claim a second block per d1, and count
+    # each of its rows twice
+    code, out, err = run_cli("sweep", "--d1", "1", "--d2", "5..7",
+                             "--check", "bound,bound,limit", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "varcomp sweep: error: argument --check: check 'bound' is given twice"]
+
+
 def test_sweep_failure_exit_code(tmp_path, capsys):
     # an absurd limit tolerance manufactures an honest failing check
     code, _, _ = run_cli("sweep", "--d1", "1..1", "--d2", "5..5",
@@ -360,6 +382,18 @@ def test_range_bounds_at_or_above_2_62_are_usage_errors(argv, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("points", [9, _COLUMN_MIN])
+def test_column_int64_bound_holds_on_both_routes(points, capsys):
+    # 4 * (2**61 + 2) >= 2**62: the scalar route of a short grid refuses the
+    # grid as the column kernels of a long one do
+    lo = 2 ** 61
+    code, out, err = run_cli("sweep", "--d1", "4", "--d2", f"{lo}..{lo + points - 1}",
+                             "--check", "bound", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: band endpoints need d1 * d2 < 2**62 so the "
+                                "int64 region tests cannot overflow"]
+
+
 _NO_FLOAT = str(10 ** 400)
 
 
@@ -458,14 +492,14 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, varcomp.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
 
 def test_console_script_installed():
     out = subprocess.run([sys.executable, "-m", "varcomp", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0
     assert "varcomp" in out.stdout
 
@@ -478,7 +512,7 @@ def _loaded_by(argv, modules=("numpy",)):
          "import sys\nfrom varcomp.cli import main\n"
          f"code = main({argv!r})\n"
          f"print(code, *(m in sys.modules for m in {modules!r}), file=sys.stderr)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     return out.stderr.strip().splitlines()[-1]
 
@@ -578,7 +612,7 @@ def test_grid_the_process_cannot_hold_exits_2(argv, tmp_path):
     report = tmp_path / "r.csv"
     out = subprocess.run([sys.executable, "-m", "varcomp", *argv, "--out", str(report)],
                          capture_output=True, text=True, timeout=120,
-                         preexec_fn=_limit_address_space)
+                         preexec_fn=_limit_address_space, env=child_env())
     assert out.returncode == 2, out.stderr
     assert out.stderr.splitlines() == [
         "error: out of memory; ask for a smaller d1/d2 range"]
@@ -590,8 +624,9 @@ def test_blas_threads_capped_before_numpy_loads():
               "main(['varprob', '--dist', 'normal'])\n"
               "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'],"
               " os.environ['MKL_NUM_THREADS'])")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = child_env({k: v for k, v in os.environ.items()
+                     if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS")})
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
@@ -620,13 +655,13 @@ def _record_column_pids(monkeypatch):
     """Record the id of each process that runs a sweep column; call the
     function returned, once, after the sweep to read them."""
     read, write = os.pipe()
-    column = varcomp.cli._sweep_column
+    column = varcomp.programs.chain_blocks
 
     def recorded(d1, *args):
         os.write(write, b"%d\n" % os.getpid())  # one short write: atomic
         return column(d1, *args)
 
-    monkeypatch.setattr(varcomp.cli, "_sweep_column", recorded)
+    monkeypatch.setattr(varcomp.programs, "chain_blocks", recorded)
 
     def column_pids():
         os.close(write)
@@ -699,7 +734,7 @@ def test_default_sweep_starts_no_worker(monkeypatch, capsys):
 
 
 def _fail_at_d1_3(failure):
-    column = varcomp.cli._sweep_column
+    column = varcomp.programs.chain_blocks
 
     def failing(d1, *args):
         if d1 == 3:
@@ -726,7 +761,7 @@ def test_failure_in_a_sweep_worker_exits_2(failure, message, monkeypatch, tmp_pa
                                            capsys):
     _route(monkeypatch, _POOL)
     # the worker is a fork of this process, so it runs the patched column
-    monkeypatch.setattr(varcomp.cli, "_sweep_column", _fail_at_d1_3(failure))
+    monkeypatch.setattr(varcomp.programs, "chain_blocks", _fail_at_d1_3(failure))
     code, out, err = run_cli("sweep", "--d1", "1..4", "--d2", "5..30",
                              "--check", "bound,steps",
                              "--out", str(tmp_path / "r.csv"), capsys=capsys)
@@ -743,10 +778,29 @@ def test_text_buffered_before_the_workers_start_is_written_once():
               "sys.exit(cli.main(['sweep', '--d1', '1..4', '--d2', '5..30',"
               " '--check', 'steps,limit']))")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=120)
+                         text=True, timeout=120, env=child_env())
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "before the sweep"
     assert lines[4] == "check_id,d1,d2,margin,pass,note"
     assert len(lines) == len(set(lines)) > 5 + 4 * 26
     assert out.stderr == ""
+
+
+def test_stdout_closed_by_its_reader_exits_2_without_a_traceback():
+    # the default sweep writes about 0.5 MB to stdout, more than the pipe
+    # holds, so the report is still being written when the reader has gone.
+    # With PYTHONUNBUFFERED set, CPython's text layer drops what a partial
+    # write leaves over instead of raising, so stdout is kept buffered here
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "varcomp", "sweep", "--d1", "1..4",
+                             "--check", "bound,monotone,steps"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == f"# varcomp {__version__}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: stdout closed before the output was written"]

@@ -17,7 +17,7 @@ from varcomp import (
     variation_probability,
 )
 from varcomp.oracle import quad_beta_integral, quad_beta_integral_column
-from varcomp.programs import prove_rows
+from varcomp.programs import _COLUMN_MIN, chain_blocks, prove_rows
 from varcomp.proofcheck.steps import (
     coefficient_sign_checks,
     coefficient_sign_column,
@@ -289,3 +289,16 @@ def test_prove_column_route_matches_scalar(d1, monkeypatch):
 def test_prove_column_route_matches_scalar_deep(d1, monkeypatch):
     # the chain length prove_deep runs, at every proved d1
     assert_prove_routes_agree(monkeypatch, d1, 30_000)
+
+
+def test_chain_blocks_run_every_check_on_either_route(monkeypatch):
+    # points alone picks the route; no caller asks for all four checks at once
+    checks = ("bound", "monotone", "coefficients", "steps")
+    scalar = chain_blocks(3, range(5, 80), checks, 1e-12)
+    for name in ("variation_probability", "check_step_inequalities",
+                 "coefficient_sign_checks"):
+        monkeypatch.setattr(varcomp.programs, name, _no_scalar_call)
+    column = chain_blocks(3, range(5, 80), checks, 1e-12, points=_COLUMN_MIN)
+    assert _block_fields(column) == _block_fields(scalar)
+    with pytest.raises(ValueError, match="unknown chain check 'limit'"):
+        chain_blocks(3, range(5, 80), ("limit",), 1e-12)

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import varcomp
-import varcomp.cli
 import varcomp.programs
 from varcomp import FParams, check_bound, check_limit, check_monotone_step
 from varcomp.cli import main
-from varcomp.programs import (_COLUMN_MIN, certificate_rows, explore_rows, prove_rows,
-                              table_rows)
+from varcomp.programs import (_COLUMN_MIN, certificate_rows, chain_blocks, explore_rows,
+                              prove_rows, table_rows)
 from varcomp.proofcheck import (
     AuxFn,
     algebra_identity_check,
@@ -643,8 +642,8 @@ def long_prove_chain(d1: int) -> list:
     lambda: explore_rows(24, range(3, 80)),
     # a sweep column's blocks share one d2s list; a grid of _COLUMN_MIN
     # points takes the column kernels
-    *[lambda d1=d1: varcomp.cli._sweep_column(d1, 5, 300, ("bound", "monotone", "steps"),
-                                              1e-12, _COLUMN_MIN) for d1 in range(1, 5)],
+    *[lambda d1=d1: chain_blocks(d1, range(5, 301), ("bound", "monotone", "steps"),
+                                 1e-12, _COLUMN_MIN) for d1 in range(1, 5)],
     *[lambda d1=d1: long_prove_chain(d1) for d1 in range(1, 5)],
 ], ids=["prove_rows_3", "tables_and_certificates", "explore_5_6", "explore_24",
         *[f"sweep_column_{d1}" for d1 in range(1, 5)],
@@ -658,8 +657,8 @@ def test_renderers_match_reference_on_real_reports(make_blocks):
 def grid_large_blocks() -> list:
     # sweep --d1 1..4 --d2 5..20000 --check bound,monotone,steps
     return [block for d1 in range(1, 5)
-            for block in varcomp.cli._sweep_column(
-                d1, 5, 20_000, ("bound", "monotone", "steps"), STRICTNESS_FLOOR,
+            for block in chain_blocks(
+                d1, range(5, 20_001), ("bound", "monotone", "steps"), STRICTNESS_FLOOR,
                 4 * 19_996)]
 
 
