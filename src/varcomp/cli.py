@@ -12,17 +12,22 @@ explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
 failed, 2 usage, domain, I/O (a stdout closed by its reader among them) or
-out-of-memory error, or a sweep worker process that died.  Every input error
+out-of-memory error, or a worker process that died.  Every input error
 of a command, its own checks and the library's domain errors alike, is a
 ``VarcompError`` that ``main`` prints as one ``error:`` line.
 
-A sweep runs one d1 column at a time through ``programs.chain_blocks``,
-which picks the scalar or numpy route for the whole grid (see there).  A
-steps check over two or more columns and at least ``_POOL_MIN`` points runs
-the columns in forked worker processes, one per usable CPU, and each worker
-renders its column's rows; the report is the same byte for byte on either
-route.  Only that route imports ``multiprocessing`` and
-``concurrent.futures``.
+A sweep's d1 columns and a ``prove`` chain run through
+``programs.chain_parts``, which evaluates each chain with
+``programs.chain_blocks`` (the scalar or numpy route for the whole grid;
+see there) and renders its rows.  A steps check over at least
+``programs._POOL_MIN`` points cuts every chain into one run of d2s per
+usable CPU: this process forks one child per run but the first, runs the
+work outside the chains (``prove``'s program blocks; a sweep's limit,
+tables and exploratory blocks) and then the first run, and each child
+pipes its rendered rows back.  The report is the same byte for byte on
+either route.  ``prove`` without ``--out`` renders no row: its claim lines
+and summary come from each block's counts, worst margin and first
+inconclusive d2.
 
 Each command imports the modules it runs when it runs, and the package
 resolves its public names lazily, so a short command, whose start-up is
@@ -50,7 +55,6 @@ and ``prove`` prints its PASS/INCONCLUSIVE/FAIL line per claim from it.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -60,19 +64,6 @@ from .errors import VarcompError
 
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables", "exploratory")
 _CHAIN_CHECKS = ("bound", "monotone", "steps")  # per point, over each d1's d2 chain
-#: Grid points (d1 columns x d2 values) from which a sweep of two or more
-#: columns that checks steps runs its columns in worker processes
-#: (``_sweep_parts``).  The pool costs a fork per worker and the pickling
-#: of each column's text, and 10-20% more CPU time in all.  Measured on a
-#: 2-core host, ``sweep --d1 1..4 --d2 5..N --check bound,monotone,steps
-#: --out``, medians of 11 alternating runs, wall time in this process vs in
-#: the pool: 4 x 400 points 0.38 vs 0.42 s, 4 x 1,000 0.42 vs 0.46 s,
-#: 4 x 1,500 0.36 vs 0.42 s, 4 x 2,000 0.48 vs 0.43 s, 4 x 3,000 0.62 vs
-#: 0.53 s, 4 x 5,000 0.70 vs 0.66 s, 4 x 19,996 2.28 vs 1.61 s.  Without the
-#: step check a point costs too little for the pool to pay: over 4 x 19,996
-#: points, 7 runs each, ``--check bound`` took 0.54 s either way and
-#: ``--check bound,monotone`` 0.70 vs 0.65 s, for a third more CPU time.
-_POOL_MIN = 8_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,71 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ---------------------------------------------------------------------------
-# sweep machinery
-# ---------------------------------------------------------------------------
-
-def _sweep_part(d1: int, d2_lo: int, d2_hi: int, checks, floor: float,
-                points: int, fmt: str) -> list:
-    """The ``Rendered`` blocks of one sweep column: a worker's whole task."""
-    from .programs import chain_blocks
-    from .reporting import render_rows
-
-    return render_rows(chain_blocks(d1, range(d2_lo, d2_hi + 1), checks, floor, points),
-                       fmt)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _sweep_parts(grid_d1: list, d2_lo: int, d2_hi: int, checks, floor: float,
-                 fmt: str) -> list:
-    """The ``Rendered`` blocks of every sweep column, in d1 order.
-
-    A steps check over at least ``_POOL_MIN`` points in two or more columns
-    runs the columns in forked worker processes, as many as there are usable
-    CPUs and columns, handed one column at a time; each worker renders its
-    column's rows, so the parent only joins texts.  Any other grid runs the
-    same task in this process.  An error raised in a worker is raised here;
-    a worker that dies is an error of its own.
-    """
-    points = len(grid_d1) * (d2_hi - d2_lo + 1)
-    task = functools.partial(_sweep_part, d2_lo=d2_lo, d2_hi=d2_hi, checks=checks,
-                             floor=floor, points=points, fmt=fmt)
-    cpus = _usable_cpus()
-    if ("steps" not in checks or len(grid_d1) < 2 or cpus < 2
-            or not hasattr(os, "fork") or points < _POOL_MIN):
-        return [part for d1 in grid_d1 for part in task(d1)]
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    # a forked worker starts with this process's modules: numpy and the
-    # programs with the step kernels they import, loaded here once (numpy's
-    # BLAS threads capped by main, so none runs at the fork), are not
-    # imported again per worker.  A worker
-    # flushes the stdout and stderr it was forked with as it exits, so text
-    # still buffered here would be written again by each worker.  With
-    # "fork" the pool starts every worker before its own manager thread.
-    import numpy  # noqa: F401
-    from . import programs  # noqa: F401
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        with ProcessPoolExecutor(min(len(grid_d1), cpus),
-                                 multiprocessing.get_context("fork")) as pool:
-            return [part for parts in pool.map(task, grid_d1) for part in parts]
-    except BrokenProcessPool:
-        raise VarcompError("a sweep worker process died before it returned "
-                           "its column") from None
-
-
 def _cmd_sweep(ns) -> int:
-    from .programs import certificate_rows, explore_rows, table_rows
-    from .reporting import render_rows, write_rendered
+    from .programs import certificate_rows, chain_parts, explore_rows, table_rows
+    from .reporting import write_rendered
     from .varband import PROVED_D1, check_limit
 
     d1_lo, d1_hi = ns.d1
@@ -283,21 +212,23 @@ def _cmd_sweep(ns) -> int:
         print(f"note: skipping conjectured d1 values {skipped} "
               f"(pass --exploratory to include them)", file=sys.stderr)
 
-    parts: list = []
-    if chain_checks:
-        parts += _sweep_parts(grid_d1, d2_lo, d2_hi, chain_checks, ns.floor, ns.format)
-    blocks: list = []
-    if "limit" in checks:
-        for d1 in d1_values:
-            blocks.append(check_limit(d1, ns.d2_large, ns.limit_tol))
-    if "tables" in checks:
-        blocks += table_rows(ns.floor)
-        blocks += certificate_rows()
-    if "exploratory" in checks:
-        for d1 in d1_values:
-            if d1 >= 5:
-                blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)
-    parts += render_rows(blocks, ns.format)
+    def other_blocks() -> list:
+        blocks: list = []
+        if "limit" in checks:
+            for d1 in d1_values:
+                blocks.append(check_limit(d1, ns.d2_large, ns.limit_tol))
+        if "tables" in checks:
+            blocks += table_rows(ns.floor)
+            blocks += certificate_rows()
+        if "exploratory" in checks:
+            explore_d2s = range(max(d2_lo, 7), d2_hi + 1)
+            for d1 in d1_values:
+                if d1 >= 5:
+                    blocks += explore_rows(d1, explore_d2s, ns.floor)
+        return blocks
+
+    parts = chain_parts(grid_d1 if chain_checks else [], d2_lo, d2_hi, chain_checks,
+                        ns.floor, ns.format, other_blocks)
 
     header = {
         "version": __version__,
@@ -335,10 +266,26 @@ def _write(write, items: list, header: dict, ns) -> dict:
     counts = summarize(items)
     text = _report(write, items, header, ns, counts)
     if not ns.out:
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         print(f"wrote {ns.out}: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     return counts
+
+
+def _write_stdout(text: str) -> None:
+    """Write a report to stdout, encoded, in 1 MiB slices; a short write
+    (an unbuffered stdout whose reader has gone) is written on until the
+    write raises, so no part of the report is dropped unseen."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if raw is None:  # a text-only stream, such as io.StringIO
+        out.write(text)
+        return
+    out.flush()
+    for i in range(0, len(text), 1 << 20):
+        data = memoryview(text[i:i + (1 << 20)].encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data):]
 
 
 def _cmd_prove(ns) -> int:
@@ -347,33 +294,42 @@ def _cmd_prove(ns) -> int:
     if ns.d1 not in PROVED_D1:
         raise VarcompError(f"prove covers d1 in {sorted(PROVED_D1)}; "
                            f"use 'explore' for d1 >= 5")
-    from .programs import prove_rows
-    from .reporting import summarize, write_report
+    from .programs import prove_parts
+    from .reporting import summarize, write_rendered
 
-    blocks = prove_rows(ns.d1, ns.d2_max, ns.floor)
-    counts = summarize(blocks)
+    # without --out no row is rendered, only counted
+    parts = prove_parts(ns.d1, ns.d2_max, ns.floor, ns.format if ns.out else None)
+    counts = summarize(parts)
     header = {
         "version": __version__,
         "spec": {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max,
                  "floor": ns.floor},
     }
     if ns.out:
-        _report(write_report, blocks, header, ns, counts)
+        _report(write_rendered, parts, header, ns, counts)
         print(f"wrote {ns.out}")
-    # each claim of the program is one block; it passes only when none of
-    # its rows failed or was inconclusive
-    for block in sorted(blocks, key=lambda b: b.check_id):
-        claim, statuses = block.check_id, block.statuses
-        margins = [m for m in block.margins if m is not None]
-        worst = f"worst margin {min(margins):.3e}" if margins else "not applicable"
-        if "fail" in statuses:
-            print(f"FAIL {claim} ({len(block)} rows, {worst})")
-        elif "inconclusive" in statuses:
-            first = block.d2s[statuses.index("inconclusive")]
-            print(f"INCONCLUSIVE {claim} {statuses.count('inconclusive')}/{len(block)} "
+    # each claim of the program is one block, given as one part per run of
+    # its chain, in d2 order; it passes only when none of its rows failed
+    # or was inconclusive
+    claims: dict = {}
+    for part in parts:
+        claims.setdefault(part.check_id, []).append(part)
+    for claim in sorted(claims):
+        runs = claims[claim]
+        status_counts = [sum(n) for n in zip(*(p.counts for p in runs))]
+        _, failed, inconclusive, _ = status_counts  # in STATUSES order
+        rows = sum(status_counts)
+        worsts = [p.worst for p in runs if p.worst is not None]
+        worst = f"worst margin {min(worsts):.3e}" if worsts else "not applicable"
+        if failed:
+            print(f"FAIL {claim} ({rows} rows, {worst})")
+        elif inconclusive:
+            first = next(p.first_inconclusive for p in runs
+                         if p.first_inconclusive is not None)
+            print(f"INCONCLUSIVE {claim} {inconclusive}/{rows} "
                   f"(first at d2={first}, {worst})")
         else:
-            print(f"PASS {claim} ({len(block)} rows, {worst})")
+            print(f"PASS {claim} ({rows} rows, {worst})")
     print("summary: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     return 1 if counts["fail"] else 0
 

@@ -7,12 +7,15 @@ prints or exits; the one-row blocks of a claim's single checks are joined
 into its block by ``reporting.rows_from_outcome``.
 
 The per-point claims of one d1 over a d2 chain, of a sweep column and of a
-``prove`` chain alike, come from ``chain_blocks``, with the one route rule.
+``prove`` chain alike, come from ``chain_blocks``, with the one route rule;
+``chain_parts`` renders them, cut into runs of d2 across processes where
+that pays, and is what ``sweep`` and ``prove`` run.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .distributions import FParams
@@ -48,7 +51,7 @@ from .proofcheck.steps import (
     step_inequalities_column,
 )
 from .oracle import quad_beta_integral
-from .reporting import (Block, gap_block, margin_block, rows_from_outcome,
+from .reporting import (Block, gap_block, margin_block, render_rows, rows_from_outcome,
                         rows_from_step_report)
 from .varband import (PROVED_D1, STRICTNESS_FLOOR, band_endpoints, band_endpoints_column,
                       _check_int64, bound_block, d_exceeds_c, monotone_block,
@@ -56,10 +59,12 @@ from .varband import (PROVED_D1, STRICTNESS_FLOOR, band_endpoints, band_endpoint
 
 __all__ = [
     "chain_blocks",
+    "chain_parts",
     "step_blocks",
     "table_rows",
     "certificate_rows",
     "prove_rows",
+    "prove_parts",
     "explore_rows",
 ]
 
@@ -76,6 +81,23 @@ _DENSE_MAX = 200
 #: and 8,000 points (d1 = 1: 6,000 points 0.49 s either way, 8,000 0.59 vs
 #: 0.44 s).
 _COLUMN_MIN = 4096
+
+#: Grid points (d1 chains x d2 values) from which ``chain_parts`` cuts the
+#: chains of a steps check into one run per usable CPU (see there).  A cut
+#: costs a fork (about 4 ms), copy-on-write page faults and the pickling of
+#: the children's rows, about 0.05 s of CPU time on 2 CPUs.  Measured on a
+#: 2-core host, medians of 11 alternating runs, wall time in one process vs
+#: cut: ``sweep --d1 1..4 --d2 5..N --check bound,monotone,steps --out``,
+#: 4 x 400 points 0.27 vs 0.29 s, 4 x 750 0.52 vs 0.39 s, 4 x 1,000 0.57
+#: vs 0.43 s, 4 x 2,000 0.53 vs 0.46 s, 4 x 5,000 0.81 vs 0.61 s, 4 x 19,996
+#: 1.86 vs 1.43 s; ``prove --d1 D --format json --out`` at 3,000 points
+#: 0.21 vs 0.23 s (D = 2) and 0.27-0.37 vs 0.25-0.32 s (D = 1, 3, 4), at
+#: 4,096 (the column route from here) 0.38-0.46 vs 0.37-0.43 s, at 6,000
+#: 0.41-0.52 vs 0.39-0.44 s, at 12,000 0.62-0.68 vs 0.51-0.54 s (D = 3, 4)
+#: and at 30,000 0.87-1.33 vs 0.80-0.94 s (D = 3, 4).  An earlier round of
+#: 7 runs had the cut behind at 4,096-6,000 points for D = 3 (0.34-0.38 vs
+#: 0.41-0.45 s); the host's spread is about as wide as the difference there.
+_POOL_MIN = 3_000
 
 
 def _grid(lo: int, hi: int) -> list:
@@ -146,6 +168,125 @@ def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str], floor: fl
         else:
             raise ValueError(f"unknown chain check {check!r}")
     return blocks
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[str],
+                floor: float, fmt: Optional[str], other: Callable[[], list]) -> list:
+    """The ``Rendered`` parts (``reporting.render_rows`` in fmt) of
+    ``chain_blocks(d1, range(d2_lo, d2_hi + 1), checks, floor, points)`` for
+    every d1 in d1s, points being the whole grid's, then of the blocks that
+    other() returns: the work that is not part of any chain.
+
+    Every d1 * (d2_hi + 2) must lie below 2**62 (``chain_blocks``), checked
+    here for the whole grid.  A steps check over at least ``_POOL_MIN``
+    points, given two or more usable CPUs and ``os.fork``, is cut: each d1
+    chain into one run of consecutive d2s per CPU, run k of every chain in
+    process k.  This process, process 0, forks the others, runs other()
+    while they compute, then its own runs; each child renders its runs and
+    pipes their parts back pickled.  The parts come in run order, and the
+    report renderers order parts stably by (check_id, d1), so every block's
+    rows stay in d2 order; since each d2 lane of a chain is computed on its
+    own, the report is the same byte for byte as from one process.  The
+    first error, in run order, is raised here once every child is reaped; a
+    child that dies is an error of its own.
+    """
+    for d1 in d1s:
+        _check_int64(d1, d2_hi + 2)
+    span = d2_hi - d2_lo + 1
+    points = len(d1s) * span
+
+    def run(lo: int, hi: int) -> list:
+        d2s = range(lo, hi + 1)
+        return [part for d1 in d1s
+                for part in render_rows(chain_blocks(d1, d2s, checks, floor, points),
+                                        fmt)]
+
+    procs = 1
+    if "steps" in checks and points >= _POOL_MIN and hasattr(os, "fork"):
+        procs = min(_usable_cpus(), span)
+    if procs < 2:
+        tail = render_rows(other(), fmt)
+        return run(d2_lo, d2_hi) + tail
+    if points >= _COLUMN_MIN:
+        # loaded once here, not once per child; main caps numpy's BLAS
+        # threads at one, so none runs at the fork
+        import numpy  # noqa: F401
+    cuts = [d2_lo + k * span // procs for k in range(procs + 1)]
+    return _fork_join(run, [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])],
+                      lambda: render_rows(other(), fmt))
+
+
+def _fork_join(run: Callable, runs: list, other: Callable) -> list:
+    """run(*runs[0]) in this process after other(), and run(*runs[k]) in a
+    forked child k; the children's parts follow this process's in run
+    order, then other()'s.  On any error every child is killed, and on
+    every exit path every child is reaped."""
+    import pickle
+    import signal
+
+    pipes, pids, joined = [], [], False
+    try:
+        for bounds in runs[1:]:
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                _child(write, pipes, run, bounds)
+            os.close(write)
+            pids.append(pid)
+        tail = other()
+        parts = run(*runs[0])
+        for pipe in pipes:
+            try:
+                status, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # no pickle, or a cut one
+                raise VarcompError("a worker process died before it returned "
+                                   "its rows") from None
+            if status != "ok":
+                raise value
+            parts += value
+        joined = True
+        return parts + tail
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not joined:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(write: int, pipes: list, run: Callable, bounds: tuple) -> None:
+    """The body of a forked child: pipe ("ok", run(*bounds)) or ("err",
+    the exception it raised) to the write end, pickled, and leave through
+    ``os._exit``, which flushes none of the parent's buffered output; it
+    never returns into the caller's stack."""
+    import pickle
+
+    try:
+        # the inherited read ends: once the parent closes its own, a write
+        # here fails at once instead of waiting for a reader
+        for pipe in pipes:
+            pipe.close()
+        with os.fdopen(write, "wb") as out:
+            try:
+                result = ("ok", run(*bounds))
+            except BaseException as exc:  # the parent raises it again
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                    result = ("err", exc)
+                except Exception:  # one pickle cannot carry: its text
+                    result = ("err", VarcompError(f"a worker process failed: {exc!r}"))
+            pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
 
 
 def _lower_edge_bound_rows(floor: float) -> list:
@@ -302,6 +443,24 @@ def prove_rows(d1: int, d2_max: int = 400,
     certificates, coefficient sign programs, and the step-inequality chain
     over 5 <= d2 <= d2_max (``chain_blocks``).
     """
+    _check_prove_args(d1, d2_max)
+    return (_program_rows(d1, d2_max, floor)
+            + chain_blocks(d1, range(5, d2_max + 1), _prove_checks(d1), floor))
+
+
+def prove_parts(d1: int, d2_max: int, floor: float, fmt: Optional[str]) -> list:
+    """The ``Rendered`` parts of ``prove_rows(d1, d2_max, floor)`` in fmt,
+    its step chain through ``chain_parts``."""
+    _check_prove_args(d1, d2_max)
+    return chain_parts([d1], 5, d2_max, _prove_checks(d1), floor, fmt,
+                       lambda: _program_rows(d1, d2_max, floor))
+
+
+def _prove_checks(d1: int) -> tuple:
+    return ("coefficients", "steps") if d1 in (1, 3) else ("steps",)
+
+
+def _check_prove_args(d1: int, d2_max: int) -> None:
     if d1 not in PROVED_D1:
         raise DomainError(
             f"prove program covers d1 in {PROVED_D1}; use the "
@@ -310,6 +469,10 @@ def prove_rows(d1: int, d2_max: int = 400,
         raise DomainError(f"d2_max must be at least 7, got {d2_max}")
     if d2_max >= 2 ** 62:  # the int64 bound of the column kernels
         raise DomainError(f"d2_max must be below 2**62, got {d2_max}")
+
+
+def _program_rows(d1: int, d2_max: int, floor: float) -> list:
+    """The blocks of ``prove_rows`` but its step chain."""
     blocks: list = []
     dense_hi = max(_DENSE_MAX, min(d2_max, 400))
 
@@ -351,9 +514,7 @@ def prove_rows(d1: int, d2_max: int = 400,
         blocks += certificate_rows(("T1", "T2", "P4"))
         blocks += _boundary_rows(4, 17)
 
-    blocks += _log_form_rows(d1, range(5, min(d2_max, 150) + 1))
-    checks = ("coefficients", "steps") if d1 in (1, 3) else ("steps",)
-    return blocks + chain_blocks(d1, range(5, d2_max + 1), checks, floor)
+    return blocks + _log_form_rows(d1, range(5, min(d2_max, 150) + 1))
 
 
 def explore_rows(d1: int, d2_values: Sequence[int],

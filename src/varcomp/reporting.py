@@ -23,11 +23,12 @@ byte-identical output.
 
 A report is rendered in two steps.  ``render_rows`` turns blocks into
 ``Rendered`` parts, the rows of each block as one text with the block's
-(check_id, d1), exploratory flag and status counts; ``render_csv`` and
-``render_json`` order those parts by (check_id, d1), sum their counts and
-join them under the header and summary.  ``write_report`` runs both steps,
-and a sweep runs the first step per d1 column, in the process that computed
-the column.
+(check_id, d1), exploratory flag, status counts, worst margin and first
+inconclusive d2; ``render_csv`` and ``render_json`` order those parts
+stably by (check_id, d1), sum their counts and join them under the header
+and summary.  ``write_report`` runs both steps; ``programs.chain_parts``
+runs the first step per run of a d1 chain, in the process that computed
+it, so a block may come as several parts, in d2 order.
 
 The rows, which are nearly all of a large report, are written column by
 column rather than walked by an encoder or formatted one by one: each block
@@ -102,12 +103,15 @@ class Block:
 
 class Rendered(NamedTuple):
     """The rows of one block as report text, from ``render_rows``, with the
-    block's key, exploratory flag and rows per status (``Block.counts``)."""
+    block's key, exploratory flag, rows per status (``Block.counts``), worst
+    margin (None if it has none) and first inconclusive d2 (None if none)."""
 
     check_id: str
     d1: int
     exploratory: bool
     counts: tuple
+    worst: Optional[float]
+    first_inconclusive: Optional[int]
     text: str
 
 
@@ -282,25 +286,43 @@ _ROW_FORMATS = {
 }
 
 
-def render_rows(blocks: Iterable[Block], fmt: str) -> list:
-    """The ``Rendered`` rows of each block in fmt ("csv" or "json"), in
-    (check_id, d1) order; an empty block renders as ''.  Every JSON row
-    starts with its ',' separator, which ``render_json`` drops before the
-    first row of the report."""
+def _worst(margins: Sequence[Optional[float]]) -> Optional[float]:
+    """min of the margins that are not None; None if there is none."""
+    try:
+        return min(margins, default=None)
+    except TypeError:  # a None among them
+        return min((m for m in margins if m is not None), default=None)
+
+
+def _rendered(b: Block, text: str) -> Rendered:
+    counts = b.counts
+    first = b.d2s[b.statuses.index("inconclusive")] if counts[2] else None
+    return Rendered(b.check_id, b.d1, b.exploratory, counts, _worst(b.margins),
+                    first, text)
+
+
+def render_rows(blocks: Iterable[Block], fmt: Optional[str]) -> list:
+    """The ``Rendered`` rows of each block in fmt ("csv" or "json"; None
+    renders no text, only the counts, worst margins and first inconclusive
+    d2s), in (check_id, d1) order; an empty block renders as ''.  Every JSON
+    row starts with its ',' separator, which ``render_json`` drops before
+    the first row of the report."""
+    blocks = sorted(blocks, key=_ORDER)
+    if fmt is None:
+        return [_rendered(b, "") for b in blocks]
     try:
         row_format = _ROW_FORMATS[fmt]
     except KeyError:
         raise ValueError(f"unknown report format {fmt!r}") from None
-    blocks = sorted(blocks, key=_ORDER)
-    return [Rendered(b.check_id, b.d1, b.exploratory, b.counts, text)
-            for b, text in zip(blocks, _render_rows(blocks, *row_format))]
+    texts = _render_rows(blocks, *row_format)
+    return [_rendered(b, text) for b, text in zip(blocks, texts)]
 
 
 def render_csv(parts: Iterable[Rendered], header: Mapping[str, object],
                summary: Optional[dict] = None) -> str:
     """CSV report of the parts ``render_rows(blocks, "csv")`` gave, from
-    one or several calls; summary is ``summarize(parts)``, computed here if
-    not given."""
+    one or several calls, the parts of one (check_id, d1) in their given
+    order; summary is ``summarize(parts)``, computed here if not given."""
     parts = sorted(parts, key=_ORDER)
     if summary is None:
         summary = summarize(parts)
@@ -315,8 +337,8 @@ def render_csv(parts: Iterable[Rendered], header: Mapping[str, object],
 def render_json(parts: Iterable[Rendered], header: Mapping[str, object],
                 summary: Optional[dict] = None) -> str:
     """JSON report of the parts ``render_rows(blocks, "json")`` gave, from
-    one or several calls; summary is ``summarize(parts)``, computed here if
-    not given."""
+    one or several calls, the parts of one (check_id, d1) in their given
+    order; summary is ``summarize(parts)``, computed here if not given."""
     parts = sorted(parts, key=_ORDER)
     if summary is None:
         summary = summarize(parts)

@@ -1,12 +1,14 @@
 import pytest
 
+import varcomp.programs
 import varcomp.reporting
 
 
 @pytest.fixture
 def rendered_blocks(monkeypatch):
     """The list that every block a command renders in this process is
-    appended to, by the one row renderer, ``reporting.render_rows``."""
+    appended to, by the one row renderer, ``reporting.render_rows`` (which
+    ``programs.chain_parts`` holds under its own name)."""
     seen = []
     render = varcomp.reporting.render_rows
 
@@ -16,4 +18,5 @@ def rendered_blocks(monkeypatch):
         return render(blocks, fmt)
 
     monkeypatch.setattr(varcomp.reporting, "render_rows", spy)
+    monkeypatch.setattr(varcomp.programs, "render_rows", spy)
     return seen

@@ -1,5 +1,6 @@
+import contextlib
+import io
 import json
-import multiprocessing
 import os
 import resource
 import subprocess
@@ -383,15 +384,23 @@ def test_range_bounds_at_or_above_2_62_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("points", [9, _COLUMN_MIN])
-def test_column_int64_bound_holds_on_both_routes(points, capsys):
+def test_column_int64_bound_holds_on_both_routes(points, monkeypatch, capsys):
     # 4 * (2**61 + 2) >= 2**62: the scalar route of a short grid refuses the
-    # grid as the column kernels of a long one do
+    # grid as the column kernels of a long one do, and so does a grid or a
+    # prove chain cut into runs, before any cut: a first run below the
+    # bound would otherwise start on a d2 list too large to hold
     lo = 2 ** 61
-    code, out, err = run_cli("sweep", "--d1", "4", "--d2", f"{lo}..{lo + points - 1}",
-                             "--check", "bound", capsys=capsys)
-    assert (code, out) == (2, "")
-    assert err.splitlines() == ["error: band endpoints need d1 * d2 < 2**62 so the "
-                                "int64 region tests cannot overflow"]
+    argvs = [["sweep", "--d1", "4", "--d2", f"{lo}..{lo + points - 1}", "--check", check]
+             for check in ("bound", "bound,steps")]
+    argvs.append(["prove", "--d1", "4", "--d2-max", str(2 ** 60 - 2)])
+    for pool_min in (_IN_PROCESS, _POOL):
+        _route(monkeypatch, pool_min)
+        for argv in argvs:
+            code, out, err = run_cli(*argv, capsys=capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.splitlines() == ["error: band endpoints need d1 * d2 < 2**62 "
+                                        "so the int64 region tests cannot overflow"]
+    _assert_no_child_left()
 
 
 _NO_FLOAT = str(10 ** 400)
@@ -541,16 +550,18 @@ _POOL_MODULES = ("multiprocessing", "concurrent.futures")
     ["prove", "--d1", "1"],
     ["sweep", "--d1", "1..4", "--check", "bound,monotone,limit,steps,tables"]])
 def test_commands_off_the_pool_route_leave_its_modules_unloaded(argv):
-    # importing the sweep's process pool costs about 35 ms
+    # the process-pool modules cost about 35 ms to import, and no command
+    # needs them
     assert _loaded_by(argv, _POOL_MODULES) == "0 False False"
 
 
-@pytest.mark.skipif(varcomp.cli._usable_cpus() < 2, reason="one usable CPU")
-def test_large_sweep_loads_the_pool_modules():
-    argv = ["sweep", "--d1", "1..2", "--d2", f"5..{varcomp.cli._POOL_MIN // 2 + 4}",
-            "--check", "steps"]
-    assert _loaded_by(argv, _POOL_MODULES) == "0 True True"
-    # a sweep without the step check stays in this process at any size
+def test_large_sweep_loads_no_pool_module():
+    # a pool-sized sweep with the step check is cut into runs by os.fork on
+    # two or more CPUs; without the step check it stays in this process at
+    # any size: neither route imports the process-pool modules
+    d2_hi = max(varcomp.programs._POOL_MIN, _COLUMN_MIN) // 2 + 4
+    argv = ["sweep", "--d1", "1..2", "--d2", f"5..{d2_hi}", "--check", "steps"]
+    assert _loaded_by(argv, _POOL_MODULES) == "0 False False"
     argv[-1] = "bound,monotone"
     assert _loaded_by(argv, _POOL_MODULES) == "0 False False"
 
@@ -602,13 +613,13 @@ def _limit_address_space():
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--d1", "1", "--d2", "5..1000000000000", "--check", "bound"],
-    # four columns: in worker processes, given two usable CPUs
+    # four columns, and the prove chain below, cut into runs on two CPUs
     ["sweep", "--d1", "1..4", "--d2", "5..1000000000000", "--check", "steps"],
     ["prove", "--d1", "1", "--d2-max", "1000000000000"]])
 def test_grid_the_process_cannot_hold_exits_2(argv, tmp_path):
     # the d2 list alone would take 8 TB; with the address space capped the
     # allocation fails at once, whatever the host's overcommit policy; a
-    # worker's MemoryError is raised again in the parent
+    # child's MemoryError is raised again in the parent
     report = tmp_path / "r.csv"
     out = subprocess.run([sys.executable, "-m", "varcomp", *argv, "--out", str(report)],
                          capture_output=True, text=True, timeout=120,
@@ -638,17 +649,23 @@ def test_blas_threads_capped_before_numpy_loads():
 
 
 # ---------------------------------------------------------------------------
-# a large sweep runs its d1 columns in worker processes
+# a large sweep or prove chain runs in runs of d2, one per process
 # ---------------------------------------------------------------------------
 
 _IN_PROCESS, _POOL = 10 ** 18, 0  # _POOL_MIN of each route
 
 
-def _route(monkeypatch, pool_min):
-    """Send every sweep of two or more columns down one route, whatever the
-    host's CPU count."""
-    monkeypatch.setattr(varcomp.cli, "_POOL_MIN", pool_min)
-    monkeypatch.setattr(varcomp.cli, "_usable_cpus", lambda: 2)
+def _route(monkeypatch, pool_min, cpus=2):
+    """Send every steps chain down one route, cut for cpus processes on the
+    segmented one, whatever the host's CPU count."""
+    monkeypatch.setattr(varcomp.programs, "_POOL_MIN", pool_min)
+    monkeypatch.setattr(varcomp.programs, "_usable_cpus", lambda: cpus)
+
+
+def _assert_no_child_left():
+    # every forked child has been reaped: this process has none left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _record_column_pids(monkeypatch):
@@ -694,19 +711,19 @@ def test_sweep_report_equal_on_both_routes(argv, to_file, fmt, monkeypatch,
             pids = column_pids()
         if pool_min == _IN_PROCESS:
             assert pids == {os.getpid()}
-        else:  # one worker may take every column before the other starts
-            assert pids and os.getpid() not in pids
+        else:  # this process runs the first run of every column, a child the other
+            assert len(pids) == 2 and os.getpid() in pids
         report = out_path.read_bytes() if to_file else b""
         outputs.append((code, out.replace(str(out_path), "REPORT"), err, report))
     assert outputs[0] == outputs[1]
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_report_equal_on_the_scalar_and_column_routes(fmt, monkeypatch, tmp_path,
                                                             capsys):
     # a grid of fewer than _COLUMN_MIN points runs point by point, a larger
-    # one through the column kernels, in this process or in the pool: the
+    # one through the column kernels, in this process or cut into runs: the
     # same report and stdout byte for byte
     outputs = []
     for column_min, pool_min in ((10 ** 12, _IN_PROCESS), (0, _IN_PROCESS), (0, _POOL)):
@@ -719,25 +736,56 @@ def test_sweep_report_equal_on_the_scalar_and_column_routes(fmt, monkeypatch, tm
         outputs.append((code, out.replace(str(out_path), "REPORT"), err,
                         out_path.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("d1", [1, 2, 3, 4])
+def test_prove_report_equal_on_every_route(d1, fmt, to_file, monkeypatch, tmp_path,
+                                           capsys):
+    # a chain of 7,999 points, which 2 and 3 runs do not cut evenly, on the
+    # column kernels: the claim lines, summary and report of one process,
+    # byte for byte, whether this process takes the first run or not
+    outputs = []
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            _route(patch, _POOL, cpus)
+            column_pids = _record_column_pids(patch)
+            out_path = tmp_path / f"{cpus}.{fmt}"
+            code, out, err = run_cli("prove", "--d1", str(d1), "--d2-max", "8003",
+                                     "--format", fmt,
+                                     *(["--out", str(out_path)] if to_file else []),
+                                     capsys=capsys)
+            assert len(column_pids()) == cpus
+        report = out_path.read_bytes() if to_file else b""
+        outputs.append((code, out.replace(str(out_path), "REPORT"), err, report))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][0] == 0
+    _assert_no_child_left()
 
 
 def test_default_sweep_starts_no_worker(monkeypatch, capsys):
-    # 4 x 396 points lie far below _POOL_MIN: a worker would cost more than
-    # it saves
+    # 4 x 396 points, and the default prove's 396, lie below _POOL_MIN:
+    # a worker would cost more than it saves
     column_pids = _record_column_pids(monkeypatch)
     code, _, _ = run_cli("sweep", "--d1", "1..4",
                          "--check", "bound,monotone,limit,steps,tables", capsys=capsys)
     assert code == 0
+    for d1 in PROVED_D1:
+        assert run_cli("prove", "--d1", str(d1), capsys=capsys)[0] == 0
     assert column_pids() == {os.getpid()}
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
-def _fail_at_d1_3(failure):
+def _fail_at_d1_3(failure, in_parent=False):
+    """chain_blocks, failing at d1 = 3 in this process only (in_parent) or in
+    its forked children only."""
     column = varcomp.programs.chain_blocks
+    parent = os.getpid()
 
     def failing(d1, *args):
-        if d1 == 3:
+        if d1 == 3 and (os.getpid() == parent) == in_parent:
             failure()
         return column(d1, *args)
 
@@ -750,13 +798,21 @@ def _raise(error):
     return failure
 
 
+def _raise_unpicklable():
+    class Local(Exception):  # a class pickle cannot find by name
+        pass
+
+    raise Local("bad")
+
+
 @pytest.mark.parametrize("failure, message", [
     (_raise(VarcompError("bad column")), "error: bad column"),
     (_raise(ConvergenceError("no convergence at d1 = 3")),
      "error: no convergence at d1 = 3"),
     (lambda: os._exit(3),
-     "error: a sweep worker process died before it returned its column"),
-], ids=["varcomp_error", "convergence_error", "worker_died"])
+     "error: a worker process died before it returned its rows"),
+    (_raise_unpicklable, "error: a worker process failed: Local('bad')"),
+], ids=["varcomp_error", "convergence_error", "worker_died", "unpicklable_error"])
 def test_failure_in_a_sweep_worker_exits_2(failure, message, monkeypatch, tmp_path,
                                            capsys):
     _route(monkeypatch, _POOL)
@@ -767,13 +823,40 @@ def test_failure_in_a_sweep_worker_exits_2(failure, message, monkeypatch, tmp_pa
                              "--out", str(tmp_path / "r.csv"), capsys=capsys)
     assert (code, out, err) == (2, "", message + "\n")
     assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--d1", "1..4", "--d2", "5..30", "--check", "bound,steps"],
+    ["prove", "--d1", "3", "--d2-max", "30"]], ids=["sweep", "prove"])
+@pytest.mark.parametrize("failure, message", [
+    (_raise(VarcompError("bad run")), "error: bad run"),
+    (_raise(MemoryError()), "error: out of memory; ask for a smaller d1/d2 range"),
+    (_raise(KeyboardInterrupt()), None),
+], ids=["varcomp_error", "memory_error", "keyboard_interrupt"])
+def test_failure_in_the_parents_own_run_reaps_every_child(command, failure, message,
+                                                          monkeypatch, tmp_path, capsys):
+    # only this process's run fails, while its child computes: the child is
+    # stopped and reaped on every exit path, and nothing is written
+    _route(monkeypatch, _POOL)
+    monkeypatch.setattr(varcomp.programs, "chain_blocks",
+                        _fail_at_d1_3(failure, in_parent=True))
+    argv = [*command, "--out", str(tmp_path / "r.csv")]
+    if message is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out, err) == (2, "", message + "\n")
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
 
 
 def test_text_buffered_before_the_workers_start_is_written_once():
-    # a worker flushes the standard streams it was forked with as it exits
-    script = ("import sys\nimport varcomp.cli as cli\n"
-              "cli._POOL_MIN, cli._usable_cpus = 0, lambda: 2\n"
+    # a child holds a copy of what this process had buffered at the fork,
+    # and must leave without flushing it
+    script = ("import sys\nimport varcomp.cli as cli, varcomp.programs as programs\n"
+              "programs._POOL_MIN, programs._usable_cpus = 0, lambda: 2\n"
               "print('before the sweep')\n"
               "sys.exit(cli.main(['sweep', '--d1', '1..4', '--d2', '5..30',"
               " '--check', 'steps,limit']))")
@@ -787,13 +870,27 @@ def test_text_buffered_before_the_workers_start_is_written_once():
     assert out.stderr == ""
 
 
-def test_stdout_closed_by_its_reader_exits_2_without_a_traceback():
+def test_report_to_a_text_only_stdout(capsys):
+    # a caller that points stdout at an io.StringIO, which has no byte
+    # buffer to write to, gets the report a real stdout gets
+    argv = ["sweep", "--d1", "1..2", "--d2", "5..20", "--check", "bound,steps"]
+    code, expected, _ = run_cli(*argv, capsys=capsys)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == code == 0
+    assert text.getvalue() == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_by_its_reader_exits_2_without_a_traceback(unbuffered):
     # the default sweep writes about 0.5 MB to stdout, more than the pipe
     # holds, so the report is still being written when the reader has gone.
-    # With PYTHONUNBUFFERED set, CPython's text layer drops what a partial
-    # write leaves over instead of raising, so stdout is kept buffered here
+    # With PYTHONUNBUFFERED set, a write to the raw stdout can be short, and
+    # CPython's text layer would drop what it leaves over instead of raising
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "varcomp", "sweep", "--d1", "1..4",
                              "--check", "bound,monotone,steps"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)

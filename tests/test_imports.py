@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import varcomp
-import varcomp.cli
+import varcomp.programs
 from varcomp.programs import _COLUMN_MIN
 
 # ---------------------------------------------------------------------------
@@ -20,8 +20,8 @@ from varcomp.programs import _COLUMN_MIN
 # ---------------------------------------------------------------------------
 
 #: Standard-library and numpy modules worth pinning per command: numpy's
-#: import costs about 0.1 s, dataclasses pulls in inspect, csv and the pool
-#: modules come only with the reports and the sweep's worker pool.
+#: import costs about 0.1 s, dataclasses pulls in inspect, csv comes only
+#: with the reports, and no command loads the process-pool modules.
 _WATCHED = ("numpy", "dataclasses", "csv", "multiprocessing", "concurrent.futures")
 
 #: The source tree of the varcomp under test, for interpreters started
@@ -60,7 +60,6 @@ _ORACLE = _BAND | {"varcomp.oracle"}
 _PROGRAMS = _ORACLE | {"varcomp.programs", "varcomp.proofcheck",
                        "varcomp.proofcheck.auxfn", "varcomp.proofcheck.polynomials",
                        "varcomp.proofcheck.steps", "varcomp.reporting"}
-_POOL = {"multiprocessing", "concurrent.futures"}
 
 # a prove chain over d2 = 5..d2_max has d2_max - 4 points
 _LONG_CHAIN = str(_COLUMN_MIN + 4)
@@ -93,13 +92,15 @@ def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
     assert _loaded(argv, tmp_path) == (code, package, watched)
 
 
-@pytest.mark.skipif(varcomp.cli._usable_cpus() < 2, reason="one usable CPU")
-def test_pool_sized_sweep_loads_numpy_and_the_pool(tmp_path):
-    d2_hi = varcomp.cli._POOL_MIN // 2 + 4
-    argv = ["sweep", "--d1", "1..2", "--d2", f"5..{d2_hi}", "--check", "steps",
-            "--out", "r.csv"]
-    assert _loaded(argv, tmp_path) == (
-        0, _PROGRAMS, {"numpy", "dataclasses", "csv"} | _POOL)
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--d1", "1..2", "--d2",
+     f"5..{max(varcomp.programs._POOL_MIN, _COLUMN_MIN) // 2 + 4}",
+     "--check", "steps", "--out", "r.csv"],
+    ["prove", "--d1", "4", "--d2-max", "30004"]], ids=["sweep", "prove"])
+def test_segmented_chains_load_no_pool_module(argv, tmp_path):
+    # chains cut into runs fork their children with os.fork: neither
+    # multiprocessing nor concurrent.futures is imported
+    assert _loaded(argv, tmp_path) == (0, _PROGRAMS, {"numpy", "dataclasses", "csv"})
 
 
 # ---------------------------------------------------------------------------
