@@ -18,16 +18,12 @@ of a command, its own checks and the library's domain errors alike, is a
 
 A sweep's d1 columns and a ``prove`` chain run through
 ``programs.chain_parts``, which evaluates each chain with
-``programs.chain_blocks`` (the scalar or numpy route for the whole grid;
-see there) and renders its rows.  A steps check over at least
-``programs._POOL_MIN`` points cuts every chain into one run of d2s per
-usable CPU: this process forks one child per run but the first, runs the
-work outside the chains (``prove``'s program blocks; a sweep's limit,
-tables and exploratory blocks) and then the first run, and each child
-pipes its rendered rows back.  The report is the same byte for byte on
-either route.  ``prove`` without ``--out`` renders no row: its claim lines
-and summary come from each block's counts, worst margin and first
-inconclusive d2.
+``programs.chain_blocks`` and renders its rows, in this process or cut
+into runs of d2 across forked children: the route rule is in
+``chain_blocks``, the cut rule in ``chain_parts``, and the report is the
+same byte for byte on every route.  ``prove`` without ``--out`` renders
+no row: its claim lines and summary come from each block's counts, worst
+margin and first inconclusive d2.
 
 Each command imports the modules it runs when it runs, and the package
 resolves its public names lazily, so a short command, whose start-up is

@@ -7,9 +7,9 @@ prints or exits; the one-row blocks of a claim's single checks are joined
 into its block by ``reporting.rows_from_outcome``.
 
 The per-point claims of one d1 over a d2 chain, of a sweep column and of a
-``prove`` chain alike, come from ``chain_blocks``, with the one route rule;
-``chain_parts`` renders them, cut into runs of d2 across processes where
-that pays, and is what ``sweep`` and ``prove`` run.
+``prove`` chain alike, come from ``chain_blocks`` (the route rule is
+there); ``chain_parts`` renders them, cut into runs of d2 across processes
+by its cut rule, and is what ``sweep`` and ``prove`` run.
 """
 
 from __future__ import annotations
@@ -71,32 +71,33 @@ __all__ = [
 #: Sampling grid used for monotonicity-beyond-table and sign scans.
 _DENSE_MAX = 200
 
-#: Points from which ``chain_blocks`` runs the numpy column kernels instead
-#: of the scalar per-point route; the margins are the same bit for bit.  The
-#: kernels are faster per point but cost numpy's import (about 0.1 s and
-#: 14 MiB).  Measured on a 2-core host, ``prove --d1 3 --format json``,
-#: medians of 5 alternating runs, scalar vs kernels: 396 points 0.23 vs
-#: 0.32 s, 1,000 0.29 vs 0.38 s, 2,500 0.45 vs 0.45 s, 4,000 0.57 vs 0.50 s,
-#: 10,000 1.11 vs 0.63 s.  d1 = 1, 2 and 4 break even between about 4,000
-#: and 8,000 points (d1 = 1: 6,000 points 0.49 s either way, 8,000 0.59 vs
-#: 0.44 s).
+#: The route rule of ``chain_blocks``: the numpy column kernels once the
+#: whole grid's points (d1 chains x d2 values) reach this, the scalar
+#: per-point route below; the margins are the same bit for bit.  The kernels
+#: are faster per point but cost numpy's import (about 0.1 s and 14 MiB).
+#: Measured on a 2-core host, ``prove --d1 D --format json --out``, medians
+#: of 9 alternating runs, scalar vs kernels: D = 3 at 396 points 0.16 vs
+#: 0.22 s, 2,500 0.32 vs 0.34 s, 4,000 0.34 vs 0.37 s, 6,000 0.44 s both,
+#: 10,000 0.58 vs 0.50 s; D = 1 and 4 at 8,000 0.44 vs 0.45 s and 0.35 vs
+#: 0.37 s.  Routing per run of a cut chain instead of per grid cost 4 x
+#: 2,000 steps points 0.662 instead of 0.381 s, 4 x 5,000 1.044 instead of
+#: 0.568 s and ``prove --d1 3`` at 6,000 points 0.448 instead of 0.393 s;
+#: one threshold at 3,000 with ``_POOL_MIN`` cost ``prove`` chains of
+#: 3,000-4,000 points 25-64 ms more.
 _COLUMN_MIN = 4096
 
-#: Grid points (d1 chains x d2 values) from which ``chain_parts`` cuts the
-#: chains of a steps check into one run per usable CPU (see there).  A cut
-#: costs a fork (about 4 ms), copy-on-write page faults and the pickling of
-#: the children's rows, about 0.05 s of CPU time on 2 CPUs.  Measured on a
-#: 2-core host, medians of 11 alternating runs, wall time in one process vs
-#: cut: ``sweep --d1 1..4 --d2 5..N --check bound,monotone,steps --out``,
-#: 4 x 400 points 0.27 vs 0.29 s, 4 x 750 0.52 vs 0.39 s, 4 x 1,000 0.57
-#: vs 0.43 s, 4 x 2,000 0.53 vs 0.46 s, 4 x 5,000 0.81 vs 0.61 s, 4 x 19,996
-#: 1.86 vs 1.43 s; ``prove --d1 D --format json --out`` at 3,000 points
-#: 0.21 vs 0.23 s (D = 2) and 0.27-0.37 vs 0.25-0.32 s (D = 1, 3, 4), at
-#: 4,096 (the column route from here) 0.38-0.46 vs 0.37-0.43 s, at 6,000
-#: 0.41-0.52 vs 0.39-0.44 s, at 12,000 0.62-0.68 vs 0.51-0.54 s (D = 3, 4)
-#: and at 30,000 0.87-1.33 vs 0.80-0.94 s (D = 3, 4).  An earlier round of
-#: 7 runs had the cut behind at 4,096-6,000 points for D = 3 (0.34-0.38 vs
-#: 0.41-0.45 s); the host's spread is about as wide as the difference there.
+#: Grid points (d1 chains x d2 values) from which ``chain_parts`` cuts a
+#: grid; the cut rule is there.  A cut costs a fork (about 4 ms),
+#: copy-on-write page faults and the pickling of the children's rows, about
+#: 0.05 s of CPU time on 2 CPUs.  Measured on a 2-core host, medians of 7-11
+#: alternating runs, one process vs cut: ``sweep --d1 1..4 --d2 5..N --out``
+#: with ``--check bound,monotone,steps`` at 4 x 400 points 0.27 vs 0.29 s,
+#: 4 x 1,000 0.57 vs 0.43 s, 4 x 19,996 1.86 vs 1.43 s; with ``--check
+#: bound,monotone`` at 4 x 750 to 4 x 5,000 0.24-0.42 s both, 4 x 19,996
+#: 0.958 vs 0.709 s (CSV) and 0.797 vs 0.619 s (JSON), about 6% more CPU;
+#: ``prove --d1 3|4 --format json --out`` at 30,000 points 0.87-1.33 vs
+#: 0.80-0.94 s.  One threshold at 4,096 with ``_COLUMN_MIN``, no cut on the
+#: scalar route, cost steps sweeps of 4 x 800 and 4 x 1,000 23% and 30% more.
 _POOL_MIN = 3_000
 
 
@@ -128,10 +129,10 @@ def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str], floor: fl
     (``varband.bound_block``), "monotone" (``varband.monotone_block``),
     "coefficients" (the coefficient sign forms, d1 = 1 and 3) and "steps".
 
-    The one route rule: the numpy column kernels once points (default
-    len(d2s); a sweep passes its whole grid's size) reaches ``_COLUMN_MIN``,
-    the scalar per-point evaluators below it; the blocks are the same bit
-    for bit.  Either route first needs d1 * (d2s[-1] + 2) < 2**62, the
+    The route rule: the numpy column kernels once points (default len(d2s);
+    ``chain_parts`` passes its whole grid's) reaches ``_COLUMN_MIN``, the
+    scalar per-point evaluators below it; the blocks are the same bit for
+    bit.  Either route first needs d1 * (d2s[-1] + 2) < 2**62, the
     kernels' int64 bound.  Rows of a d1 outside ``PROVED_D1`` are
     exploratory; each band probability is computed once.
     """
@@ -185,17 +186,18 @@ def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[s
     other() returns: the work that is not part of any chain.
 
     Every d1 * (d2_hi + 2) must lie below 2**62 (``chain_blocks``), checked
-    here for the whole grid.  A steps check over at least ``_POOL_MIN``
-    points, given two or more usable CPUs and ``os.fork``, is cut: each d1
+    here for the whole grid.  The cut rule: a grid of at least ``_POOL_MIN``
+    points, given two or more usable CPUs and ``os.fork``, is cut, each d1
     chain into one run of consecutive d2s per CPU, run k of every chain in
-    process k.  This process, process 0, forks the others, runs other()
-    while they compute, then its own runs; each child renders its runs and
-    pipes their parts back pickled.  The parts come in run order, and the
-    report renderers order parts stably by (check_id, d1), so every block's
-    rows stay in d2 order; since each d2 lane of a chain is computed on its
-    own, the report is the same byte for byte as from one process.  The
-    first error, in run order, is raised here once every child is reaped; a
-    child that dies is an error of its own.
+    process k; any other grid is one run, in this process.  Either way
+    ``_fork_join`` runs them: this process, process 0, forks the others,
+    runs other() while they compute, then its own runs; each child renders
+    its runs and pipes their parts back pickled.  The parts come in run
+    order, and the report renderers order parts stably by (check_id, d1), so
+    every block's rows stay in d2 order; since each d2 lane of a chain is
+    computed on its own, the report is the same byte for byte as from one
+    process.  The first error, in run order, is raised here once every child
+    is reaped; a child that dies is an error of its own.
     """
     for d1 in d1s:
         _check_int64(d1, d2_hi + 2)
@@ -209,14 +211,11 @@ def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[s
                                         fmt)]
 
     procs = 1
-    if "steps" in checks and points >= _POOL_MIN and hasattr(os, "fork"):
+    if points >= _POOL_MIN and hasattr(os, "fork"):
         procs = min(_usable_cpus(), span)
-    if procs < 2:
-        tail = render_rows(other(), fmt)
-        return run(d2_lo, d2_hi) + tail
     if points >= _COLUMN_MIN:
-        # loaded once here, not once per child; main caps numpy's BLAS
-        # threads at one, so none runs at the fork
+        # loaded once, before the runs, not once per child; main caps
+        # numpy's BLAS threads at one, so none runs at the fork
         import numpy  # noqa: F401
     cuts = [d2_lo + k * span // procs for k in range(procs + 1)]
     return _fork_join(run, [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])],
@@ -228,8 +227,9 @@ def _fork_join(run: Callable, runs: list, other: Callable) -> list:
     forked child k; the children's parts follow this process's in run
     order, then other()'s.  On any error every child is killed, and on
     every exit path every child is reaped."""
-    import pickle
-    import signal
+    if runs[1:]:  # only a fork needs them
+        import pickle
+        import signal
 
     pipes, pids, joined = [], [], False
     try:

@@ -249,9 +249,6 @@ def _render_rows(blocks: Sequence[Block], lead, mid, tail, none: str,
     d2_texts: dict = {}  # id(d2s) -> (d2s, its texts); d2s held so no id is reused
     tails = _Memo(tail)
     for b in blocks:
-        if not b:
-            yield ""
-            continue
         held = d2_texts.get(id(b.d2s))
         if held is None:
             held = d2_texts[id(b.d2s)] = (b.d2s, list(map("%d".__mod__, b.d2s)))

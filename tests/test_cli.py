@@ -556,9 +556,9 @@ def test_commands_off_the_pool_route_leave_its_modules_unloaded(argv):
 
 
 def test_large_sweep_loads_no_pool_module():
-    # a pool-sized sweep with the step check is cut into runs by os.fork on
-    # two or more CPUs; without the step check it stays in this process at
-    # any size: neither route imports the process-pool modules
+    # a pool-sized sweep, with the step check or without it, is cut into
+    # runs by os.fork on two or more CPUs: no route imports the process-pool
+    # modules
     d2_hi = max(varcomp.programs._POOL_MIN, _COLUMN_MIN) // 2 + 4
     argv = ["sweep", "--d1", "1..2", "--d2", f"5..{d2_hi}", "--check", "steps"]
     assert _loaded_by(argv, _POOL_MODULES) == "0 False False"
@@ -612,8 +612,8 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("argv", [
+    # each grid is cut into runs on two or more CPUs
     ["sweep", "--d1", "1", "--d2", "5..1000000000000", "--check", "bound"],
-    # four columns, and the prove chain below, cut into runs on two CPUs
     ["sweep", "--d1", "1..4", "--d2", "5..1000000000000", "--check", "steps"],
     ["prove", "--d1", "1", "--d2-max", "1000000000000"]])
 def test_grid_the_process_cannot_hold_exits_2(argv, tmp_path):
@@ -656,7 +656,7 @@ _IN_PROCESS, _POOL = 10 ** 18, 0  # _POOL_MIN of each route
 
 
 def _route(monkeypatch, pool_min, cpus=2):
-    """Send every steps chain down one route, cut for cpus processes on the
+    """Send every chain grid down one route, cut for cpus processes on the
     segmented one, whatever the host's CPU count."""
     monkeypatch.setattr(varcomp.programs, "_POOL_MIN", pool_min)
     monkeypatch.setattr(varcomp.programs, "_usable_cpus", lambda: cpus)
@@ -696,7 +696,8 @@ _MIXED = ["--d1", "1..6", "--d2", "5..60", "--exploratory",
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 @pytest.mark.parametrize("argv", [
     ["--d1", "1..4", "--d2", "5..80", "--check", "bound,monotone,steps"],
-    _MIXED], ids=["proved", "mixed"])
+    ["--d1", "1..4", "--d2", "5..80", "--check", "bound,monotone"],
+    _MIXED], ids=["proved", "no_steps", "mixed"])
 def test_sweep_report_equal_on_both_routes(argv, to_file, fmt, monkeypatch,
                                            tmp_path, capsys):
     outputs = []

@@ -41,17 +41,17 @@ runpy.run_module("varcomp", run_name="__main__", alter_sys=True)
 """
 
 
-def _loaded(argv, tmp_path):
+def _loaded(argv, tmp_path, watched=_WATCHED):
     """(exit code, the varcomp modules loaded, the watched modules loaded)
     of ``python -m varcomp *argv`` in a fresh interpreter, run in
     tmp_path."""
     env = dict(os.environ, PYTHONPATH=_SRC)
     out = subprocess.run(
-        [sys.executable, "-c", _SCRIPT.format(watched=_WATCHED, argv=list(argv))],
+        [sys.executable, "-c", _SCRIPT.format(watched=watched, argv=list(argv))],
         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
     names = ast.literal_eval(out.stderr.splitlines()[-1])
     return (out.returncode, {m for m in names if m.split(".")[0] == "varcomp"},
-            {m for m in names if m in _WATCHED})
+            {m for m in names if m in watched})
 
 
 _FRONT = {"varcomp", "varcomp.cli", "varcomp.errors"}
@@ -90,6 +90,15 @@ _COMMANDS = {
 def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
     argv, code, package, watched = _COMMANDS[name]
     assert _loaded(argv, tmp_path) == (code, package, watched)
+
+
+@pytest.mark.parametrize("name", ["prove", "sweep_default", "explore"])
+def test_numpy_free_report_commands_load_no_fork_module(name, tmp_path):
+    # numpy pulls in pickle, and only a forked chain run loads pickle and
+    # signal (programs._fork_join); these commands' grids lie below
+    # programs._POOL_MIN, so they stay in this process on any host
+    argv, code, package, _ = _COMMANDS[name]
+    assert _loaded(argv, tmp_path, ("pickle", "signal")) == (code, package, set())
 
 
 @pytest.mark.parametrize("argv", [
