@@ -4,8 +4,9 @@ Commands
 --------
 varprob    print the variation probability of one distribution: the F, chi-square
            or normal band, each from its degrees of freedom
-endpoints  varprob for an F distribution with the endpoint details
-sweep      run selected checks over a (d1, d2) grid, emit a CSV/JSON report
+endpoints  the F band with its endpoint images, region and x-space limits
+sweep      run selected checks over a (d1, d2) grid, emit a CSV/JSON report;
+           --exploratory adds d1 >= 5 to its chain checks
 prove      run the full verification program for one case d1 in {1,2,3,4}
 oracle     cross-validate the analytic value against Monte Carlo and quadrature
 explore    scan the conjectured region d1 >= 5 (never affects exit status)
@@ -58,7 +59,7 @@ import sys
 from . import __version__
 from .errors import VarcompError
 
-_CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables", "exploratory")
+_CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables")
 _CHAIN_CHECKS = ("bound", "monotone", "steps")  # per point, over each d1's d2 chain
 
 
@@ -93,6 +94,9 @@ def _parse_range(text: str) -> tuple:
 def _parse_checks(text: str) -> tuple:
     names = tuple(s.strip() for s in text.split(",") if s.strip())
     for i, name in enumerate(names):
+        if name == "exploratory":  # the d1 >= 5 scans are their own command
+            raise argparse.ArgumentTypeError(
+                "the exploratory scans are the 'explore' command")
         if name not in _CHECK_NAMES:
             raise argparse.ArgumentTypeError(
                 f"unknown check {name!r}; choose from {', '.join(_CHECK_NAMES)}")
@@ -137,15 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--d1", type=int)
     p_var.add_argument("--d2", type=int)
     p_var.add_argument("--k", type=int)
-    p_var.add_argument("--endpoints", action="store_true",
-                       help="also print the endpoint images and band limits (F only)")
     p_var.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_end = sub.add_parser("endpoints", help="varprob --dist f --endpoints")
+    p_end = sub.add_parser("endpoints", help="the F band with its endpoint images")
     p_end.add_argument("--d1", type=int, required=True)
     p_end.add_argument("--d2", type=int, required=True)
     p_end.add_argument("--format", choices=("text", "json"), default="text")
-    p_end.set_defaults(dist="f", endpoints=True)
+    p_end.set_defaults(dist="f")
 
     p_sweep = sub.add_parser("sweep", help="run checks over a (d1, d2) grid")
     p_sweep.add_argument("--d1", type=_parse_range, required=True, metavar="LO..HI")
@@ -189,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(ns) -> int:
-    from .programs import certificate_rows, chain_parts, explore_rows, table_rows
+    from .programs import certificate_rows, chain_parts, table_rows
     from .reporting import write_rendered
     from .varband import PROVED_D1, check_limit
 
@@ -216,11 +218,6 @@ def _cmd_sweep(ns) -> int:
         if "tables" in checks:
             blocks += table_rows(ns.floor)
             blocks += certificate_rows()
-        if "exploratory" in checks:
-            explore_d2s = range(max(d2_lo, 7), d2_hi + 1)
-            for d1 in d1_values:
-                if d1 >= 5:
-                    blocks += explore_rows(d1, explore_d2s, ns.floor)
         return blocks
 
     parts = chain_parts(grid_d1 if chain_checks else [], d2_lo, d2_hi, chain_checks,
@@ -366,9 +363,9 @@ def _cmd_oracle(ns) -> int:
 
 
 def _varprob_payload(ns) -> dict:
-    """The band of --dist from its degrees of freedom; with --endpoints an F
-    band adds its endpoint images, its region (3 if d > 0, else 2 if c > 0,
-    else 1; see ``varband``) and its x-space limits."""
+    """The band of --dist from its degrees of freedom; ``endpoints`` adds the
+    F band's endpoint images, its region (3 if d > 0, else 2 if c > 0, else
+    1; see ``varband``) and its x-space limits."""
     from .distributions import FParams
     from .varband import (NORMAL_BAND, band_endpoints, chi_square_band_probability,
                           variation_band, variation_probability)
@@ -385,7 +382,7 @@ def _varprob_payload(ns) -> dict:
         raise VarcompError(f"variance undefined for d2 <= 4 (d2={ns.d2})")
     p = FParams(ns.d1, ns.d2)
     payload = {"dist": "f", "d1": ns.d1, "d2": ns.d2, "prob": variation_probability(p)}
-    if ns.endpoints:
+    if ns.command == "endpoints":
         a, b, c, d = band_endpoints(p)
         lower, upper = variation_band(p)
         payload.update({
@@ -403,7 +400,7 @@ def _cmd_varprob(ns) -> int:
 
         print(json.dumps(payload, sort_keys=True))
         return 0
-    if "a" not in payload:  # no --endpoints, or a band without endpoint images
+    if ns.command != "endpoints":
         print(repr(payload["prob"]))
         return 0
     for key in ("prob", "a", "b", "c", "d", "region", "band_lower", "band_upper"):

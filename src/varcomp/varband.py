@@ -95,14 +95,10 @@ class Endpoints(NamedTuple):
     d: float
 
 
-def _c_positive(d1: int, d2: int) -> bool:
-    # 1 - sqrt(2(d1+d2)/(d1(d2-2))) > 0, decided exactly on integers
-    return d1 * (d2 - 2) > 2 * (d1 + d2)
-
-
-def _d_positive(d1: int, d2: int) -> bool:
-    # 1 - sqrt(2(d1+d2-2)/(d1(d2-4))) > 0, decided exactly on integers
-    return d1 * (d2 - 4) > 2 * (d1 + d2 - 2)
+def _lower_positive(d1: int, n: int) -> bool:
+    # the lower image of F(d1, n) is positive: 1 - sqrt(2(d1+n-2)/(d1(n-4)))
+    # > 0, decided exactly on integers (Python ints or an int64 column)
+    return d1 * (n - 4) > 2 * (d1 + n - 2)
 
 
 def _one_minus_r(num: int, den: int, r: float) -> float:
@@ -116,6 +112,16 @@ def _one_minus_r(num: int, den: int, r: float) -> float:
     return num / scaled
 
 
+def _images(d1: int, n: int) -> tuple:
+    # upper and lower image of the band of F(d1, n); lower 0 where clipped
+    r = math.sqrt(2.0 * (d1 + n - 2) / (d1 * (n - 4)))
+    upper = d1 / (d1 + (n - 2) / (1.0 + r))
+    if not _lower_positive(d1, n):
+        return upper, 0.0
+    one_minus_r = _one_minus_r(d1 * (n - 4) - 2 * (d1 + n - 2), d1 * (n - 4), r)
+    return upper, d1 * one_minus_r / (d1 * one_minus_r + (n - 2))
+
+
 def band_endpoints(p: FParams) -> Endpoints:
     """Endpoint images a, b, c, d for (d1, d2)."""
     d1, d2 = p.d1, p.d2
@@ -123,20 +129,8 @@ def band_endpoints(p: FParams) -> Endpoints:
         raise DomainError(f"band endpoints require d2 >= 5, got d2={d2}")
     if d1 * (d2 - 2) >= _FLOAT_LIMIT or 2 * (d1 + d2) >= _FLOAT_LIMIT:
         raise DomainError(f"the band endpoints of F({d1:.6g}, {d2:.6g}) overflow a float")
-    r1 = math.sqrt(2.0 * (d1 + d2) / (d1 * (d2 - 2)))
-    r2 = math.sqrt(2.0 * (d1 + d2 - 2) / (d1 * (d2 - 4)))
-    a = d1 / (d1 + d2 / (1.0 + r1))
-    b = d1 / (d1 + (d2 - 2) / (1.0 + r2))
-    if _c_positive(d1, d2):
-        one_minus_r1 = _one_minus_r(d1 * (d2 - 2) - 2 * (d1 + d2), d1 * (d2 - 2), r1)
-        c = d1 * one_minus_r1 / (d1 * one_minus_r1 + d2)
-    else:
-        c = 0.0
-    if _d_positive(d1, d2):
-        one_minus_r2 = _one_minus_r(d1 * (d2 - 4) - 2 * (d1 + d2 - 2), d1 * (d2 - 4), r2)
-        d = d1 * one_minus_r2 / (d1 * one_minus_r2 + (d2 - 2))
-    else:
-        d = 0.0
+    a, c = _images(d1, d2 + 2)
+    b, d = _images(d1, d2)
     return Endpoints(a, b, c, d)
 
 
@@ -147,13 +141,27 @@ def _check_int64(d1: int, d2_max: int) -> None:
                           "region tests cannot overflow")
 
 
+def _images_column(d1: int, n):
+    # ``_images`` at (d1, n[i]) for every i of an int64 column, as two arrays
+    import numpy as np
+
+    r = np.sqrt(2.0 * (d1 + n - 2) / (d1 * (n - 4)))
+    upper = d1 / (d1 + (n - 2) / (1.0 + r))
+    lower = np.zeros(n.shape)
+    pos = _lower_positive(d1, n)
+    n, r = n[pos], r[pos]
+    one_minus_r = (d1 * (n - 4) - 2 * (d1 + n - 2)) / (d1 * (n - 4) * (1.0 + r))
+    lower[pos] = d1 * one_minus_r / (d1 * one_minus_r + (n - 2))
+    return upper, lower
+
+
 def band_endpoints_column(d1: int, d2) -> tuple:
     """Endpoint images (a, b, c, d) of ``band_endpoints`` at (d1, d2[i]) for
     every i, as four float64 arrays.
 
-    d2 is a sequence of integers >= 5.  The scalar region tests
-    (``_c_positive``, ``_d_positive``) run on the int64 column, so they are
-    as exact there as on Python integers.
+    d2 is a sequence of integers >= 5.  The scalar region test
+    (``_lower_positive``) runs on the int64 column, so it is as exact there
+    as on Python integers.
     """
     import numpy as np
 
@@ -164,20 +172,8 @@ def band_endpoints_column(d1: int, d2) -> tuple:
         raise DomainError(f"band endpoints require d2 >= 5, got d2={d2.min()}")
     if d2.size:
         _check_int64(int(d1), int(d2.max()))
-    r1 = np.sqrt(2.0 * (d1 + d2) / (d1 * (d2 - 2)))
-    r2 = np.sqrt(2.0 * (d1 + d2 - 2) / (d1 * (d2 - 4)))
-    a = d1 / (d1 + d2 / (1.0 + r1))
-    b = d1 / (d1 + (d2 - 2) / (1.0 + r2))
-    c = np.zeros(d2.shape)
-    pos = _c_positive(d1, d2)
-    n2, r = d2[pos], r1[pos]
-    one_minus_r1 = (d1 * (n2 - 2) - 2 * (d1 + n2)) / (d1 * (n2 - 2) * (1.0 + r))
-    c[pos] = d1 * one_minus_r1 / (d1 * one_minus_r1 + n2)
-    d = np.zeros(d2.shape)
-    pos = _d_positive(d1, d2)
-    n2, r = d2[pos], r2[pos]
-    one_minus_r2 = (d1 * (n2 - 4) - 2 * (d1 + n2 - 2)) / (d1 * (n2 - 4) * (1.0 + r))
-    d[pos] = d1 * one_minus_r2 / (d1 * one_minus_r2 + (n2 - 2))
+    a, c = _images_column(d1, d2 + 2)
+    b, d = _images_column(d1, d2)
     return a, b, c, d
 
 

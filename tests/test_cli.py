@@ -56,8 +56,7 @@ def test_varprob_normal(capsys):
 
 
 def test_varprob_f_with_endpoints(capsys):
-    code, out, _ = run_cli("varprob", "--dist", "f", "--d1", "4", "--d2", "12",
-                           "--endpoints", capsys=capsys)
+    code, out, _ = run_cli("endpoints", "--d1", "4", "--d2", "12", capsys=capsys)
     assert code == 0
     lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
     assert float(lines["prob"]) == pytest.approx(0.8717418202537248, abs=1e-12)
@@ -65,15 +64,26 @@ def test_varprob_f_with_endpoints(capsys):
     assert float(lines["a"]) < float(lines["b"])
 
 
-@pytest.mark.parametrize("argv, prob", [
-    (("--dist", "chisq", "--k", "3"), "0.7659712696182989"),
-    (("--dist", "normal"), "0.6826894921370859"),
-], ids=["chisq", "normal"])
-def test_varprob_endpoints_without_images(argv, prob, capsys):
-    # a band with no endpoint images prints its probability alone
-    code, out, err = run_cli("varprob", *argv, "--endpoints", capsys=capsys)
+@pytest.mark.parametrize("argv, message", [
+    (["varprob", "--dist", "f", "--d1", "4", "--d2", "12", "--endpoints"],
+     "varcomp: error: unrecognized arguments: --endpoints"),
+    (["sweep", "--d1", "1..4", "--check", "bound,exploratory"],
+     "varcomp sweep: error: argument --check: the exploratory scans are the "
+     "'explore' command"),
+], ids=["varprob_endpoints", "sweep_check_exploratory"])
+def test_retired_spellings_are_usage_errors(argv, message, capsys):
+    # each result has one spelling: the endpoint images are the 'endpoints'
+    # command, the d1 >= 5 scans the 'explore' command
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [message]
+
+
+def test_sweep_help_lists_the_five_checks(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to the terminal
+    code, out, _ = run_cli("sweep", "--help", capsys=capsys)
     assert code == 0
-    assert (out, err) == (prob + "\n", "")
+    assert "subset of: bound, monotone, limit, steps, tables\n" in out
 
 
 def test_varprob_domain_error_exit_2(capsys):
@@ -101,8 +111,7 @@ def test_endpoints_alias(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("endpoints", "--d1", "4", "--d2", "11"),
-    ("varprob", "--dist", "f", "--d1", "4", "--d2", "11", "--endpoints",
-     "--format", "json"),
+    ("endpoints", "--d1", "4", "--d2", "11", "--format", "json"),
 ])
 def test_endpoints_evaluate_the_band_once(argv, monkeypatch, capsys):
     # the payload's prob is the one band evaluation; the band limits are
@@ -689,7 +698,7 @@ def _record_column_pids(monkeypatch):
 
 
 _MIXED = ["--d1", "1..6", "--d2", "5..60", "--exploratory",
-          "--check", "bound,monotone,steps,limit,tables,exploratory"]
+          "--check", "bound,monotone,steps,limit,tables"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

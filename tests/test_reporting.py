@@ -681,7 +681,7 @@ COMMANDS = {
     "sweep_default": ["sweep", "--d1", "1..4", "--check",
                       "bound,monotone,limit,steps,tables"],
     "sweep_exploratory": ["sweep", "--d1", "1..12", "--d2", "5..120", "--check",
-                          "bound,monotone,limit,steps,tables,exploratory",
+                          "bound,monotone,limit,steps,tables",
                           "--exploratory"],
     "explore": ["explore", "--d1", "5..12", "--d2", "5..120"],
 }

@@ -22,6 +22,7 @@ from varcomp import (
     variation_probability,
 )
 from varcomp.cli import main
+from varcomp.varband import band_endpoints_column
 
 
 def scipy_band_prob(d1, d2):
@@ -93,13 +94,34 @@ def test_lower_images_at_the_float_edge():
             assert ep.c > 0.0
 
 
+#: Large (d1, d2) whose neighbour d2 + 2 still has float-sized endpoints,
+#: up to the float edge, where d1 (d2-2) (1 + r1) overflows to inf.
+_LARGE = [(d1, d2) for d1 in (1, 4, 3 * 10 ** 50, 7 * 10 ** 150 + 1, 10 ** 300)
+          for d2 in (5, 6, 10 ** 20 + 1, 3 * 10 ** 150, 10 ** 300 - 7, 8 * 10 ** 307)
+          if d1 * d2 < 10 ** 308] + [(35 * 10 ** 306, 5)]
+
+
 def test_endpoints_relate_neighbouring_d2():
-    # the (d1, d2) upper/lower images at d2+2 equal the a/c images at d2
-    for (d1, d2) in [(1, 5), (3, 30), (7, 44), (12, 9)]:
-        ep = band_endpoints(FParams(d1, d2))
-        nxt = band_endpoints(FParams(d1, d2 + 2))
-        assert ep.a == pytest.approx(nxt.b, rel=1e-15)
-        assert ep.c == pytest.approx(nxt.d, rel=1e-15, abs=1e-300)
+    # a and c at d2 are the upper and lower images of F(d1, d2 + 2): the b
+    # and d of d2 + 2, bit for bit, wherever both are floats
+    for d1 in range(1, 40):
+        eps = [band_endpoints(FParams(d1, d2)) for d2 in range(5, 602)]
+        for ep, nxt in zip(eps, eps[2:]):
+            assert (ep.a, ep.c) == (nxt.b, nxt.d), (d1, ep)
+    for d1, d2 in _LARGE:
+        ep, nxt = band_endpoints(FParams(d1, d2)), band_endpoints(FParams(d1, d2 + 2))
+        assert (ep.a, ep.c) == (nxt.b, nxt.d), (d1, d2)
+
+
+@pytest.mark.parametrize("d1", [1, 2, 3, 4, 7, 40])
+def test_column_endpoints_relate_neighbouring_d2(d1):
+    # the same on the column route, which matches the scalar route bit for bit
+    d2s = range(5, 40_005)
+    a, b, c, d = band_endpoints_column(d1, d2s)
+    assert (a[:-2] == b[2:]).all() and (c[:-2] == d[2:]).all()
+    for i in [*range(0, 40, 3), 997, 40_000 - 1]:
+        ep = band_endpoints(FParams(d1, d2s[i]))
+        assert ep == (a[i], b[i], c[i], d[i]), (d1, d2s[i])
 
 
 def test_d_exceeds_c_boundaries():
