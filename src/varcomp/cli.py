@@ -38,8 +38,10 @@ hosts) only what it needs:
     explore             ``reporting``; numpy only on the column route of
                         ``programs.chain_blocks``
 
-An unset ``--floor`` is ``varband.STRICTNESS_FLOOR``, read once a command
-runs.
+No flag moves a verdict: the strictness floor (``varband.STRICTNESS_FLOOR``),
+the limit check's tolerance (``varband.LIMIT_TOL``) and the oracle's
+relative quadrature tolerance (``_ORACLE_QUAD_TOL``) are constants, and a
+report header echoes the first two.
 
 A grid or chain too large for the process to hold is an input error: one
 ``error:`` line and exit 2, like a domain error.
@@ -61,6 +63,8 @@ from .errors import VarcompError
 
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables")
 _CHAIN_CHECKS = ("bound", "monotone", "steps")  # per point, over each d1's d2 chain
+_ORACLE_QUAD_TOL = 1e-10  # relative to B(d1/2, d2/2)
+_DIST_FLAGS = {"normal": (), "chisq": ("k",), "f": ("d1", "d2")}  # each --dist's flags
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,27 +111,6 @@ def _parse_checks(text: str) -> tuple:
     return names
 
 
-def _parse_number(text: str, positive: bool) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and {'>' if positive else '>='} 0, got {text!r}")
-    return value
-
-
-def _parse_floor(text: str) -> float:
-    """A strictness floor or a tolerance: a finite number >= 0."""
-    return _parse_number(text, positive=False)
-
-
-def _parse_quad_tol(text: str) -> float:
-    """A quadrature tolerance: a finite number > 0."""
-    return _parse_number(text, positive=True)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="varcomp",
@@ -158,10 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"subset of: {', '.join(_CHECK_NAMES)}")
     p_sweep.add_argument("--out", help="report path (default: stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--floor", type=_parse_floor,
-                         help="strictness floor for strict inequalities")
-    p_sweep.add_argument("--limit-tol", type=_parse_floor, default=1e-3,
-                         help="tolerance of the limit check")
     p_sweep.add_argument("--d2-large", type=int, default=10_000,
                          help="d2 used by the limit check")
     p_sweep.add_argument("--exploratory", action="store_true",
@@ -170,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prove = sub.add_parser("prove", help="full verification program for one d1")
     p_prove.add_argument("--d1", type=int, required=True)
     p_prove.add_argument("--d2-max", type=int, default=400)
-    p_prove.add_argument("--floor", type=_parse_floor)
     p_prove.add_argument("--out", help="report path (default: summary to stdout)")
     p_prove.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -179,21 +157,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--d2", type=int, required=True)
     p_or.add_argument("--samples", type=int, default=1_000_000)
     p_or.add_argument("--seed", type=int, default=0)
-    p_or.add_argument("--quad-tol", type=_parse_quad_tol, default=1e-10)
 
     p_ex = sub.add_parser("explore", help="scan the conjectured region d1 >= 5")
     p_ex.add_argument("--d1", type=_parse_range, required=True, metavar="LO..HI")
     p_ex.add_argument("--d2", type=_parse_range, required=True, metavar="LO..HI")
     p_ex.add_argument("--out", help="report path (default: stdout)")
     p_ex.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ex.add_argument("--floor", type=_parse_floor)
     return parser
 
 
 def _cmd_sweep(ns) -> int:
     from .programs import certificate_rows, chain_parts, table_rows
     from .reporting import write_rendered
-    from .varband import PROVED_D1, check_limit
+    from .varband import LIMIT_TOL, PROVED_D1, STRICTNESS_FLOOR, check_limit
 
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
@@ -214,14 +190,14 @@ def _cmd_sweep(ns) -> int:
         blocks: list = []
         if "limit" in checks:
             for d1 in d1_values:
-                blocks.append(check_limit(d1, ns.d2_large, ns.limit_tol))
+                blocks.append(check_limit(d1, ns.d2_large))
         if "tables" in checks:
-            blocks += table_rows(ns.floor)
+            blocks += table_rows()
             blocks += certificate_rows()
         return blocks
 
     parts = chain_parts(grid_d1 if chain_checks else [], d2_lo, d2_hi, chain_checks,
-                        ns.floor, ns.format, other_blocks)
+                        ns.format, other_blocks)
 
     header = {
         "version": __version__,
@@ -230,9 +206,9 @@ def _cmd_sweep(ns) -> int:
             "d1": f"{d1_lo}..{d1_hi}",
             "d2": f"{d2_lo}..{d2_hi}",
             "checks": list(checks),
-            "floor": ns.floor,
+            "floor": STRICTNESS_FLOOR,
             "d2_large": ns.d2_large,
-            "limit_tol": ns.limit_tol,
+            "limit_tol": LIMIT_TOL,
             "exploratory": bool(ns.exploratory),
         },
     }
@@ -282,7 +258,7 @@ def _write_stdout(text: str) -> None:
 
 
 def _cmd_prove(ns) -> int:
-    from .varband import PROVED_D1
+    from .varband import PROVED_D1, STRICTNESS_FLOOR
 
     if ns.d1 not in PROVED_D1:
         raise VarcompError(f"prove covers d1 in {sorted(PROVED_D1)}; "
@@ -291,12 +267,12 @@ def _cmd_prove(ns) -> int:
     from .reporting import summarize, write_rendered
 
     # without --out no row is rendered, only counted
-    parts = prove_parts(ns.d1, ns.d2_max, ns.floor, ns.format if ns.out else None)
+    parts = prove_parts(ns.d1, ns.d2_max, ns.format if ns.out else None)
     counts = summarize(parts)
     header = {
         "version": __version__,
         "spec": {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max,
-                 "floor": ns.floor},
+                 "floor": STRICTNESS_FLOOR},
     }
     if ns.out:
         _report(write_rendered, parts, header, ns, counts)
@@ -343,8 +319,8 @@ def _cmd_oracle(ns) -> int:
     ep = band_endpoints(p)
     a, b = 0.5 * p.d1, 0.5 * p.d2
     scale = math.exp(log_beta(a, b))
-    q_hi = quad_beta_integral(a, b, 0.0, ep.b, ns.quad_tol * scale)
-    q_lo = quad_beta_integral(a, b, 0.0, ep.d, ns.quad_tol * scale)  # 0 when d = 0
+    q_hi = quad_beta_integral(a, b, 0.0, ep.b, _ORACLE_QUAD_TOL * scale)
+    q_lo = quad_beta_integral(a, b, 0.0, ep.d, _ORACLE_QUAD_TOL * scale)  # 0 when d = 0
     quad_value = (q_hi.value - q_lo.value) / scale
     quad_err = (q_hi.abs_error_bound + q_lo.abs_error_bound) / scale
     evals = q_hi.evaluations + q_lo.evaluations
@@ -370,6 +346,10 @@ def _varprob_payload(ns) -> dict:
     from .varband import (NORMAL_BAND, band_endpoints, chi_square_band_probability,
                           variation_band, variation_probability)
 
+    extra = [f"--{name}" for name in ("d1", "d2", "k")
+             if name not in _DIST_FLAGS[ns.dist] and getattr(ns, name, None) is not None]
+    if extra:
+        raise VarcompError(f"--dist {ns.dist} takes no {', '.join(extra)}")
     if ns.dist == "normal":
         return {"dist": "normal", "prob": NORMAL_BAND}
     if ns.dist == "chisq":
@@ -418,14 +398,15 @@ def _cmd_explore(ns) -> int:
         raise VarcompError("d2 must be >= 5")
     from .programs import explore_rows
     from .reporting import write_report
+    from .varband import STRICTNESS_FLOOR
 
     blocks = []
     for d1 in range(d1_lo, d1_hi + 1):
-        blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1), ns.floor)
+        blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1))
     header = {
         "version": __version__,
         "spec": {"command": "explore", "d1": f"{d1_lo}..{d1_hi}",
-                 "d2": f"{d2_lo}..{d2_hi}", "floor": ns.floor},
+                 "d2": f"{d2_lo}..{d2_hi}", "floor": STRICTNESS_FLOOR},
     }
     _write(write_report, blocks, header, ns)
     return 0
@@ -437,10 +418,6 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(ns, "floor", 0.0) is None:  # no --floor: the package's floor
-        from .varband import STRICTNESS_FLOOR
-
-        ns.floor = STRICTNESS_FLOOR
     handlers = {
         "varprob": _cmd_varprob,
         "endpoints": _cmd_varprob,

@@ -112,17 +112,17 @@ def _claim(check_id: str, d1: int, d2: int, margin: float, note: str,
 
 
 def step_blocks(d1: int, d2s: Sequence[int], margins_at: Callable,
-                floor: float, exploratory: bool = False) -> list:
+                exploratory: bool = False) -> list:
     """Blocks of a scalar step evaluator over d2s; margins_at(d2) is its
     form -> margin map at d2, with the same forms at every d2."""
     columns: dict = {}
     for d2 in d2s:
         for form, margin in margins_at(d2).items():
             columns.setdefault(form, []).append(margin)
-    return rows_from_step_report(d1, d2s, columns, floor, exploratory)
+    return rows_from_step_report(d1, d2s, columns, exploratory)
 
 
-def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str], floor: float,
+def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str],
                  points: Optional[int] = None) -> list:
     """Blocks of the per-point claims of one d1 over d2s, a run of
     consecutive integers >= 5, for each of checks in turn: "bound"
@@ -153,19 +153,17 @@ def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str], floor: fl
     blocks: list = []
     for check in checks:
         if check == "bound":
-            blocks.append(bound_block(d1, d2s, bands, floor))
+            blocks.append(bound_block(d1, d2s, bands))
         elif check == "monotone":
-            blocks.append(monotone_block(d1, d2s, bands, bands[2:], floor))
+            blocks.append(monotone_block(d1, d2s, bands, bands[2:]))
         elif check in ("coefficients", "steps") and columns:
             kernel = step_inequalities_column if check == "steps" else coefficient_sign_column
-            blocks += rows_from_step_report(d1, d2s, kernel(d1, d2s, *ends), floor, expl)
+            blocks += rows_from_step_report(d1, d2s, kernel(d1, d2s, *ends), expl)
         elif check == "coefficients":
-            blocks += step_blocks(d1, d2s, lambda d2: coefficient_sign_checks(d1, d2),
-                                  floor, expl)
+            blocks += step_blocks(d1, d2s, lambda d2: coefficient_sign_checks(d1, d2), expl)
         elif check == "steps":
             blocks += step_blocks(d1, d2s,
-                                  lambda d2: check_step_inequalities(FParams(d1, d2)),
-                                  floor, expl)
+                                  lambda d2: check_step_inequalities(FParams(d1, d2)), expl)
         else:
             raise ValueError(f"unknown chain check {check!r}")
     return blocks
@@ -179,9 +177,9 @@ def _usable_cpus() -> int:
 
 
 def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[str],
-                floor: float, fmt: Optional[str], other: Callable[[], list]) -> list:
+                fmt: Optional[str], other: Callable[[], list]) -> list:
     """The ``Rendered`` parts (``reporting.render_rows`` in fmt) of
-    ``chain_blocks(d1, range(d2_lo, d2_hi + 1), checks, floor, points)`` for
+    ``chain_blocks(d1, range(d2_lo, d2_hi + 1), checks, points)`` for
     every d1 in d1s, points being the whole grid's, then of the blocks that
     other() returns: the work that is not part of any chain.
 
@@ -207,8 +205,7 @@ def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[s
     def run(lo: int, hi: int) -> list:
         d2s = range(lo, hi + 1)
         return [part for d1 in d1s
-                for part in render_rows(chain_blocks(d1, d2s, checks, floor, points),
-                                        fmt)]
+                for part in render_rows(chain_blocks(d1, d2s, checks, points), fmt)]
 
     procs = 1
     if points >= _POOL_MIN and hasattr(os, "fork"):
@@ -289,27 +286,27 @@ def _child(write: int, pipes: list, run: Callable, bounds: tuple) -> None:
         os._exit(0)
 
 
-def _lower_edge_bound_rows(floor: float) -> list:
+def _lower_edge_bound_rows() -> list:
     """The G1 table and the two-route v checks of the d1 = 3 lower-edge
     bound, shared by the table rows and the d1 = 3 program."""
     ys = _grid(25, 40)
     return (rows_from_outcome(
-        [monotone_table_check(AuxFn.G1, _grid(25, 33), "decreasing", floor)], d1=3)
+        [monotone_table_check(AuxFn.G1, _grid(25, 33), "decreasing")], d1=3)
         + rows_from_outcome([rational_V_consistency(y) for y in ys], 3, ys))
 
 
-def table_rows(floor: float = STRICTNESS_FLOOR) -> list:
+def table_rows() -> list:
     """Golden-table and table-adjacent checks (independent of any sweep grid).
 
     Reproduces every tabulated reference value at 1e-5, asserts the sampled
     monotonicity those tables illustrate, and checks the two-route
     consistency of the rational lower-edge bound.
     """
-    blocks = [rows_from_outcome([monotone_table_check(f, ys, direction, floor)], d1)[0]
+    blocks = [rows_from_outcome([monotone_table_check(f, ys, direction)], d1)[0]
               for d1, f, ys, direction in ((2, AuxFn.H2, [3, 4, 5], "decreasing"),
                                            (3, AuxFn.H3, _grid(3, 12), "decreasing"),
                                            (4, AuxFn.H4, _grid(3, 12), "increasing"))]
-    return blocks + _lower_edge_bound_rows(floor)
+    return blocks + _lower_edge_bound_rows()
 
 
 def certificate_rows(families: Optional[Collection[str]] = None) -> list:
@@ -434,8 +431,7 @@ def _log_form_rows(d1: int, d2_values: Iterable[int]) -> list:
     return blocks
 
 
-def prove_rows(d1: int, d2_max: int = 400,
-               floor: float = STRICTNESS_FLOOR) -> list:
+def prove_rows(d1: int, d2_max: int = 400) -> list:
     """The full verification program for one proved case d1 in {1, 2, 3, 4}.
 
     Combines the golden tables, sampled monotonicity with finite-difference
@@ -444,16 +440,16 @@ def prove_rows(d1: int, d2_max: int = 400,
     over 5 <= d2 <= d2_max (``chain_blocks``).
     """
     _check_prove_args(d1, d2_max)
-    return (_program_rows(d1, d2_max, floor)
-            + chain_blocks(d1, range(5, d2_max + 1), _prove_checks(d1), floor))
+    return (_program_rows(d1, d2_max)
+            + chain_blocks(d1, range(5, d2_max + 1), _prove_checks(d1)))
 
 
-def prove_parts(d1: int, d2_max: int, floor: float, fmt: Optional[str]) -> list:
-    """The ``Rendered`` parts of ``prove_rows(d1, d2_max, floor)`` in fmt,
-    its step chain through ``chain_parts``."""
+def prove_parts(d1: int, d2_max: int, fmt: Optional[str]) -> list:
+    """The ``Rendered`` parts of ``prove_rows(d1, d2_max)`` in fmt, its step
+    chain through ``chain_parts``."""
     _check_prove_args(d1, d2_max)
-    return chain_parts([d1], 5, d2_max, _prove_checks(d1), floor, fmt,
-                       lambda: _program_rows(d1, d2_max, floor))
+    return chain_parts([d1], 5, d2_max, _prove_checks(d1), fmt,
+                       lambda: _program_rows(d1, d2_max))
 
 
 def _prove_checks(d1: int) -> tuple:
@@ -471,7 +467,7 @@ def _check_prove_args(d1: int, d2_max: int) -> None:
         raise DomainError(f"d2_max must be below 2**62, got {d2_max}")
 
 
-def _program_rows(d1: int, d2_max: int, floor: float) -> list:
+def _program_rows(d1: int, d2_max: int) -> list:
     """The blocks of ``prove_rows`` but its step chain."""
     blocks: list = []
     dense_hi = max(_DENSE_MAX, min(d2_max, 400))
@@ -480,35 +476,35 @@ def _program_rows(d1: int, d2_max: int, floor: float) -> list:
         blocks.extend(rows_from_outcome([block], d1))
 
     if d1 == 1:
-        add(monotone_table_check(AuxFn.H1, _grid(3, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.H1, [4, 6, 10, 20, 50, 100], -1, floor=floor))
-        add(monotone_table_check(AuxFn.KFUN, _grid(5, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.KFUN, [6, 9, 20, 50, 100], -1, floor=floor))
-        add(value_sign_check(AuxFn.L1, _grid(3, dense_hi), -1, floor))
+        add(monotone_table_check(AuxFn.H1, _grid(3, dense_hi), "decreasing"))
+        add(derivative_sign_check(AuxFn.H1, [4, 6, 10, 20, 50, 100], -1))
+        add(monotone_table_check(AuxFn.KFUN, _grid(5, dense_hi), "decreasing"))
+        add(derivative_sign_check(AuxFn.KFUN, [6, 9, 20, 50, 100], -1))
+        add(value_sign_check(AuxFn.L1, _grid(3, dense_hi), -1))
         add(algebra_identity_check("l1_prefactor_identity", _grid(3, 60)))
         add(algebra_identity_check("k_derivative_identity", _grid(5, 60)))
     elif d1 == 2:
-        add(monotone_table_check(AuxFn.H2, _grid(3, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.H2, [6, 10, 20, 50, 100], -1, floor=floor))
-        add(value_sign_check(AuxFn.L2, _grid(5, dense_hi), -1, floor))
+        add(monotone_table_check(AuxFn.H2, _grid(3, dense_hi), "decreasing"))
+        add(derivative_sign_check(AuxFn.H2, [6, 10, 20, 50, 100], -1))
+        add(value_sign_check(AuxFn.L2, _grid(5, dense_hi), -1))
         add(algebra_identity_check("l2_prefactor_identity", _grid(5, 60)))
         blocks += _closed_form_rows(range(5, min(d2_max, 100) + 1))
     elif d1 == 3:
-        add(monotone_table_check(AuxFn.H3, _grid(3, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.H3, [13, 20, 50, 100], -1, floor=floor))
-        add(value_sign_check(AuxFn.L3, _grid(12, dense_hi), -1, floor))
+        add(monotone_table_check(AuxFn.H3, _grid(3, dense_hi), "decreasing"))
+        add(derivative_sign_check(AuxFn.H3, [13, 20, 50, 100], -1))
+        add(value_sign_check(AuxFn.L3, _grid(12, dense_hi), -1))
         add(algebra_identity_check("l3_prefactor_identity", _grid(12, 60)))
         blocks += certificate_rows(("U1", "U2", "P3", "Q5"))
         blocks += _boundary_rows(3, 25)
-        blocks += _lower_edge_bound_rows(floor)
+        blocks += _lower_edge_bound_rows()
         blocks += _g2_consistency_rows(_grid(25, 60))
     else:
-        add(monotone_table_check(AuxFn.H4, _grid(3, dense_hi), "increasing", floor))
-        add(derivative_sign_check(AuxFn.H4, [13, 20, 50, 100], 1, floor=floor))
-        add(monotone_table_check(AuxFn.R4, _grid(15, dense_hi), "decreasing", floor))
-        add(derivative_sign_check(AuxFn.R4, [16, 20, 50, 100], -1, floor=floor))
-        add(value_sign_check(AuxFn.L4, _grid(12, dense_hi), -1, floor))
-        add(value_sign_check(AuxFn.Q4, _grid(15, dense_hi), 1, floor))
+        add(monotone_table_check(AuxFn.H4, _grid(3, dense_hi), "increasing"))
+        add(derivative_sign_check(AuxFn.H4, [13, 20, 50, 100], 1))
+        add(monotone_table_check(AuxFn.R4, _grid(15, dense_hi), "decreasing"))
+        add(derivative_sign_check(AuxFn.R4, [16, 20, 50, 100], -1))
+        add(value_sign_check(AuxFn.L4, _grid(12, dense_hi), -1))
+        add(value_sign_check(AuxFn.Q4, _grid(15, dense_hi), 1))
         add(algebra_identity_check("l4_prefactor_identity", _grid(12, 60)))
         add(algebra_identity_check("q4_prefactor_identity", _grid(15, 60)))
         blocks += certificate_rows(("T1", "T2", "P4"))
@@ -517,8 +513,7 @@ def _program_rows(d1: int, d2_max: int, floor: float) -> list:
     return blocks + _log_form_rows(d1, range(5, min(d2_max, 150) + 1))
 
 
-def explore_rows(d1: int, d2_values: Sequence[int],
-                 floor: float = STRICTNESS_FLOOR) -> list:
+def explore_rows(d1: int, d2_values: Sequence[int]) -> list:
     """Exploratory scan of the conjectured region d1 >= 5; never normative.
 
     Odd d1: truncated-binomial sufficient bounds at each d2.  Even d1: step
@@ -531,7 +526,7 @@ def explore_rows(d1: int, d2_values: Sequence[int],
     if d1 % 2 == 1:
         return step_blocks(d1, d2_values,
                            lambda d2: falling_factorial_bounds_odd(d1, d2),
-                           floor, exploratory=True)
+                           exploratory=True)
     defined, upper, lower, undefined, notes = [], [], [], [], []
     for d2 in d2_values:
         try:
@@ -544,8 +539,8 @@ def explore_rows(d1: int, d2_values: Sequence[int],
         defined.append(d2)
         upper.append(j_here - j_prev)
         lower.append(k_prev - k_here)
-    blocks = [margin_block("series_upper_step", d1, defined, upper, floor, "", True),
-              margin_block("series_lower_step", d1, defined, lower, floor, "", True),
-              margin_block("series_step", d1, undefined, [None] * len(undefined),
-                           floor, notes, True)]
+    blocks = rows_from_step_report(
+        d1, defined, {"series_upper_step": upper, "series_lower_step": lower}, True)
+    blocks.append(margin_block("series_step", d1, undefined, [None] * len(undefined),
+                               STRICTNESS_FLOOR, notes, True))
     return [block for block in blocks if block]

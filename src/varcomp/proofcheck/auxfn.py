@@ -345,8 +345,7 @@ def _table_mismatches(f: AuxFn, ys: Sequence[float], values: Sequence[float]):
     return out
 
 
-def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str,
-                         floor: float = STRICTNESS_FLOOR) -> Block:
+def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str) -> Block:
     """Strict sampled monotonicity of f over ys, cross-checked against the
     reference table where one exists (1e-5 tolerance)."""
     if direction not in ("increasing", "decreasing"):
@@ -363,12 +362,11 @@ def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str,
             f"y={y}: got {v:.6g}, expected {r:.6g}" for y, v, r, _ in mismatches)
     else:
         note = "" if not GOLDEN_TABLES.get(f) else "table values reproduced"
-    return margin_block(f"{f.value}_{direction}", 0, [0], [margin], floor, note,
+    return margin_block(f"{f.value}_{direction}", 0, [0], [margin], STRICTNESS_FLOOR, note,
                         holds=not mismatches)
 
 
-def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
-                          floor: float = STRICTNESS_FLOOR) -> Block:
+def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int) -> Block:
     """Secondary screen: the five-point finite-difference derivative at each
     y must have the expected sign; margin is the worst signed derivative."""
     if expected_sign not in (-1, 1):
@@ -383,12 +381,11 @@ def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
         fd = (-aux_eval(f, y + 2 * step) + 8.0 * aux_eval(f, y + step)
               - 8.0 * aux_eval(f, y - step) + aux_eval(f, y - 2 * step)) / (12.0 * step)
         worst = min(worst, expected_sign * fd)
-    return margin_block(f"{f.value}_derivative_sign", 0, [0], [worst], floor,
+    return margin_block(f"{f.value}_derivative_sign", 0, [0], [worst], STRICTNESS_FLOOR,
                         "finite-difference secondary check")
 
 
-def value_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
-                     floor: float = STRICTNESS_FLOOR) -> Block:
+def value_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int) -> Block:
     """Sampled sign of f over ys: margin is the worst expected_sign * f(y)."""
     if expected_sign not in (-1, 1):
         raise DomainError("expected_sign must be -1 or +1")
@@ -397,7 +394,7 @@ def value_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int,
         raise DomainError("need at least one sample point")
     margin = min(expected_sign * aux_eval(f, y) for y in ys)
     suffix = "negative" if expected_sign < 0 else "positive"
-    return margin_block(f"{f.value}_{suffix}", 0, [0], [margin], floor)
+    return margin_block(f"{f.value}_{suffix}", 0, [0], [margin], STRICTNESS_FLOOR)
 
 
 def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Block:

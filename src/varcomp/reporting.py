@@ -177,10 +177,12 @@ def rows_from_outcome(blocks: Sequence[Block], d1: int,
 
 def rows_from_step_report(d1: int, d2s: Sequence[int],
                           margins: Mapping[str, Sequence[Optional[float]]],
-                          floor: float, exploratory: bool = False) -> list:
+                          exploratory: bool = False) -> list:
     """Blocks of the step forms evaluated over d2s: form -> margin column,
-    with None where a form does not apply."""
-    return [margin_block(form, d1, d2s, column, floor, "", exploratory)
+    with None where a form does not apply, at ``varband.STRICTNESS_FLOOR``."""
+    from .varband import STRICTNESS_FLOOR  # not at import: ``varcomp.Block`` loads no band
+
+    return [margin_block(form, d1, d2s, column, STRICTNESS_FLOOR, "", exploratory)
             for form, column in margins.items()]
 
 

@@ -34,7 +34,8 @@ same order and agree with it bit for bit.
 
 ``bound_block`` and ``monotone_block`` (a d2 column), ``check_bound`` and
 ``check_monotone_step`` (one point, through them) and ``check_limit`` return
-a ``reporting.Block``, classified by ``reporting.margin_block``; they import
+a ``reporting.Block``, classified by ``reporting.margin_block`` at
+``STRICTNESS_FLOOR`` (``check_limit``: ``LIMIT_TOL`` at floor 0); they import
 ``reporting`` when they run, so the band commands (``varprob``,
 ``endpoints``, ``oracle``) never load it.
 """
@@ -59,6 +60,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Endpoints",
     "STRICTNESS_FLOOR",
+    "LIMIT_TOL",
     "PROVED_D1",
     "NORMAL_BAND",
     "chi_square_band_probability",
@@ -75,10 +77,14 @@ __all__ = [
     "check_limit",
 ]
 
-#: Default absolute floor below which a strict-inequality margin is treated
-#: as inconclusive rather than certified; binary64 cannot distinguish signs
-#: at roundoff scale.
+#: Absolute floor below which a strict-inequality margin is treated as
+#: inconclusive rather than certified; binary64 cannot distinguish signs at
+#: roundoff scale.
 STRICTNESS_FLOOR = 1e-12
+
+#: Absolute tolerance of ``check_limit``: the largest gap between the band
+#: probability at large d2 and its chi-square limit that still passes.
+LIMIT_TOL = 1e-3
 
 #: Degrees of freedom covered by the proved monotonicity result; anything
 #: else is conjectured territory and is reported as exploratory.
@@ -252,46 +258,46 @@ def variation_probability_column(d1: int, d2):
     return prob
 
 
-def _band_block(check_id: str, d1: int, d2s, margins, floor: float) -> Block:
+def _band_block(check_id: str, d1: int, d2s, margins) -> Block:
     # outside d1 in {1, 2, 3, 4} a band claim is conjectured, not proved
     from .reporting import margin_block
 
     expl = d1 not in PROVED_D1
-    return margin_block(check_id, d1, d2s, margins, floor,
+    return margin_block(check_id, d1, d2s, margins, STRICTNESS_FLOOR,
                         "exploratory" if expl else "", expl)
 
 
-def bound_block(d1: int, d2s, bands, floor: float) -> Block:
+def bound_block(d1: int, d2s, bands) -> Block:
     """Block of the band's margin over the normal baseline 2 Phi(1) - 1 at
     each d2s[i], bands[i] its band probability (bands may run on)."""
     return _band_block("bound_exceeds_normal", d1, d2s,
-                       [p - NORMAL_BAND for p in bands[:len(d2s)]], floor)
+                       [p - NORMAL_BAND for p in bands[:len(d2s)]])
 
 
-def monotone_block(d1: int, d2s, bands, next_bands, floor: float) -> Block:
+def monotone_block(d1: int, d2s, bands, next_bands) -> Block:
     """Block of the step decrease bands[i] - next_bands[i], the band
     probabilities at (d1, d2s[i]) and (d1, d2s[i] + 2)."""
     return _band_block("step_decreasing", d1, d2s,
-                       [here - next_ for here, next_ in zip(bands, next_bands)], floor)
+                       [here - next_ for here, next_ in zip(bands, next_bands)])
 
 
-def check_bound(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
+def check_bound(p: FParams) -> Block:
     """The bound claim (``bound_block``) at one point."""
-    return bound_block(p.d1, [p.d2], [variation_probability(p)], floor)
+    return bound_block(p.d1, [p.d2], [variation_probability(p)])
 
 
-def check_monotone_step(p: FParams, floor: float = STRICTNESS_FLOOR) -> Block:
+def check_monotone_step(p: FParams) -> Block:
     """The step-decrease claim (``monotone_block``) at one point."""
     return monotone_block(p.d1, [p.d2], [variation_probability(p)],
-                          [variation_probability(FParams(p.d1, p.d2 + 2))], floor)
+                          [variation_probability(FParams(p.d1, p.d2 + 2))])
 
 
-def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Block:
+def check_limit(d1: int, d2_large: int) -> Block:
     """Agreement of the band probability at large d2 with its chi-square limit.
 
     F(d1, d2) converges in distribution to chi-square(d1)/d1, so the band
     probability approaches the chi-square(d1) band probability; margin is
-    tol minus the observed absolute gap, at floor 0.
+    ``LIMIT_TOL`` minus the observed absolute gap, at floor 0.
     """
     from .reporting import margin_block
 
@@ -300,4 +306,4 @@ def check_limit(d1: int, d2_large: int, tol: float = 1e-3) -> Block:
     f_val = variation_probability(FParams(d1, d2_large))
     chi_val = chi_square_band_probability(d1)
     return margin_block("limit_matches_chi_square", d1, [d2_large],
-                        [tol - abs(f_val - chi_val)], 0.0)
+                        [LIMIT_TOL - abs(f_val - chi_val)], 0.0)

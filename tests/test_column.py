@@ -294,11 +294,11 @@ def test_prove_column_route_matches_scalar_deep(d1, monkeypatch):
 def test_chain_blocks_run_every_check_on_either_route(monkeypatch):
     # points alone picks the route; no caller asks for all four checks at once
     checks = ("bound", "monotone", "coefficients", "steps")
-    scalar = chain_blocks(3, range(5, 80), checks, 1e-12)
+    scalar = chain_blocks(3, range(5, 80), checks)
     for name in ("variation_probability", "check_step_inequalities",
                  "coefficient_sign_checks"):
         monkeypatch.setattr(varcomp.programs, name, _no_scalar_call)
-    column = chain_blocks(3, range(5, 80), checks, 1e-12, points=_COLUMN_MIN)
+    column = chain_blocks(3, range(5, 80), checks, points=_COLUMN_MIN)
     assert _block_fields(column) == _block_fields(scalar)
     with pytest.raises(ValueError, match="unknown chain check 'limit'"):
-        chain_blocks(3, range(5, 80), ("limit",), 1e-12)
+        chain_blocks(3, range(5, 80), ("limit",))

@@ -135,6 +135,8 @@ def test_margin_block_is_the_one_verdict_rule():
     row = one_row(-1e-12, floor, "n")
     assert (row.status, row.passed, row.note) == ("inconclusive", False, "n; inconclusive")
     assert one_row(1e-12, floor).note == "inconclusive"
+    # a floor above a positive margin makes it inconclusive, not failed
+    assert one_row(0.5, 1.0).status == "inconclusive"
     assert one_row(-2e-12, floor).status == "fail"
     assert one_row(float("nan"), floor).status == "fail"
     # a side condition that does not hold fails the row whatever the margin
@@ -300,46 +302,41 @@ def test_rows_from_outcome_joins_the_one_row_blocks_of_checks():
     assert block.d2s == [5, 6, 7] and block.statuses == ["pass"] * 3
 
 
-#: Each single check: the function, its arguments but the floor, and the
-#: (d1, d2) of its row.  The last three take no floor: their margins are
-#: tolerance-style, at floor 0.
+#: Each single check: the function, its arguments, the (d1, d2) of its row
+#: and the floor it is classified at.  The last three are tolerance-style
+#: margins, at floor 0.
 SINGLE_CHECKS = {
-    "check_bound": (check_bound, (FParams(3, 9),), (3, 9)),
-    "check_monotone_step": (check_monotone_step, (FParams(4, 17),), (4, 17)),
+    "check_bound": (check_bound, (FParams(3, 9),), (3, 9), STRICTNESS_FLOOR),
+    "check_monotone_step": (
+        check_monotone_step, (FParams(4, 17),), (4, 17), STRICTNESS_FLOOR),
     "monotone_table_check": (
-        monotone_table_check, (AuxFn.H3, range(3, 13), "decreasing"), (0, 0)),
-    "derivative_sign_check": (derivative_sign_check, (AuxFn.H1, [4, 10], -1), (0, 0)),
-    "value_sign_check": (value_sign_check, (AuxFn.L2, range(5, 30), -1), (0, 0)),
-    "check_limit": (check_limit, (2, 10_000), (2, 10_000)),
-    "rational_V_consistency": (rational_V_consistency, (30,), (0, 0)),
+        monotone_table_check, (AuxFn.H3, range(3, 13), "decreasing"), (0, 0),
+        STRICTNESS_FLOOR),
+    "derivative_sign_check": (
+        derivative_sign_check, (AuxFn.H1, [4, 10], -1), (0, 0), STRICTNESS_FLOOR),
+    "value_sign_check": (
+        value_sign_check, (AuxFn.L2, range(5, 30), -1), (0, 0), STRICTNESS_FLOOR),
+    "check_limit": (check_limit, (2, 10_000), (2, 10_000), 0.0),
+    "rational_V_consistency": (rational_V_consistency, (30,), (0, 0), 0.0),
     "algebra_identity_check": (
-        algebra_identity_check, ("l2_prefactor_identity", range(5, 20)), (0, 0)),
+        algebra_identity_check, ("l2_prefactor_identity", range(5, 20)), (0, 0), 0.0),
 }
 
 
 @pytest.mark.parametrize("name", list(SINGLE_CHECKS))
 def test_each_single_check_returns_a_one_row_block(name):
-    fn, args, (d1, d2) = SINGLE_CHECKS[name]
-    params = inspect.signature(fn).parameters
-    takes_floor = "floor" in params
-    if takes_floor:
-        # every floor default is the strictness floor
-        assert params["floor"].default == STRICTNESS_FLOOR
-        outs = {floor: fn(*args, floor=floor) for floor in (STRICTNESS_FLOOR, 1.0)}
-    else:
-        outs = {0.0: fn(*args)}
-    for floor, out in outs.items():
-        assert type(out) is Block
-        assert (len(out), out.d1, list(out.d2s)) == (1, d1, [d2])
-        (margin,), (status,), (note,) = out.margins, out.statuses, out.notes
-        # margin_block's rule, the side conditions of these samples holding
-        assert status == ("pass" if margin > floor
-                          else "inconclusive" if abs(margin) <= floor else "fail")
-        assert note.endswith("inconclusive") == (status == "inconclusive")
-    # each passes at the strictness floor, and a floor above its margin makes
-    # it inconclusive
-    assert [out.statuses[0] for out in outs.values()] == (
-        ["pass", "inconclusive"] if takes_floor else ["pass"])
+    fn, args, (d1, d2), floor = SINGLE_CHECKS[name]
+    # no caller moves a verdict: the floor is a constant, not an argument
+    assert "floor" not in inspect.signature(fn).parameters
+    out = fn(*args)
+    assert type(out) is Block
+    assert (len(out), out.d1, list(out.d2s)) == (1, d1, [d2])
+    (margin,), (status,), (note,) = out.margins, out.statuses, out.notes
+    # margin_block's rule, the side conditions of these samples holding
+    assert status == ("pass" if margin > floor
+                      else "inconclusive" if abs(margin) <= floor else "fail")
+    assert note.endswith("inconclusive") == (status == "inconclusive")
+    assert status == "pass"
 
 
 def test_package_exports_the_one_result_record():
@@ -353,14 +350,11 @@ def test_rows_from_step_report_floor():
     d2s = [16, 17]
     maps = [check_step_inequalities(FParams(4, d2)) for d2 in d2s]
     columns = {form: [m[form] for m in maps] for form in maps[0]}
-    blocks = rows_from_step_report(4, d2s, columns, floor=1e-12)
+    blocks = rows_from_step_report(4, d2s, columns)
     assert [b.check_id for b in blocks] == list(columns)
     assert {b.check_id for b in blocks} >= {"step_integral", "upper_edge"}
     assert all(b.d1 == 4 and b.d2s == d2s for b in blocks)
     assert all(r.passed for r in flatten(blocks) if r.margin is not None)
-    # a huge floor turns every positive margin into inconclusive, not fail
-    rows = flatten(rows_from_step_report(4, d2s, columns, floor=10.0))
-    assert all(r.status == "inconclusive" for r in rows if r.margin is not None)
     # a form that does not apply is a not-applicable row
     (na,) = [r for r in flatten(blocks) if r.margin is None]
     assert (na.check_id, na.d2, na.status, na.note) == (
@@ -643,7 +637,7 @@ def long_prove_chain(d1: int) -> list:
     # a sweep column's blocks share one d2s list; a grid of _COLUMN_MIN
     # points takes the column kernels
     *[lambda d1=d1: chain_blocks(d1, range(5, 301), ("bound", "monotone", "steps"),
-                                 1e-12, _COLUMN_MIN) for d1 in range(1, 5)],
+                                 _COLUMN_MIN) for d1 in range(1, 5)],
     *[lambda d1=d1: long_prove_chain(d1) for d1 in range(1, 5)],
 ], ids=["prove_rows_3", "tables_and_certificates", "explore_5_6", "explore_24",
         *[f"sweep_column_{d1}" for d1 in range(1, 5)],
@@ -658,8 +652,7 @@ def grid_large_blocks() -> list:
     # sweep --d1 1..4 --d2 5..20000 --check bound,monotone,steps
     return [block for d1 in range(1, 5)
             for block in chain_blocks(
-                d1, range(5, 20_001), ("bound", "monotone", "steps"), STRICTNESS_FLOOR,
-                4 * 19_996)]
+                d1, range(5, 20_001), ("bound", "monotone", "steps"), 4 * 19_996)]
 
 
 @pytest.mark.slow
