@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: it parses, dispatches to the library and
+prints what the library returns.
 
 Commands
 --------
@@ -6,25 +7,25 @@ varprob    print the variation probability of one distribution: the F, chi-squar
            or normal band, each from its degrees of freedom
 endpoints  the F band with its endpoint images, region and x-space limits
 sweep      run selected checks over a (d1, d2) grid, emit a CSV/JSON report;
-           --exploratory adds d1 >= 5 to its chain checks
+           the chain checks' rows of a d1 >= 5 are exploratory
 prove      run the full verification program for one case d1 in {1,2,3,4}
 oracle     cross-validate the analytic value against Monte Carlo and quadrature
 explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
 failed, 2 usage, domain, I/O (a stdout closed by its reader among them) or
-out-of-memory error, or a worker process that died.  Every input error
-of a command, its own checks and the library's domain errors alike, is a
-``VarcompError`` that ``main`` prints as one ``error:`` line.
+out-of-memory error (a grid or chain too large to hold), or a worker
+process that died.  Each input rule is checked once, in the module that
+owns it, and ``main`` prints its ``VarcompError`` as one ``error:`` line.
+A flag that configures nothing (``sweep --d2-large`` without the limit
+check, ``prove --format`` without ``--out``) is an error too.
 
-A sweep's d1 columns and a ``prove`` chain run through
-``programs.chain_parts``, which evaluates each chain with
-``programs.chain_blocks`` and renders its rows, in this process or cut
-into runs of d2 across forked children: the route rule is in
-``chain_blocks``, the cut rule in ``chain_parts``, and the report is the
-same byte for byte on every route.  ``prove`` without ``--out`` renders
-no row: its claim lines and summary come from each block's counts, worst
-margin and first inconclusive d2.
+Every report leaves through ``_emit``, atomically to ``--out`` or to
+stdout, and ``reporting`` holds every result text: the rows, the counts
+(``counts_text``) and ``prove``'s claim lines (``claim_lines``).  Sweep
+columns and ``prove`` chains run through ``programs.chain_parts``, whose
+docstring, with ``chain_blocks``', holds the route and cut rules; ``prove``
+without ``--out`` renders no row, only counts.
 
 Each command imports the modules it runs when it runs, and the package
 resolves its public names lazily, so a short command, whose start-up is
@@ -42,13 +43,6 @@ No flag moves a verdict: the strictness floor (``varband.STRICTNESS_FLOOR``),
 the limit check's tolerance (``varband.LIMIT_TOL``) and the oracle's
 relative quadrature tolerance (``_ORACLE_QUAD_TOL``) are constants, and a
 report header echoes the first two.
-
-A grid or chain too large for the process to hold is an input error: one
-``error:`` line and exit 2, like a domain error.
-
-Every report is a list of ``reporting.Block``s, one per claim and d1: each
-kernel column, and each limit check's one-row block, is one block as it is,
-and ``prove`` prints its PASS/INCONCLUSIVE/FAIL line per claim from it.
 """
 
 from __future__ import annotations
@@ -64,6 +58,7 @@ from .errors import VarcompError
 _CHECK_NAMES = ("bound", "monotone", "limit", "steps", "tables")
 _CHAIN_CHECKS = ("bound", "monotone", "steps")  # per point, over each d1's d2 chain
 _ORACLE_QUAD_TOL = 1e-10  # relative to B(d1/2, d2/2)
+_D2_LARGE = 10_000  # the limit check's d2 without --d2-large
 _DIST_FLAGS = {"normal": (), "chisq": ("k",), "f": ("d1", "d2")}  # each --dist's flags
 
 
@@ -141,16 +136,15 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"subset of: {', '.join(_CHECK_NAMES)}")
     p_sweep.add_argument("--out", help="report path (default: stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--d2-large", type=int, default=10_000,
-                         help="d2 used by the limit check")
-    p_sweep.add_argument("--exploratory", action="store_true",
-                         help="also evaluate grid points outside the proved region")
+    p_sweep.add_argument("--d2-large", type=int,
+                         help=f"d2 used by the limit check (default {_D2_LARGE})")
 
     p_prove = sub.add_parser("prove", help="full verification program for one d1")
     p_prove.add_argument("--d1", type=int, required=True)
     p_prove.add_argument("--d2-max", type=int, default=400)
     p_prove.add_argument("--out", help="report path (default: summary to stdout)")
-    p_prove.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_prove.add_argument("--format", choices=("csv", "json"),
+                         help="report format, with --out (default csv)")
 
     p_or = sub.add_parser("oracle", help="analytic vs Monte Carlo vs quadrature")
     p_or.add_argument("--d1", type=int, required=True)
@@ -168,8 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(ns) -> int:
     from .programs import certificate_rows, chain_parts, table_rows
-    from .reporting import write_rendered
-    from .varband import LIMIT_TOL, PROVED_D1, STRICTNESS_FLOOR, check_limit
+    from .reporting import counts_text
+    from .varband import LIMIT_TOL, STRICTNESS_FLOOR, check_limit
 
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
@@ -179,12 +173,11 @@ def _cmd_sweep(ns) -> int:
         raise VarcompError("d1 must be >= 1")
     if chain_checks and d2_lo < 5:
         raise VarcompError("checks needing a finite variance require d2 >= 5")
+    if ns.d2_large is None:
+        ns.d2_large = _D2_LARGE
+    elif "limit" not in checks:
+        raise VarcompError("--d2-large is read only by the limit check")
     d1_values = list(range(d1_lo, d1_hi + 1))
-    grid_d1 = [d1 for d1 in d1_values if ns.exploratory or d1 in PROVED_D1]
-    if chain_checks and len(grid_d1) < len(d1_values):
-        skipped = [d1 for d1 in d1_values if d1 not in PROVED_D1]
-        print(f"note: skipping conjectured d1 values {skipped} "
-              f"(pass --exploratory to include them)", file=sys.stderr)
 
     def other_blocks() -> list:
         blocks: list = []
@@ -196,9 +189,8 @@ def _cmd_sweep(ns) -> int:
             blocks += certificate_rows()
         return blocks
 
-    parts = chain_parts(grid_d1 if chain_checks else [], d2_lo, d2_hi, chain_checks,
+    parts = chain_parts(d1_values if chain_checks else [], d2_lo, d2_hi, chain_checks,
                         ns.format, other_blocks)
-
     header = {
         "version": __version__,
         "spec": {
@@ -209,105 +201,71 @@ def _cmd_sweep(ns) -> int:
             "floor": STRICTNESS_FLOOR,
             "d2_large": ns.d2_large,
             "limit_tol": LIMIT_TOL,
-            "exploratory": bool(ns.exploratory),
+            "exploratory": any(p.exploratory for p in parts),
         },
     }
-    counts = _write(write_rendered, parts, header, ns)
+    counts = _emit(parts, header, ns)
+    if ns.out:
+        print(f"wrote {ns.out}: {counts_text(counts)}")
     return 1 if counts["fail"] else 0
 
 
-def _report(write, items: list, header: dict, ns, counts: dict) -> str:
-    """write(items, header, ns.format, ns.out, counts), ``write_report`` of
-    blocks or ``write_rendered`` of their parts, to ns.out (None: only
-    render); a path that cannot be written is an error with exit 2."""
+def _emit(parts: list, header: dict, ns) -> dict:
+    """Write the report of the rendered parts, in ns.format, atomically to
+    ns.out, or else to stdout; return its counts (``summarize``).  A path
+    that cannot be written is an error with exit 2."""
+    from .reporting import summarize, write_rendered
+
     try:
-        return write(items, header, ns.format, ns.out, counts)
+        text = write_rendered(parts, header, ns.format, ns.out)
     except OSError as exc:
         raise VarcompError(
             f"cannot write report {ns.out}: {exc.strerror or exc}") from None
-
-
-def _write(write, items: list, header: dict, ns) -> dict:
-    """Emit a sweep or explore report to ns.out or stdout through write (see
-    ``_report``); returns the summary counts, computed once."""
-    from .reporting import summarize
-
-    counts = summarize(items)
-    text = _report(write, items, header, ns, counts)
     if not ns.out:
         _write_stdout(text)
-    else:
-        print(f"wrote {ns.out}: " + " ".join(f"{k}={v}" for k, v in counts.items()))
-    return counts
+    return summarize(parts)
 
 
 def _write_stdout(text: str) -> None:
-    """Write a report to stdout, encoded, in 1 MiB slices; a short write
-    (an unbuffered stdout whose reader has gone) is written on until the
-    write raises, so no part of the report is dropped unseen."""
+    """Write a report to stdout through ``reporting.write_encoded``."""
+    from .reporting import write_encoded
+
     out = sys.stdout
     raw = getattr(out, "buffer", None)
     if raw is None:  # a text-only stream, such as io.StringIO
         out.write(text)
         return
     out.flush()
-    for i in range(0, len(text), 1 << 20):
-        data = memoryview(text[i:i + (1 << 20)].encode(out.encoding, out.errors))
-        while data:
-            data = data[raw.write(data):]
+    write_encoded(raw, text, out.encoding, out.errors)
 
 
 def _cmd_prove(ns) -> int:
-    from .varband import PROVED_D1, STRICTNESS_FLOOR
-
-    if ns.d1 not in PROVED_D1:
-        raise VarcompError(f"prove covers d1 in {sorted(PROVED_D1)}; "
-                           f"use 'explore' for d1 >= 5")
     from .programs import prove_parts
-    from .reporting import summarize, write_rendered
+    from .reporting import claim_lines, counts_text, summarize
+    from .varband import STRICTNESS_FLOOR
 
+    if ns.format is None:
+        ns.format = "csv"
+    elif not ns.out:
+        raise VarcompError("--format is read only with --out")
     # without --out no row is rendered, only counted
     parts = prove_parts(ns.d1, ns.d2_max, ns.format if ns.out else None)
-    counts = summarize(parts)
     header = {
         "version": __version__,
         "spec": {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max,
                  "floor": STRICTNESS_FLOOR},
     }
     if ns.out:
-        _report(write_rendered, parts, header, ns, counts)
+        _emit(parts, header, ns)
         print(f"wrote {ns.out}")
-    # each claim of the program is one block, given as one part per run of
-    # its chain, in d2 order; it passes only when none of its rows failed
-    # or was inconclusive
-    claims: dict = {}
-    for part in parts:
-        claims.setdefault(part.check_id, []).append(part)
-    for claim in sorted(claims):
-        runs = claims[claim]
-        status_counts = [sum(n) for n in zip(*(p.counts for p in runs))]
-        _, failed, inconclusive, _ = status_counts  # in STATUSES order
-        rows = sum(status_counts)
-        worsts = [p.worst for p in runs if p.worst is not None]
-        worst = f"worst margin {min(worsts):.3e}" if worsts else "not applicable"
-        if failed:
-            print(f"FAIL {claim} ({rows} rows, {worst})")
-        elif inconclusive:
-            first = next(p.first_inconclusive for p in runs
-                         if p.first_inconclusive is not None)
-            print(f"INCONCLUSIVE {claim} {inconclusive}/{rows} "
-                  f"(first at d2={first}, {worst})")
-        else:
-            print(f"PASS {claim} ({rows} rows, {worst})")
-    print("summary: " + " ".join(f"{k}={v}" for k, v in counts.items()))
+    counts = summarize(parts)
+    for line in claim_lines(parts):
+        print(line)
+    print(f"summary: {counts_text(counts)}")
     return 1 if counts["fail"] else 0
 
 
 def _cmd_oracle(ns) -> int:
-    if ns.d2 < 5:
-        raise VarcompError("the band probability requires d2 >= 5")
-    if ns.samples < 10_000:
-        raise VarcompError("--samples must be at least 10000")
     from .distributions import FParams
     from .oracle import mc_variation_probability, quad_beta_integral
     from .specfun import log_beta
@@ -358,8 +316,6 @@ def _varprob_payload(ns) -> dict:
         return {"dist": "chisq", "k": ns.k, "prob": chi_square_band_probability(ns.k)}
     if ns.d1 is None or ns.d2 is None:
         raise VarcompError("--d1 and --d2 are required for --dist f")
-    if ns.d2 <= 4:
-        raise VarcompError(f"variance undefined for d2 <= 4 (d2={ns.d2})")
     p = FParams(ns.d1, ns.d2)
     payload = {"dist": "f", "d1": ns.d1, "d2": ns.d2, "prob": variation_probability(p)}
     if ns.command == "endpoints":
@@ -392,23 +348,22 @@ def _cmd_varprob(ns) -> int:
 def _cmd_explore(ns) -> int:
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
-    if d1_lo < 5:
-        raise VarcompError("explore is for d1 >= 5; use sweep/prove below that")
     if d2_lo < 5:
         raise VarcompError("d2 must be >= 5")
     from .programs import explore_rows
-    from .reporting import write_report
+    from .reporting import counts_text, render_rows
     from .varband import STRICTNESS_FLOOR
 
-    blocks = []
-    for d1 in range(d1_lo, d1_hi + 1):
-        blocks += explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1))
+    blocks = [block for d1 in range(d1_lo, d1_hi + 1)
+              for block in explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1))]
     header = {
         "version": __version__,
         "spec": {"command": "explore", "d1": f"{d1_lo}..{d1_hi}",
                  "d2": f"{d2_lo}..{d2_hi}", "floor": STRICTNESS_FLOOR},
     }
-    _write(write_report, blocks, header, ns)
+    counts = _emit(render_rows(blocks, ns.format), header, ns)
+    if ns.out:
+        print(f"wrote {ns.out}: {counts_text(counts)}")
     return 0
 
 
@@ -445,7 +400,7 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         # a grid or chain the process cannot hold is an input error: exit 1
-        # means a failed check, and write_report has removed its temp file
+        # means a failed check, and write_rendered has removed its temp file
         print("error: out of memory; ask for a smaller d1/d2 range",
               file=sys.stderr)
         return 2

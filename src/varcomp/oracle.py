@@ -103,7 +103,8 @@ def f_draws(p: FParams, size: int, rng: np.random.Generator) -> np.ndarray:
 def mc_variation_probability(p: FParams, n: int, seed: int = 0) -> McEstimate:
     """Fraction of n draws inside [E - sd, E + sd], deterministic per seed."""
     if n < 10_000:
-        raise DomainError(f"Monte Carlo band estimate requires n >= 10^4, got {n}")
+        raise DomainError(f"the Monte Carlo estimate needs at least 10000 samples, "
+                          f"got {n}")
     mean = f_mean(p)
     sd = math.sqrt(f_variance(p))  # raises MomentUndefinedError for d2 <= 4
     import numpy as np

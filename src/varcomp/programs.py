@@ -459,8 +459,7 @@ def _prove_checks(d1: int) -> tuple:
 def _check_prove_args(d1: int, d2_max: int) -> None:
     if d1 not in PROVED_D1:
         raise DomainError(
-            f"prove program covers d1 in {PROVED_D1}; use the "
-            f"exploratory scan for d1={d1}")
+            f"prove covers d1 in {list(PROVED_D1)}; use 'explore' for d1 >= 5")
     if d2_max < 7:
         raise DomainError(f"d2_max must be at least 7, got {d2_max}")
     if d2_max >= 2 ** 62:  # the int64 bound of the column kernels
@@ -522,7 +521,8 @@ def explore_rows(d1: int, d2_values: Sequence[int]) -> list:
     pattern).  Domain failures of the series forms are recorded, not raised.
     """
     if d1 < 5:
-        raise DomainError(f"exploratory scans are for d1 >= 5, got d1={d1}")
+        raise DomainError(f"explore is for d1 >= 5, got d1={d1}; "
+                          f"use sweep or prove below that")
     if d1 % 2 == 1:
         return step_blocks(d1, d2_values,
                            lambda d2: falling_factorial_bounds_odd(d1, d2),

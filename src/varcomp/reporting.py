@@ -12,7 +12,9 @@ passes iff its side conditions hold and its signed margin beats the
 strictness floor, is inconclusive iff they hold and the margin is within
 the floor, fails otherwise, and is not applicable when it has no margin.
 ``summarize`` counts the statuses block by block, and every row of
-an exploratory block in a bucket of its own.
+an exploratory block in a bucket of its own; ``counts_text`` is the one
+text of those counts, and ``claim_lines`` the one verdict line per claim
+that ``prove`` prints.
 
 The CSV schema is fixed: columns check_id,d1,d2,margin,pass,note with the
 header row always present; lines starting with '#' before it carry the tool
@@ -26,9 +28,10 @@ A report is rendered in two steps.  ``render_rows`` turns blocks into
 (check_id, d1), exploratory flag, status counts, worst margin and first
 inconclusive d2; ``render_csv`` and ``render_json`` order those parts
 stably by (check_id, d1), sum their counts and join them under the header
-and summary.  ``write_report`` runs both steps; ``programs.chain_parts``
-runs the first step per run of a d1 chain, in the process that computed
-it, so a block may come as several parts, in d2 order.
+and summary.  ``write_rendered`` assembles the report of parts and writes
+it, and ``write_report`` runs both steps; ``programs.chain_parts`` runs
+the first step per run of a d1 chain, in the process that computed it, so
+a block may come as several parts, in d2 order.
 
 The rows, which are nearly all of a large report, are written column by
 column rather than walked by an encoder or formatted one by one: each block
@@ -65,11 +68,14 @@ __all__ = [
     "rows_from_outcome",
     "rows_from_step_report",
     "summarize",
+    "counts_text",
+    "claim_lines",
     "render_rows",
     "render_csv",
     "render_json",
     "write_report",
     "write_rendered",
+    "write_encoded",
 ]
 
 CSV_COLUMNS = ("check_id", "d1", "d2", "margin", "pass", "note")
@@ -200,6 +206,41 @@ def summarize(blocks: Iterable[Union[Block, Rendered]]) -> dict:
     return counts
 
 
+def counts_text(counts: Mapping[str, int]) -> str:
+    """'pass=N fail=N inconclusive=N not_applicable=N exploratory=N': the
+    one text of the counts ``summarize`` gives, in bucket order."""
+    return " ".join(f"{k}={counts[k]}" for k in _BUCKETS)
+
+
+def claim_lines(parts: Iterable[Rendered]) -> list:
+    """One verdict line per claim (check_id) of the parts, in check_id
+    order; a claim's parts are its runs, in d2 order.
+
+    A claim with a failed row prints FAIL, one with inconclusive rows and no
+    failure INCONCLUSIVE with the first inconclusive d2, and any other PASS;
+    each line gives the claim's rows and its worst margin.
+    """
+    claims: dict = {}
+    for part in parts:
+        claims.setdefault(part.check_id, []).append(part)
+    lines = []
+    for claim, runs in sorted(claims.items()):
+        status = dict(zip(STATUSES, map(sum, zip(*(p.counts for p in runs)))))
+        rows = sum(status.values())
+        worsts = [p.worst for p in runs if p.worst is not None]
+        worst = f"worst margin {min(worsts):.3e}" if worsts else "not applicable"
+        if status["fail"]:
+            lines.append(f"FAIL {claim} ({rows} rows, {worst})")
+        elif status["inconclusive"]:
+            first = next(p.first_inconclusive for p in runs
+                         if p.first_inconclusive is not None)
+            lines.append(f"INCONCLUSIVE {claim} {status['inconclusive']}/{rows} "
+                         f"(first at d2={first}, {worst})")
+        else:
+            lines.append(f"PASS {claim} ({rows} rows, {worst})")
+    return lines
+
+
 _ORDER = attrgetter("check_id", "d1")
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))  # float.__repr__ of nan, inf, -inf
 
@@ -309,38 +350,38 @@ def render_rows(blocks: Iterable[Block], fmt: Optional[str]) -> list:
     blocks = sorted(blocks, key=_ORDER)
     if fmt is None:
         return [_rendered(b, "") for b in blocks]
-    try:
-        row_format = _ROW_FORMATS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown report format {fmt!r}") from None
-    texts = _render_rows(blocks, *row_format)
+    texts = _render_rows(blocks, *_format(fmt)[0])
     return [_rendered(b, text) for b, text in zip(blocks, texts)]
 
 
-def render_csv(parts: Iterable[Rendered], header: Mapping[str, object],
-               summary: Optional[dict] = None) -> str:
+def _format(fmt: str) -> tuple:
+    """(the ``_ROW_FORMATS`` entry, the report renderer) of fmt.  The
+    renderers are looked up at each call, so a wrapper bound over one of
+    them on this module (a profiler's) is the one that runs."""
+    renderers = {"csv": render_csv, "json": render_json}
+    if fmt not in renderers:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return _ROW_FORMATS[fmt], renderers[fmt]
+
+
+def render_csv(parts: Iterable[Rendered], header: Mapping[str, object]) -> str:
     """CSV report of the parts ``render_rows(blocks, "csv")`` gave, from
     one or several calls, the parts of one (check_id, d1) in their given
-    order; summary is ``summarize(parts)``, computed here if not given."""
+    order, under the summary of their counts."""
     parts = sorted(parts, key=_ORDER)
-    if summary is None:
-        summary = summarize(parts)
     spec = json.dumps(header.get("spec", {}), sort_keys=True, separators=(",", ":"))
     head = (f"# varcomp {header.get('version', '')}\n"
             f"# spec: {spec}\n"
-            "# summary: " + " ".join(f"{k}={summary[k]}" for k in _BUCKETS) + "\n"
+            f"# summary: {counts_text(summarize(parts))}\n"
             + ",".join(CSV_COLUMNS) + "\n")
     return "".join([head, *(p.text for p in parts)])
 
 
-def render_json(parts: Iterable[Rendered], header: Mapping[str, object],
-                summary: Optional[dict] = None) -> str:
+def render_json(parts: Iterable[Rendered], header: Mapping[str, object]) -> str:
     """JSON report of the parts ``render_rows(blocks, "json")`` gave, from
     one or several calls, the parts of one (check_id, d1) in their given
-    order; summary is ``summarize(parts)``, computed here if not given."""
+    order, with the summary of their counts."""
     parts = sorted(parts, key=_ORDER)
-    if summary is None:
-        summary = summarize(parts)
 
     def top(key: str, value) -> str:
         # '{\n  "key": value\n}', the top-level dict holding just this key
@@ -356,44 +397,44 @@ def render_json(parts: Iterable[Rendered], header: Mapping[str, object],
         out.append("\n  ]")
     else:
         out.append("]")
-    out.append("," + top("summary", summary)[1:] + "\n")
+    out.append("," + top("summary", summarize(parts))[1:] + "\n")
     return "".join(out)
 
 
 def write_report(blocks: Iterable[Block], header: Mapping[str, object],
-                 fmt: str, path: Optional[str],
-                 summary: Optional[dict] = None) -> str:
+                 fmt: str, path: Optional[str]) -> str:
     """Render the blocks and either write the report atomically to path or
     return it for stdout; ``write_rendered`` of ``render_rows``."""
-    return write_rendered(render_rows(blocks, fmt), header, fmt, path, summary)
+    return write_rendered(render_rows(blocks, fmt), header, fmt, path)
 
 
 def write_rendered(parts: Iterable[Rendered], header: Mapping[str, object],
-                   fmt: str, path: Optional[str],
-                   summary: Optional[dict] = None) -> str:
-    """Assemble the report of parts rendered in fmt and either write it
-    atomically to path or return it for stdout; summary is passed on to the
-    renderer.
+                   fmt: str, path: Optional[str]) -> str:
+    """Assemble the report of parts rendered in fmt and return it; with a
+    path, also write it there atomically, UTF-8 encoded.
 
     The temp-file + rename dance guarantees no partial report survives an
     abort mid-write.
     """
-    if fmt == "csv":
-        text = render_csv(parts, header, summary)
-    elif fmt == "json":
-        text = render_json(parts, header, summary)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    text = _format(fmt)[1](parts, header)
     if path:
         tmp = path + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                # in 1 MiB slices, so no encoded copy of the whole report
-                # is held next to it
-                for i in range(0, len(text), 1 << 20):
-                    fh.write(text[i:i + (1 << 20)])
+            with open(tmp, "wb") as fh:
+                write_encoded(fh, text)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
     return text
+
+
+def write_encoded(raw, text: str, encoding: str = "utf-8", errors: str = "strict") -> None:
+    """Write text to the binary stream raw, encoded, in 1 MiB slices, so no
+    encoded copy of the whole text is held next to it.  A short write (an
+    unbuffered stdout whose reader has gone) is written on until the write
+    raises, so no part of the text is dropped unseen."""
+    for i in range(0, len(text), 1 << 20):
+        data = memoryview(text[i:i + (1 << 20)].encode(encoding, errors))
+        while data:
+            data = data[raw.write(data):]

@@ -235,8 +235,7 @@ def variation_probability(p: FParams) -> float:
     (d1, d2); requires d2 >= 5 so the variance exists.
     """
     if p.d2 <= 4:
-        raise MomentUndefinedError(
-            f"variation probability undefined for d2 <= 4 (d2={p.d2})")
+        raise MomentUndefinedError(f"variance undefined for d2 <= 4 (d2={p.d2})")
     _, b, _, d = band_endpoints(p)
     a1, b1 = 0.5 * p.d1, 0.5 * p.d2
     hi = reg_inc_beta(b, a1, b1)

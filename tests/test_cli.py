@@ -24,10 +24,12 @@ from varcomp.cli import main
 from varcomp.programs import _COLUMN_MIN
 from varcomp.proofcheck.steps import check_step_inequalities
 from varcomp.reporting import (
+    counts_text,
     margin_block,
     render_csv,
     render_rows,
     rows_from_outcome,
+    summarize,
 )
 from varcomp.varband import LIMIT_TOL, PROVED_D1, STRICTNESS_FLOOR
 
@@ -81,8 +83,10 @@ def test_varprob_f_with_endpoints(capsys):
      "varcomp: error: unrecognized arguments: --floor 0"),
     (["oracle", "--d1", "3", "--d2", "10", "--quad-tol", "0.5"],
      "varcomp: error: unrecognized arguments: --quad-tol 0.5"),
+    (["sweep", "--d1", "1..6", "--check", "bound", "--exploratory"],
+     "varcomp: error: unrecognized arguments: --exploratory"),
 ], ids=["varprob_endpoints", "sweep_check_exploratory", "sweep_floor", "sweep_limit_tol",
-        "prove_floor", "explore_floor", "oracle_quad_tol"])
+        "prove_floor", "explore_floor", "oracle_quad_tol", "sweep_exploratory"])
 def test_retired_spellings_are_usage_errors(argv, message, capsys):
     # each result has one spelling: the endpoint images are the 'endpoints'
     # command, the d1 >= 5 scans the 'explore' command; and no flag moves a
@@ -113,8 +117,8 @@ def test_each_command_takes_exactly_its_options():
     assert {name: options(sub) for name, sub in commands.items()} == {
         "varprob": ["--d1", "--d2", "--dist", "--format", "--help", "--k"],
         "endpoints": ["--d1", "--d2", "--format", "--help"],
-        "sweep": ["--check", "--d1", "--d2", "--d2-large", "--exploratory",
-                  "--format", "--help", "--out"],
+        "sweep": ["--check", "--d1", "--d2", "--d2-large", "--format", "--help",
+                  "--out"],
         "prove": ["--d1", "--d2-max", "--format", "--help", "--out"],
         "oracle": ["--d1", "--d2", "--help", "--samples", "--seed"],
         "explore": ["--d1", "--d2", "--format", "--help", "--out"],
@@ -193,7 +197,7 @@ def test_sweep_matches_scalar_per_cell_path(rendered_blocks, tmp_path, capsys):
     blocks = rendered_blocks
     out_path = tmp_path / "kernel.csv"
     args = ["sweep", "--d1", "1..6", "--d2", "5..40", "--check",
-            "bound,monotone,steps", "--exploratory"]
+            "bound,monotone,steps"]
     assert run_cli(*args, "--out", str(out_path), capsys=capsys)[0] == 0
     cells: dict = {}  # (check_id, d1) -> the scalar one-row blocks over d2 5..40
     for d1 in range(1, 7):
@@ -287,18 +291,46 @@ def test_sweep_failure_exit_code(monkeypatch, tmp_path, capsys):
 
 
 def test_sweep_exploratory_quarantine(tmp_path, capsys):
-    out_path = tmp_path / "x.csv"
-    code, _, _ = run_cli("sweep", "--d1", "5..7", "--d2", "5..10",
-                         "--check", "bound", "--exploratory",
+    # the --d1 range alone decides which d1 the chain checks cover; the rows
+    # of a d1 >= 5 are quarantined, and the header says the report holds some
+    out_path = tmp_path / "x.json"
+    code, out, err = run_cli("sweep", "--d1", "3..7", "--d2", "5..10", "--check", "bound",
+                             "--format", "json", "--out", str(out_path), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (f"wrote {out_path}: pass=12 fail=0 inconclusive=0 not_applicable=0 "
+                   "exploratory=18\n")
+    payload = json.loads(out_path.read_text())
+    assert payload["header"]["spec"]["exploratory"] is True
+    assert {r["d1"] for r in payload["rows"] if r["exploratory"]} == {5, 6, 7}
+    # no exploratory row, whatever the range: the header says so
+    code, _, _ = run_cli("sweep", "--d1", "1..7", "--check", "tables", "--format", "json",
                          "--out", str(out_path), capsys=capsys)
     assert code == 0
-    text = out_path.read_text()
-    assert "exploratory=18" in text
-    # without the flag those d1 are skipped with a note
-    code, _, err = run_cli("sweep", "--d1", "5..7", "--d2", "5..10",
-                           "--check", "bound", "--out", str(out_path), capsys=capsys)
+    assert json.loads(out_path.read_text())["header"]["spec"]["exploratory"] is False
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--d1", "1..4", "--check", "bound", "--d2-large", "20000"],
+     "error: --d2-large is read only by the limit check"),
+    (["prove", "--d1", "2", "--d2-max", "10", "--format", "json"],
+     "error: --format is read only with --out"),
+], ids=["sweep_d2_large_without_limit", "prove_format_without_out"])
+def test_flags_that_configure_nothing_are_errors(argv, message, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("checks", ["bound", "bound,limit"])
+def test_sweep_header_echoes_the_default_d2_large(checks, tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    code, _, _ = run_cli("sweep", "--d1", "1", "--d2", "5..6", "--check", checks,
+                         "--format", "json", "--out", str(out_path), capsys=capsys)
     assert code == 0
-    assert "skipping conjectured" in err
+    payload = json.loads(out_path.read_text())
+    assert payload["header"]["spec"]["d2_large"] == 10_000
+    assert [r["d2"] for r in payload["rows"] if r["check_id"] == "limit_matches_chi_square"] \
+        == ([10_000] if "limit" in checks else [])
 
 
 def test_prove_exit_codes(capsys):
@@ -308,6 +340,41 @@ def test_prove_exit_codes(capsys):
     code, _, err = run_cli("prove", "--d1", "5", capsys=capsys)
     assert code == 2
     assert "explore" in err
+
+
+def test_prove_prints_fail_and_exits_1(monkeypatch, capsys):
+    # one planted failing claim among the program's blocks: its claim line
+    # reads FAIL with its worst margin, and the run fails
+    program = varcomp.programs._program_rows
+
+    def with_a_failure(d1, d2_max):
+        return program(d1, d2_max) + [
+            margin_block("planted_claim", d1, [5, 6, 7], [0.5, -0.25, 1e-13], 1e-12)]
+
+    monkeypatch.setattr(varcomp.programs, "_program_rows", with_a_failure)
+    code, out, err = run_cli("prove", "--d1", "2", "--d2-max", "30", capsys=capsys)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "FAIL planted_claim (3 rows, worst margin -2.500e-01)" in lines
+    assert [l for l in lines if l.startswith("FAIL")] == [
+        "FAIL planted_claim (3 rows, worst margin -2.500e-01)"]
+    assert " fail=1 inconclusive=1 " in lines[-1]
+
+
+def test_summary_lines_agree(rendered_blocks, tmp_path, capsys):
+    # the counts of one run read alike in the report's '# summary:' line,
+    # the sweep's 'wrote PATH:' line and prove's 'summary:' line
+    path = tmp_path / "r.csv"
+    argvs = [["prove", "--d1", "2", "--d2-max", "30"],
+             ["sweep", "--d1", "1..2", "--d2", "5..30", "--check", "bound,steps"]]
+    for argv in argvs:
+        rendered_blocks.clear()
+        code, out, _ = run_cli(*argv, "--out", str(path), capsys=capsys)
+        assert code == 0
+        counts = counts_text(summarize(rendered_blocks))
+        assert path.read_text().splitlines()[2] == f"# summary: {counts}"
+        assert out.splitlines()[-1] == (f"summary: {counts}" if argv[0] == "prove"
+                                        else f"wrote {path}: {counts}")
 
 
 def test_prove_report_file(tmp_path, capsys):
@@ -693,8 +760,7 @@ def _record_column_pids(monkeypatch):
     return column_pids
 
 
-_MIXED = ["--d1", "1..6", "--d2", "5..60", "--exploratory",
-          "--check", "bound,monotone,steps,limit,tables"]
+_MIXED = ["--d1", "1..6", "--d2", "5..60", "--check", "bound,monotone,steps,limit,tables"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -759,9 +825,10 @@ def test_prove_report_equal_on_every_route(d1, fmt, to_file, monkeypatch, tmp_pa
             _route(patch, _POOL, cpus)
             column_pids = _record_column_pids(patch)
             out_path = tmp_path / f"{cpus}.{fmt}"
+            # --format is read only with --out
             code, out, err = run_cli("prove", "--d1", str(d1), "--d2-max", "8003",
-                                     "--format", fmt,
-                                     *(["--out", str(out_path)] if to_file else []),
+                                     *(["--format", fmt, "--out", str(out_path)]
+                                       if to_file else []),
                                      capsys=capsys)
             assert len(column_pids()) == cpus
         report = out_path.read_bytes() if to_file else b""
