@@ -10,13 +10,23 @@ The per-point claims of one d1 over a d2 chain, of a sweep column and of a
 ``prove`` chain alike, come from ``chain_blocks`` (the route rule is
 there); ``chain_parts`` renders them, cut into runs of d2 across processes
 by its cut rule, and is what ``sweep`` and ``prove`` run.
+
+``PROGRAMS`` is the claim set of ``prove``: per proved d1, every evaluator
+run (``Check``), its coverage, and each claim id it emits with the ids it
+rests on; ``prove_rows`` and ``prove_parts`` read nothing else.  Each kind
+of evaluator has one route (``ROUTES``): "exact", decided in integer
+arithmetic, or "sampled", a float margin checked at the coverage's points
+only.  A new claim id goes into ``bench/reference.json`` first, then into
+its program with its premises.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from functools import partial
+from typing import (Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence,
+                    Union)
 
 from .distributions import FParams
 from .errors import DomainError, VarcompError
@@ -66,6 +76,11 @@ __all__ = [
     "prove_rows",
     "prove_parts",
     "explore_rows",
+    "PROGRAMS",
+    "Check",
+    "Span",
+    "ROUTES",
+    "route",
 ]
 
 #: Sampling grid used for monotonicity-beyond-table and sign scans.
@@ -286,27 +301,21 @@ def _child(write: int, pipes: list, run: Callable, bounds: tuple) -> None:
         os._exit(0)
 
 
-def _lower_edge_bound_rows() -> list:
-    """The G1 table and the two-route v checks of the d1 = 3 lower-edge
-    bound, shared by the table rows and the d1 = 3 program."""
-    ys = _grid(25, 40)
-    return (rows_from_outcome(
-        [monotone_table_check(AuxFn.G1, _grid(25, 33), "decreasing")], d1=3)
-        + rows_from_outcome([rational_V_consistency(y) for y in ys], 3, ys))
-
-
 def table_rows() -> list:
     """Golden-table and table-adjacent checks (independent of any sweep grid).
 
     Reproduces every tabulated reference value at 1e-5, asserts the sampled
     monotonicity those tables illustrate, and checks the two-route
-    consistency of the rational lower-edge bound.
+    consistency of the rational lower-edge bound (the G1 table and the v
+    checks of the d1 = 3 program, as ``PROGRAMS[3]`` runs them).
     """
     blocks = [rows_from_outcome([monotone_table_check(f, ys, direction)], d1)[0]
               for d1, f, ys, direction in ((2, AuxFn.H2, [3, 4, 5], "decreasing"),
                                            (3, AuxFn.H3, _grid(3, 12), "decreasing"),
                                            (4, AuxFn.H4, _grid(3, 12), "increasing"))]
-    return blocks + _lower_edge_bound_rows()
+    return blocks + [block for check in PROGRAMS[3]
+                     if check.claims.keys() & {"g1_decreasing", "v_rational_consistency"}
+                     for block in _evaluate(check, 3)]
 
 
 def certificate_rows(families: Optional[Collection[str]] = None) -> list:
@@ -373,6 +382,11 @@ def _g2_consistency_rows(ys: Iterable[int]) -> list:
                       "two transcriptions of the same factor agree")]
 
 
+def _v_consistency_rows(ys: Sequence[int]) -> list:
+    """The two-route v checks of the d1 = 3 lower-edge bound over ys."""
+    return rows_from_outcome([rational_V_consistency(y) for y in ys], 3, ys)
+
+
 def _log_form_rows(d1: int, d2_values: Iterable[int]) -> list:
     """Weld checks between the aux log forms and the endpoint inequalities.
 
@@ -431,29 +445,232 @@ def _log_form_rows(d1: int, d2_values: Iterable[int]) -> list:
     return blocks
 
 
-def prove_rows(d1: int, d2_max: int = 400) -> list:
-    """The full verification program for one proved case d1 in {1, 2, 3, 4}.
+# ---------------------------------------------------------------------------
+# the prove programs as data
+# ---------------------------------------------------------------------------
 
-    Combines the golden tables, sampled monotonicity with finite-difference
-    secondary checks, the prefactor algebra identities, exact positivity
-    certificates, coefficient sign programs, and the step-inequality chain
-    over 5 <= d2 <= d2_max (``chain_blocks``).
+class Span(NamedTuple):
+    """The integers lo..hi: a claim's y or d2 points.  hi is an int, or the
+    name of an upper end that ``prove``'s d2_max sets (``_TOPS``)."""
+
+    lo: int
+    hi: Union[int, str]
+
+    def top(self, d2_max: Optional[int] = None) -> int:
+        return _TOPS[self.hi](d2_max) if isinstance(self.hi, str) else self.hi
+
+    def points(self, d2_max: Optional[int] = None) -> range:
+        return range(self.lo, self.top(d2_max) + 1)
+
+
+#: The upper ends that d2_max sets: the chain's, the sampled aux scans'
+#: (``_DENSE_MAX``, or as far as the chain up to 400), the log-form welds'
+#: and the d1 = 2 closed form's.
+_TOPS = {
+    "d2_max": lambda d2_max: d2_max,
+    "dense": lambda d2_max: max(_DENSE_MAX, min(d2_max, 400)),
+    "welds": lambda d2_max: min(d2_max, 150),
+    "closed_form": lambda d2_max: min(d2_max, 100),
+}
+
+#: The coverage of every chain check and of every program's log-form welds.
+_CHAIN = Span(5, "d2_max")
+_WELDS = Span(5, "welds")
+
+
+class Check(NamedTuple):
+    """One evaluator run of a ``prove`` program, and the claims it decides.
+
+    evaluator(coverage) gives the claims' blocks, or the one-row block of
+    an ``auxfn`` check; a chain check's evaluator is instead its
+    ``chain_blocks`` check, "coefficients" or "steps", and a program's
+    chain checks run as one chain over the coverage they share.  coverage
+    is the one value the evaluator receives: a ``Span`` of y or d2, a list
+    of y, the certificate families (an expansion covers y >= the shift in
+    its id) or the first d2 with d > c.  claims maps each claim id the run
+    emits to the ids that claim rests on.
     """
+
+    evaluator: Union[Callable, str]
+    coverage: object
+    claims: Mapping[str, tuple]
+
+
+#: How each kind of evaluator decides its claims: "exact" in integer
+#: arithmetic (the polynomial certificates and the d > c boundary),
+#: "sampled" as float margins at the points of the claim's coverage only.
+ROUTES = {
+    certificate_rows: "exact",
+    _boundary_rows: "exact",
+    monotone_table_check: "sampled",
+    derivative_sign_check: "sampled",
+    value_sign_check: "sampled",
+    algebra_identity_check: "sampled",
+    _closed_form_rows: "sampled",
+    _g2_consistency_rows: "sampled",
+    _v_consistency_rows: "sampled",
+    _log_form_rows: "sampled",
+    "coefficients": "sampled",
+    "steps": "sampled",
+}
+
+
+def route(check: Check) -> str:
+    """The route (``ROUTES``) of check's claims."""
+    return ROUTES[getattr(check.evaluator, "func", check.evaluator)]
+
+
+# The premises are the links the code states.  steps: step_integral is the
+# sum of the two edges, each edge reduces to its power forms, and the lower
+# forms of d1 = 3, 4 apply where d > c.  _log_form_rows: each power form is
+# an aux-function step, welded to it.  auxfn: h_x falls as its derivative
+# bound l_x is negative, through the prefactor identity (h4 rises with l4,
+# r4 falls with q4, k falls with its derivative identity); k's fall orders
+# the d1 = 1 affine coefficients; v > 0 rests on the two routes v = g1/g2
+# and the G1 table.  coefficient_sign_checks: the coefficient signs serve
+# the d1 = 1 reduction and the c/d order the d1 = 3 one.
+# polynomials.FAMILIES: U1, U2, T1 and T2 certify the derivative bounds,
+# P3 and P4 the d > c boundary.
+PROGRAMS = {
+    1: (
+        Check(partial(monotone_table_check, AuxFn.H1, direction="decreasing"),
+              Span(3, "dense"), {"h1_decreasing": ("l1_negative", "l1_prefactor_identity")}),
+        Check(partial(derivative_sign_check, AuxFn.H1, expected_sign=-1),
+              [4, 6, 10, 20, 50, 100], {"h1_derivative_sign": ()}),
+        Check(partial(monotone_table_check, AuxFn.KFUN, direction="decreasing"),
+              Span(5, "dense"), {"k_decreasing": ("k_derivative_identity",)}),
+        Check(partial(derivative_sign_check, AuxFn.KFUN, expected_sign=-1),
+              [6, 9, 20, 50, 100], {"k_derivative_sign": ()}),
+        Check(partial(value_sign_check, AuxFn.L1, expected_sign=-1),
+              Span(3, "dense"), {"l1_negative": ()}),
+        Check(partial(algebra_identity_check, "l1_prefactor_identity"),
+              Span(3, 60), {"l1_prefactor_identity": ()}),
+        Check(partial(algebra_identity_check, "k_derivative_identity"),
+              Span(5, 60), {"k_derivative_identity": ()}),
+        Check(partial(_log_form_rows, 1), _WELDS,
+              {"h1_log_form_consistency": (), "k_matches_scaled_endpoints": ()}),
+        Check("coefficients", _CHAIN, {
+            "coef_lower_bound": (),
+            "coef_combination": (),
+            "coef_dominance": ("k_decreasing", "k_matches_scaled_endpoints")}),
+        Check("steps", _CHAIN, {
+            "step_integral": ("upper_edge", "lower_edge"),
+            "upper_edge": ("power_step", "affine_power_step"),
+            "lower_edge": (),
+            "power_step": ("h1_decreasing", "h1_log_form_consistency"),
+            "affine_power_step": ("coef_lower_bound", "coef_combination",
+                                  "coef_dominance")}),
+    ),
+    2: (
+        Check(partial(monotone_table_check, AuxFn.H2, direction="decreasing"),
+              Span(3, "dense"), {"h2_decreasing": ("l2_negative", "l2_prefactor_identity")}),
+        Check(partial(derivative_sign_check, AuxFn.H2, expected_sign=-1),
+              [6, 10, 20, 50, 100], {"h2_derivative_sign": ()}),
+        Check(partial(value_sign_check, AuxFn.L2, expected_sign=-1),
+              Span(5, "dense"), {"l2_negative": ()}),
+        Check(partial(algebra_identity_check, "l2_prefactor_identity"),
+              Span(5, 60), {"l2_prefactor_identity": ()}),
+        Check(_closed_form_rows, Span(5, "closed_form"), {"upper_edge_closed_form": ()}),
+        Check(partial(_log_form_rows, 2), _WELDS, {"h2_log_form_consistency": ()}),
+        Check("steps", _CHAIN, {
+            "step_integral": ("upper_edge", "lower_edge"),
+            "upper_edge": ("power_step",),
+            "lower_edge": (),
+            "power_step": ("h2_decreasing", "h2_log_form_consistency")}),
+    ),
+    3: (
+        Check(partial(monotone_table_check, AuxFn.H3, direction="decreasing"),
+              Span(3, "dense"), {"h3_decreasing": ("l3_negative", "l3_prefactor_identity")}),
+        Check(partial(derivative_sign_check, AuxFn.H3, expected_sign=-1),
+              [13, 20, 50, 100], {"h3_derivative_sign": ()}),
+        Check(partial(value_sign_check, AuxFn.L3, expected_sign=-1),
+              Span(12, "dense"), {"l3_negative": ("expansion_u1_12", "expansion_u2_12")}),
+        Check(partial(algebra_identity_check, "l3_prefactor_identity"),
+              Span(12, 60), {"l3_prefactor_identity": ()}),
+        Check(certificate_rows, ("U1", "U2", "P3", "Q5"), dict.fromkeys(
+            ("poly_values_p3", "expansion_u1_12", "expansion_u2_12", "expansion_p3_25",
+             "expansion_q5_30"), ())),
+        Check(partial(_boundary_rows, 3), 25,
+              {"dc_boundary_d1_3": ("poly_values_p3", "expansion_p3_25")}),
+        Check(partial(monotone_table_check, AuxFn.G1, direction="decreasing"),
+              Span(25, 33), {"g1_decreasing": ()}),
+        Check(_v_consistency_rows, Span(25, 40), {"v_rational_consistency": ()}),
+        Check(_g2_consistency_rows, Span(25, 60), {"g2_expansion_consistency": ()}),
+        Check(partial(_log_form_rows, 3), _WELDS, {"h3_log_form_consistency": ()}),
+        Check("coefficients", _CHAIN, {"cd_order": ()}),
+        Check("steps", _CHAIN, {
+            "step_integral": ("upper_edge", "lower_edge"),
+            "upper_edge": ("power_step",),
+            "lower_edge": ("product_step_lower", "ratio_bound_lower", "dc_boundary_d1_3"),
+            "power_step": ("h3_decreasing", "h3_log_form_consistency"),
+            "product_step_lower": ("cd_order",),
+            "ratio_bound_lower": ("v_rational_consistency", "g1_decreasing")}),
+    ),
+    4: (
+        Check(partial(monotone_table_check, AuxFn.H4, direction="increasing"),
+              Span(3, "dense"), {"h4_increasing": ("l4_negative", "l4_prefactor_identity")}),
+        Check(partial(derivative_sign_check, AuxFn.H4, expected_sign=1),
+              [13, 20, 50, 100], {"h4_derivative_sign": ()}),
+        Check(partial(monotone_table_check, AuxFn.R4, direction="decreasing"),
+              Span(15, "dense"), {"r4_decreasing": ("q4_positive", "q4_prefactor_identity")}),
+        Check(partial(derivative_sign_check, AuxFn.R4, expected_sign=-1),
+              [16, 20, 50, 100], {"r4_derivative_sign": ()}),
+        Check(partial(value_sign_check, AuxFn.L4, expected_sign=-1),
+              Span(12, "dense"), {"l4_negative": ("expansion_t1_12", "expansion_t2_12")}),
+        Check(partial(value_sign_check, AuxFn.Q4, expected_sign=1),
+              Span(15, "dense"), {"q4_positive": ()}),
+        Check(partial(algebra_identity_check, "l4_prefactor_identity"),
+              Span(12, 60), {"l4_prefactor_identity": ()}),
+        Check(partial(algebra_identity_check, "q4_prefactor_identity"),
+              Span(15, 60), {"q4_prefactor_identity": ()}),
+        Check(certificate_rows, ("T1", "T2", "P4"), dict.fromkeys(
+            ("poly_values_p4", "expansion_t1_12", "expansion_t2_12", "expansion_p4_17"), ())),
+        Check(partial(_boundary_rows, 4), 17,
+              {"dc_boundary_d1_4": ("poly_values_p4", "expansion_p4_17")}),
+        Check(partial(_log_form_rows, 4), _WELDS,
+              {"h4_log_form_consistency": (), "r4_log_form_consistency": ()}),
+        Check("steps", _CHAIN, {
+            "step_integral": ("upper_edge", "lower_edge"),
+            "upper_edge": ("poly_power_step",),
+            "lower_edge": ("poly_power_step_lower", "dc_boundary_d1_4"),
+            "poly_power_step": ("h4_increasing", "h4_log_form_consistency"),
+            "poly_power_step_lower": ("r4_decreasing", "r4_log_form_consistency")}),
+    ),
+}
+
+
+def _evaluate(check: Check, d1: int, d2_max: Optional[int] = None) -> list:
+    """The blocks of a check that is not a chain check, stamped with d1."""
+    coverage = check.coverage
+    if isinstance(coverage, Span):
+        coverage = coverage.points(d2_max)
+    blocks = check.evaluator(coverage)
+    return rows_from_outcome([blocks], d1) if isinstance(blocks, Block) else blocks
+
+
+def _chain(d1: int) -> tuple:
+    """The ``chain_blocks`` checks of the d1 program and the span they share."""
+    chain = [check for check in PROGRAMS[d1] if isinstance(check.evaluator, str)]
+    (span,) = {check.coverage for check in chain}
+    return tuple(check.evaluator for check in chain), span
+
+
+def prove_rows(d1: int, d2_max: int = 400) -> list:
+    """The full verification program for one proved case d1 in {1, 2, 3, 4}:
+    every check of ``PROGRAMS[d1]`` once, its chain checks as one step chain
+    over 5 <= d2 <= d2_max (``chain_blocks``)."""
     _check_prove_args(d1, d2_max)
-    return (_program_rows(d1, d2_max)
-            + chain_blocks(d1, range(5, d2_max + 1), _prove_checks(d1)))
+    checks, span = _chain(d1)
+    return _program_rows(d1, d2_max) + chain_blocks(d1, span.points(d2_max), checks)
 
 
 def prove_parts(d1: int, d2_max: int, fmt: Optional[str]) -> list:
     """The ``Rendered`` parts of ``prove_rows(d1, d2_max)`` in fmt, its step
     chain through ``chain_parts``."""
     _check_prove_args(d1, d2_max)
-    return chain_parts([d1], 5, d2_max, _prove_checks(d1), fmt,
+    checks, span = _chain(d1)
+    return chain_parts([d1], span.lo, span.top(d2_max), checks, fmt,
                        lambda: _program_rows(d1, d2_max))
-
-
-def _prove_checks(d1: int) -> tuple:
-    return ("coefficients", "steps") if d1 in (1, 3) else ("steps",)
 
 
 def _check_prove_args(d1: int, d2_max: int) -> None:
@@ -468,48 +685,8 @@ def _check_prove_args(d1: int, d2_max: int) -> None:
 
 def _program_rows(d1: int, d2_max: int) -> list:
     """The blocks of ``prove_rows`` but its step chain."""
-    blocks: list = []
-    dense_hi = max(_DENSE_MAX, min(d2_max, 400))
-
-    def add(block):
-        blocks.extend(rows_from_outcome([block], d1))
-
-    if d1 == 1:
-        add(monotone_table_check(AuxFn.H1, _grid(3, dense_hi), "decreasing"))
-        add(derivative_sign_check(AuxFn.H1, [4, 6, 10, 20, 50, 100], -1))
-        add(monotone_table_check(AuxFn.KFUN, _grid(5, dense_hi), "decreasing"))
-        add(derivative_sign_check(AuxFn.KFUN, [6, 9, 20, 50, 100], -1))
-        add(value_sign_check(AuxFn.L1, _grid(3, dense_hi), -1))
-        add(algebra_identity_check("l1_prefactor_identity", _grid(3, 60)))
-        add(algebra_identity_check("k_derivative_identity", _grid(5, 60)))
-    elif d1 == 2:
-        add(monotone_table_check(AuxFn.H2, _grid(3, dense_hi), "decreasing"))
-        add(derivative_sign_check(AuxFn.H2, [6, 10, 20, 50, 100], -1))
-        add(value_sign_check(AuxFn.L2, _grid(5, dense_hi), -1))
-        add(algebra_identity_check("l2_prefactor_identity", _grid(5, 60)))
-        blocks += _closed_form_rows(range(5, min(d2_max, 100) + 1))
-    elif d1 == 3:
-        add(monotone_table_check(AuxFn.H3, _grid(3, dense_hi), "decreasing"))
-        add(derivative_sign_check(AuxFn.H3, [13, 20, 50, 100], -1))
-        add(value_sign_check(AuxFn.L3, _grid(12, dense_hi), -1))
-        add(algebra_identity_check("l3_prefactor_identity", _grid(12, 60)))
-        blocks += certificate_rows(("U1", "U2", "P3", "Q5"))
-        blocks += _boundary_rows(3, 25)
-        blocks += _lower_edge_bound_rows()
-        blocks += _g2_consistency_rows(_grid(25, 60))
-    else:
-        add(monotone_table_check(AuxFn.H4, _grid(3, dense_hi), "increasing"))
-        add(derivative_sign_check(AuxFn.H4, [13, 20, 50, 100], 1))
-        add(monotone_table_check(AuxFn.R4, _grid(15, dense_hi), "decreasing"))
-        add(derivative_sign_check(AuxFn.R4, [16, 20, 50, 100], -1))
-        add(value_sign_check(AuxFn.L4, _grid(12, dense_hi), -1))
-        add(value_sign_check(AuxFn.Q4, _grid(15, dense_hi), 1))
-        add(algebra_identity_check("l4_prefactor_identity", _grid(12, 60)))
-        add(algebra_identity_check("q4_prefactor_identity", _grid(15, 60)))
-        blocks += certificate_rows(("T1", "T2", "P4"))
-        blocks += _boundary_rows(4, 17)
-
-    return blocks + _log_form_rows(d1, range(5, min(d2_max, 150) + 1))
+    return [block for check in PROGRAMS[d1] if not isinstance(check.evaluator, str)
+            for block in _evaluate(check, d1, d2_max)]
 
 
 def explore_rows(d1: int, d2_values: Sequence[int]) -> list:

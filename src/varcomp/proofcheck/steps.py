@@ -225,14 +225,16 @@ def _pow1m_column(x, e):
 
 
 def _boundary_term_column(x, d1: int, b2):
-    # _boundary_term lane by lane, with b2 = d2 / 2
+    # _boundary_term lane by lane, with b2 = d2 / 2: evaluated on the lanes
+    # where x != 0 only, 0 on the rest
     import numpy as np
 
-    zero = x == 0.0
-    x = np.where(zero, 0.5, x)  # keeps math.log off the zero lanes
-    term = 2.0 * _each(math.exp, 0.5 * d1 * _each(math.log, x)
-                       + b2 * _each(math.log1p, -x))
-    return np.where(zero, 0.0, term)
+    live = x != 0.0
+    x = x[live]
+    term = np.zeros(live.shape)
+    term[live] = 2.0 * _each(math.exp, 0.5 * d1 * _each(math.log, x)
+                             + b2[live] * _each(math.log1p, -x))
+    return term
 
 
 def coefficient_sign_checks(d1: int, d2: int) -> Margins:

@@ -31,7 +31,8 @@ from varcomp.reporting import (
     rows_from_outcome,
     summarize,
 )
-from varcomp.varband import LIMIT_TOL, PROVED_D1, STRICTNESS_FLOOR
+from varcomp.varband import (LIMIT_TOL, PROVED_D1, STRICTNESS_FLOOR,
+                             chi_square_band_probability)
 
 
 #: The source tree of the varcomp under test.
@@ -331,6 +332,43 @@ def test_sweep_header_echoes_the_default_d2_large(checks, tmp_path, capsys):
     assert payload["header"]["spec"]["d2_large"] == 10_000
     assert [r["d2"] for r in payload["rows"] if r["check_id"] == "limit_matches_chi_square"] \
         == ([10_000] if "limit" in checks else [])
+
+
+# ---------------------------------------------------------------------------
+# known wrong answers at huge d2 (ROADMAP item 1): each test asserts the right
+# answer, so it fails until the band is accurate there, and then must pass
+# ---------------------------------------------------------------------------
+
+_HUGE_D2_DEFECT = pytest.mark.xfail(
+    strict=True, reason="the F band drifts or fails to converge at huge d2 (ROADMAP item 1)")
+
+
+@_HUGE_D2_DEFECT
+@pytest.mark.parametrize("d1, d2", [(2, 10 ** 17), (3, 10 ** 160)],
+                         ids=["d1_2-d2_1e17", "d1_3-d2_1e160"])
+def test_f_band_at_huge_d2_is_the_chi_square_band(d1, d2, capsys):
+    # the F(d1, d2) band tends to the chi-square(d1) band; at these d2 the
+    # two agree far below 1e-9
+    code, out, err = run_cli("varprob", "--dist", "f", "--d1", str(d1), "--d2", str(d2),
+                             capsys=capsys)
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(chi_square_band_probability(d1), abs=1e-9)
+
+
+@_HUGE_D2_DEFECT
+def test_limit_check_passes_at_d2_large_1e17(tmp_path, capsys):
+    code, _, _ = run_cli("sweep", "--d1", "1..4", "--check", "limit",
+                         "--d2-large", str(10 ** 17), "--out", str(tmp_path / "r.csv"),
+                         capsys=capsys)
+    assert code == 0
+
+
+@_HUGE_D2_DEFECT
+def test_oracle_routes_agree_at_d2_1e12(capsys):
+    code, out, _ = run_cli("oracle", "--d1", "2", "--d2", str(10 ** 12),
+                           "--samples", "10000", capsys=capsys)
+    assert "DISAGREE" not in out
+    assert code == 0
 
 
 def test_prove_exit_codes(capsys):
@@ -811,8 +849,9 @@ def test_sweep_report_equal_on_the_scalar_and_column_routes(fmt, monkeypatch, tm
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+# prove reads --format only with --out: one stdout case
+@pytest.mark.parametrize(("fmt", "to_file"), [("csv", True), ("json", True), ("csv", False)],
+                         ids=["csv-out", "json-out", "csv-stdout"])
 @pytest.mark.parametrize("d1", [1, 2, 3, 4])
 def test_prove_report_equal_on_every_route(d1, fmt, to_file, monkeypatch, tmp_path,
                                            capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 import varcomp.specfun as specfun
+from varcomp.cli import main
 from varcomp import (
     ConvergenceError,
     DomainError,
@@ -188,6 +189,30 @@ def test_chi_square_band_is_bit_identical_for_k_up_to_2000():
     text = " ".join(chi_square_band_probability(k).hex() for k in range(1, 2001))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f3642308282c2aa47ba5613c3e4d8142877724ce3a36701ee24acde25d708f1c")
+
+
+#: sha256 of the report bytes of the default prove of each proved d1 and of
+#: the default sweep with every proved check.  The route tests compare the
+#: routes with each other; these pin what all of them write.  A change that
+#: alters a report on purpose (a claim, a margin, a note, the header's
+#: version) updates its digest in the same change.
+_REPORT_DIGESTS = {
+    ("prove", "--d1", "1"): "35aad12cc30784cb8e4ca5fe134bac39e6a0d93636c9e88a3c7c061fbcd089a4",
+    ("prove", "--d1", "2"): "f192354bcdc4e9d598ca96d4fc85121f9ca024b5306d773c8bcf39b7599935b0",
+    ("prove", "--d1", "3"): "0200fc9f588602a1c211b7cbb3a177c8e2ce7e3d09bd77842a9f5f5040bbf72f",
+    ("prove", "--d1", "4"): "adcfead2f6feaeec402704d426911de1d18ff706190ca1197a70b1bc229740ee",
+    ("sweep", "--d1", "1..4", "--check", "bound,monotone,limit,steps,tables"):
+        "3e6ba4074ecfd8d64a8b5c788c4fa2e2b65bde8b55327b76dab0ac34614b9a80",
+}
+
+
+@pytest.mark.parametrize("argv", list(_REPORT_DIGESTS),
+                         ids=lambda argv: "_".join(arg.strip("-") for arg in argv))
+def test_report_bytes_are_pinned(argv, tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _REPORT_DIGESTS[argv]
 
 
 def test_gamma_series_cut_short_by_the_absolute_tolerance_fails_loud():

@@ -1,8 +1,10 @@
 """The test tooling itself: the suite's warning filters under hypothesis,
-and the names the benchmark's tracer wraps."""
+the names the benchmark's tracer wraps and the claim ids of its
+reference."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +50,16 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
     for module, cls, method, _ in tracing.METHOD_TARGETS:
         owner = getattr(importlib.import_module(module), cls)
         assert callable(vars(owner).get(method)), (module, cls, method)
+
+
+def test_each_prove_program_registers_the_claim_ids_of_the_benchmark_reference():
+    # the benchmark compares each run's claim ids with bench/reference.json,
+    # so a claim id enters that file before it enters a program
+    from varcomp.programs import PROGRAMS
+
+    with open(os.path.join(_REPO, "bench", "reference.json")) as fh:
+        reference = json.load(fh)
+    for d1, program in PROGRAMS.items():
+        key = json.dumps({"command": "prove", "d1": d1, "d2_max": 400},
+                         sort_keys=True, separators=(",", ":"))
+        assert {claim for check in program for claim in check.claims} == reference[key].keys()
