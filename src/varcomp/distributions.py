@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 from .errors import DomainError, MomentUndefinedError
 from .specfun import reg_inc_beta, reg_lower_gamma
@@ -39,16 +38,39 @@ def _as_positive_int(name: str, value) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class FParams:
-    """Numerator / denominator degrees of freedom of an F distribution."""
+    """Numerator / denominator degrees of freedom of an F distribution:
+    immutable, equal and hashed by (d1, d2).
 
-    d1: int
-    d2: int
+    A plain class, not a dataclass: ``dataclasses`` imports ``inspect``,
+    which would cost every command that builds one about 10 ms of start-up.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "d1", _as_positive_int("d1", self.d1))
-        object.__setattr__(self, "d2", _as_positive_int("d2", self.d2))
+    __slots__ = ("d1", "d2")
+
+    def __init__(self, d1: int, d2: int) -> None:
+        object.__setattr__(self, "d1", _as_positive_int("d1", d1))
+        object.__setattr__(self, "d2", _as_positive_int("d2", d2))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FParams is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FParams is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FParams:
+            return NotImplemented
+        return (self.d1, self.d2) == (other.d1, other.d2)
+
+    def __hash__(self):
+        return hash((self.d1, self.d2))
+
+    def __repr__(self):
+        return f"FParams(d1={self.d1!r}, d2={self.d2!r})"
+
+    def __reduce__(self):
+        return FParams, (self.d1, self.d2)
 
 
 def f_mean(p: FParams) -> float:

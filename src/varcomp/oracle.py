@@ -23,8 +23,7 @@ route, so the scalar quadrature costs no numpy import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .distributions import FParams, f_mean, f_variance
 from .errors import DomainError, ToleranceNotMetError
@@ -49,8 +48,7 @@ __all__ = [
 _BLOCK = 250_000
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Monte Carlo probability estimate with its binomial standard error."""
 
     estimate: float
@@ -59,8 +57,7 @@ class McEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Quadrature value with an error bound and the evaluation count."""
 
     value: float

@@ -7,9 +7,11 @@ prints or exits; the one-row blocks of a claim's single checks are joined
 into its block by ``reporting.rows_from_outcome``.
 
 The per-point claims of one d1 over a d2 chain, of a sweep column and of a
-``prove`` chain alike, come from ``chain_blocks`` (the route rule is
-there); ``chain_parts`` renders them, cut into runs of d2 across processes
-by its cut rule, and is what ``sweep`` and ``prove`` run.
+``prove`` chain alike, come from ``chain_blocks``; ``chain_parts`` renders
+them and is what ``sweep`` and ``prove`` run.  One size rule decides how a
+grid runs: below ``_COLUMN_MIN`` points (d1 chains x d2 values), on the
+scalar route in this process; from it on, on the numpy column kernels, cut
+into runs of d2 across processes.
 
 ``PROGRAMS`` is the claim set of ``prove``: per proved d1, every evaluator
 run (``Check``), its coverage, and each claim id it emits with the ids it
@@ -86,34 +88,24 @@ __all__ = [
 #: Sampling grid used for monotonicity-beyond-table and sign scans.
 _DENSE_MAX = 200
 
-#: The route rule of ``chain_blocks``: the numpy column kernels once the
-#: whole grid's points (d1 chains x d2 values) reach this, the scalar
-#: per-point route below; the margins are the same bit for bit.  The kernels
-#: are faster per point but cost numpy's import (about 0.1 s and 14 MiB).
-#: Measured on a 2-core host, ``prove --d1 D --format json --out``, medians
-#: of 9 alternating runs, scalar vs kernels: D = 3 at 396 points 0.16 vs
-#: 0.22 s, 2,500 0.32 vs 0.34 s, 4,000 0.34 vs 0.37 s, 6,000 0.44 s both,
-#: 10,000 0.58 vs 0.50 s; D = 1 and 4 at 8,000 0.44 vs 0.45 s and 0.35 vs
-#: 0.37 s.  Routing per run of a cut chain instead of per grid cost 4 x
-#: 2,000 steps points 0.662 instead of 0.381 s, 4 x 5,000 1.044 instead of
-#: 0.568 s and ``prove --d1 3`` at 6,000 points 0.448 instead of 0.393 s;
-#: one threshold at 3,000 with ``_POOL_MIN`` cost ``prove`` chains of
-#: 3,000-4,000 points 25-64 ms more.
+#: The one size rule of ``chain_blocks`` and ``chain_parts``: a grid of
+#: fewer points (d1 chains x d2 values) runs on the scalar per-point route in
+#: this process, a grid of this many or more on the numpy column kernels, cut
+#: into one run of d2 per usable CPU; the margins are the same bit for bit.
+#: The kernels cost numpy's import (about 0.1 s and 14 MiB), a cut a fork and
+#: the pickling of the children's rows.  Measured on a 2-CPU host, reports
+#: written with ``--out``, medians of 10 alternating runs: on the scalar
+#: route a cut lost 0.01-0.03 s on every grid of 3,000 to 4,080 points
+#: (``prove``, 4 x 750 and 4 x 1,020 sweeps: 0.15-0.31 s), winning 0-3 of 10
+#: runs; on the kernels it won at the benchmark's sizes, the 4 x 19,996
+#: ``bound,monotone,steps`` sweep 0.87 vs 1.32 s and ``prove --d1 3|4
+#: --d2-max 30000`` 0.58 vs 0.85 s and 0.57 vs 0.63 s.  Between 4,096 and
+#: about 6,000 points the choices are close, and no benchmark workload lies
+#: there to set a second threshold by: ``prove`` chains ran 0.23-0.32 s on
+#: the cut kernels and 0.27-0.34 s on the scalar route (d1 = 4 at 5,000
+#: points 0.29 s both), and the kernels uncut 0.25-0.33 s, within noise of
+#: the cut.
 _COLUMN_MIN = 4096
-
-#: Grid points (d1 chains x d2 values) from which ``chain_parts`` cuts a
-#: grid; the cut rule is there.  A cut costs a fork (about 4 ms),
-#: copy-on-write page faults and the pickling of the children's rows, about
-#: 0.05 s of CPU time on 2 CPUs.  Measured on a 2-core host, medians of 7-11
-#: alternating runs, one process vs cut: ``sweep --d1 1..4 --d2 5..N --out``
-#: with ``--check bound,monotone,steps`` at 4 x 400 points 0.27 vs 0.29 s,
-#: 4 x 1,000 0.57 vs 0.43 s, 4 x 19,996 1.86 vs 1.43 s; with ``--check
-#: bound,monotone`` at 4 x 750 to 4 x 5,000 0.24-0.42 s both, 4 x 19,996
-#: 0.958 vs 0.709 s (CSV) and 0.797 vs 0.619 s (JSON), about 6% more CPU;
-#: ``prove --d1 3|4 --format json --out`` at 30,000 points 0.87-1.33 vs
-#: 0.80-0.94 s.  One threshold at 4,096 with ``_COLUMN_MIN``, no cut on the
-#: scalar route, cost steps sweeps of 4 x 800 and 4 x 1,000 23% and 30% more.
-_POOL_MIN = 3_000
 
 
 def _grid(lo: int, hi: int) -> list:
@@ -144,12 +136,13 @@ def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str],
     (``varband.bound_block``), "monotone" (``varband.monotone_block``),
     "coefficients" (the coefficient sign forms, d1 = 1 and 3) and "steps".
 
-    The route rule: the numpy column kernels once points (default len(d2s);
-    ``chain_parts`` passes its whole grid's) reaches ``_COLUMN_MIN``, the
-    scalar per-point evaluators below it; the blocks are the same bit for
-    bit.  Either route first needs d1 * (d2s[-1] + 2) < 2**62, the
-    kernels' int64 bound.  Rows of a d1 outside ``PROVED_D1`` are
-    exploratory; each band probability is computed once.
+    The size rule: the numpy column kernels once points (default len(d2s);
+    ``chain_parts`` passes its whole grid's, so every run of a cut grid
+    takes them) reaches ``_COLUMN_MIN``, the scalar per-point evaluators
+    below it; the blocks are the same bit for bit.  Either route first
+    needs d1 * (d2s[-1] + 2) < 2**62, the kernels' int64 bound.  Rows of a
+    d1 outside ``PROVED_D1`` are exploratory; each band probability is
+    computed once.
     """
     _check_int64(d1, d2s[-1] + 2)
     columns = (len(d2s) if points is None else points) >= _COLUMN_MIN
@@ -199,13 +192,14 @@ def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[s
     other() returns: the work that is not part of any chain.
 
     Every d1 * (d2_hi + 2) must lie below 2**62 (``chain_blocks``), checked
-    here for the whole grid.  The cut rule: a grid of at least ``_POOL_MIN``
-    points, given two or more usable CPUs and ``os.fork``, is cut, each d1
-    chain into one run of consecutive d2s per CPU, run k of every chain in
-    process k; any other grid is one run, in this process.  Either way
-    ``_fork_join`` runs them: this process, process 0, forks the others,
-    runs other() while they compute, then its own runs; each child renders
-    its runs and pipes their parts back pickled.  The parts come in run
+    here for the whole grid.  The size rule: a grid of fewer than
+    ``_COLUMN_MIN`` points is one run, on the scalar route, in this
+    process; a grid of that many or more runs on the column kernels and,
+    given ``os.fork``, is cut, each d1 chain into one run of consecutive d2s
+    per usable CPU (at most one per d2), run k of every chain in process k.
+    Either way ``_fork_join`` runs them: this process, process 0, forks the
+    others, runs other() while they compute, then its own runs; each child
+    renders its runs and pipes their parts back pickled.  The parts come in run
     order, and the report renderers order parts stably by (check_id, d1), so
     every block's rows stay in d2 order; since each d2 lane of a chain is
     computed on its own, the report is the same byte for byte as from one
@@ -223,12 +217,12 @@ def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[s
                 for part in render_rows(chain_blocks(d1, d2s, checks, points), fmt)]
 
     procs = 1
-    if points >= _POOL_MIN and hasattr(os, "fork"):
-        procs = min(_usable_cpus(), span)
     if points >= _COLUMN_MIN:
         # loaded once, before the runs, not once per child; main caps
         # numpy's BLAS threads at one, so none runs at the fork
         import numpy  # noqa: F401
+        if hasattr(os, "fork"):
+            procs = min(_usable_cpus(), span)
     cuts = [d2_lo + k * span // procs for k in range(procs + 1)]
     return _fork_join(run, [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])],
                       lambda: render_rows(other(), fmt))

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..errors import DomainError
 from ..reporting import Block, gap_block, margin_block
@@ -275,8 +274,7 @@ class AuxFn(Enum):
     Q4 = "q4"
 
 
-@dataclass(frozen=True)
-class _AuxSpec:
+class _AuxSpec(NamedTuple):
     fn: Callable[[float], float]
     y_min: float
 

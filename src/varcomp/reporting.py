@@ -52,7 +52,6 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -85,18 +84,32 @@ STATUSES = ("pass", "fail", "inconclusive", "not_applicable")
 _BUCKETS = STATUSES + ("exploratory",)
 
 
-@dataclass(frozen=True, slots=True)
 class Block:
     """One claim at one d1 over ascending d2s: the margin, status and note
-    of each d2; make it with ``margin_block``."""
+    of each d2; make it with ``margin_block``.  Immutable, equal field by
+    field, and len() is its row count.  A plain slotted class, not a
+    dataclass: ``dataclasses`` imports ``inspect``, a start-up cost."""
 
-    check_id: str
-    d1: int
-    d2s: Sequence[int]
-    margins: Sequence[Optional[float]]
-    statuses: Sequence[str]
-    notes: Sequence[str]
-    exploratory: bool = False
+    __slots__ = ("check_id", "d1", "d2s", "margins", "statuses", "notes", "exploratory")
+
+    def __init__(self, check_id: str, d1: int, d2s: Sequence[int],
+                 margins: Sequence[Optional[float]], statuses: Sequence[str],
+                 notes: Sequence[str], exploratory: bool = False) -> None:
+        for name, value in zip(Block.__slots__, (check_id, d1, d2s, margins, statuses,
+                                                 notes, exploratory)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Block is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Block:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in Block.__slots__)
+
+    def __repr__(self):
+        return "Block(%s)" % ", ".join(f"{name}={getattr(self, name)!r}"
+                                       for name in Block.__slots__)
 
     def __len__(self) -> int:
         return len(self.d2s)

@@ -503,8 +503,8 @@ def test_column_int64_bound_holds_on_both_routes(points, monkeypatch, capsys):
     argvs = [["sweep", "--d1", "4", "--d2", f"{lo}..{lo + points - 1}", "--check", check]
              for check in ("bound", "bound,steps")]
     argvs.append(["prove", "--d1", "4", "--d2-max", str(2 ** 60 - 2)])
-    for pool_min in (_IN_PROCESS, _POOL):
-        _route(monkeypatch, pool_min)
+    for column_min in (_SCALAR, _COLUMNS):
+        _route(monkeypatch, column_min)
         for argv in argvs:
             code, out, err = run_cli(*argv, capsys=capsys)
             assert (code, out) == (2, ""), argv
@@ -669,7 +669,7 @@ def test_large_sweep_loads_no_pool_module():
     # a pool-sized sweep, with the step check or without it, is cut into
     # runs by os.fork on two or more CPUs: no route imports the process-pool
     # modules
-    d2_hi = max(varcomp.programs._POOL_MIN, _COLUMN_MIN) // 2 + 4
+    d2_hi = _COLUMN_MIN // 2 + 4
     argv = ["sweep", "--d1", "1..2", "--d2", f"5..{d2_hi}", "--check", "steps"]
     assert _loaded_by(argv, _POOL_MODULES) == "0 False False"
     argv[-1] = "bound,monotone"
@@ -702,18 +702,49 @@ def test_long_prove_chain_takes_the_column_kernels():
 @pytest.mark.parametrize("d2_max", [_SHORT_CHAIN, _LONG_CHAIN])
 def test_prove_report_equal_on_both_routes_at_the_size_edge(d2_max, tmp_path,
                                                             monkeypatch, capsys):
-    # either side of _COLUMN_MIN, the report and the summary are the scalar
-    # route's, byte for byte
+    # either side of _COLUMN_MIN, given two CPUs, the report and the summary
+    # are those of the scalar route in this process, byte for byte; a chain
+    # of _COLUMN_MIN points runs in this process and exactly one child
     outputs = []
-    for column_min in (10 ** 12, _COLUMN_MIN):
-        monkeypatch.setattr(varcomp.programs, "_COLUMN_MIN", column_min)
-        out_path = tmp_path / f"{column_min}.json"
-        code, out, _ = run_cli("prove", "--d1", "3", "--d2-max", d2_max,
-                               "--format", "json", "--out", str(out_path),
-                               capsys=capsys)
+    for column_min in (_SCALAR, _COLUMN_MIN):
+        with monkeypatch.context() as patch:
+            _route(patch, column_min)
+            column_pids = _record_column_pids(patch)
+            out_path = tmp_path / f"{column_min}.json"
+            code, out, _ = run_cli("prove", "--d1", "3", "--d2-max", d2_max,
+                                   "--format", "json", "--out", str(out_path),
+                                   capsys=capsys)
+            pids = column_pids()
         assert code == 0
+        assert os.getpid() in pids
+        assert len(pids) == (2 if column_min == _COLUMN_MIN and d2_max == _LONG_CHAIN else 1)
         outputs.append((out.replace(str(out_path), "REPORT"), out_path.read_bytes()))
     assert outputs[0] == outputs[1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["prove", "--d1", "1", "--d2-max", str(_COLUMN_MIN + 3)], "0 0 False"),
+    (["sweep", "--d1", "1..4", "--d2", "5..1024", "--check", "bound,monotone,steps"],
+     "0 0 False"),
+    (["prove", "--d1", "1", "--d2-max", str(_COLUMN_MIN + 4)], "0 1 True")],
+    ids=["prove_below", "sweep_below", "prove_at"])
+def test_one_size_rule_decides_route_and_cut(argv, expected, tmp_path):
+    # given two CPUs, a grid of fewer than _COLUMN_MIN points (4,095 and
+    # 4 x 1,020) forks no process and loads no numpy; one of _COLUMN_MIN
+    # points forks exactly one child, on the column kernels
+    script = ("import os, sys\nimport varcomp.programs as programs\n"
+              "from varcomp.cli import main\n"
+              "programs._usable_cpus = lambda: 2\n"
+              "forks, fork = [], os.fork\n"
+              "def counted():\n    forks.append(1)\n    return fork()\n"
+              "os.fork = counted\n"
+              f"code = main({[*argv, '--out', str(tmp_path / 'r.csv')]!r})\n"
+              "print(code, len(forks), 'numpy' in sys.modules, file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip().splitlines()[-1] == expected
 
 
 def _limit_address_space():
@@ -762,13 +793,15 @@ def test_blas_threads_capped_before_numpy_loads():
 # a large sweep or prove chain runs in runs of d2, one per process
 # ---------------------------------------------------------------------------
 
-_IN_PROCESS, _POOL = 10 ** 18, 0  # _POOL_MIN of each route
+#: _COLUMN_MIN of each route: the scalar one, in this process, and the
+#: column kernels, cut into one run per CPU
+_SCALAR, _COLUMNS = 10 ** 18, 0
 
 
-def _route(monkeypatch, pool_min, cpus=2):
+def _route(monkeypatch, column_min, cpus=2):
     """Send every chain grid down one route, cut for cpus processes on the
-    segmented one, whatever the host's CPU count."""
-    monkeypatch.setattr(varcomp.programs, "_POOL_MIN", pool_min)
+    column one, whatever the host's CPU count."""
+    monkeypatch.setattr(varcomp.programs, "_COLUMN_MIN", column_min)
     monkeypatch.setattr(varcomp.programs, "_usable_cpus", lambda: cpus)
 
 
@@ -810,16 +843,16 @@ _MIXED = ["--d1", "1..6", "--d2", "5..60", "--check", "bound,monotone,steps,limi
 def test_sweep_report_equal_on_both_routes(argv, to_file, fmt, monkeypatch,
                                            tmp_path, capsys):
     outputs = []
-    for pool_min in (_IN_PROCESS, _POOL):
+    for column_min in (_SCALAR, _COLUMNS):
         with monkeypatch.context() as patch:
-            _route(patch, pool_min)
+            _route(patch, column_min)
             column_pids = _record_column_pids(patch)
-            out_path = tmp_path / f"{pool_min}.{fmt}"
+            out_path = tmp_path / f"{column_min}.{fmt}"
             code, out, err = run_cli("sweep", *argv, "--format", fmt,
                                      *(["--out", str(out_path)] if to_file else []),
                                      capsys=capsys)
             pids = column_pids()
-        if pool_min == _IN_PROCESS:
+        if column_min == _SCALAR:
             assert pids == {os.getpid()}
         else:  # this process runs the first run of every column, a child the other
             assert len(pids) == 2 and os.getpid() in pids
@@ -833,14 +866,13 @@ def test_sweep_report_equal_on_both_routes(argv, to_file, fmt, monkeypatch,
 def test_sweep_report_equal_on_the_scalar_and_column_routes(fmt, monkeypatch, tmp_path,
                                                             capsys):
     # a grid of fewer than _COLUMN_MIN points runs point by point, a larger
-    # one through the column kernels, in this process or cut into runs: the
-    # same report and stdout byte for byte
+    # one through the column kernels, in this process on one CPU or cut into
+    # runs on two: the same report and stdout byte for byte
     outputs = []
-    for column_min, pool_min in ((10 ** 12, _IN_PROCESS), (0, _IN_PROCESS), (0, _POOL)):
+    for column_min, cpus in ((_SCALAR, 2), (_COLUMNS, 1), (_COLUMNS, 2)):
         with monkeypatch.context() as patch:
-            _route(patch, pool_min)
-            patch.setattr(varcomp.programs, "_COLUMN_MIN", column_min)
-            out_path = tmp_path / f"{column_min}-{pool_min}.{fmt}"
+            _route(patch, column_min, cpus)
+            out_path = tmp_path / f"{column_min}-{cpus}.{fmt}"
             code, out, err = run_cli("sweep", *_MIXED, "--format", fmt,
                                      "--out", str(out_path), capsys=capsys)
         outputs.append((code, out.replace(str(out_path), "REPORT"), err,
@@ -861,7 +893,7 @@ def test_prove_report_equal_on_every_route(d1, fmt, to_file, monkeypatch, tmp_pa
     outputs = []
     for cpus in (1, 2, 3):
         with monkeypatch.context() as patch:
-            _route(patch, _POOL, cpus)
+            _route(patch, _COLUMNS, cpus)
             column_pids = _record_column_pids(patch)
             out_path = tmp_path / f"{cpus}.{fmt}"
             # --format is read only with --out
@@ -878,7 +910,7 @@ def test_prove_report_equal_on_every_route(d1, fmt, to_file, monkeypatch, tmp_pa
 
 
 def test_default_sweep_starts_no_worker(monkeypatch, capsys):
-    # 4 x 396 points, and the default prove's 396, lie below _POOL_MIN:
+    # 4 x 396 points, and the default prove's 396, lie below _COLUMN_MIN:
     # a worker would cost more than it saves
     column_pids = _record_column_pids(monkeypatch)
     code, _, _ = run_cli("sweep", "--d1", "1..4",
@@ -927,7 +959,7 @@ def _raise_unpicklable():
 ], ids=["varcomp_error", "convergence_error", "worker_died", "unpicklable_error"])
 def test_failure_in_a_sweep_worker_exits_2(failure, message, monkeypatch, tmp_path,
                                            capsys):
-    _route(monkeypatch, _POOL)
+    _route(monkeypatch, _COLUMNS)
     # the worker is a fork of this process, so it runs the patched column
     monkeypatch.setattr(varcomp.programs, "chain_blocks", _fail_at_d1_3(failure))
     code, out, err = run_cli("sweep", "--d1", "1..4", "--d2", "5..30",
@@ -950,7 +982,7 @@ def test_failure_in_the_parents_own_run_reaps_every_child(command, failure, mess
                                                           monkeypatch, tmp_path, capsys):
     # only this process's run fails, while its child computes: the child is
     # stopped and reaped on every exit path, and nothing is written
-    _route(monkeypatch, _POOL)
+    _route(monkeypatch, _COLUMNS)
     monkeypatch.setattr(varcomp.programs, "chain_blocks",
                         _fail_at_d1_3(failure, in_parent=True))
     argv = [*command, "--out", str(tmp_path / "r.csv")]
@@ -968,7 +1000,7 @@ def test_text_buffered_before_the_workers_start_is_written_once():
     # a child holds a copy of what this process had buffered at the fork,
     # and must leave without flushing it
     script = ("import sys\nimport varcomp.cli as cli, varcomp.programs as programs\n"
-              "programs._POOL_MIN, programs._usable_cpus = 0, lambda: 2\n"
+              "programs._COLUMN_MIN, programs._usable_cpus = 0, lambda: 2\n"
               "print('before the sweep')\n"
               "sys.exit(cli.main(['sweep', '--d1', '1..4', '--d2', '5..30',"
               " '--check', 'steps,limit']))")

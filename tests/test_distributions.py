@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -34,6 +36,18 @@ def test_params_validation():
         with pytest.raises(DomainError):
             chi_square_band_probability(k)
     assert FParams(np.int64(3), np.int64(7)).d1 == 3  # integral numpy scalars ok
+
+
+def test_params_are_an_immutable_value():
+    p = FParams(3, 7)
+    assert p == FParams(np.int64(3), 7) and hash(p) == hash(FParams(3, 7))
+    assert p != FParams(3, 9) and p != (3, 7)
+    assert pickle.loads(pickle.dumps(p)) == copy.copy(p) == p
+    for change in (lambda: setattr(p, "d1", 4), lambda: delattr(p, "d2"),
+                   lambda: setattr(p, "d3", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert (p.d1, p.d2) == (3, 7)
 
 
 def test_params_reject_what_float_cannot_hold():

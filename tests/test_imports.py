@@ -12,7 +12,6 @@ import sys
 import pytest
 
 import varcomp
-import varcomp.programs
 from varcomp.programs import _COLUMN_MIN
 
 # ---------------------------------------------------------------------------
@@ -20,9 +19,11 @@ from varcomp.programs import _COLUMN_MIN
 # ---------------------------------------------------------------------------
 
 #: Standard-library and numpy modules worth pinning per command: numpy's
-#: import costs about 0.1 s, dataclasses pulls in inspect, csv comes only
-#: with the reports, and no command loads the process-pool modules.
-_WATCHED = ("numpy", "dataclasses", "csv", "multiprocessing", "concurrent.futures")
+#: import costs about 0.1 s and pulls in inspect, dataclasses and inspect
+#: cost about 10 ms without numpy, csv comes only with the reports, and no
+#: command loads the process-pool modules.
+_WATCHED = ("numpy", "dataclasses", "inspect", "csv", "multiprocessing",
+            "concurrent.futures")
 
 #: The source tree of the varcomp under test, for interpreters started
 #: elsewhere.
@@ -67,22 +68,21 @@ _LONG_CHAIN = str(_COLUMN_MIN + 4)
 _COMMANDS = {
     "version": (["--version"], 0, _FRONT, set()),
     "usage_error": (["sweep", "--d1", "1..x", "--check", "bound"], 2, _FRONT, set()),
-    "varprob_normal": (["varprob", "--dist", "normal"], 0, _BAND, {"dataclasses"}),
-    "varprob_chisq": (["varprob", "--dist", "chisq", "--k", "7"], 0, _BAND,
-                      {"dataclasses"}),
+    "varprob_normal": (["varprob", "--dist", "normal"], 0, _BAND, set()),
+    "varprob_chisq": (["varprob", "--dist", "chisq", "--k", "7"], 0, _BAND, set()),
     "varprob_f_json": (["varprob", "--dist", "f", "--d1", "3", "--d2", "40",
-                        "--format", "json"], 0, _BAND, {"dataclasses"}),
-    "endpoints": (["endpoints", "--d1", "3", "--d2", "40"], 0, _BAND, {"dataclasses"}),
+                        "--format", "json"], 0, _BAND, set()),
+    "endpoints": (["endpoints", "--d1", "3", "--d2", "40"], 0, _BAND, set()),
     "oracle": (["oracle", "--d1", "3", "--d2", "40", "--samples", "10000"], 0,
-               _ORACLE, {"numpy", "dataclasses"}),
-    "prove": (["prove", "--d1", "3"], 0, _PROGRAMS, {"dataclasses", "csv"}),
+               _ORACLE, {"numpy", "inspect"}),
+    "prove": (["prove", "--d1", "3"], 0, _PROGRAMS, {"csv"}),
     "prove_long_chain": (["prove", "--d1", "3", "--d2-max", _LONG_CHAIN, "--out", "r.csv"],
-                         0, _PROGRAMS, {"numpy", "dataclasses", "csv"}),
+                         0, _PROGRAMS, {"numpy", "inspect", "csv"}),
     "sweep_default": (["sweep", "--d1", "1..4", "--check",
                        "bound,monotone,limit,steps,tables", "--out", "r.csv"], 0,
-                      _PROGRAMS, {"dataclasses", "csv"}),
+                      _PROGRAMS, {"csv"}),
     "explore": (["explore", "--d1", "5..6", "--d2", "5..30", "--out", "r.csv"], 0,
-                _PROGRAMS, {"dataclasses", "csv"}),
+                _PROGRAMS, {"csv"}),
 }
 
 
@@ -96,20 +96,20 @@ def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
 def test_numpy_free_report_commands_load_no_fork_module(name, tmp_path):
     # numpy pulls in pickle, and only a forked chain run loads pickle and
     # signal (programs._fork_join); these commands' grids lie below
-    # programs._POOL_MIN, so they stay in this process on any host
+    # programs._COLUMN_MIN, so they stay in this process on any host
     argv, code, package, _ = _COMMANDS[name]
     assert _loaded(argv, tmp_path, ("pickle", "signal")) == (code, package, set())
 
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--d1", "1..2", "--d2",
-     f"5..{max(varcomp.programs._POOL_MIN, _COLUMN_MIN) // 2 + 4}",
+     f"5..{_COLUMN_MIN // 2 + 4}",
      "--check", "steps", "--out", "r.csv"],
     ["prove", "--d1", "4", "--d2-max", "30004"]], ids=["sweep", "prove"])
 def test_segmented_chains_load_no_pool_module(argv, tmp_path):
     # chains cut into runs fork their children with os.fork: neither
     # multiprocessing nor concurrent.futures is imported
-    assert _loaded(argv, tmp_path) == (0, _PROGRAMS, {"numpy", "dataclasses", "csv"})
+    assert _loaded(argv, tmp_path) == (0, _PROGRAMS, {"numpy", "inspect", "csv"})
 
 
 # ---------------------------------------------------------------------------
