@@ -15,8 +15,10 @@ into runs of d2 across processes.
 
 ``PROGRAMS`` is the claim set of ``prove``: per proved d1, every evaluator
 run (``Check``), its coverage, and each claim id it emits with the ids it
-rests on; ``prove_rows`` and ``prove_parts`` read nothing else.  Each kind
-of evaluator has one route (``ROUTES``): "exact", decided in integer
+rests on; ``prove_rows`` and ``prove_parts`` read nothing else.  A weld,
+a claim that two routes to one quantity agree, is one entry of its own: its
+pairs, tolerance, note and coverage (``_weld_check``).  Each kind of
+evaluator has one route (``ROUTES``): "exact", decided in integer
 arithmetic, or "sampled", a float margin checked at the coverage's points
 only.  A new claim id goes into ``bench/reference.json`` first, then into
 its program with its premises.
@@ -27,8 +29,8 @@ from __future__ import annotations
 import math
 import os
 from functools import partial
-from typing import (Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence,
-                    Union)
+from operator import attrgetter
+from typing import Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .distributions import FParams
 from .errors import DomainError, VarcompError
@@ -354,89 +356,65 @@ def _boundary_rows(d1: int, first_d2: int) -> list:
                    f"first d2 with d > c is {first_d2}" if ok else "boundary mismatch")]
 
 
-def _closed_form_rows(d2_values: Iterable[int]) -> list:
-    """For numerator df 2 the upper-edge integral is elementary:
-    d2 * integral_a^b (1-t)^(d2/2-1) dt = 2 (1-a)^(d2/2) [1 - ((1-b)/(1-a))^(d2/2)].
-    The quadrature oracle must match that closed form to 1e-10, relatively."""
-    pairs = []
-    for d2 in d2_values:
-        ep = band_endpoints(FParams(2, d2))
-        quad = d2 * quad_beta_integral(1.0, 0.5 * d2, ep.a, ep.b, 1e-14).value
-        closed = 2.0 * math.exp(0.5 * d2 * math.log1p(-ep.a)) * (
-            1.0 - math.exp(0.5 * d2 * (math.log1p(-ep.b) - math.log1p(-ep.a))))
-        pairs.append((quad, closed))
-    return [gap_block("upper_edge_closed_form", 2, pairs, 1e-10,
-                      "quadrature vs elementary antiderivative")]
-
-
-def _g2_consistency_rows(ys: Iterable[int]) -> list:
-    """The two transcriptions of g2 must agree to 1e-9, relatively."""
-    return [gap_block("g2_expansion_consistency", 3,
-                      [(g2(float(y)), g2_expanded(float(y))) for y in ys], 1e-9,
-                      "two transcriptions of the same factor agree")]
-
-
 def _v_consistency_rows(ys: Sequence[int]) -> list:
     """The two-route v checks of the d1 = 3 lower-edge bound over ys."""
     return rows_from_outcome([rational_V_consistency(y) for y in ys], 3, ys)
 
 
-def _log_form_rows(d1: int, d2_values: Iterable[int]) -> list:
-    """Weld checks between the aux log forms and the endpoint inequalities.
+def _weld(check_id: str, pairs: Callable[[int], list], tol: float, note: str,
+          points: Sequence[int]) -> Union[Block, list]:
+    """A weld: two routes to one quantity agree within the relative
+    tolerance tol at every point p of its coverage, pairs(p) giving the
+    (route 1, route 2) pairs at p.  Their one ``gap_block``, or no block
+    where the coverage is empty."""
+    if not points:
+        return []
+    return gap_block(check_id, 0, [pair for p in points for pair in pairs(p)], tol, note)
 
-    The reduced power/log inequalities are exactly the statement that an aux
-    function decreases (or increases) along the step d2-2 -> d2:
 
-      d1 = 1, 2, 3:  h_x(d2-2) - h_x(d2) = ln[(1-a)^(d2/2+1) / (1-b)^(d2/2)]
-      d1 = 4:        h4(d2)   = ln[(d2+2) a + 2] + (d2/2 + 1) ln(1-a)
-                     h4(d2-2) = ln[d2 b + 2]     + (d2/2)     ln(1-b)
-                     (and the same for r4 with the lower images c, d)
-      d1 = 1:        d2 b = k(d2) and (d2+2) a = k(d2+2)
+# The log-form welds tie the aux log forms to the endpoint inequalities.
+# The reduced power/log inequalities are exactly the statement that an aux
+# function decreases (or increases) along the step d2-2 -> d2:
+#
+#   d1 = 1, 2, 3:  h_x(d2-2) - h_x(d2) = ln[(1-a)^(d2/2+1) / (1-b)^(d2/2)]
+#   d1 = 4:        h4(d2)   = ln[(d2+2) a + 2] + (d2/2 + 1) ln(1-a)
+#                  h4(d2-2) = ln[d2 b + 2]     + (d2/2)     ln(1-b)
+#                  (and the same for r4 with the lower images c, d)
+#   d1 = 1:        d2 b = k(d2) and (d2+2) a = k(d2+2)
+#
+# A transcription slip on either side shows up as a residual far above
+# roundoff, so these margins certify the reduction steps themselves.
 
-    A transcription slip on either side shows up as a residual far above
-    roundoff, so these margins certify the reduction steps themselves.
-    """
-    if d1 not in PROVED_D1:
-        raise DomainError(f"log-form welds exist for d1 in 1..4, got {d1}")
-    rel_tol = 1e-9
-    ends = [(d2, band_endpoints(FParams(d1, d2))) for d2 in d2_values]
-    if d1 == 4:
-        h_pairs, r_pairs = [], []
-        for d2, ep in ends:
-            h_pairs += [
-                (h4(float(d2)),
-                 math.log((d2 + 2) * ep.a + 2.0) + (0.5 * d2 + 1.0) * math.log1p(-ep.a)),
-                (h4(float(d2 - 2)),
-                 math.log(d2 * ep.b + 2.0) + 0.5 * d2 * math.log1p(-ep.b)),
-            ]
-            if d2 - 2 >= 15 and ep.d > 0.0 and ep.c > 0.0:
-                r_pairs += [
-                    (r4(float(d2)),
-                     math.log((d2 + 2) * ep.c + 2.0) + (0.5 * d2 + 1.0) * math.log1p(-ep.c)),
-                    (r4(float(d2 - 2)),
-                     math.log(d2 * ep.d + 2.0) + 0.5 * d2 * math.log1p(-ep.d)),
-                ]
-        blocks = [gap_block("h4_log_form_consistency", 4, h_pairs, rel_tol,
-                            "h4 equals the affine-power log form at the endpoints")]
-        if r_pairs:
-            blocks.append(gap_block(
-                "r4_log_form_consistency", 4, r_pairs, rel_tol,
-                "r4 equals the affine-power log form at the lower images"))
-        return blocks
-    fn = (h1, h2, h3)[d1 - 1]
-    blocks = [gap_block(f"h{d1}_log_form_consistency", d1,
-                        [(fn(float(d2 - 2)) - fn(float(d2)),
-                          (0.5 * d2 + 1.0) * math.log1p(-ep.a)
-                          - 0.5 * d2 * math.log1p(-ep.b)) for d2, ep in ends],
-                        rel_tol, "aux step equals the endpoint log ratio")]
-    if d1 == 1:
-        blocks.append(gap_block(
-            "k_matches_scaled_endpoints", 1,
-            [pair for d2, ep in ends
-             for pair in ((d2 * ep.b, k_fun(float(d2))),
-                          ((d2 + 2) * ep.a, k_fun(float(d2 + 2))))],
-            rel_tol, "k(d2) = d2 b and k(d2+2) = (d2+2) a"))
-    return blocks
+def _log_step_pairs(d1: int, h: Callable, d2: int) -> list:
+    ep = band_endpoints(FParams(d1, d2))
+    return [(h(float(d2 - 2)) - h(float(d2)),
+             (0.5 * d2 + 1.0) * math.log1p(-ep.a) - 0.5 * d2 * math.log1p(-ep.b))]
+
+
+def _affine_log_pairs(h: Callable, images: Callable, d2: int) -> list:
+    x, y = images(band_endpoints(FParams(4, d2)))
+    return [(h(float(d2)), math.log((d2 + 2) * x + 2.0) + (0.5 * d2 + 1.0) * math.log1p(-x)),
+            (h(float(d2 - 2)), math.log(d2 * y + 2.0) + 0.5 * d2 * math.log1p(-y))]
+
+
+def _k_pairs(d2: int) -> list:
+    ep = band_endpoints(FParams(1, d2))
+    return [(d2 * ep.b, k_fun(float(d2))), ((d2 + 2) * ep.a, k_fun(float(d2 + 2)))]
+
+
+def _closed_form_pairs(d2: int) -> list:
+    """For numerator df 2 the upper-edge integral is elementary:
+    d2 * integral_a^b (1-t)^(d2/2-1) dt = 2 (1-a)^(d2/2) [1 - ((1-b)/(1-a))^(d2/2)];
+    the quadrature oracle is weighed against that closed form."""
+    ep = band_endpoints(FParams(2, d2))
+    quad = d2 * quad_beta_integral(1.0, 0.5 * d2, ep.a, ep.b, 1e-14).value
+    closed = 2.0 * math.exp(0.5 * d2 * math.log1p(-ep.a)) * (
+        1.0 - math.exp(0.5 * d2 * (math.log1p(-ep.b) - math.log1p(-ep.a))))
+    return [(quad, closed)]
+
+
+def _g2_pairs(y: int) -> list:
+    return [(g2(float(y)), g2_expanded(float(y)))]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +437,7 @@ class Span(NamedTuple):
 
 #: The upper ends that d2_max sets: the chain's, the sampled aux scans'
 #: (``_DENSE_MAX``, or as far as the chain up to 400), the log-form welds'
-#: and the d1 = 2 closed form's.
+#: and the d1 = 2 closed form weld's.
 _TOPS = {
     "d2_max": lambda d2_max: d2_max,
     "dense": lambda d2_max: max(_DENSE_MAX, min(d2_max, 400)),
@@ -467,7 +445,7 @@ _TOPS = {
     "closed_form": lambda d2_max: min(d2_max, 100),
 }
 
-#: The coverage of every chain check and of every program's log-form welds.
+#: The coverage of every chain check and of the h_x and k log-form welds.
 _CHAIN = Span(5, "d2_max")
 _WELDS = Span(5, "welds")
 
@@ -476,13 +454,13 @@ class Check(NamedTuple):
     """One evaluator run of a ``prove`` program, and the claims it decides.
 
     evaluator(coverage) gives the claims' blocks, or the one-row block of
-    an ``auxfn`` check; a chain check's evaluator is instead its
-    ``chain_blocks`` check, "coefficients" or "steps", and a program's
-    chain checks run as one chain over the coverage they share.  coverage
-    is the one value the evaluator receives: a ``Span`` of y or d2, a list
-    of y, the certificate families (an expansion covers y >= the shift in
-    its id) or the first d2 with d > c.  claims maps each claim id the run
-    emits to the ids that claim rests on.
+    an ``auxfn`` check or a weld (``_weld``); a chain check's evaluator is
+    instead its ``chain_blocks`` check, "coefficients" or "steps", and a
+    program's chain checks run as one chain over the coverage they share.
+    coverage is the one value the evaluator receives: a ``Span`` of y or
+    d2, a list of y, the certificate families (an expansion covers y >= the
+    shift in its id) or the first d2 with d > c.  claims maps each claim id
+    the run emits to the ids that claim rests on.
     """
 
     evaluator: Union[Callable, str]
@@ -500,10 +478,8 @@ ROUTES = {
     derivative_sign_check: "sampled",
     value_sign_check: "sampled",
     algebra_identity_check: "sampled",
-    _closed_form_rows: "sampled",
-    _g2_consistency_rows: "sampled",
     _v_consistency_rows: "sampled",
-    _log_form_rows: "sampled",
+    _weld: "sampled",
     "coefficients": "sampled",
     "steps": "sampled",
 }
@@ -514,15 +490,23 @@ def route(check: Check) -> str:
     return ROUTES[getattr(check.evaluator, "func", check.evaluator)]
 
 
+def _weld_check(claim: str, pairs: Callable[[int], list], tol: float, note: str,
+                coverage: Span) -> Check:
+    """The ``Check`` of one weld, whose only claim rests on nothing."""
+    return Check(partial(_weld, claim, pairs, tol, note), coverage, {claim: ()})
+
+
 # The premises are the links the code states.  steps: step_integral is the
-# sum of the two edges, each edge reduces to its power forms, and the lower
-# forms of d1 = 3, 4 apply where d > c.  _log_form_rows: each power form is
-# an aux-function step, welded to it.  auxfn: h_x falls as its derivative
-# bound l_x is negative, through the prefactor identity (h4 rises with l4,
-# r4 falls with q4, k falls with its derivative identity); k's fall orders
-# the d1 = 1 affine coefficients; v > 0 rests on the two routes v = g1/g2
-# and the G1 table.  coefficient_sign_checks: the coefficient signs serve
-# the d1 = 1 reduction and the c/d order the d1 = 3 one.
+# sum of the two edges, each edge reduces to its power forms, and the
+# lower forms of d1 = 3, 4 apply where d > c.  The welds (``_weld_check``,
+# one entry each: its claim, pairs, tolerance, note and coverage): each
+# power form is an aux-function step, welded to it.  auxfn: h_x falls as
+# its derivative bound l_x is negative, through the prefactor identity (h4
+# rises with l4, r4 falls with q4, k falls with its derivative identity);
+# k's fall orders the d1 = 1 affine coefficients; v > 0 rests on the two
+# routes v = g1/g2 and the G1 table.  coefficient_sign_checks: the
+# coefficient signs serve the d1 = 1 reduction and the c/d order the
+# d1 = 3 one.
 # polynomials.FAMILIES: U1, U2, T1 and T2 certify the derivative bounds,
 # P3 and P4 the d > c boundary.
 PROGRAMS = {
@@ -541,8 +525,10 @@ PROGRAMS = {
               Span(3, 60), {"l1_prefactor_identity": ()}),
         Check(partial(algebra_identity_check, "k_derivative_identity"),
               Span(5, 60), {"k_derivative_identity": ()}),
-        Check(partial(_log_form_rows, 1), _WELDS,
-              {"h1_log_form_consistency": (), "k_matches_scaled_endpoints": ()}),
+        _weld_check("h1_log_form_consistency", partial(_log_step_pairs, 1, h1), 1e-9,
+                    "aux step equals the endpoint log ratio", _WELDS),
+        _weld_check("k_matches_scaled_endpoints", _k_pairs, 1e-9,
+                    "k(d2) = d2 b and k(d2+2) = (d2+2) a", _WELDS),
         Check("coefficients", _CHAIN, {
             "coef_lower_bound": (),
             "coef_combination": (),
@@ -564,8 +550,10 @@ PROGRAMS = {
               Span(5, "dense"), {"l2_negative": ()}),
         Check(partial(algebra_identity_check, "l2_prefactor_identity"),
               Span(5, 60), {"l2_prefactor_identity": ()}),
-        Check(_closed_form_rows, Span(5, "closed_form"), {"upper_edge_closed_form": ()}),
-        Check(partial(_log_form_rows, 2), _WELDS, {"h2_log_form_consistency": ()}),
+        _weld_check("upper_edge_closed_form", _closed_form_pairs, 1e-10,
+                    "quadrature vs elementary antiderivative", Span(5, "closed_form")),
+        _weld_check("h2_log_form_consistency", partial(_log_step_pairs, 2, h2), 1e-9,
+                    "aux step equals the endpoint log ratio", _WELDS),
         Check("steps", _CHAIN, {
             "step_integral": ("upper_edge", "lower_edge"),
             "upper_edge": ("power_step",),
@@ -589,8 +577,10 @@ PROGRAMS = {
         Check(partial(monotone_table_check, AuxFn.G1, direction="decreasing"),
               Span(25, 33), {"g1_decreasing": ()}),
         Check(_v_consistency_rows, Span(25, 40), {"v_rational_consistency": ()}),
-        Check(_g2_consistency_rows, Span(25, 60), {"g2_expansion_consistency": ()}),
-        Check(partial(_log_form_rows, 3), _WELDS, {"h3_log_form_consistency": ()}),
+        _weld_check("g2_expansion_consistency", _g2_pairs, 1e-9,
+                    "two transcriptions of the same factor agree", Span(25, 60)),
+        _weld_check("h3_log_form_consistency", partial(_log_step_pairs, 3, h3), 1e-9,
+                    "aux step equals the endpoint log ratio", _WELDS),
         Check("coefficients", _CHAIN, {"cd_order": ()}),
         Check("steps", _CHAIN, {
             "step_integral": ("upper_edge", "lower_edge"),
@@ -621,8 +611,14 @@ PROGRAMS = {
             ("poly_values_p4", "expansion_t1_12", "expansion_t2_12", "expansion_p4_17"), ())),
         Check(partial(_boundary_rows, 4), 17,
               {"dc_boundary_d1_4": ("poly_values_p4", "expansion_p4_17")}),
-        Check(partial(_log_form_rows, 4), _WELDS,
-              {"h4_log_form_consistency": (), "r4_log_form_consistency": ()}),
+        _weld_check("h4_log_form_consistency",
+                    partial(_affine_log_pairs, h4, attrgetter("a", "b")), 1e-9,
+                    "h4 equals the affine-power log form at the endpoints", _WELDS),
+        # r4(d2 - 2) from y = 15, where r4_decreasing starts; c, d > 0 from d2 = 11
+        _weld_check("r4_log_form_consistency",
+                    partial(_affine_log_pairs, r4, attrgetter("c", "d")), 1e-9,
+                    "r4 equals the affine-power log form at the lower images",
+                    Span(17, "welds")),
         Check("steps", _CHAIN, {
             "step_integral": ("upper_edge", "lower_edge"),
             "upper_edge": ("poly_power_step",),

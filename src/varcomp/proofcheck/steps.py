@@ -49,7 +49,7 @@ route runs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..distributions import FParams
 from ..errors import DomainError
@@ -293,16 +293,21 @@ def _coefficient_forms(d1, d2, d2p2, a, b, c, d) -> dict:
 
 def _even_series(d1: int, y: float, sign: float) -> float:
     """Common body of the even-d1 series forms; sign selects the +/- branch
-    of the square root."""
+    of the square root.  A log argument or alternating sum that is not
+    positive, or a sum term that overflows a float, is a ``DomainError``."""
     half = d1 // 2
     bracket = 1.0 + (d1 / y) * (1.0 + sign * math.sqrt(2.0 * (d1 + y) / (d1 * (y - 2.0))))
     if bracket <= 0.0:
         raise DomainError(
             f"series form undefined: nonpositive log argument at d1={d1}, y={y}")
     total = 0.0
-    for n in range(half):
-        total += ((-1.0) ** n * math.comb(half - 1, n)
-                  / ((2 * n + y + 2.0) * bracket ** n))
+    try:
+        for n in range(half):
+            total += ((-1.0) ** n * math.comb(half - 1, n)
+                      / ((2 * n + y + 2.0) * bracket ** n))
+    except OverflowError:
+        raise DomainError(
+            f"series form undefined: a sum term overflows at d1={d1}, y={y}") from None
     if total <= 0.0:
         raise DomainError(
             f"series form undefined: nonpositive alternating sum at d1={d1}, y={y}")
@@ -351,12 +356,23 @@ def _truncated_sum(d1: int, d2: int, x_lo: float, x_hi: float, n_top: int) -> fl
     return d2 * total
 
 
+def _unless_overflow(form: Callable[[], float]) -> Optional[float]:
+    """form(), or None where its truncated sum overflows a float."""
+    try:
+        return form()
+    except OverflowError:
+        return None
+
+
 def falling_factorial_bounds_odd(d1: int, d2: int) -> Margins:
     """Truncated-binomial sufficient bounds for odd d1 >= 5 (exploratory).
 
     truncated_series_upper:  2a < d2 * S_floor(a, b)   (truncation below)
     truncated_series_lower:  2c > d2 * S_ceil(c, d)    (truncation above;
                              only when d > c > 0)
+
+    A form whose truncated sum overflows a float (large d1, where the sum has
+    about d1/2 terms and n! passes the float range from n = 171) is None.
     """
     if d1 < 5 or d1 % 2 == 0:
         raise DomainError(f"falling-factorial bounds require odd d1 >= 5, got {d1}")
@@ -364,11 +380,11 @@ def falling_factorial_bounds_odd(d1: int, d2: int) -> Margins:
     ep = band_endpoints(p)
     alpha = 0.5 * d1 - 1.0
     margins: Margins = {
-        "truncated_series_upper":
-            _truncated_sum(d1, d2, ep.a, ep.b, math.floor(alpha)) - 2.0 * ep.a,
+        "truncated_series_upper": _unless_overflow(
+            lambda: _truncated_sum(d1, d2, ep.a, ep.b, math.floor(alpha)) - 2.0 * ep.a),
         "truncated_series_lower": None,
     }
     if ep.d > 0.0 and d_exceeds_c(p):
-        margins["truncated_series_lower"] = (
-            2.0 * ep.c - _truncated_sum(d1, d2, ep.c, ep.d, math.ceil(alpha)))
+        margins["truncated_series_lower"] = _unless_overflow(
+            lambda: 2.0 * ep.c - _truncated_sum(d1, d2, ep.c, ep.d, math.ceil(alpha)))
     return margins

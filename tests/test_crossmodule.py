@@ -8,16 +8,24 @@ import pytest
 
 from varcomp import FParams, band_endpoints
 from varcomp.oracle import quad_beta_integral
-from varcomp.programs import _log_form_rows
+from varcomp.programs import PROGRAMS, _weld
 from varcomp.proofcheck import check_step_inequalities, coefficient_sign_checks
 from varcomp.proofcheck.auxfn import h2, h4, k_fun, r4
 from varcomp.proofcheck.steps import series_forms_even
 
 
 def test_log_form_welds_all_cases():
-    for d1 in (1, 2, 3, 4):
-        for block in _log_form_rows(d1, range(5, 150)):
-            assert set(block.statuses) == {"pass"}, block
+    # every log-form weld of the table, from the start of its span to d2 = 149
+    walked = set()
+    for program in PROGRAMS.values():
+        for check in program:
+            if getattr(check.evaluator, "func", None) is _weld and check.coverage.hi == "welds":
+                block = check.evaluator(range(check.coverage.lo, 150))
+                assert set(block.statuses) == {"pass"}, block
+                walked.add(block.check_id)
+    assert walked == {"h1_log_form_consistency", "k_matches_scaled_endpoints",
+                      "h2_log_form_consistency", "h3_log_form_consistency",
+                      "h4_log_form_consistency", "r4_log_form_consistency"}
 
 
 def test_h_step_sign_equals_power_step_sign():

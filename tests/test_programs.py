@@ -10,7 +10,8 @@ import textwrap
 import pytest
 
 import varcomp.programs
-from varcomp.programs import PROGRAMS, ROUTES, _COLUMN_MIN, prove_rows, route
+from varcomp import FParams, band_endpoints
+from varcomp.programs import PROGRAMS, ROUTES, _COLUMN_MIN, _weld, prove_rows, route
 from varcomp.varband import PROVED_D1
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(varcomp.programs.__file__)))
@@ -73,6 +74,36 @@ def test_every_check_has_a_route_of_its_kind():
         for check in program:
             assert route(check) in ("exact", "sampled"), (d1, check)
     assert set(ROUTES.values()) == {"exact", "sampled"}
+
+
+def test_the_routes_are_exactly_the_evaluator_kinds_the_programs_use():
+    # so a deleted evaluator leaves no stale route behind
+    kinds = [getattr(check.evaluator, "func", check.evaluator)
+             for program in PROGRAMS.values() for check in program]
+    assert set(kinds) == ROUTES.keys()
+
+
+def test_each_weld_is_the_only_claim_of_its_check():
+    welds = [check for program in PROGRAMS.values() for check in program
+             if getattr(check.evaluator, "func", None) is _weld]
+    assert len(welds) == 8
+    for check in welds:
+        assert list(check.claims) == [check.evaluator.args[0]], check.claims
+
+
+@pytest.mark.parametrize("d2_max", [13, 16, 17, 150, 151, 400])
+def test_the_r4_weld_runs_from_d2_17(d2_max):
+    ids = {block.check_id for block in prove_rows(4, d2_max)}
+    assert ("r4_log_form_consistency" in ids) == (d2_max >= 17)
+
+
+def test_the_r4_weld_covers_where_r4_and_the_lower_images_apply():
+    # r4 at y = d2 - 2 needs y >= 15, its log form c > 0 and d > 0
+    ends = {d2: band_endpoints(FParams(4, d2)) for d2 in range(5, 151)}
+    rule = {d2 for d2, ep in ends.items() if d2 - 2 >= 15 and ep.c > 0.0 and ep.d > 0.0}
+    assert rule == set(range(17, 151))
+    (weld,) = [check for check in PROGRAMS[4] if "r4_log_form_consistency" in check.claims]
+    assert {d2 for d2 in ends if d2 in weld.coverage.points(400)} == rule
 
 
 def test_the_certificates_and_the_boundary_are_the_exact_claims():

@@ -117,6 +117,9 @@ def test_series_forms_even():
         series_forms_even(5, 20.0)
     with pytest.raises(DomainError):
         series_forms_even(4, 20.0)
+    # a sum term past the float range is a domain error, not an OverflowError
+    with pytest.raises(DomainError, match="overflows at d1=304, y=5.0"):
+        series_forms_even(304, 5.0)
 
 
 def test_series_step_matches_exact_step_direction():
@@ -144,6 +147,11 @@ def test_falling_factorial_bounds():
         falling_factorial_bounds_odd(4, 9)
     with pytest.raises(DomainError):
         falling_factorial_bounds_odd(3, 9)
+    # n! passes the float range from n = 171: the lower form's truncated sum
+    # overflows from d1 = 343, the upper form's from d1 = 345
+    assert falling_factorial_bounds_odd(343, 20)["truncated_series_lower"] is None
+    assert falling_factorial_bounds_odd(343, 20)["truncated_series_upper"] > 0
+    assert set(falling_factorial_bounds_odd(345, 20).values()) == {None}
 
 
 def test_truncated_upper_bound_is_a_lower_bound_of_the_integral():
