@@ -21,7 +21,7 @@ print()
 print("odd d1: truncated-binomial sufficient bounds (exploratory):")
 for (d1, d2) in [(5, 9), (5, 29), (7, 40), (9, 100)]:
     margins = falling_factorial_bounds_odd(d1, d2)
-    parts = ", ".join(f"{f}={m:+.3e}" for f, m in margins.items() if m is not None)
+    parts = ", ".join(f"{f}={m:+.3e}" for f, (m, _) in margins.items() if m is not None)
     print(f"  d1={d1} d2={d2:>3}: {parts}")
 print()
 

@@ -17,13 +17,12 @@ _EXPORTS = {
     "distributions": ("FParams", "chi_square_cdf", "f_cdf", "f_mean", "f_variance"),
     "errors": ("ConvergenceError", "DomainError", "MomentUndefinedError",
                "ToleranceNotMetError", "VarcompError"),
-    "reporting": ("Block",),
+    "reporting": ("Block", "STRICTNESS_FLOOR"),
     "specfun": ("log_beta", "log_gamma", "reg_inc_beta", "reg_lower_gamma",
                 "std_normal_cdf"),
-    "varband": ("Endpoints", "NORMAL_BAND", "STRICTNESS_FLOOR", "band_endpoints",
-                "check_bound", "check_limit", "check_monotone_step",
-                "chi_square_band_probability", "d_exceeds_c", "variation_band",
-                "variation_probability"),
+    "varband": ("Endpoints", "NORMAL_BAND", "band_endpoints", "check_bound",
+                "check_limit", "check_monotone_step", "chi_square_band_probability",
+                "d_exceeds_c", "variation_band", "variation_probability"),
 }
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
 

@@ -39,7 +39,7 @@ hosts) only what it needs:
     explore             ``reporting``; numpy only on the column route of
                         ``programs.chain_blocks``
 
-No flag moves a verdict: the strictness floor (``varband.STRICTNESS_FLOOR``),
+No flag moves a verdict: the strictness floor (``reporting.STRICTNESS_FLOOR``),
 the limit check's tolerance (``varband.LIMIT_TOL``) and the oracle's
 relative quadrature tolerance (``_ORACLE_QUAD_TOL``) are constants, and a
 report header echoes the first two.
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(ns) -> int:
     from .programs import certificate_rows, chain_parts, table_rows
     from .reporting import counts_text
-    from .varband import LIMIT_TOL, STRICTNESS_FLOOR, check_limit
+    from .varband import LIMIT_TOL, check_limit
 
     d1_lo, d1_hi = ns.d1
     d2_lo, d2_hi = ns.d2
@@ -191,31 +191,29 @@ def _cmd_sweep(ns) -> int:
 
     parts = chain_parts(d1_values if chain_checks else [], d2_lo, d2_hi, chain_checks,
                         ns.format, other_blocks)
-    header = {
-        "version": __version__,
-        "spec": {
-            "command": "sweep",
-            "d1": f"{d1_lo}..{d1_hi}",
-            "d2": f"{d2_lo}..{d2_hi}",
-            "checks": list(checks),
-            "floor": STRICTNESS_FLOOR,
-            "d2_large": ns.d2_large,
-            "limit_tol": LIMIT_TOL,
-            "exploratory": any(p.exploratory for p in parts),
-        },
+    spec = {
+        "command": "sweep",
+        "d1": f"{d1_lo}..{d1_hi}",
+        "d2": f"{d2_lo}..{d2_hi}",
+        "checks": list(checks),
+        "d2_large": ns.d2_large,
+        "limit_tol": LIMIT_TOL,
+        "exploratory": any(p.exploratory for p in parts),
     }
-    counts = _emit(parts, header, ns)
+    counts = _emit(parts, spec, ns)
     if ns.out:
         print(f"wrote {ns.out}: {counts_text(counts)}")
     return 1 if counts["fail"] else 0
 
 
-def _emit(parts: list, header: dict, ns) -> dict:
+def _emit(parts: list, spec: dict, ns) -> dict:
     """Write the report of the rendered parts, in ns.format, atomically to
-    ns.out, or else to stdout; return its counts (``summarize``).  A path
-    that cannot be written is an error with exit 2."""
-    from .reporting import summarize, write_rendered
+    ns.out, or else to stdout; return its counts (``summarize``).  Its
+    header echoes the run spec and the strictness floor.  A path that
+    cannot be written is an error with exit 2."""
+    from .reporting import STRICTNESS_FLOOR, summarize, write_rendered
 
+    header = {"version": __version__, "spec": {**spec, "floor": STRICTNESS_FLOOR}}
     try:
         text = write_rendered(parts, header, ns.format, ns.out)
     except OSError as exc:
@@ -242,7 +240,6 @@ def _write_stdout(text: str) -> None:
 def _cmd_prove(ns) -> int:
     from .programs import prove_parts
     from .reporting import claim_lines, counts_text, summarize
-    from .varband import STRICTNESS_FLOOR
 
     if ns.format is None:
         ns.format = "csv"
@@ -250,13 +247,8 @@ def _cmd_prove(ns) -> int:
         raise VarcompError("--format is read only with --out")
     # without --out no row is rendered, only counted
     parts = prove_parts(ns.d1, ns.d2_max, ns.format if ns.out else None)
-    header = {
-        "version": __version__,
-        "spec": {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max,
-                 "floor": STRICTNESS_FLOOR},
-    }
     if ns.out:
-        _emit(parts, header, ns)
+        _emit(parts, {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max}, ns)
         print(f"wrote {ns.out}")
     counts = summarize(parts)
     for line in claim_lines(parts):
@@ -352,16 +344,11 @@ def _cmd_explore(ns) -> int:
         raise VarcompError("d2 must be >= 5")
     from .programs import explore_rows
     from .reporting import counts_text, render_rows
-    from .varband import STRICTNESS_FLOOR
 
     blocks = [block for d1 in range(d1_lo, d1_hi + 1)
               for block in explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1))]
-    header = {
-        "version": __version__,
-        "spec": {"command": "explore", "d1": f"{d1_lo}..{d1_hi}",
-                 "d2": f"{d2_lo}..{d2_hi}", "floor": STRICTNESS_FLOOR},
-    }
-    counts = _emit(render_rows(blocks, ns.format), header, ns)
+    spec = {"command": "explore", "d1": f"{d1_lo}..{d1_hi}", "d2": f"{d2_lo}..{d2_hi}"}
+    counts = _emit(render_rows(blocks, ns.format), spec, ns)
     if ns.out:
         print(f"wrote {ns.out}: {counts_text(counts)}")
     return 0

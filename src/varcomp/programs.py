@@ -67,14 +67,13 @@ from .proofcheck.steps import (
 from .oracle import quad_beta_integral
 from .reporting import (Block, gap_block, margin_block, render_rows, rows_from_outcome,
                         rows_from_step_report)
-from .varband import (PROVED_D1, STRICTNESS_FLOOR, band_endpoints, band_endpoints_column,
-                      _check_int64, bound_block, d_exceeds_c, monotone_block,
-                      variation_probability, variation_probability_column)
+from .varband import (PROVED_D1, band_endpoints, band_endpoints_column, _check_int64,
+                      bound_block, d_exceeds_c, monotone_block, variation_probability,
+                      variation_probability_column)
 
 __all__ = [
     "chain_blocks",
     "chain_parts",
-    "step_blocks",
     "table_rows",
     "certificate_rows",
     "prove_rows",
@@ -95,40 +94,16 @@ _DENSE_MAX = 200
 #: this process, a grid of this many or more on the numpy column kernels, cut
 #: into one run of d2 per usable CPU; the margins are the same bit for bit.
 #: The kernels cost numpy's import (about 0.1 s and 14 MiB), a cut a fork and
-#: the pickling of the children's rows.  Measured on a 2-CPU host, reports
-#: written with ``--out``, medians of 10 alternating runs: on the scalar
-#: route a cut lost 0.01-0.03 s on every grid of 3,000 to 4,080 points
-#: (``prove``, 4 x 750 and 4 x 1,020 sweeps: 0.15-0.31 s), winning 0-3 of 10
-#: runs; on the kernels it won at the benchmark's sizes, the 4 x 19,996
-#: ``bound,monotone,steps`` sweep 0.87 vs 1.32 s and ``prove --d1 3|4
-#: --d2-max 30000`` 0.58 vs 0.85 s and 0.57 vs 0.63 s.  Between 4,096 and
-#: about 6,000 points the choices are close, and no benchmark workload lies
-#: there to set a second threshold by: ``prove`` chains ran 0.23-0.32 s on
-#: the cut kernels and 0.27-0.34 s on the scalar route (d1 = 4 at 5,000
-#: points 0.29 s both), and the kernels uncut 0.25-0.33 s, within noise of
-#: the cut.
+#: the pickling of the children's rows.  On a 2-CPU host a cut lost on every
+#: scalar-route grid of 3,000 to 4,080 points and won on the kernels at the
+#: benchmark's sizes (30,000-point ``prove`` chains, 4 x 19,996 sweeps);
+#: between 4,096 and about 6,000 points the routes are within noise (the
+#: measurements are in the project ROADMAP, item 5).
 _COLUMN_MIN = 4096
 
 
 def _grid(lo: int, hi: int) -> list:
     return list(range(lo, hi + 1))
-
-
-def _claim(check_id: str, d1: int, d2: int, margin: float, note: str,
-           holds: bool = True) -> Block:
-    """Block of one tolerance-style claim (floor 0) checked once."""
-    return margin_block(check_id, d1, [d2], [margin], 0.0, note, holds=holds)
-
-
-def step_blocks(d1: int, d2s: Sequence[int], margins_at: Callable,
-                exploratory: bool = False) -> list:
-    """Blocks of a scalar step evaluator over d2s; margins_at(d2) is its
-    form -> margin map at d2, with the same forms at every d2."""
-    columns: dict = {}
-    for d2 in d2s:
-        for form, margin in margins_at(d2).items():
-            columns.setdefault(form, []).append(margin)
-    return rows_from_step_report(d1, d2s, columns, exploratory)
 
 
 def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str],
@@ -166,14 +141,15 @@ def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str],
             blocks.append(bound_block(d1, d2s, bands))
         elif check == "monotone":
             blocks.append(monotone_block(d1, d2s, bands, bands[2:]))
-        elif check in ("coefficients", "steps") and columns:
-            kernel = step_inequalities_column if check == "steps" else coefficient_sign_column
-            blocks += rows_from_step_report(d1, d2s, kernel(d1, d2s, *ends), expl)
-        elif check == "coefficients":
-            blocks += step_blocks(d1, d2s, lambda d2: coefficient_sign_checks(d1, d2), expl)
-        elif check == "steps":
-            blocks += step_blocks(d1, d2s,
-                                  lambda d2: check_step_inequalities(FParams(d1, d2)), expl)
+        elif check in ("coefficients", "steps"):
+            if columns:
+                kernel = step_inequalities_column if check == "steps" else coefficient_sign_column
+                margins = kernel(d1, d2s, *ends)
+            else:  # form -> margin maps, with the same forms at every d2
+                maps = [check_step_inequalities(FParams(d1, d2)) if check == "steps"
+                        else coefficient_sign_checks(d1, d2) for d2 in d2s]
+                margins = {form: [m[form] for m in maps] for form in maps[0]}
+            blocks += rows_from_step_report(d1, d2s, margins, expl)
         else:
             raise ValueError(f"unknown chain check {check!r}")
     return blocks
@@ -327,8 +303,9 @@ def certificate_rows(families: Optional[Collection[str]] = None) -> list:
         if families is not None and family not in families:
             continue
         ok = all(poly_value(family, n) == v for n, v in table.items())
-        blocks.append(_claim(f"poly_values_{family.lower()}", 0, 0, 1.0 if ok else -1.0,
-                             "exact match" if ok else "reference value mismatch"))
+        blocks.append(margin_block(f"poly_values_{family.lower()}", 0, [0],
+                                   [1.0 if ok else -1.0],
+                                   "exact match" if ok else "reference value mismatch"))
     for (family, shift), coeffs in REFERENCE_EXPANSIONS.items():
         if families is not None and family not in families:
             continue
@@ -340,10 +317,10 @@ def certificate_rows(families: Optional[Collection[str]] = None) -> list:
             note.append("coefficient mismatch")
         if not positive:
             note.append("not all positive")
-        blocks.append(_claim(f"expansion_{family.lower()}_{shift}", 0, shift,
-                             float(min(exp)) if positive else -1.0,
-                             "; ".join(note) if note else "all coefficients positive",
-                             holds=exact))
+        blocks.append(margin_block(f"expansion_{family.lower()}_{shift}", 0, [shift],
+                                   [float(min(exp)) if positive else -1.0],
+                                   "; ".join(note) if note else "all coefficients positive",
+                                   holds=exact))
     return blocks
 
 
@@ -352,8 +329,8 @@ def _boundary_rows(d1: int, first_d2: int) -> list:
     before = FParams(d1, first_d2 - 1)
     at = FParams(d1, first_d2)
     ok = (not d_exceeds_c(before)) and d_exceeds_c(at)
-    return [_claim(f"dc_boundary_d1_{d1}", d1, first_d2, 1.0 if ok else -1.0,
-                   f"first d2 with d > c is {first_d2}" if ok else "boundary mismatch")]
+    return [margin_block(f"dc_boundary_d1_{d1}", d1, [first_d2], [1.0 if ok else -1.0],
+                         f"first d2 with d > c is {first_d2}" if ok else "boundary mismatch")]
 
 
 def _v_consistency_rows(ys: Sequence[int]) -> list:
@@ -685,15 +662,21 @@ def explore_rows(d1: int, d2_values: Sequence[int]) -> list:
     Odd d1: truncated-binomial sufficient bounds at each d2.  Even d1: step
     differences of the series-reduced log forms (positive upper-edge
     difference and negative lower-edge difference would match the proved
-    pattern).  Domain failures of the series forms are recorded, not raised.
+    pattern).  Domain failures of the series forms, and overflows of the
+    truncated sums, are recorded in the row's note, not raised.
     """
     if d1 < 5:
         raise DomainError(f"explore is for d1 >= 5, got d1={d1}; "
                           f"use sweep or prove below that")
     if d1 % 2 == 1:
-        return step_blocks(d1, d2_values,
-                           lambda d2: falling_factorial_bounds_odd(d1, d2),
-                           exploratory=True)
+        columns: dict = {}  # form -> (its margins, its notes)
+        for d2 in d2_values:
+            for form, (margin, note) in falling_factorial_bounds_odd(d1, d2).items():
+                margins, notes = columns.setdefault(form, ([], []))
+                margins.append(margin)
+                notes.append(note)
+        return [margin_block(form, d1, d2_values, margins, notes, True)
+                for form, (margins, notes) in columns.items()]
     defined, upper, lower, undefined, notes = [], [], [], [], []
     for d2 in d2_values:
         try:
@@ -709,5 +692,5 @@ def explore_rows(d1: int, d2_values: Sequence[int]) -> list:
     blocks = rows_from_step_report(
         d1, defined, {"series_upper_step": upper, "series_lower_step": lower}, True)
     blocks.append(margin_block("series_step", d1, undefined, [None] * len(undefined),
-                               STRICTNESS_FLOOR, notes, True))
+                               notes, True))
     return [block for block in blocks if block]

@@ -44,7 +44,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..errors import DomainError
 from ..reporting import Block, gap_block, margin_block
-from ..varband import STRICTNESS_FLOOR
 
 __all__ = [
     "AuxFn",
@@ -99,6 +98,16 @@ def s2(y: float) -> float:
     return math.sqrt((y + 3.0) / (y - 2.0))
 
 
+def _c_form(y, sqrt):
+    t = 3.0 - _SQRT6 * sqrt((y + 3.0) / (y - 2.0))
+    return t / (t + y)
+
+
+def _d_form(y, sqrt):
+    t = 3.0 - _SQRT6 * sqrt((y + 1.0) / (y - 4.0))
+    return t / (t + (y - 2.0))
+
+
 def c_of(y: float) -> float:
     """Lower endpoint image for numerator df 3 at real denominator df y+2.
 
@@ -106,16 +115,14 @@ def c_of(y: float) -> float:
     """
     if y <= 2.0:
         raise DomainError(f"c_of requires y > 2, got {y}")
-    t = 3.0 - _SQRT6 * s2(y)
-    return t / (t + y)
+    return _c_form(y, math.sqrt)
 
 
 def d_of(y: float) -> float:
     """Companion lower endpoint image, (3 - sqrt6 s1)/(3 - sqrt6 s1 + y - 2)."""
     if y <= 4.0:
         raise DomainError(f"d_of requires y > 4, got {y}")
-    t = 3.0 - _SQRT6 * s1(y)
-    return t / (t + (y - 2.0))
+    return _d_form(y, math.sqrt)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +204,17 @@ def q4(y: float) -> float:
 
 def v_direct(y: float) -> float:
     """Lower-edge sufficient bound, directly from c_of and d_of."""
-    c = c_of(y)
-    d = d_of(y)
+    if y <= 4.0:
+        raise DomainError(f"v requires y > 4, got {y}")
+    return v_of(y, math.sqrt)
+
+
+def v_of(y, sqrt):
+    """``v_direct`` at y, a float or a float64 column, with no domain check:
+    each y must exceed 4.  sqrt is ``math.sqrt`` or ``numpy.sqrt``; both
+    round correctly, and c_of, d_of and v use only +, -, * and / besides, so
+    a column gives ``v_direct``'s values bit for bit."""
+    c, d = _c_form(y, sqrt), _d_form(y, sqrt)
     return ((c / (1.0 - c)) * (1.0 - c / (2.0 * (1.0 - c)))
             - ((y + 2.0) * c - y * d) / (2.0 * (1.0 + c) + y * (c + d))
             - y * (d - c) / (2.0 * (1.0 - d)))
@@ -360,7 +376,7 @@ def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str) -> Block
             f"y={y}: got {v:.6g}, expected {r:.6g}" for y, v, r, _ in mismatches)
     else:
         note = "" if not GOLDEN_TABLES.get(f) else "table values reproduced"
-    return margin_block(f"{f.value}_{direction}", 0, [0], [margin], STRICTNESS_FLOOR, note,
+    return margin_block(f"{f.value}_{direction}", 0, [0], [margin], note,
                         holds=not mismatches)
 
 
@@ -379,7 +395,7 @@ def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int) -> 
         fd = (-aux_eval(f, y + 2 * step) + 8.0 * aux_eval(f, y + step)
               - 8.0 * aux_eval(f, y - step) + aux_eval(f, y - 2 * step)) / (12.0 * step)
         worst = min(worst, expected_sign * fd)
-    return margin_block(f"{f.value}_derivative_sign", 0, [0], [worst], STRICTNESS_FLOOR,
+    return margin_block(f"{f.value}_derivative_sign", 0, [0], [worst],
                         "finite-difference secondary check")
 
 
@@ -392,15 +408,19 @@ def value_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int) -> Block
         raise DomainError("need at least one sample point")
     margin = min(expected_sign * aux_eval(f, y) for y in ys)
     suffix = "negative" if expected_sign < 0 else "positive"
-    return margin_block(f"{f.value}_{suffix}", 0, [0], [margin], STRICTNESS_FLOOR)
+    return margin_block(f"{f.value}_{suffix}", 0, [0], [margin])
 
 
-def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Block:
+#: Relative tolerance of the two v routes in ``rational_V_consistency``.
+_V_REL_TOL = 1e-9
+
+
+def rational_V_consistency(y: float) -> Block:
     """Agreement of the two v evaluation routes plus the sign program.
 
     Computes v directly from c_of/d_of and independently as g1/g2, requires
-    their relative gap (``reporting.relative_gap``) to be within rel_tol, and
-    asserts g1 < 0, g2 < 0, v > 0.
+    their relative gap (``reporting.relative_gap``) to be within
+    ``_V_REL_TOL``, and asserts g1 < 0, g2 < 0, v > 0.
     """
     y = float(y)
     if y < 25.0:
@@ -415,8 +435,8 @@ def rational_V_consistency(y: float, rel_tol: float = 1e-9) -> Block:
     if not direct > 0.0:
         problems.append(f"v({y}) = {direct:.6g} not positive")
     note = "; ".join(problems) if problems else "two evaluation routes agree"
-    return gap_block("v_rational_consistency", 0, [(direct, num / den)], rel_tol, note,
-                     holds=not problems)
+    return gap_block("v_rational_consistency", 0, [(direct, num / den)], _V_REL_TOL,
+                     note, holds=not problems)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ x1 < x0.
 
 Each evaluator returns an ordered map from claim id to signed margin, with
 None for a form that does not apply at that (d1, d2); it renders no
-verdict.  ``reporting.rows_from_step_report`` classifies them against the
-strictness floor, one block per form over a column of d2 values.
+verdict.  ``reporting.rows_from_step_report`` classifies them, one block
+per form over a column of d2 values.  The exploratory odd-d1 bounds map
+each form to its (margin, note) instead, the note naming an overflow.
 
 ``step_inequalities_at`` (``check_step_inequalities``, ``explore``, the
 scalar route of ``programs.chain_blocks``) and ``step_inequalities_column``
@@ -40,7 +41,9 @@ write every form through one body,
 ``_step_forms``.  It uses only +, -, * and /, which round alike on floats
 and on float64 columns; each route supplies its integrals and its exp and
 log (through ``math``) and applies the applicability rules, so the margins
-are bit-identical and the scalar route stays the reference.
+are bit-identical and the scalar route stays the reference.  The d1 = 3
+``ratio_bound_lower`` is ``auxfn``'s v on both routes, one body with the
+square root passed in (``auxfn.v_of``).
 ``coefficient_sign_checks`` and ``coefficient_sign_column`` share
 ``_coefficient_forms`` the same way.  numpy is imported only when a column
 route runs.
@@ -56,7 +59,7 @@ from ..errors import DomainError
 from ..oracle import quad_beta_integral, quad_beta_integral_column
 from ..specfun import _each
 from ..varband import _d_exceeds_c, band_endpoints, d_exceeds_c
-from .auxfn import v_direct
+from .auxfn import v_direct, v_of
 
 __all__ = [
     "check_step_inequalities",
@@ -164,8 +167,8 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[st
         d_gt_c = [dv > 0.0 and _d_exceeds_c(d1, n) for n, dv in zip(d2s, d.tolist())]
         margins[_LOWER_STEP[d1]] = _masked(d_gt_c, margins[_LOWER_STEP[d1]])
         if d1 == 3:
-            margins["ratio_bound_lower"] = [v_direct(float(n)) if gt else None
-                                            for n, gt in zip(d2s, d_gt_c)]
+            v = iter(v_of(n2[np.array(d_gt_c, dtype=bool)], np.sqrt).tolist())
+            margins["ratio_bound_lower"] = [next(v) if gt else None for gt in d_gt_c]
     return margins
 
 
@@ -356,35 +359,43 @@ def _truncated_sum(d1: int, d2: int, x_lo: float, x_hi: float, n_top: int) -> fl
     return d2 * total
 
 
-def _unless_overflow(form: Callable[[], float]) -> Optional[float]:
-    """form(), or None where its truncated sum overflows a float."""
+#: The note of an odd-d1 form whose truncated sum overflows a float.
+_OVERFLOW_NOTE = "not applicable: the truncated sum overflows a float"
+
+
+def _unless_overflow(form: Callable[[], float]) -> Tuple[Optional[float], str]:
+    """(form(), ""), or (None, ``_OVERFLOW_NOTE``) where its truncated sum
+    overflows a float."""
     try:
-        return form()
+        return form(), ""
     except OverflowError:
-        return None
+        return None, _OVERFLOW_NOTE
 
 
-def falling_factorial_bounds_odd(d1: int, d2: int) -> Margins:
-    """Truncated-binomial sufficient bounds for odd d1 >= 5 (exploratory).
+def falling_factorial_bounds_odd(d1: int,
+                                 d2: int) -> Dict[str, Tuple[Optional[float], str]]:
+    """Truncated-binomial sufficient bounds for odd d1 >= 5 (exploratory),
+    each form's (margin, note).
 
     truncated_series_upper:  2a < d2 * S_floor(a, b)   (truncation below)
     truncated_series_lower:  2c > d2 * S_ceil(c, d)    (truncation above;
                              only when d > c > 0)
 
-    A form whose truncated sum overflows a float (large d1, where the sum has
-    about d1/2 terms and n! passes the float range from n = 171) is None.
+    A form that does not apply is (None, "").  A form whose truncated sum
+    overflows a float (large d1, where the sum has about d1/2 terms and n!
+    passes the float range from n = 171) is (None, ``_OVERFLOW_NOTE``).
     """
     if d1 < 5 or d1 % 2 == 0:
         raise DomainError(f"falling-factorial bounds require odd d1 >= 5, got {d1}")
     p = FParams(d1, d2)
     ep = band_endpoints(p)
     alpha = 0.5 * d1 - 1.0
-    margins: Margins = {
+    rows = {
         "truncated_series_upper": _unless_overflow(
             lambda: _truncated_sum(d1, d2, ep.a, ep.b, math.floor(alpha)) - 2.0 * ep.a),
-        "truncated_series_lower": None,
+        "truncated_series_lower": (None, ""),
     }
     if ep.d > 0.0 and d_exceeds_c(p):
-        margins["truncated_series_lower"] = _unless_overflow(
+        rows["truncated_series_lower"] = _unless_overflow(
             lambda: 2.0 * ep.c - _truncated_sum(d1, d2, ep.c, ep.d, math.ceil(alpha)))
-    return margins
+    return rows

@@ -7,10 +7,11 @@ a single claim returns a one-row block, and a report is a list of blocks,
 exactly one per (check_id, d1), so ordering the blocks by (check_id, d1)
 orders the rows by (check_id, d1, d2).
 
-Every status comes from ``margin_block``, a block's only constructor: a row
-passes iff its side conditions hold and its signed margin beats the
-strictness floor, is inconclusive iff they hold and the margin is within
-the floor, fails otherwise, and is not applicable when it has no margin.
+Every status comes from ``margin_block``, a block's only constructor, under
+one rule and one threshold, ``STRICTNESS_FLOOR``: a row passes iff its side
+conditions hold and its signed margin beats the floor, is inconclusive iff
+they hold and the margin is within the floor, fails otherwise, and is not
+applicable when it has no margin.
 ``summarize`` counts the statuses block by block, and every row of
 an exploratory block in a bucket of its own; ``counts_text`` is the one
 text of those counts, and ``claim_lines`` the one verdict line per claim
@@ -58,6 +59,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
+    "STRICTNESS_FLOOR",
     "STATUSES",
     "Block",
     "Rendered",
@@ -78,6 +80,11 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("check_id", "d1", "d2", "margin", "pass", "note")
+
+#: Absolute floor below which a margin is treated as inconclusive rather
+#: than certified: binary64 cannot tell its sign at roundoff scale, so a
+#: margin within it proves nothing either way.
+STRICTNESS_FLOOR = 1e-12
 
 #: Statuses of a report row; with "exploratory" they are the summary buckets.
 STATUSES = ("pass", "fail", "inconclusive", "not_applicable")
@@ -135,23 +142,24 @@ class Rendered(NamedTuple):
 
 
 def margin_block(check_id: str, d1: int, d2s: Sequence[int],
-                 margins: Sequence[Optional[float]], floor: float,
+                 margins: Sequence[Optional[float]],
                  note: Union[str, Sequence[str]] = "", exploratory: bool = False,
                  holds: bool = True) -> Block:
     """Block of signed margins, one per d2, under the one verdict rule.
 
     holds says whether the claim's side conditions (a reference table, an
     exact certificate, a sign program) are met.  A row passes iff they hold
-    and margin > floor, is inconclusive iff they hold and |margin| <= floor
-    (the note gains "inconclusive"), and fails otherwise; a None margin is a
-    form that does not apply (the note defaults to "not applicable").  note
-    is shared by the column or given per row.  Tolerance-style checks, whose
-    margin is tol - residual, use floor 0.0; a check that two routes agree
-    takes ``relative_gap`` as its residual, through ``gap_block``.
+    and margin > ``STRICTNESS_FLOOR``, is inconclusive iff they hold and
+    |margin| <= the floor (the note gains "inconclusive"), and fails
+    otherwise; a None margin is a form that does not apply (the note
+    defaults to "not applicable").  note is shared by the column or given
+    per row.  A tolerance-style margin, tol - residual, is judged at the
+    same floor; a check that two routes agree takes ``relative_gap`` as its
+    residual, through ``gap_block``.
     """
     statuses = ["not_applicable" if margin is None
-                else "pass" if holds and margin > floor
-                else "inconclusive" if holds and abs(margin) <= floor
+                else "pass" if holds and margin > STRICTNESS_FLOOR
+                else "inconclusive" if holds and abs(margin) <= STRICTNESS_FLOOR
                 else "fail"
                 for margin in margins]
     notes = [(n + "; " if n else "") + "inconclusive" if s == "inconclusive"
@@ -176,9 +184,9 @@ def relative_gap(pairs: Iterable[tuple[float, float]]) -> float:
 def gap_block(check_id: str, d1: int, pairs: Iterable[tuple[float, float]],
               tol: float, note: str = "", holds: bool = True) -> Block:
     """One-row block (d2 0) of a claim that two routes agree within the
-    relative tolerance tol: margin tol - relative_gap(pairs) at floor 0."""
-    return margin_block(check_id, d1, [0], [tol - relative_gap(pairs)], 0.0, note,
-                        holds=holds)
+    relative tolerance tol: margin tol - relative_gap(pairs), judged by
+    ``margin_block`` like every other margin."""
+    return margin_block(check_id, d1, [0], [tol - relative_gap(pairs)], note, holds=holds)
 
 
 def rows_from_outcome(blocks: Sequence[Block], d1: int,
@@ -198,10 +206,8 @@ def rows_from_step_report(d1: int, d2s: Sequence[int],
                           margins: Mapping[str, Sequence[Optional[float]]],
                           exploratory: bool = False) -> list:
     """Blocks of the step forms evaluated over d2s: form -> margin column,
-    with None where a form does not apply, at ``varband.STRICTNESS_FLOOR``."""
-    from .varband import STRICTNESS_FLOOR  # not at import: ``varcomp.Block`` loads no band
-
-    return [margin_block(form, d1, d2s, column, STRICTNESS_FLOOR, "", exploratory)
+    with None where a form does not apply."""
+    return [margin_block(form, d1, d2s, column, "", exploratory)
             for form, column in margins.items()]
 
 

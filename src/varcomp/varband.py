@@ -34,10 +34,10 @@ same order and agree with it bit for bit.
 
 ``bound_block`` and ``monotone_block`` (a d2 column), ``check_bound`` and
 ``check_monotone_step`` (one point, through them) and ``check_limit`` return
-a ``reporting.Block``, classified by ``reporting.margin_block`` at
-``STRICTNESS_FLOOR`` (``check_limit``: ``LIMIT_TOL`` at floor 0); they import
-``reporting`` when they run, so the band commands (``varprob``,
-``endpoints``, ``oracle``) never load it.
+a ``reporting.Block``, classified by ``reporting.margin_block`` at its one
+threshold, ``reporting.STRICTNESS_FLOOR``; they import ``reporting`` when
+they run, so the band commands (``varprob``, ``endpoints``, ``oracle``)
+never load it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Endpoints",
-    "STRICTNESS_FLOOR",
     "LIMIT_TOL",
     "PROVED_D1",
     "NORMAL_BAND",
@@ -76,11 +75,6 @@ __all__ = [
     "check_monotone_step",
     "check_limit",
 ]
-
-#: Absolute floor below which a strict-inequality margin is treated as
-#: inconclusive rather than certified; binary64 cannot distinguish signs at
-#: roundoff scale.
-STRICTNESS_FLOOR = 1e-12
 
 #: Absolute tolerance of ``check_limit``: the largest gap between the band
 #: probability at large d2 and its chi-square limit that still passes.
@@ -262,8 +256,7 @@ def _band_block(check_id: str, d1: int, d2s, margins) -> Block:
     from .reporting import margin_block
 
     expl = d1 not in PROVED_D1
-    return margin_block(check_id, d1, d2s, margins, STRICTNESS_FLOOR,
-                        "exploratory" if expl else "", expl)
+    return margin_block(check_id, d1, d2s, margins, "exploratory" if expl else "", expl)
 
 
 def bound_block(d1: int, d2s, bands) -> Block:
@@ -296,7 +289,7 @@ def check_limit(d1: int, d2_large: int) -> Block:
 
     F(d1, d2) converges in distribution to chi-square(d1)/d1, so the band
     probability approaches the chi-square(d1) band probability; margin is
-    ``LIMIT_TOL`` minus the observed absolute gap, at floor 0.
+    ``LIMIT_TOL`` minus the observed absolute gap.
     """
     from .reporting import margin_block
 
@@ -305,4 +298,4 @@ def check_limit(d1: int, d2_large: int) -> Block:
     f_val = variation_probability(FParams(d1, d2_large))
     chi_val = chi_square_band_probability(d1)
     return margin_block("limit_matches_chi_square", d1, [d2_large],
-                        [LIMIT_TOL - abs(f_val - chi_val)], 0.0)
+                        [LIMIT_TOL - abs(f_val - chi_val)])

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -19,11 +20,13 @@ from varcomp import (
     __version__,
     check_bound,
     check_monotone_step,
+    d_exceeds_c,
 )
 from varcomp.cli import main
 from varcomp.programs import _COLUMN_MIN
 from varcomp.proofcheck.steps import check_step_inequalities
 from varcomp.reporting import (
+    STRICTNESS_FLOOR,
     counts_text,
     margin_block,
     render_csv,
@@ -31,8 +34,7 @@ from varcomp.reporting import (
     rows_from_outcome,
     summarize,
 )
-from varcomp.varband import (LIMIT_TOL, PROVED_D1, STRICTNESS_FLOOR,
-                             chi_square_band_probability)
+from varcomp.varband import LIMIT_TOL, PROVED_D1, chi_square_band_probability
 
 
 #: The source tree of the varcomp under test.
@@ -206,7 +208,7 @@ def test_sweep_matches_scalar_per_cell_path(rendered_blocks, tmp_path, capsys):
         for d2 in range(5, 41):
             p = FParams(d1, d2)
             outs = [check_bound(p), check_monotone_step(p)]
-            outs += [margin_block(form, d1, [d2], [margin], STRICTNESS_FLOOR, "", expl)
+            outs += [margin_block(form, d1, [d2], [margin], "", expl)
                      for form, margin in check_step_inequalities(p).items()]
             for out in outs:
                 cells.setdefault((out.check_id, d1), []).append(out)
@@ -387,7 +389,7 @@ def test_prove_prints_fail_and_exits_1(monkeypatch, capsys):
 
     def with_a_failure(d1, d2_max):
         return program(d1, d2_max) + [
-            margin_block("planted_claim", d1, [5, 6, 7], [0.5, -0.25, 1e-13], 1e-12)]
+            margin_block("planted_claim", d1, [5, 6, 7], [0.5, -0.25, 1e-13])]
 
     monkeypatch.setattr(varcomp.programs, "_program_rows", with_a_failure)
     code, out, err = run_cli("prove", "--d1", "2", "--d2-max", "30", capsys=capsys)
@@ -608,11 +610,16 @@ def test_explore_always_exit_zero(tmp_path, capsys):
     assert code == 2
 
 
+#: The note of an odd-d1 explore row whose truncated sum overflowed.
+_ODD_OVERFLOW = "not applicable: the truncated sum overflows a float"
+
+
 @pytest.mark.parametrize("d1, d2, rows", [
     ("304..304", "5..9", ['series_step,304,7,,false,"not applicable: series form undefined: '
                           'a sum term overflows at d1=304, y=5.0"']),
-    ("343..345", "5..20", ["truncated_series_lower,343,20,,false,not applicable",
-                           "truncated_series_upper,345,20,,false,not applicable"]),
+    ("343..345", "5..20", ["truncated_series_lower,343,8,,false,not applicable",
+                           "truncated_series_lower,343,20,,false," + _ODD_OVERFLOW,
+                           "truncated_series_upper,345,20,,false," + _ODD_OVERFLOW]),
 ], ids=["even-power-overflow", "odd-factorial-overflow"])
 def test_explore_reports_an_overflowing_series_as_not_applicable(d1, d2, rows, tmp_path,
                                                                  capsys):
@@ -626,6 +633,23 @@ def test_explore_reports_an_overflowing_series_as_not_applicable(d1, d2, rows, t
     lines = out_path.read_text().splitlines()
     assert any(line.startswith("# summary:") and "fail=0" in line for line in lines)
     assert set(rows) <= set(lines)
+
+
+@pytest.mark.parametrize("d1, d2", [("343..343", "5..20"), ("345..345", "7..9")])
+def test_explore_names_the_overflow_of_each_overflowed_odd_row_only(d1, d2, capsys):
+    # a form that applies (the upper always, the lower where d > c) but has
+    # no margin overflowed, and only its row carries the overflow note
+    code, out, err = run_cli("explore", "--d1", d1, "--d2", d2, capsys=capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(line for line in out.splitlines()
+                               if not line.startswith("#")))
+    overflowed = [(r["check_id"], r["d2"]) for r in rows if r["note"] == _ODD_OVERFLOW]
+    assert overflowed == [
+        (r["check_id"], r["d2"]) for r in rows
+        if r["margin"] == "" and (r["check_id"] == "truncated_series_upper"
+                                  or d_exceeds_c(FParams(int(r["d1"]), int(r["d2"]))))]
+    assert overflowed and all(r["note"] in ("", "not applicable", _ODD_OVERFLOW)
+                              for r in rows)
 
 
 def test_cli_import_leaves_numpy_unloaded():

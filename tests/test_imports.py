@@ -122,13 +122,12 @@ _PUBLIC = {
     "distributions": ("FParams", "chi_square_cdf", "f_cdf", "f_mean", "f_variance"),
     "errors": ("ConvergenceError", "DomainError", "MomentUndefinedError",
                "ToleranceNotMetError", "VarcompError"),
-    "reporting": ("Block",),
+    "reporting": ("Block", "STRICTNESS_FLOOR"),
     "specfun": ("log_beta", "log_gamma", "reg_inc_beta", "reg_lower_gamma",
                 "std_normal_cdf"),
-    "varband": ("Endpoints", "NORMAL_BAND", "STRICTNESS_FLOOR", "band_endpoints",
-                "check_bound", "check_limit", "check_monotone_step",
-                "chi_square_band_probability", "d_exceeds_c", "variation_band",
-                "variation_probability"),
+    "varband": ("Endpoints", "NORMAL_BAND", "band_endpoints", "check_bound",
+                "check_limit", "check_monotone_step", "chi_square_band_probability",
+                "d_exceeds_c", "variation_band", "variation_probability"),
 }
 _NAMES = [(home, name) for home, names in _PUBLIC.items() for name in names]
 
@@ -146,6 +145,11 @@ def test_star_import_and_dir_list_the_public_names():
     assert names <= set(namespace)
     assert all(namespace[name] is getattr(varcomp, name) for name in names)
     assert names | {"__version__"} <= set(dir(varcomp))
+
+
+def test_the_strictness_floor_has_one_home():
+    assert varcomp.STRICTNESS_FLOOR is varcomp.reporting.STRICTNESS_FLOOR
+    assert not hasattr(varcomp.varband, "STRICTNESS_FLOOR")
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "_FLOAT_LIMIT", "margin_block"])

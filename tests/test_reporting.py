@@ -29,6 +29,7 @@ from varcomp.reporting import (
     _BUCKETS,
     CSV_COLUMNS,
     STATUSES,
+    STRICTNESS_FLOOR,
     Block,
     Rendered,
     claim_lines,
@@ -44,7 +45,6 @@ from varcomp.reporting import (
     summarize,
     write_report,
 )
-from varcomp.varband import STRICTNESS_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -124,50 +124,53 @@ def test_bucket_precedence():
     assert _BUCKETS == STATUSES + ("exploratory",)
 
 
-def one_row(margin, floor, note="", exploratory=False, holds=True) -> Row:
+def one_row(margin, note="", exploratory=False, holds=True) -> Row:
     """The row of the one-row block margin_block makes at (d1, d2) = (1, 5)."""
-    (row,) = flatten([margin_block("x", 1, [5], [margin], floor, note, exploratory,
-                                   holds)])
+    (row,) = flatten([margin_block("x", 1, [5], [margin], note, exploratory, holds)])
     return row
 
 
 def test_margin_block_is_the_one_verdict_rule():
-    floor = 1e-12
-    row = one_row(2e-12, floor, "n")
+    # one threshold for every margin: no caller passes a floor
+    assert "floor" not in inspect.signature(margin_block).parameters
+    assert STRICTNESS_FLOOR == 1e-12
+    row = one_row(2e-12, "n")
     assert (row.status, row.passed, row.note) == ("pass", True, "n")
-    row = one_row(-1e-12, floor, "n")
+    row = one_row(-1e-12, "n")
     assert (row.status, row.passed, row.note) == ("inconclusive", False, "n; inconclusive")
-    assert one_row(1e-12, floor).note == "inconclusive"
-    # a floor above a positive margin makes it inconclusive, not failed
-    assert one_row(0.5, 1.0).status == "inconclusive"
-    assert one_row(-2e-12, floor).status == "fail"
-    assert one_row(float("nan"), floor).status == "fail"
+    assert one_row(1e-12).note == "inconclusive"
+    assert one_row(-2e-12).status == "fail"
+    assert one_row(float("nan")).status == "fail"
     # a side condition that does not hold fails the row whatever the margin
-    row = one_row(1.0, floor, "table mismatch", holds=False)
+    row = one_row(1.0, "table mismatch", holds=False)
     assert (row.status, row.note) == ("fail", "table mismatch")
-    assert one_row(0.0, floor, holds=False).status == "fail"
-    row = one_row(None, floor, "not applicable", True)
+    assert one_row(0.0, holds=False).status == "fail"
+    row = one_row(None, "not applicable", True)
     assert (row.status, row.exploratory, row.passed) == ("not_applicable", True, False)
-    # floor 0 for tolerance-style margins: only an exact zero is inconclusive
-    assert one_row(5e-324, 0.0).status == "pass"
-    assert one_row(0.0, 0.0).status == "inconclusive"
+    # a tolerance-style margin, tol - residual, is judged at the same floor:
+    # within roundoff of 0 it proves nothing either way
+    assert one_row(5e-324).status == "inconclusive"
+    assert one_row(0.0).status == "inconclusive"
+    for tol, status in ((5e-13, "inconclusive"), (-5e-13, "inconclusive"),
+                        (2e-12, "pass"), (-2e-12, "fail")):
+        block = gap_block("g", 1, [(1.0, 1.0)], tol)
+        assert (block.margins, block.statuses) == ([tol], [status]), tol
 
 
 def test_margin_block_column_is_its_one_row_blocks():
-    floor = 1e-12
     margins = [2e-12, -1e-12, 1e-12, -2e-12, float("nan"), None, 0.0, 5e-324, -0.0]
     d2s = list(range(5, 5 + len(margins)))
     for note in ("", "n"):
         for holds in (True, False):
             for expl in (False, True):
-                block = margin_block("x", 2, d2s, margins, floor, note, expl, holds)
+                block = margin_block("x", 2, d2s, margins, note, expl, holds)
                 assert flatten([block]) == flatten(
-                    [margin_block("x", 2, [d2], [m], floor, note, expl, holds)
+                    [margin_block("x", 2, [d2], [m], note, expl, holds)
                      for d2, m in zip(d2s, margins)])
     # a note per row
     notes = ["a", "", "b", "c", "d", "", "e", "", "f"]
-    block = margin_block("x", 2, d2s, margins, floor, notes)
-    assert flatten([block]) == flatten([margin_block("x", 2, [d2], [m], floor, n)
+    block = margin_block("x", 2, d2s, margins, notes)
+    assert flatten([block]) == flatten([margin_block("x", 2, [d2], [m], n)
                                         for d2, m, n in zip(d2s, margins, notes)])
     # the columns are held as given, not copied
     assert block.d2s is d2s and block.margins is margins
@@ -185,7 +188,7 @@ def test_relative_gap_is_the_two_route_residual():
     nan, inf = float("nan"), float("inf")
     for bad in ((nan, 1.0), (1.0, nan), (inf, 1.0)):
         assert math.isnan(relative_gap([(1.0, 1.5), bad, (2.0, 2.0)]))
-    # the claim's block: margin tol - gap at floor 0, at d2 0
+    # the claim's block: margin tol - gap, at d2 0
     block = gap_block("g", 3, [(1.0, 1.0 + 2e-10)], 1e-9, "agree")
     assert (block.check_id, block.d1, list(block.d2s), block.statuses, block.notes) \
         == ("g", 3, [0], ["pass"], ["agree"])
@@ -245,7 +248,7 @@ def test_two_route_claims_pinned():
 
 
 def test_block_is_a_frozen_slotted_record():
-    block = margin_block("x", 1, [5], [0.5], 0.0)
+    block = margin_block("x", 1, [5], [0.5])
     assert not hasattr(block, "__dict__")
     with pytest.raises(AttributeError):
         block.statuses = ["fail"]
@@ -300,18 +303,18 @@ def test_claim_lines_join_the_runs_of_each_claim():
 def test_rows_from_outcome_stamps_program_coordinates():
     # an auxiliary check is a function of y alone; the program supplies
     # (d1, d2) and nothing else about the row changes
-    out = margin_block("claim", 0, [0], [0.25], 0.0, "note")
+    out = margin_block("claim", 0, [0], [0.25], "note")
     (block,) = rows_from_outcome([out], 3, [44])
     (row,) = flatten([block])
     assert (row.d1, row.d2, row.margin, row.passed) == (3, 44, 0.25, True)
     assert (row.check_id, row.status, row.note, row.exploratory) == (
         "claim", "pass", "note", False)
-    (block,) = rows_from_outcome([margin_block("claim", 0, [0], [-1.0], 0.0)], 2)
+    (block,) = rows_from_outcome([margin_block("claim", 0, [0], [-1.0])], 2)
     (row,) = flatten([block])
     assert (row.d1, row.d2, row.status) == (2, 0, "fail")
     # one claim checked at several y is one block
-    outs = [margin_block("v", 0, [0], [0.5], 0.0, "ok"),
-            margin_block("v", 0, [0], [0.5], 0.0, "bad", holds=False)]
+    outs = [margin_block("v", 0, [0], [0.5], "ok"),
+            margin_block("v", 0, [0], [0.5], "bad", holds=False)]
     (block,) = rows_from_outcome(outs, 3, [25, 26])
     assert [(r.d1, r.d2, r.status, r.note) for r in flatten([block])] == [
         (3, 25, "pass", "ok"), (3, 26, "fail", "bad")]
@@ -336,30 +339,24 @@ def test_rows_from_outcome_joins_the_one_row_blocks_of_checks():
     assert block.d2s == [5, 6, 7] and block.statuses == ["pass"] * 3
 
 
-#: Each single check: the function, its arguments, the (d1, d2) of its row
-#: and the floor it is classified at.  The last three are tolerance-style
-#: margins, at floor 0.
+#: Each single check: the function, its arguments and the (d1, d2) of its row.
 SINGLE_CHECKS = {
-    "check_bound": (check_bound, (FParams(3, 9),), (3, 9), STRICTNESS_FLOOR),
-    "check_monotone_step": (
-        check_monotone_step, (FParams(4, 17),), (4, 17), STRICTNESS_FLOOR),
+    "check_bound": (check_bound, (FParams(3, 9),), (3, 9)),
+    "check_monotone_step": (check_monotone_step, (FParams(4, 17),), (4, 17)),
     "monotone_table_check": (
-        monotone_table_check, (AuxFn.H3, range(3, 13), "decreasing"), (0, 0),
-        STRICTNESS_FLOOR),
-    "derivative_sign_check": (
-        derivative_sign_check, (AuxFn.H1, [4, 10], -1), (0, 0), STRICTNESS_FLOOR),
-    "value_sign_check": (
-        value_sign_check, (AuxFn.L2, range(5, 30), -1), (0, 0), STRICTNESS_FLOOR),
-    "check_limit": (check_limit, (2, 10_000), (2, 10_000), 0.0),
-    "rational_V_consistency": (rational_V_consistency, (30,), (0, 0), 0.0),
+        monotone_table_check, (AuxFn.H3, range(3, 13), "decreasing"), (0, 0)),
+    "derivative_sign_check": (derivative_sign_check, (AuxFn.H1, [4, 10], -1), (0, 0)),
+    "value_sign_check": (value_sign_check, (AuxFn.L2, range(5, 30), -1), (0, 0)),
+    "check_limit": (check_limit, (2, 10_000), (2, 10_000)),
+    "rational_V_consistency": (rational_V_consistency, (30,), (0, 0)),
     "algebra_identity_check": (
-        algebra_identity_check, ("l2_prefactor_identity", range(5, 20)), (0, 0), 0.0),
+        algebra_identity_check, ("l2_prefactor_identity", range(5, 20)), (0, 0)),
 }
 
 
 @pytest.mark.parametrize("name", list(SINGLE_CHECKS))
 def test_each_single_check_returns_a_one_row_block(name):
-    fn, args, (d1, d2), floor = SINGLE_CHECKS[name]
+    fn, args, (d1, d2) = SINGLE_CHECKS[name]
     # no caller moves a verdict: the floor is a constant, not an argument
     assert "floor" not in inspect.signature(fn).parameters
     out = fn(*args)
@@ -367,8 +364,8 @@ def test_each_single_check_returns_a_one_row_block(name):
     assert (len(out), out.d1, list(out.d2s)) == (1, d1, [d2])
     (margin,), (status,), (note,) = out.margins, out.statuses, out.notes
     # margin_block's rule, the side conditions of these samples holding
-    assert status == ("pass" if margin > floor
-                      else "inconclusive" if abs(margin) <= floor else "fail")
+    assert status == ("pass" if margin > STRICTNESS_FLOOR
+                      else "inconclusive" if abs(margin) <= STRICTNESS_FLOOR else "fail")
     assert note.endswith("inconclusive") == (status == "inconclusive")
     assert status == "pass"
 
@@ -430,9 +427,9 @@ def test_json_mirror():
 
 
 def test_blocks_render_in_check_id_d1_d2_order():
-    blocks = [margin_block("b", 1, [5], [0.1], 0.0),
-              margin_block("a", 2, [5], [0.1], 0.0),
-              margin_block("a", 1, [5, 9], [0.1, 0.1], 0.0)]
+    blocks = [margin_block("b", 1, [5], [0.1]),
+              margin_block("a", 2, [5], [0.1]),
+              margin_block("a", 1, [5, 9], [0.1, 0.1])]
     lines = csv_of(blocks, {}).splitlines()[4:]
     assert [tuple(line.split(",")[:3]) for line in lines] == [
         ("a", "1", "5"), ("a", "1", "9"), ("a", "2", "5"), ("b", "1", "5")]
@@ -562,7 +559,7 @@ def test_renderers_match_reference_on_empty_rows():
     assert_renderers_match_reference([])
     assert '"rows": [],' in json_of([], HEADER)
     # an empty block renders no row
-    empty = [margin_block("a", 1, [], [], 0.0)]
+    empty = [margin_block("a", 1, [], [])]
     assert_renderers_match_reference(empty)
     assert_renderers_match_reference(empty + blocks_of(EDGE_ROWS))
 
@@ -602,11 +599,11 @@ def test_render_json_rejects_non_finite_margins(margin):
 def test_render_json_names_the_first_non_finite_margin_in_row_order():
     inf, nan = float("inf"), float("nan")
     mixed = margin_block("b", 1, [5, 6, 7, 8, 9],
-                         (0.5, None, np.float64("nan"), -inf, None), 0.0)
+                         (0.5, None, np.float64("nan"), -inf, None))
     for blocks in ([mixed],
-                   [margin_block("c", 1, [5], [nan], 0.0), mixed,
-                    margin_block("a", 2, [5, 6, 7], [None, None, inf], 0.0)],
-                   [margin_block("a", 1, [5, 6], [None, 0.25], 0.0), mixed]):
+                   [margin_block("c", 1, [5], [nan]), mixed,
+                    margin_block("a", 2, [5, 6, 7], [None, None, inf])],
+                   [margin_block("a", 1, [5, 6], [None, 0.25]), mixed]):
         with pytest.raises(ValueError) as want:
             reference_json(blocks, HEADER)
         with pytest.raises(ValueError) as got:

@@ -132,26 +132,31 @@ def test_series_step_matches_exact_step_direction():
             assert k_here < k_prev, (d1, d2)
 
 
+def odd_margins(d1, d2) -> dict:
+    """The margins of falling_factorial_bounds_odd(d1, d2), without notes."""
+    return {form: m for form, (m, _) in falling_factorial_bounds_odd(d1, d2).items()}
+
+
 def test_falling_factorial_bounds():
-    r = falling_factorial_bounds_odd(5, 9)
+    r = odd_margins(5, 9)
     assert checked(r) == ["truncated_series_upper"]
     assert r["truncated_series_upper"] > 0
     # the program that reports them quarantines them as exploratory
     assert [(row.check_id, row.exploratory) for row in explore_rows(5, [9])] == [
         ("truncated_series_upper", True), ("truncated_series_lower", True)]
-    r = falling_factorial_bounds_odd(5, 5)
-    assert "truncated_series_lower" in not_applicable(r)
-    r = falling_factorial_bounds_odd(7, 40)
+    assert falling_factorial_bounds_odd(5, 5)["truncated_series_lower"] == (None, "")
+    r = odd_margins(7, 40)
     assert set(checked(r)) == {"truncated_series_upper", "truncated_series_lower"}
     with pytest.raises(DomainError):
         falling_factorial_bounds_odd(4, 9)
     with pytest.raises(DomainError):
         falling_factorial_bounds_odd(3, 9)
     # n! passes the float range from n = 171: the lower form's truncated sum
-    # overflows from d1 = 343, the upper form's from d1 = 345
-    assert falling_factorial_bounds_odd(343, 20)["truncated_series_lower"] is None
-    assert falling_factorial_bounds_odd(343, 20)["truncated_series_upper"] > 0
-    assert set(falling_factorial_bounds_odd(345, 20).values()) == {None}
+    # overflows from d1 = 343, the upper form's from d1 = 345; the note says so
+    overflow = (None, "not applicable: the truncated sum overflows a float")
+    assert falling_factorial_bounds_odd(343, 20)["truncated_series_lower"] == overflow
+    assert odd_margins(343, 20)["truncated_series_upper"] > 0
+    assert set(falling_factorial_bounds_odd(345, 20).values()) == {overflow}
 
 
 def test_truncated_upper_bound_is_a_lower_bound_of_the_integral():
