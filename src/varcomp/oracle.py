@@ -11,10 +11,10 @@ clipping the integration limits.
 
 ``quad_beta_integral_column`` is the numpy fast route for a column of
 integrals, used by sweeps for the step forms: it takes the first panel and
-its one halving of every lane at once, in the scalar arithmetic order, and
-hands each lane that does not converge there to ``quad_beta_integral``, so
-its values are bit-identical to the scalar route, which stays the
-reference.
+its one halving of every lane at once and hands each lane that does not
+converge there to ``quad_beta_integral``.  One body per formula: both
+routes run the integrand, Simpson panel and halving test, so the column's
+values are bit-identical to the scalar route, the reference.
 
 numpy is imported only by the functions that draw samples and by the column
 route, so the scalar quadrature costs no numpy import.
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .distributions import FParams, f_mean, f_variance
 from .errors import DomainError, ToleranceNotMetError
-from .specfun import _each
+from .specfun import _each, _finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -145,9 +145,8 @@ def quad_beta_integral(a: float, b: float, lo: float, hi: float,
     Raises ToleranceNotMetError (best value attached) if the recursion depth
     is exhausted before the tolerance is met.
     """
-    for name, v in (("a", a), ("b", b), ("lo", lo), ("hi", hi), ("tol", tol)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise DomainError(f"{name} must be finite, got {v!r}")
+    a, b, lo, hi, tol = (_finite(name, v) for name, v in
+                         (("a", a), ("b", b), ("lo", lo), ("hi", hi), ("tol", tol)))
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta integrand requires a > 0 and b > 0, got a={a}, b={b}")
     if not (0.0 <= lo <= hi <= 1.0):
@@ -200,9 +199,14 @@ def _beta_integrand(a: float, b: float):
             return 0.0 if am1 > 0.0 else 1.0 if am1 == 0.0 else math.inf
         if t >= 1.0:
             return 0.0 if bm1 > 0.0 else 1.0 if bm1 == 0.0 else math.inf
-        return math.exp(am1 * math.log(t) + bm1 * math.log1p(-t))
+        return _beta_power(t, am1, bm1, math.exp, math.log, math.log1p)
 
     return f
+
+
+def _beta_power(t, am1, bm1, exp, log, log1p):
+    # t^(a-1) (1-t)^(b-1) inside (0, 1), with am1 = a - 1 and bm1 = b - 1
+    return exp(am1 * log(t) + bm1 * log1p(-t))
 
 
 def _corner_is_rough(a: float) -> bool:
@@ -240,9 +244,9 @@ def quad_beta_integral_column(a: float, b, lo, hi, tol: float = 1e-12):
 
     b, lo and hi are equal-length 1-d arrays; a and tol are shared by the
     column.  An interior lane (0 < lo < hi < 1) takes the first Simpson
-    panel and its one halving in numpy, in ``_SimpsonState``'s order of
-    operations and with every exp and log through ``math``, so a lane that
-    meets ``abs(delta) <= 15 * tol`` there has the scalar value bit for bit.
+    panel and its one halving in numpy, through ``_SimpsonState``'s bodies
+    and with every exp and log through ``math``, so a lane that meets
+    ``abs(delta) <= 15 * tol`` there has the scalar value bit for bit.
     Every other lane goes to ``quad_beta_integral`` unchanged, in lane
     order, so a failing lane raises what the scalar route raises.
     """
@@ -254,22 +258,20 @@ def quad_beta_integral_column(a: float, b, lo, hi, tol: float = 1e-12):
                           f"{b.shape}, {lo.shape} and {hi.shape}")
     out = np.empty(lo.shape)
     done = np.zeros(lo.shape, dtype=bool)
-    if all(isinstance(v, (int, float)) and 0.0 < v < math.inf for v in (a, tol)):
+    a, tol = _finite("a", a), _finite("tol", tol)
+    if a > 0.0 and tol > 0.0:
         lanes = np.flatnonzero((0.0 < lo) & (lo < hi) & (hi < 1.0)
                                & (0.0 < b) & (b < math.inf))
         x0, x1 = lo[lanes], hi[lanes]
         m = 0.5 * (x0 + x1)
         t = np.concatenate((x0, x1, m, 0.5 * (x0 + m), 0.5 * (m + x1)))
         bm1 = np.tile(b[lanes] - 1.0, 5)
-        f0, f1, fm, flm, frm = _each(
-            math.exp, (a - 1.0) * _each(math.log, t) + bm1 * _each(math.log1p, -t)
+        f0, f1, fm, flm, frm = _beta_power(
+            t, a - 1.0, bm1, _each(math.exp), _each(math.log), _each(math.log1p)
         ).reshape(5, -1)
-        whole = (x1 - x0) / 6.0 * (f0 + 4.0 * fm + f1)
-        left = (m - x0) / 6.0 * (f0 + 4.0 * flm + fm)
-        right = (x1 - m) / 6.0 * (fm + 4.0 * frm + f1)
-        delta = left + right - whole
-        met = np.abs(delta) <= 15.0 * tol
-        out[lanes[met]] = (left + right + delta / 15.0)[met]
+        value, _, met = _halving(_simpson(x0, m, f0, flm, fm), _simpson(m, x1, fm, frm, f1),
+                                 _simpson(x0, x1, f0, fm, f1), tol)
+        out[lanes[met]] = value[met]
         done[lanes[met]] = True
     for i in np.flatnonzero(~done).tolist():
         out[i] = quad_beta_integral(a, float(b[i]), float(lo[i]), float(hi[i]), tol).value
@@ -284,16 +286,11 @@ class _SimpsonState:
         self.evals = 0
         self.converged = True
 
-    def _eval(self, x: float) -> float:
-        self.evals += 1
-        return self.f(x)
-
     def integrate(self, x0: float, x1: float, tol: float):
-        f0 = self._eval(x0)
-        f1 = self._eval(x1)
         m = 0.5 * (x0 + x1)
-        fm = self._eval(m)
-        whole = (x1 - x0) / 6.0 * (f0 + 4.0 * fm + f1)
+        f0, f1, fm = self.f(x0), self.f(x1), self.f(m)
+        self.evals += 3
+        whole = _simpson(x0, x1, f0, fm, f1)
         return self._refine(x0, f0, x1, f1, m, fm, whole, tol, _MAX_DEPTH)
 
     def _refine(self, x0, f0, x1, f1, m, fm, whole, tol, depth):
@@ -301,18 +298,29 @@ class _SimpsonState:
             return whole, abs(whole)  # already failed, just unwind
         lm = 0.5 * (x0 + m)
         rm = 0.5 * (m + x1)
-        flm = self._eval(lm)
-        frm = self._eval(rm)
-        left = (m - x0) / 6.0 * (f0 + 4.0 * flm + fm)
-        right = (x1 - m) / 6.0 * (fm + 4.0 * frm + f1)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0, abs(delta) / 15.0
+        flm, frm = self.f(lm), self.f(rm)
+        self.evals += 2
+        left = _simpson(x0, m, f0, flm, fm)
+        right = _simpson(m, x1, fm, frm, f1)
+        value, err, met = _halving(left, right, whole, tol)
+        if met:
+            return value, err / 15.0
         if depth <= 0 or self.evals >= _MAX_EVALS:
             # exhausted depth or the evaluation budget: mark failed so the
             # rest of the tree unwinds; the caller raises with the best value
             self.converged = False
-            return left + right + delta / 15.0, abs(delta)
+            return value, err
         lv, le = self._refine(x0, f0, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
         rv, re = self._refine(m, fm, x1, f1, rm, frm, right, 0.5 * tol, depth - 1)
         return lv + rv, le + re
+
+
+def _simpson(x0, x1, f0, fm, f1):
+    # Simpson's rule on [x0, x1] from the integrand at its ends and midpoint
+    return (x1 - x0) / 6.0 * (f0 + 4.0 * fm + f1)
+
+
+def _halving(left, right, whole, tol):
+    # one halving of a panel: the extrapolated value, |delta|, |delta| <= 15 tol
+    delta = left + right - whole
+    return left + right + delta / 15.0, abs(delta), abs(delta) <= 15.0 * tol

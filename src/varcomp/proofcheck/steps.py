@@ -37,11 +37,12 @@ each form to its (margin, note) instead, the note naming an overflow.
 ``step_inequalities_at`` (``check_step_inequalities``, ``explore``, the
 scalar route of ``programs.chain_blocks``) and ``step_inequalities_column``
 (its column route, integrals through ``oracle.quad_beta_integral_column``)
-write every form through one body,
-``_step_forms``.  It uses only +, -, * and /, which round alike on floats
-and on float64 columns; each route supplies its integrals and its exp and
-log (through ``math``) and applies the applicability rules, so the margins
-are bit-identical and the scalar route stays the reference.  The d1 = 3
+share one body per formula: ``_step_forms``, ``_boundary_term`` and
+``_pow1m``.  They use only +, -, * and /, which round alike on floats and
+on float64 columns; each route passes in its integrals and its exp and log
+(through ``math``), masks its own zero boundary terms and applies the
+applicability rules, so the margins are bit-identical and the scalar route
+stays the reference.  The d1 = 3
 ``ratio_bound_lower`` is ``auxfn``'s v on both routes, one body with the
 square root passed in (``auxfn.v_of``).
 ``coefficient_sign_checks`` and ``coefficient_sign_column`` share
@@ -85,9 +86,9 @@ Margins = Dict[str, Optional[float]]
 _LOWER_STEP = {3: "product_step_lower", 4: "poly_power_step_lower"}
 
 
-def _pow1m(x: float, e: float) -> float:
+def _pow1m(x, e, exp, log1p):
     """(1 - x)^e without cancellation for small x."""
-    return math.exp(e * math.log1p(-x))
+    return exp(e * log1p(-x))
 
 
 def _signed_beta_integral(a: float, b: float, x0: float, x1: float, tol: float) -> float:
@@ -96,11 +97,10 @@ def _signed_beta_integral(a: float, b: float, x0: float, x1: float, tol: float) 
     return -quad_beta_integral(a, b, x1, x0, tol).value
 
 
-def _boundary_term(x: float, d1: int, d2: int) -> float:
-    # 2 x^(d1/2) (1-x)^(d2/2); zero at x = 0
-    if x == 0.0:
-        return 0.0
-    return 2.0 * math.exp(0.5 * d1 * math.log(x) + 0.5 * d2 * math.log1p(-x))
+def _boundary_term(x, d1: int, b2, exp, log, log1p):
+    # 2 x^(d1/2) (1-x)^(d2/2) for x > 0, with b2 = d2 / 2; it is 0 at x = 0,
+    # where each route masks it
+    return 2.0 * exp(0.5 * d1 * log(x) + b2 * log1p(-x))
 
 
 def check_step_inequalities(p: FParams) -> Margins:
@@ -116,10 +116,13 @@ def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float,
     """``check_step_inequalities`` at (d1, d2) given its endpoint images
     a, b, c, d (from ``band_endpoints`` or ``band_endpoints_column``)."""
     a2, b2 = 0.5 * d1, 0.5 * d2
+    term_a, term_c = (0.0 if x == 0.0 else
+                      _boundary_term(x, d1, b2, math.exp, math.log, math.log1p)
+                      for x in (a, c))
     margins = _step_forms(d1, float(d2), float(d2 + 2), a, b, c, d,
                           quad_beta_integral(a2, b2, a, b, _QUAD_TOL).value,
-                          _signed_beta_integral(a2, b2, c, d, _QUAD_TOL),
-                          _boundary_term(a, d1, d2), _boundary_term(c, d1, d2), _pow1m)
+                          _signed_beta_integral(a2, b2, c, d, _QUAD_TOL), term_a, term_c,
+                          lambda x, e: _pow1m(x, e, math.exp, math.log1p))
     if not c > 0.0:
         margins["lower_edge"] = None
     if d1 in (3, 4):
@@ -137,9 +140,7 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[st
 
     a, b, c, d are the column's endpoint images (``band_endpoints_column``).
     The keys, their order, the None entries and every margin are those of
-    ``step_inequalities_at``, bit for bit: both routes evaluate the forms
-    through ``_step_forms``, whose +, -, * and / round alike on floats and
-    on float64 arrays, and every exp and log goes through ``math``.
+    ``step_inequalities_at``, bit for bit: one body per formula (above).
     """
     import numpy as np
 
@@ -157,10 +158,14 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[st
     ints = np.zeros(lo.shape)
     ints[use] = quad_beta_integral_column(a2, np.repeat(b2, 2)[use], lo[use], hi[use],
                                           _QUAD_TOL)
+    exp, log, log1p = _each(math.exp), _each(math.log), _each(math.log1p)
+    terms = np.zeros((2, n2.size))  # 0 where the image is 0
+    for term, x in zip(terms, (a, c)):
+        live = x != 0.0
+        term[live] = _boundary_term(x[live], d1, b2[live], exp, log, log1p)
     forms = _step_forms(d1, n2, n2p2, a, b, c, d,
-                        ints[0::2], np.where(rev, -ints[1::2], ints[1::2]),
-                        _boundary_term_column(a, d1, b2), _boundary_term_column(c, d1, b2),
-                        _pow1m_column)
+                        ints[0::2], np.where(rev, -ints[1::2], ints[1::2]), *terms,
+                        lambda x, e: _pow1m(x, e, exp, log1p))
     margins = {form: v.tolist() for form, v in forms.items()}
     margins["lower_edge"] = _masked((c > 0.0).tolist(), margins["lower_edge"])
     if d1 in (3, 4):
@@ -220,24 +225,6 @@ def _column_args(d2s, a, b, c, d) -> tuple:
 def _masked(mask: list, values: list) -> list:
     # values[i] where mask[i] holds, None elsewhere
     return [v if m else None for v, m in zip(values, mask)]
-
-
-def _pow1m_column(x, e):
-    # _pow1m lane by lane
-    return _each(math.exp, e * _each(math.log1p, -x))
-
-
-def _boundary_term_column(x, d1: int, b2):
-    # _boundary_term lane by lane, with b2 = d2 / 2: evaluated on the lanes
-    # where x != 0 only, 0 on the rest
-    import numpy as np
-
-    live = x != 0.0
-    x = x[live]
-    term = np.zeros(live.shape)
-    term[live] = 2.0 * _each(math.exp, 0.5 * d1 * _each(math.log, x)
-                             + b2[live] * _each(math.log1p, -x))
-    return term
 
 
 def coefficient_sign_checks(d1: int, d2: int) -> Margins:

@@ -9,14 +9,13 @@ the usual symmetry flip for the beta function so the fraction is always used
 in its fast-converging region.  Iteration caps are hard errors, never silent
 best-effort values.
 
-Both routes run one Lentz step, ``_lentz_pair``: its body uses only the
-correctly rounded IEEE operations (+, -, *, /), which round alike on
-Python floats and on float64 columns, and each route passes in its own
-``_FPMIN`` guard.  The column route calls every exp and log through
-``math``, element by element, because numpy's transcendental functions may
-differ from ``math`` in the last ulp.  Its results are therefore
-bit-identical to ``reg_inc_beta``, which stays the reference route.  numpy
-is imported only when the column route runs.
+One body per formula: both routes run each formula's one body, with the
+route's elementwise functions passed in, and the column drivers keep only
+lane bookkeeping.  The bodies use the correctly rounded +, -, * and /,
+which round alike on floats and float64 columns, and the column route
+takes every exp and log from ``math`` lane by lane (``_each``), so it is
+bit-identical to ``reg_inc_beta``, the reference route.  numpy is
+imported only when the column route runs.
 """
 
 from __future__ import annotations
@@ -107,44 +106,71 @@ def log_beta(a: float, b: float) -> float:
             + (p - 0.5) * math.log(p / n) + q * math.log1p(-p / n))
 
 
+#: From this z on, ``_stirlerr`` is its asymptotic series.
+_STIRLERR_SERIES_MIN = 15.0
+
+
 def _stirlerr(z: float) -> float:
     """ln G(z) - [(z - 1/2) ln z - z + ln sqrt(2 pi)]."""
-    if z < 15.0:
+    if z < _STIRLERR_SERIES_MIN:
         return log_gamma(z) - ((z - 0.5) * math.log(z) - z + _LN_SQRT_2PI)
+    return _stirlerr_series(z)
+
+
+def _stirlerr_series(z):
+    # the asymptotic series of _stirlerr; truncation below 3e-16 absolute
+    # for z >= _STIRLERR_SERIES_MIN
     w = 1.0 / (z * z)
-    # asymptotic series; truncation below 3e-16 absolute for z >= 15
     return ((1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0
             - w / 1188.0) * w) * w) * w) / z)
 
 
 def _bd0(x: float, mu: float) -> float:
     """x ln(x/mu) + mu - x, evaluated without cancellation for x near mu."""
-    if abs(x - mu) < 0.1 * (x + mu):
-        v = (x - mu) / (x + mu)
-        s = (x - mu) * v
-        ej = 2.0 * x * v
-        v2 = v * v
+    if _bd0_near(x, mu):
+        s, ej, v2 = _bd0_start(x, mu)
         for j in range(1, 1000):
-            ej *= v2
-            s1 = s + ej / (2 * j + 1)
+            s1, ej = _bd0_term(s, ej, v2, j)
             if s1 == s:
                 return s1
             s = s1
-    return x * math.log(x / mu) + mu - x
+    return _bd0_log(x, mu, math.log)
 
 
-def _ln_beta_front(x: float, a: float, b: float) -> float:
+def _bd0_near(x, mu):
+    # where _bd0 sums its series in v = (x - mu) / (x + mu)
+    return abs(x - mu) < 0.1 * (x + mu)
+
+
+def _bd0_start(x, mu):
+    # the series' first partial sum, its running term and v^2
+    v = (x - mu) / (x + mu)
+    return (x - mu) * v, 2.0 * x * v, v * v
+
+
+def _bd0_term(s, ej, v2, j):
+    # partial sum j of the series and its running term
+    ej = ej * v2
+    return s + ej / (2 * j + 1), ej
+
+
+def _bd0_log(x, mu, log):
+    # _bd0 far from mu, and where its series never settles
+    return x * log(x / mu) + mu - x
+
+
+def _ln_beta_front(x, a, b, log, bd0, stirlerr):
     """ln of x^a (1-x)^b / B(a, b).
 
     The naive form subtracts log-gamma terms of size O((a+b) ln(a+b)),
     losing absolute precision proportional to that size; the deviance
-    regrouping keeps the front factor at full relative precision across the
-    whole parameter range.
+    regrouping keeps full relative precision.  a is one real; x, b, log,
+    bd0 and stirlerr are the route's.
     """
     n = a + b
-    return (-_bd0(a, n * x) - _bd0(b, n * (1.0 - x))
-            + 0.5 * math.log(a * b / (2.0 * math.pi * n))
-            - (_stirlerr(a) + _stirlerr(b) - _stirlerr(n)))
+    return (-bd0(a, n * x) - bd0(b, n * (1.0 - x))
+            + 0.5 * log(a * b / (2.0 * math.pi * n))
+            - (_stirlerr(a) + stirlerr(b) - stirlerr(n)))
 
 
 def _ln_gamma_front(s: float, x: float) -> float:
@@ -159,40 +185,49 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     past the crossover (a+1)/(a+b+2) the symmetry I_x(a,b) = 1 - I_{1-x}(b,a)
     is applied first so the fraction always converges quickly.
     """
-    x = _finite("x", x)
-    a = _finite("a", a)
-    b = _finite("b", b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"reg_inc_beta requires a > 0 and b > 0, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
-        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
+    x, a, b = _inc_beta_args(x, a, b)
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
+    front = math.exp(_ln_beta_front(x, a, b, math.log, _bd0, _stirlerr))
+    flip = _flips(x, a, b)
+    cf = _beta_cf(b, a, 1.0 - x) if flip else _beta_cf(a, b, x)
+    return _inc_beta_value(front, cf, a, b, flip, lambda c, u, v: u if c else v, min, max)
+
+
+def _inc_beta_args(x, a, b) -> tuple:
+    """(x, a, b) as floats, or DomainError: the domain of ``reg_inc_beta``,
+    which ``reg_inc_beta_column`` checks at its extreme lanes."""
+    x, a, b = _finite("x", x), _finite("a", a), _finite("b", b)
+    if a <= 0.0 or b <= 0.0:
+        raise DomainError(f"reg_inc_beta requires a > 0 and b > 0, got a={a}, b={b}")
+    if x < 0.0 or x > 1.0:
+        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
     if 2.0 * math.pi * (a + b) == math.inf:
         raise DomainError(f"reg_inc_beta requires a + b below about 2.86e307, got {a + b:.6g}")
-    ln_front = _ln_beta_front(x, a, b)
-    if x < (a + 1.0) / (a + b + 2.0):
-        value = math.exp(ln_front) * _beta_cf(a, b, x) / a
-    else:
-        value = 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - x) / b
-    # clamp roundoff excursions outside [0, 1]
-    return min(1.0, max(0.0, value))
+    return x, a, b
+
+
+def _flips(x, a, b):
+    # I_x(a, b) is taken as 1 - I_{1-x}(b, a) from the crossover on
+    return x >= (a + 1.0) / (a + b + 2.0)
+
+
+def _inc_beta_value(front, cf, a, b, flip, where, minimum, maximum):
+    # I_x(a, b) from the front factor and its branch's fraction, clamped to [0, 1]
+    value = where(flip, 1.0 - front * cf / b, front * cf / a)
+    return minimum(1.0, maximum(0.0, value))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 / _fpmin(1.0 - qab * x / qap)
+    qab, qap, qam, c, d = _beta_cf_start(a, b, x, _fpmin)
     h = d
     for m in range(1, _MAX_ITER + 1):
         c, d, even, delta = _lentz_pair(m, a, b, x, qab, qap, qam, c, d, _fpmin)
         h = h * even * delta
-        if abs(delta - 1.0) <= max(_REL_TOL, _ABS_TOL / max(abs(h), _FPMIN)):
+        if _lentz_done(delta, h, max):
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge within "
@@ -202,6 +237,13 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 def _fpmin(v: float) -> float:
     return _FPMIN if abs(v) < _FPMIN else v
+
+
+def _beta_cf_start(a, b, x, guard):
+    # the constants of _beta_cf's steps and its first c and d
+    qab = a + b
+    qap = a + 1.0
+    return qab, qap, a - 1.0, 1.0, 1.0 / guard(1.0 - qab * x / qap)
 
 
 def _lentz_pair(m, a, b, x, qab, qap, qam, c, d, guard):
@@ -222,8 +264,13 @@ def _lentz_pair(m, a, b, x, qab, qap, qam, c, d, guard):
     return c, d, even, d * c
 
 
+def _lentz_done(delta, h, maximum):
+    # the Lentz stop test: delta within _REL_TOL of 1, or h's change within _ABS_TOL
+    return abs(delta - 1.0) <= maximum(_REL_TOL, _ABS_TOL / maximum(abs(h), _FPMIN))
+
+
 # ---------------------------------------------------------------------------
-# column route: the same arithmetic over numpy arrays, lane by lane
+# column route: the scalar route's formulas over numpy arrays, lane by lane
 # ---------------------------------------------------------------------------
 
 def reg_inc_beta_column(x, a: float, b):
@@ -235,51 +282,41 @@ def reg_inc_beta_column(x, a: float, b):
     """
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a = _finite("a", a)
+    x, b = np.asarray(x, dtype=float), np.asarray(b, dtype=float)
     if x.shape != b.shape or x.ndim != 1:
         raise DomainError(f"x and b must be equal-length 1-d arrays, got shapes "
                           f"{x.shape} and {b.shape}")
-    if not (a > 0.0 and np.all(b > 0.0) and np.all(b < math.inf)):
-        raise DomainError("reg_inc_beta_column requires a > 0 and finite b > 0")
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise DomainError("reg_inc_beta_column requires 0 <= x <= 1")
+    # the domain holds on every lane iff at the extremes (or, empty, for a)
+    _inc_beta_args(x.min(initial=0.5), a, b.min(initial=1.0))
+    a = _inc_beta_args(x.max(initial=0.5), a, b.max(initial=1.0))[1]
     out = x.copy()  # I_0 = 0 and I_1 = 1 are already in place
     inner = (x > 0.0) & (x < 1.0)
     x, b = x[inner], b[inner]
-    front = _each(math.exp, _ln_beta_front_column(x, a, b))
-    flip = ~(x < (a + 1.0) / (a + b + 2.0))
+    front = _each(math.exp)(
+        _ln_beta_front(x, a, b, _each(math.log), _bd0_column, _stirlerr_column))
+    flip = _flips(x, a, b)
     cf = _beta_cf_column(np.where(flip, b, a), np.where(flip, a, b),
                          np.where(flip, 1.0 - x, x))
-    value = np.where(flip, 1.0 - front * cf / b, front * cf / a)
-    out[inner] = np.minimum(1.0, np.maximum(0.0, value))
+    out[inner] = _inc_beta_value(front, cf, a, b, flip, np.where, np.minimum, np.maximum)
     return out
 
 
-def _each(fn, v):
-    """fn (a ``math`` function) applied to every element of v."""
-    import numpy as np
-    return np.fromiter(map(fn, v.tolist()), dtype=float, count=v.size)
-
-
-def _ln_beta_front_column(x, a: float, b):
-    n = a + b
-    return (-_bd0_column(a, n * x) - _bd0_column(b, n * (1.0 - x))
-            + 0.5 * _each(math.log, a * b / (2.0 * math.pi * n))
-            - (_stirlerr(a) + _stirlerr_column(b) - _stirlerr_column(n)))
+def _each(fn):
+    """fn, a ``math`` function of one float, applied to a float64 column
+    lane by lane: numpy's own exp and log need not round as ``math``'s do."""
+    def each(v):
+        import numpy as np
+        return np.fromiter(map(fn, v.tolist()), dtype=float, count=v.size)
+    return each
 
 
 def _stirlerr_column(z):
     import numpy as np
 
     out = np.empty_like(z)
-    small = z < 15.0
+    small = z < _STIRLERR_SERIES_MIN
     out[small] = [_stirlerr(t) for t in z[small].tolist()]
-    z = z[~small]
-    w = 1.0 / (z * z)
-    out[~small] = ((1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0
-                   - w / 1188.0) * w) * w) * w) / z)
+    out[~small] = _stirlerr_series(z[~small])
     return out
 
 
@@ -289,18 +326,13 @@ def _bd0_column(x, mu):
 
     x = np.broadcast_to(x, mu.shape)
     out = np.empty_like(mu)
-    near = np.abs(x - mu) < 0.1 * (x + mu)
+    near = _bd0_near(x, mu)
     lanes = np.flatnonzero(near)
-    xs, ms = x[lanes], mu[lanes]
-    v = (xs - ms) / (xs + ms)
-    s = (xs - ms) * v
-    ej = 2.0 * xs * v
-    v2 = v * v
+    s, ej, v2 = _bd0_start(x[lanes], mu[lanes])
     for j in range(1, 1000):
         if not lanes.size:
             break
-        ej = ej * v2
-        s1 = s + ej / (2 * j + 1)
+        s1, ej = _bd0_term(s, ej, v2, j)
         done = s1 == s
         out[lanes[done]] = s1[done]
         keep = ~done
@@ -308,8 +340,7 @@ def _bd0_column(x, mu):
     # lanes far from mu, and series lanes that never settled, take the log form
     rest = ~near
     rest[lanes] = True
-    xs, ms = x[rest], mu[rest]
-    out[rest] = xs * _each(math.log, xs / ms) + ms - xs
+    out[rest] = _bd0_log(x[rest], mu[rest], _each(math.log))
     return out
 
 
@@ -325,19 +356,14 @@ def _beta_cf_column(a, b, x):
 
     out = np.empty_like(x)
     lanes = np.arange(x.size)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 / _fpmin_guard(1.0 - qab * x / qap)
+    qab, qap, qam, c, d = _beta_cf_start(a, b, x, _fpmin_guard)
     h = d
     for m in range(1, _MAX_ITER + 1):
         if not lanes.size:
             return out
         c, d, even, delta = _lentz_pair(m, a, b, x, qab, qap, qam, c, d, _fpmin_guard)
         h = h * even * delta
-        done = np.abs(delta - 1.0) <= np.maximum(
-            _REL_TOL, _ABS_TOL / np.maximum(np.abs(h), _FPMIN))
+        done = _lentz_done(delta, h, np.maximum)
         if done.any():
             out[lanes[done]] = h[done]
             keep = ~done
@@ -407,16 +433,11 @@ def _gamma_cf(s: float, x: float) -> float:
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - s)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        d = 1.0 / _fpmin(an * d + b)
+        c = _fpmin(b + an / c)
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) <= max(_REL_TOL, _ABS_TOL / max(abs(h), _FPMIN)):
+        if _lentz_done(delta, h, max):
             return h * math.exp(_ln_gamma_front(s, x))
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge within "

@@ -29,8 +29,9 @@ I_d(d1/2, d2/2).
 ``band_endpoints`` and ``variation_probability`` evaluate one point and are
 the reference route.  ``band_endpoints_column`` and
 ``variation_probability_column`` evaluate one d1 over a whole d2 column with
-numpy (the grid sweep's fast route); they repeat the scalar arithmetic in the
-same order and agree with it bit for bit.
+numpy (the grid sweep's fast route).  One body per formula: r and the
+upper and lower images are written once, run on both routes, and the
+column route agrees with the scalar one bit for bit.
 
 ``bound_block`` and ``monotone_block`` (a d2 column), ``check_bound`` and
 ``check_monotone_step`` (one point, through them) and ``check_limit`` return
@@ -101,25 +102,38 @@ def _lower_positive(d1: int, n: int) -> bool:
     return d1 * (n - 4) > 2 * (d1 + n - 2)
 
 
-def _one_minus_r(num: int, den: int, r: float) -> float:
-    # 1 - r = num / (den (1 + r)), num an exact integer, which avoids
-    # cancellation when r is close to 1.  Where den (1 + r) overflows to inf
-    # (den near the float limit) the exact ratio num / den is divided by
-    # 1 + r instead; below that the one rounding of the product is kept.
-    scaled = den * (1.0 + r)
-    if scaled == math.inf:
-        return num / den / (1.0 + r)
-    return num / scaled
-
-
 def _images(d1: int, n: int) -> tuple:
     # upper and lower image of the band of F(d1, n); lower 0 where clipped
-    r = math.sqrt(2.0 * (d1 + n - 2) / (d1 * (n - 4)))
-    upper = d1 / (d1 + (n - 2) / (1.0 + r))
-    if not _lower_positive(d1, n):
-        return upper, 0.0
-    one_minus_r = _one_minus_r(d1 * (n - 4) - 2 * (d1 + n - 2), d1 * (n - 4), r)
-    return upper, d1 * one_minus_r / (d1 * one_minus_r + (n - 2))
+    r = _r_of(d1, n, math.sqrt)
+    lower = _lower_image(d1, n, r, _one_minus_r_near_limit) if _lower_positive(d1, n) else 0.0
+    return _upper_image(d1, n, r), lower
+
+
+def _r_of(d1, n, sqrt):
+    # r of the band of F(d1, n), from Python ints or an int64 column
+    return sqrt(2.0 * (d1 + n - 2) / (d1 * (n - 4)))
+
+
+def _upper_image(d1, n, r):
+    return d1 / (d1 + (n - 2) / (1.0 + r))
+
+
+def _lower_image(d1, n, r, one_minus_r):
+    # the lower image where _lower_positive(d1, n), with 1 - r = num / (den
+    # (1 + r)) from exact integers, which avoids cancellation when r is near 1
+    den = d1 * (n - 4)
+    omr = one_minus_r(den - 2 * (d1 + n - 2), den, r)
+    return d1 * omr / (d1 * omr + (n - 2))
+
+
+def _one_minus_r(num, den, r):
+    return num / (den * (1.0 + r))
+
+
+def _one_minus_r_near_limit(num: int, den: int, r: float) -> float:
+    # _one_minus_r, but num / den / (1 + r) where den (1 + r) overflows (den
+    # near the float limit): _check_int64 keeps the column route below that
+    return num / den / (1.0 + r) if den * (1.0 + r) == math.inf else _one_minus_r(num, den, r)
 
 
 def band_endpoints(p: FParams) -> Endpoints:
@@ -141,20 +155,6 @@ def _check_int64(d1: int, d2_max: int) -> None:
                           "region tests cannot overflow")
 
 
-def _images_column(d1: int, n):
-    # ``_images`` at (d1, n[i]) for every i of an int64 column, as two arrays
-    import numpy as np
-
-    r = np.sqrt(2.0 * (d1 + n - 2) / (d1 * (n - 4)))
-    upper = d1 / (d1 + (n - 2) / (1.0 + r))
-    lower = np.zeros(n.shape)
-    pos = _lower_positive(d1, n)
-    n, r = n[pos], r[pos]
-    one_minus_r = (d1 * (n - 4) - 2 * (d1 + n - 2)) / (d1 * (n - 4) * (1.0 + r))
-    lower[pos] = d1 * one_minus_r / (d1 * one_minus_r + (n - 2))
-    return upper, lower
-
-
 def band_endpoints_column(d1: int, d2) -> tuple:
     """Endpoint images (a, b, c, d) of ``band_endpoints`` at (d1, d2[i]) for
     every i, as four float64 arrays.
@@ -172,8 +172,12 @@ def band_endpoints_column(d1: int, d2) -> tuple:
         raise DomainError(f"band endpoints require d2 >= 5, got d2={d2.min()}")
     if d2.size:
         _check_int64(int(d1), int(d2.max()))
-    a, c = _images_column(d1, d2 + 2)
-    b, d = _images_column(d1, d2)
+    n = np.concatenate((d2 + 2, d2))  # the images a and c, then b and d
+    r = _r_of(d1, n, np.sqrt)
+    lower = np.zeros(n.shape)
+    pos = _lower_positive(d1, n)
+    lower[pos] = _lower_image(d1, n[pos], r[pos], _one_minus_r)
+    (a, b), (c, d) = np.split(_upper_image(d1, n, r), 2), np.split(lower, 2)
     return a, b, c, d
 
 

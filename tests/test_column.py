@@ -7,6 +7,7 @@ import varcomp.oracle
 import varcomp.programs
 import varcomp.proofcheck.steps
 import varcomp.specfun
+import varcomp.varband
 from varcomp import (
     ConvergenceError,
     DomainError,
@@ -83,6 +84,10 @@ def test_reg_inc_beta_column_rejects_bad_input():
         reg_inc_beta_column(np.array([0.5]), 1.0, np.array([-2.0]))
     with pytest.raises(DomainError):
         reg_inc_beta_column(np.array([0.5, 0.5]), 1.0, np.array([2.0]))
+    for a, b in ((1.0, 1e308), (1e308, 1.0)):
+        # the scalar route's a + b guard, not a math domain error
+        with pytest.raises(DomainError, match="a [+] b below"):
+            reg_inc_beta_column(np.array([0.5]), a, np.array([b]))
     with pytest.raises(DomainError):
         band_endpoints_column(1, [5, 4])
     with pytest.raises(DomainError):
@@ -195,6 +200,14 @@ def test_quad_column_matches_scalar_on_mixed_lanes(scalar_quad_calls):
     assert quad_beta_integral_column(2.0, [], [], [], 1e-13).size == 0
 
 
+def test_quad_column_takes_a_numpy_integer_a_on_its_fast_route(scalar_quad_calls):
+    # a finite numpy integer is a finite real on both routes
+    args = ([5000.0], [0.001], [0.0011], 1e-13)
+    got = quad_beta_integral_column(np.int64(2), *args).tolist()
+    assert got == quad_beta_integral_column(2.0, *args).tolist()
+    assert scalar_quad_calls == []
+
+
 def test_quad_column_rejects_what_the_scalar_route_rejects():
     with pytest.raises(DomainError, match="integration limits"):
         quad_beta_integral_column(1.5, [2.0, 2.0], [0.1, 0.6], [0.2, 0.5])
@@ -302,3 +315,95 @@ def test_chain_blocks_run_every_check_on_either_route(monkeypatch):
     assert _block_fields(column) == _block_fields(scalar)
     with pytest.raises(ValueError, match="unknown chain check 'limit'"):
         chain_blocks(3, range(5, 80), ("limit",))
+
+
+# ---------------------------------------------------------------------------
+# one body per formula: a change to a shared body reaches both routes
+# ---------------------------------------------------------------------------
+
+def _scaled(v):
+    # v times 1 + 2**-30: a tuple element by element, a truth value as it is
+    if isinstance(v, tuple):
+        return tuple(map(_scaled, v))
+    if isinstance(v, (bool, np.bool_)) or getattr(v, "dtype", None) == bool:
+        return v
+    return v * (1.0 + 2.0 ** -30)
+
+
+def _scale(body):
+    return lambda *args: _scaled(body(*args))
+
+
+def _negate(body):
+    # a branch rule: each lane takes the other branch
+    return lambda *args: body(*args) ^ True
+
+
+def _loosen(body):
+    # the Lentz stop test, a million times looser
+    return lambda delta, h, maximum: body(1.0 + (delta - 1.0) / 1e6, h, maximum)
+
+
+#: Every kernel formula with one body for both routes, and how the test
+#: perturbs it.  A branch rule or stop test cannot be scaled, so it is
+#: negated or loosened instead.
+_SHARED_BODIES = [
+    (varcomp.specfun, "_stirlerr_series", _scale),
+    (varcomp.specfun, "_bd0_near", _negate),
+    (varcomp.specfun, "_bd0_start", _scale),
+    (varcomp.specfun, "_bd0_term", _scale),
+    (varcomp.specfun, "_bd0_log", _scale),
+    (varcomp.specfun, "_ln_beta_front", _scale),
+    (varcomp.specfun, "_flips", _negate),
+    (varcomp.specfun, "_inc_beta_value", _scale),
+    (varcomp.specfun, "_beta_cf_start", _scale),
+    (varcomp.specfun, "_lentz_done", _loosen),
+    (varcomp.varband, "_r_of", _scale),
+    (varcomp.varband, "_upper_image", _scale),
+    (varcomp.varband, "_lower_image", _scale),
+    (varcomp.varband, "_one_minus_r", _scale),
+    (varcomp.oracle, "_beta_power", _scale),
+    (varcomp.oracle, "_simpson", _scale),
+    (varcomp.oracle, "_halving", _scale),
+    (varcomp.proofcheck.steps, "_pow1m", _scale),
+    (varcomp.proofcheck.steps, "_boundary_term", _scale),
+]
+
+_ONE_BODY_D2S = list(range(5, 201))
+
+
+def _route_values():
+    """(scalar, column): the hex of every endpoint image, band probability
+    and step margin over d1 = 1..4 and _ONE_BODY_D2S, on each route."""
+    scalar, column = [], []
+    for d1 in range(1, 5):
+        ends = band_endpoints_column(d1, _ONE_BODY_D2S)
+        steps = step_inequalities_column(d1, _ONE_BODY_D2S, *ends)
+        bands = variation_probability_column(d1, _ONE_BODY_D2S)
+        column += [_hex(v) for values in (*ends, bands) for v in values.tolist()]
+        column += [_hex(v) for form in steps.values() for v in form]
+        points = [FParams(d1, d2) for d2 in _ONE_BODY_D2S]
+        at = [step_inequalities_at(d1, p.d2, *band_endpoints(p)) for p in points]
+        scalar += [_hex(getattr(band_endpoints(p), e)) for e in "abcd" for p in points]
+        scalar += [_hex(variation_probability(p)) for p in points]
+        scalar += [_hex(m[form]) for form in steps for m in at]
+    return scalar, column
+
+
+@pytest.fixture(scope="module")
+def unpatched_values():
+    scalar, column = _route_values()
+    assert scalar == column
+    return scalar
+
+
+@pytest.mark.parametrize("module, name, perturb", _SHARED_BODIES,
+                         ids=[name for _, name, _ in _SHARED_BODIES])
+def test_each_shared_body_reaches_both_routes(module, name, perturb, unpatched_values,
+                                              monkeypatch):
+    # a body written twice would change one route only, and the routes
+    # would part; at least one value moves, and the routes still agree
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    scalar, column = _route_values()
+    assert scalar != unpatched_values
+    assert column == scalar

@@ -156,3 +156,9 @@ def test_quad_domain_and_failure():
     with pytest.raises(ToleranceNotMetError) as exc_info:
         quad_beta_integral(0.5, 0.5, 0.0, 1.0, 1e-280)
     assert exc_info.value.value is not None  # best value attached
+    # a finite numpy integer is a finite real, as reg_inc_beta takes it;
+    # NaN, inf and a non-number are not
+    assert quad_beta_integral(np.int64(2), 3, 0.1, 0.2) == quad_beta_integral(2.0, 3.0, 0.1, 0.2)
+    for bad in (math.nan, math.inf, None, "x"):
+        with pytest.raises(DomainError, match="a must be a finite real"):
+            quad_beta_integral(bad, 3, 0.1, 0.2)
