@@ -1,5 +1,6 @@
-import sys
+"""``python -m varcomp``: ``cli.run``, which runs ``cli.main`` and leaves
+without interpreter teardown."""
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+run()

@@ -21,11 +21,20 @@ A flag that configures nothing (``sweep --d2-large`` without the limit
 check, ``prove --format`` without ``--out``) is an error too.
 
 Every report leaves through ``_emit``, atomically to ``--out`` or to
-stdout, and ``reporting`` holds every result text: the rows, the counts
-(``counts_text``) and ``prove``'s claim lines (``claim_lines``).  Sweep
-columns and ``prove`` chains run through ``programs.chain_parts``, whose
+stdout, streamed piece by piece (``reporting.write_rendered``), and
+``reporting`` holds every result text: the rows, the counts
+(``counts_text``) and ``prove``'s claim lines (``claim_lines``).  The
+report's temp file is opened (``_destination``) before any chain runs, so
+an ``--out`` that cannot be written fails before the work.  Sweep columns
+and ``prove`` chains run through ``programs.chain_parts``, whose
 docstring, with ``chain_blocks``', holds the route and cut rules; ``prove``
 without ``--out`` renders no row, only counts.
+
+``main`` returns the exit code and leaves the interpreter as it found it,
+for callers that run it in their own process.  ``run``, the one entry point
+of a process (the ``varcomp`` script, ``python -m varcomp`` and ``python -m
+varcomp.cli``), runs it, then the atexit handlers, flushes stdout and
+stderr, and exits through ``os._exit``, without interpreter teardown.
 
 Each command imports the modules it runs when it runs, and the package
 resolves its public names lazily, so a short command, whose start-up is
@@ -63,10 +72,18 @@ _DIST_FLAGS = {"normal": (), "chisq": ("k",), "f": ("d1", "d2")}  # each --dist'
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors are one line on stderr, exit 2."""
+    """ArgumentParser whose usage errors are one line on stderr, exit 2, and
+    whose --help and --version text reaches ``main``'s handling of a closed
+    stdout: argparse drops an OSError of that write."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _parse_range(text: str) -> tuple:
@@ -189,52 +206,56 @@ def _cmd_sweep(ns) -> int:
             blocks += certificate_rows()
         return blocks
 
-    parts = chain_parts(d1_values if chain_checks else [], d2_lo, d2_hi, chain_checks,
-                        ns.format, other_blocks)
-    spec = {
-        "command": "sweep",
-        "d1": f"{d1_lo}..{d1_hi}",
-        "d2": f"{d2_lo}..{d2_hi}",
-        "checks": list(checks),
-        "d2_large": ns.d2_large,
-        "limit_tol": LIMIT_TOL,
-        "exploratory": any(p.exploratory for p in parts),
-    }
-    counts = _emit(parts, spec, ns)
+    with _destination(ns) as dest:
+        parts = chain_parts(d1_values if chain_checks else [], d2_lo, d2_hi, chain_checks,
+                            ns.format, other_blocks)
+        spec = {
+            "command": "sweep",
+            "d1": f"{d1_lo}..{d1_hi}",
+            "d2": f"{d2_lo}..{d2_hi}",
+            "checks": list(checks),
+            "d2_large": ns.d2_large,
+            "limit_tol": LIMIT_TOL,
+            "exploratory": any(p.exploratory for p in parts),
+        }
+        counts = _emit(parts, spec, ns, dest)
     if ns.out:
         print(f"wrote {ns.out}: {counts_text(counts)}")
     return 1 if counts["fail"] else 0
 
 
-def _emit(parts: list, spec: dict, ns) -> dict:
-    """Write the report of the rendered parts, in ns.format, atomically to
-    ns.out, or else to stdout; return its counts (``summarize``).  Its
-    header echoes the run spec and the strictness floor.  A path that
-    cannot be written is an error with exit 2."""
+def _destination(ns):
+    """The ``reporting.Destination`` of ns.out, opened before the command
+    runs any chain, so that a path that cannot be written is an error with
+    exit 2 before any work is done."""
+    from .reporting import Destination
+
+    try:
+        return Destination(ns.out)
+    except OSError as exc:
+        raise _unwritable(ns, exc) from None
+
+
+def _unwritable(ns, exc: OSError) -> VarcompError:
+    return VarcompError(f"cannot write report {ns.out}: {exc.strerror or exc}")
+
+
+def _emit(parts: list, spec: dict, ns, dest) -> dict:
+    """Write the report of the rendered parts, in ns.format, to dest, the
+    ``_destination(ns)``: atomically to ns.out, or else to stdout; return
+    its counts (``summarize``).  Its header echoes the run spec and the
+    strictness floor.  A path that cannot be written is an error with exit
+    2; stdout's errors are ``main``'s."""
     from .reporting import STRICTNESS_FLOOR, summarize, write_rendered
 
     header = {"version": __version__, "spec": {**spec, "floor": STRICTNESS_FLOOR}}
     try:
-        text = write_rendered(parts, header, ns.format, ns.out)
+        write_rendered(parts, header, ns.format, dest)
     except OSError as exc:
-        raise VarcompError(
-            f"cannot write report {ns.out}: {exc.strerror or exc}") from None
-    if not ns.out:
-        _write_stdout(text)
+        if not ns.out:
+            raise
+        raise _unwritable(ns, exc) from None
     return summarize(parts)
-
-
-def _write_stdout(text: str) -> None:
-    """Write a report to stdout through ``reporting.write_encoded``."""
-    from .reporting import write_encoded
-
-    out = sys.stdout
-    raw = getattr(out, "buffer", None)
-    if raw is None:  # a text-only stream, such as io.StringIO
-        out.write(text)
-        return
-    out.flush()
-    write_encoded(raw, text, out.encoding, out.errors)
 
 
 def _cmd_prove(ns) -> int:
@@ -245,10 +266,12 @@ def _cmd_prove(ns) -> int:
         ns.format = "csv"
     elif not ns.out:
         raise VarcompError("--format is read only with --out")
-    # without --out no row is rendered, only counted
-    parts = prove_parts(ns.d1, ns.d2_max, ns.format if ns.out else None)
+    with _destination(ns) as dest:
+        # without --out no row is rendered, only counted
+        parts = prove_parts(ns.d1, ns.d2_max, ns.format if ns.out else None)
+        if ns.out:
+            _emit(parts, {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max}, ns, dest)
     if ns.out:
-        _emit(parts, {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max}, ns)
         print(f"wrote {ns.out}")
     counts = summarize(parts)
     for line in claim_lines(parts):
@@ -345,10 +368,11 @@ def _cmd_explore(ns) -> int:
     from .programs import explore_rows
     from .reporting import counts_text, render_rows
 
-    blocks = [block for d1 in range(d1_lo, d1_hi + 1)
-              for block in explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1))]
-    spec = {"command": "explore", "d1": f"{d1_lo}..{d1_hi}", "d2": f"{d2_lo}..{d2_hi}"}
-    counts = _emit(render_rows(blocks, ns.format), spec, ns)
+    with _destination(ns) as dest:
+        blocks = [block for d1 in range(d1_lo, d1_hi + 1)
+                  for block in explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1))]
+        spec = {"command": "explore", "d1": f"{d1_lo}..{d1_hi}", "d2": f"{d2_lo}..{d2_hi}"}
+        counts = _emit(render_rows(blocks, ns.format), spec, ns, dest)
     if ns.out:
         print(f"wrote {ns.out}: {counts_text(counts)}")
     return 0
@@ -356,10 +380,6 @@ def _cmd_explore(ns) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     handlers = {
         "varprob": _cmd_varprob,
         "endpoints": _cmd_varprob,
@@ -368,30 +388,60 @@ def main(argv=None) -> int:
         "oracle": _cmd_oracle,
         "explore": _cmd_explore,
     }
-    # varcomp calls no BLAS routine, so numpy's BLAS needs no worker threads
-    if "numpy" not in sys.modules:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
     try:
-        code = handlers[ns.command](ns)
+        try:
+            ns = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, --version or a usage error
+            code = int(exc.code or 0)
+        else:
+            # varcomp calls no BLAS routine, so numpy's BLAS needs no worker threads
+            if "numpy" not in sys.modules:
+                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                    os.environ.setdefault(var, "1")
+            code = handlers[ns.command](ns)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:
-        # the reader of stdout has gone (``| head``): an I/O error.  What is
-        # still buffered goes to devnull, so the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout closed before the output was written", file=sys.stderr)
-        return 2
+        return _stdout_closed()
     except VarcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         # a grid or chain the process cannot hold is an input error: exit 1
-        # means a failed check, and write_rendered has removed its temp file
+        # means a failed check, and the report's temp file is already removed
         print("error: out of memory; ask for a smaller d1/d2 range",
               file=sys.stderr)
         return 2
 
 
+def _stdout_closed() -> int:
+    """Exit code 2, after one line on stderr, for a stdout whose reader has
+    gone (``| head``): an I/O error.  What is still buffered goes to
+    devnull, so no later flush can raise."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print("error: stdout closed before the output was written", file=sys.stderr)
+    return 2
+
+
+def run() -> None:
+    """Run ``main`` as a whole process: then the atexit handlers, then the
+    flushes of stdout, a closed one through ``_stdout_closed``, and stderr,
+    and exit with main's code through ``os._exit``.  Interpreter teardown
+    would free every object of the run one by one, 5 to 30 ms a command, and
+    change nothing the command wrote."""
+    import atexit
+
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

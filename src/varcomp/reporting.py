@@ -27,12 +27,16 @@ byte-identical output.
 A report is rendered in two steps.  ``render_rows`` turns blocks into
 ``Rendered`` parts, the rows of each block as one text with the block's
 (check_id, d1), exploratory flag, status counts, worst margin and first
-inconclusive d2; ``render_csv`` and ``render_json`` order those parts
-stably by (check_id, d1), sum their counts and join them under the header
-and summary.  ``write_rendered`` assembles the report of parts and writes
-it, and ``write_report`` runs both steps; ``programs.chain_parts`` runs
-the first step per run of a d1 chain, in the process that computed it, so
-a block may come as several parts, in d2 order.
+inconclusive d2; ``programs.chain_parts`` runs it per run of a d1 chain,
+in the process that computed it, so a block may come as several parts, in
+d2 order.  Then one piece generator per format (``_PIECES``) orders the
+parts stably by (check_id, d1), sums their counts and yields the report as
+pieces: the header block, each part's text and the summary.
+``write_rendered`` writes those pieces one at a time, so the report is
+never held as one string: encoded, into a ``Destination`` (the temp file of
+a path, opened before any work) or stdout's byte buffer, or as text into a
+text-only stdout.  ``write_report`` runs both steps.  ``render_csv`` and
+``render_json``, the joins of the same pieces, are the str renderers.
 
 The rows, which are nearly all of a large report, are written column by
 column rather than walked by an encoder or formatted one by one: each block
@@ -49,10 +53,12 @@ same rows; the test suite keeps that encoder route as the reference.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
 import os
+import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -71,6 +77,7 @@ __all__ = [
     "summarize",
     "counts_text",
     "claim_lines",
+    "Destination",
     "render_rows",
     "render_csv",
     "render_json",
@@ -364,42 +371,39 @@ def render_rows(blocks: Iterable[Block], fmt: Optional[str]) -> list:
     """The ``Rendered`` rows of each block in fmt ("csv" or "json"; None
     renders no text, only the counts, worst margins and first inconclusive
     d2s), in (check_id, d1) order; an empty block renders as ''.  Every JSON
-    row starts with its ',' separator, which ``render_json`` drops before
-    the first row of the report."""
+    row starts with its ',' separator, which the report drops before its
+    first row."""
     blocks = sorted(blocks, key=_ORDER)
     if fmt is None:
         return [_rendered(b, "") for b in blocks]
-    texts = _render_rows(blocks, *_format(fmt)[0])
+    texts = _render_rows(blocks, *_format(_ROW_FORMATS, fmt))
     return [_rendered(b, text) for b, text in zip(blocks, texts)]
 
 
-def _format(fmt: str) -> tuple:
-    """(the ``_ROW_FORMATS`` entry, the report renderer) of fmt.  The
-    renderers are looked up at each call, so a wrapper bound over one of
-    them on this module (a profiler's) is the one that runs."""
-    renderers = {"csv": render_csv, "json": render_json}
-    if fmt not in renderers:
+def _format(table: Mapping[str, object], fmt: str):
+    """The entry of the report format fmt in table."""
+    if fmt not in table:
         raise ValueError(f"unknown report format {fmt!r}")
-    return _ROW_FORMATS[fmt], renderers[fmt]
+    return table[fmt]
 
 
-def render_csv(parts: Iterable[Rendered], header: Mapping[str, object]) -> str:
-    """CSV report of the parts ``render_rows(blocks, "csv")`` gave, from
-    one or several calls, the parts of one (check_id, d1) in their given
-    order, under the summary of their counts."""
+def _csv_pieces(parts: Iterable[Rendered], header: Mapping[str, object]) -> Iterator[str]:
+    """The CSV report of the parts: the '#' lines and the column row, then
+    each part's rows."""
     parts = sorted(parts, key=_ORDER)
     spec = json.dumps(header.get("spec", {}), sort_keys=True, separators=(",", ":"))
-    head = (f"# varcomp {header.get('version', '')}\n"
-            f"# spec: {spec}\n"
-            f"# summary: {counts_text(summarize(parts))}\n"
-            + ",".join(CSV_COLUMNS) + "\n")
-    return "".join([head, *(p.text for p in parts)])
+    yield (f"# varcomp {header.get('version', '')}\n"
+           f"# spec: {spec}\n"
+           f"# summary: {counts_text(summarize(parts))}\n"
+           + ",".join(CSV_COLUMNS) + "\n")
+    for part in parts:
+        yield part.text
 
 
-def render_json(parts: Iterable[Rendered], header: Mapping[str, object]) -> str:
-    """JSON report of the parts ``render_rows(blocks, "json")`` gave, from
-    one or several calls, the parts of one (check_id, d1) in their given
-    order, with the summary of their counts."""
+def _json_pieces(parts: Iterable[Rendered], header: Mapping[str, object]) -> Iterator[str]:
+    """The JSON report of the parts: the header block up to the rows' '[',
+    each part's rows, the first without its ',' separator, then the
+    closing ']' and the summary block."""
     parts = sorted(parts, key=_ORDER)
 
     def top(key: str, value) -> str:
@@ -408,44 +412,92 @@ def render_json(parts: Iterable[Rendered], header: Mapping[str, object]) -> str:
 
     # the payload's keys sort as header < rows < summary: drop the closing
     # '\n}' of the header block and the opening '{' of the summary block
-    out = [top("header", {"tool": "varcomp", **header})[:-2] + ',\n  "rows": [']
-    rows = [p.text for p in parts if p.text]
-    if rows:
-        out.append(rows[0][1:])  # no separator before the first row
-        out += rows[1:]
-        out.append("\n  ]")
-    else:
-        out.append("]")
-    out.append("," + top("summary", summarize(parts))[1:] + "\n")
-    return "".join(out)
+    yield top("header", {"tool": "varcomp", **header})[:-2] + ',\n  "rows": ['
+    end = "," + top("summary", summarize(parts))[1:] + "\n"
+    rows = (p.text for p in parts if p.text)
+    first = next(rows, None)
+    if first is None:
+        yield "]" + end
+        return
+    yield first[1:]
+    yield from rows
+    yield "\n  ]" + end
+
+
+#: Per format, the generator of a report's pieces from its parts and header.
+_PIECES = {"csv": _csv_pieces, "json": _json_pieces}
+
+
+def render_csv(parts: Iterable[Rendered], header: Mapping[str, object]) -> str:
+    """CSV report of the parts ``render_rows(blocks, "csv")`` gave, from
+    one or several calls, the parts of one (check_id, d1) in their given
+    order, under the summary of their counts."""
+    return "".join(_csv_pieces(parts, header))
+
+
+def render_json(parts: Iterable[Rendered], header: Mapping[str, object]) -> str:
+    """JSON report of the parts ``render_rows(blocks, "json")`` gave, from
+    one or several calls, the parts of one (check_id, d1) in their given
+    order, with the summary of their counts."""
+    return "".join(_json_pieces(parts, header))
+
+
+class Destination:
+    """Where ``write_rendered`` puts a report: stdout without a path; with
+    one, the temp file path + ".tmp", opened here, before any work is done,
+    so that a path that cannot be written fails first.  A path that names a
+    directory fails here too, not at the rename onto it.  ``write_rendered``
+    renames the finished temp file onto path; leaving the with block removes
+    it if it is still there, so no partial report survives an abort."""
+
+    def __init__(self, path: Optional[str] = None) -> None:
+        self.path, self.tmp, self.fh = path, f"{path}.tmp", None
+        if path:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            self.fh = open(self.tmp, "wb")
+
+    def __enter__(self) -> Destination:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.fh is not None:
+            self.fh.close()
+            if os.path.exists(self.tmp):
+                os.remove(self.tmp)
 
 
 def write_report(blocks: Iterable[Block], header: Mapping[str, object],
-                 fmt: str, path: Optional[str]) -> str:
-    """Render the blocks and either write the report atomically to path or
-    return it for stdout; ``write_rendered`` of ``render_rows``."""
-    return write_rendered(render_rows(blocks, fmt), header, fmt, path)
+                 fmt: str, path: Optional[str]) -> None:
+    """Render the blocks and write their report atomically to path, or to
+    stdout without one; ``write_rendered`` of ``render_rows``."""
+    with Destination(path) as dest:
+        write_rendered(render_rows(blocks, fmt), header, fmt, dest)
 
 
 def write_rendered(parts: Iterable[Rendered], header: Mapping[str, object],
-                   fmt: str, path: Optional[str]) -> str:
-    """Assemble the report of parts rendered in fmt and return it; with a
-    path, also write it there atomically, UTF-8 encoded.
-
-    The temp-file + rename dance guarantees no partial report survives an
-    abort mid-write.
-    """
-    text = _format(fmt)[1](parts, header)
-    if path:
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                write_encoded(fh, text)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    return text
+                   fmt: str, dest: Destination) -> None:
+    """Write the report of parts rendered in fmt to dest, one piece at a
+    time (``_PIECES``): UTF-8 encoded into its temp file, which then
+    replaces its path; or, without a path, into stdout's byte buffer,
+    encoded as stdout encodes, after what stdout holds buffered, or as text
+    into a text-only stdout such as an io.StringIO."""
+    pieces = _format(_PIECES, fmt)(parts, header)
+    if dest.fh is not None:
+        for piece in pieces:
+            write_encoded(dest.fh, piece)
+        dest.fh.close()
+        os.replace(dest.tmp, dest.path)
+        return
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        for piece in pieces:
+            out.write(piece)
+        return
+    out.flush()
+    for piece in pieces:
+        write_encoded(raw, piece, out.encoding, out.errors)
 
 
 def write_encoded(raw, text: str, encoding: str = "utf-8", errors: str = "strict") -> None:

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import os
+import pickle
 import resource
+import stat
 import subprocess
 import sys
 
@@ -458,12 +460,19 @@ WRITE_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(WRITE_COMMANDS))
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
-def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
+def test_unwritable_out_exits_2(command, target, tmp_path, monkeypatch, capsys):
+    # found before any chain runs: the report's temp file is opened first
+    def not_run(*args):
+        raise AssertionError("the work ran before the report path was tried")
+
+    for name in ("chain_parts", "explore_rows"):
+        monkeypatch.setattr(varcomp.programs, name, not_run)
     out = tmp_path / "missing" / "r.csv" if target == "missing_dir" else tmp_path
     code, _, err = run_cli(*WRITE_COMMANDS[command], "--out", str(out),
                            capsys=capsys)
     assert code == 2
-    assert err.startswith(f"error: cannot write report {out}: ")
+    reason = "No such file or directory" if target == "missing_dir" else "Is a directory"
+    assert err == f"error: cannot write report {out}: {reason}\n"
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []  # no report and no .tmp left behind
 
@@ -1041,6 +1050,39 @@ def test_failure_in_the_parents_own_run_reaps_every_child(command, failure, mess
     _assert_no_child_left()
 
 
+def test_a_worker_that_dies_mid_pickle_exits_2(monkeypatch, tmp_path, capsys):
+    # each child writes half its pickle into its pipe and dies: a cut
+    # pickle reads as a death, and no pipe, temp file or child is left
+    _route(monkeypatch, _COLUMNS)
+
+    def half_dump(obj, fh, *args):
+        data = pickle.dumps(obj, *args)
+        fh.write(data[:len(data) // 2])
+        fh.flush()
+        os._exit(0)
+
+    pipes = []
+    make_pipe = os.pipe
+
+    def recorded_pipe():
+        pipes.append(make_pipe())
+        return pipes[-1]
+
+    monkeypatch.setattr(pickle, "dump", half_dump)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    code, out, err = run_cli("sweep", "--d1", "1..4", "--d2", "5..30",
+                             "--check", "bound,steps",
+                             "--out", str(tmp_path / "r.csv"), capsys=capsys)
+    assert (code, out, err) == (
+        2, "", "error: a worker process died before it returned its rows\n")
+    assert len(pipes) == 1
+    for fd in pipes[0]:  # closed, or reused by something that is no pipe
+        with contextlib.suppress(OSError):
+            assert not stat.S_ISFIFO(os.fstat(fd).st_mode)
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
+
+
 def test_text_buffered_before_the_workers_start_is_written_once():
     # a child holds a copy of what this process had buffered at the fork,
     # and must leave without flushing it
@@ -1070,23 +1112,90 @@ def test_report_to_a_text_only_stdout(capsys):
     assert text.getvalue() == expected
 
 
+# ---------------------------------------------------------------------------
+# python -m varcomp: main, then the atexit handlers and the flushes, and an
+# exit without interpreter teardown
+# ---------------------------------------------------------------------------
+
+def _python_m(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "varcomp", *argv], capture_output=True,
+                          env=child_env(), timeout=120, **kwargs)
+
+
+def test_a_report_larger_than_a_pipe_arrives_whole_on_stdout(tmp_path):
+    argv = ["sweep", "--d1", "1..4", "--check", "steps"]
+    piped = _python_m(*argv)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert len(piped.stdout) > 4 << 16  # four times what a pipe holds
+    out = tmp_path / "r.csv"
+    written = _python_m(*argv, "--out", str(out))
+    assert (written.returncode, written.stdout, written.stderr) == (
+        0, f"wrote {out}: ".encode() + piped.stdout.splitlines()[2][11:] + b"\n", b"")
+    assert out.read_bytes() == piped.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--d1", "2"],
+    ["sweep", "--d1", "1..x", "--check", "bound"],
+    ["prove", "--d1", "7"]], ids=["exit_0", "usage_error", "domain_error"])
+def test_python_m_varcomp_exits_as_main_returns(argv, capsys):
+    expected = run_cli(*argv, capsys=capsys)
+    assert expected[0] == (0 if argv == ["prove", "--d1", "2"] else 2)
+    proc = _python_m(*argv, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+@pytest.mark.parametrize("module", ["varcomp", "varcomp.cli"])
+def test_python_m_varcomp_runs_the_atexit_handlers(module):
+    # a handler registered before varcomp runs, by a wrapper such as a
+    # profiler, still runs, and what it prints is flushed
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'the handler ran')\n"
+              "sys.argv = ['varcomp', '--version']\n"
+              f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"varcomp {__version__}\nthe handler ran\n", "")
+
+
+def test_every_process_entry_point_is_cli_run():
+    # the console script and both ``python -m`` forms leave the same way
+    def lines(*path):
+        with open(os.path.join(_SRC, *path), encoding="utf-8") as fh:
+            return [line.strip() for line in fh.read().splitlines()]
+
+    assert 'varcomp = "varcomp.cli:run"' in lines("..", "pyproject.toml")
+    assert lines("varcomp", "__main__.py")[-1] == "run()"
+    assert lines("varcomp", "cli.py")[-2:] == ['if __name__ == "__main__":', "run()"]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_stdout_closed_by_its_reader_exits_2_without_a_traceback(unbuffered):
     # the default sweep writes about 0.5 MB to stdout, more than the pipe
     # holds, so the report is still being written when the reader has gone.
     # With PYTHONUNBUFFERED set, a write to the raw stdout can be short, and
-    # CPython's text layer would drop what it leaves over instead of raising
+    # CPython's text layer would drop what it leaves over instead of raising.
+    # --help and --version write one short text, so their reader is gone
+    # before they start: argparse drops the error of an unbuffered write,
+    # and a buffered one raises only at the flush
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen([sys.executable, "-m", "varcomp", "sweep", "--d1", "1..4",
-                             "--check", "bound,monotone,steps"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == f"# varcomp {__version__}\n".encode()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == 2
-    assert "Traceback" not in err
-    assert err.splitlines() == ["error: stdout closed before the output was written"]
+    for argv in (["sweep", "--d1", "1..4", "--check", "bound,monotone,steps"],
+                 ["--help"], ["--version"]):
+        read, write = os.pipe()
+        if argv[0] != "sweep":
+            os.close(read)
+        proc = subprocess.Popen([sys.executable, "-m", "varcomp", *argv],
+                                stdout=write, stderr=subprocess.PIPE, env=env)
+        os.close(write)
+        if argv[0] == "sweep":
+            with os.fdopen(read, "rb") as out:
+                assert out.readline() == f"# varcomp {__version__}\n".encode()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2, argv
+        assert "Traceback" not in err
+        assert err.splitlines() == ["error: stdout closed before the output was written"]

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import math
+import sys
 from typing import NamedTuple, Optional
 from unittest import mock
 
@@ -487,6 +488,9 @@ def reference_json(blocks, header) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+_RENDER = {"csv": render_csv, "json": render_json}
+
+
 def csv_of(blocks, header) -> str:
     return render_csv(render_rows(blocks, "csv"), header)
 
@@ -546,13 +550,35 @@ def test_renderers_match_reference_across_row_chunks():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_write_report_writes_a_large_report_whole(fmt, tmp_path):
-    # the file is written in 1 MiB slices; the non-ASCII notes cross them
-    path = tmp_path / f"r.{fmt}"
-    text = write_report(blocks_of(many_edge_rows(4000)), HEADER, fmt, str(path))
+    # the report is written piece by piece, a piece per block, each in 1 MiB
+    # slices; the non-ASCII notes lie in many pieces and cross the slices
+    blocks = blocks_of(many_edge_rows(4000))
+    text = _RENDER[fmt](render_rows(blocks, fmt), HEADER)
     assert len(text) > 1 << 20
-    written_whole = path.read_bytes() == text.encode("utf-8")
-    assert written_whole
+    path = tmp_path / f"r.{fmt}"
+    write_report(blocks, HEADER, fmt, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("text_only", [False, True], ids=["binary", "text_only"])
+def test_write_report_writes_a_large_report_whole_to_stdout(fmt, text_only, monkeypatch):
+    # into stdout's byte buffer, encoded as stdout encodes, after the text
+    # stdout holds buffered; or as text into a stdout with no byte buffer
+    blocks = blocks_of(many_edge_rows(4000))
+    text = _RENDER[fmt](render_rows(blocks, fmt), HEADER)
+    raw = io.BytesIO()
+    out = (io.StringIO() if text_only
+           else io.TextIOWrapper(raw, encoding="latin-1", errors="backslashreplace"))
+    out.write("before the report\n")
+    monkeypatch.setattr(sys, "stdout", out)
+    write_report(blocks, HEADER, fmt, None)
+    if text_only:
+        assert out.getvalue() == "before the report\n" + text
+    else:
+        assert raw.getvalue() == ("before the report\n" + text).encode(
+            "latin-1", "backslashreplace")
 
 
 def test_renderers_match_reference_on_empty_rows():
