@@ -13,12 +13,13 @@ oracle     cross-validate the analytic value against Monte Carlo and quadrature
 explore    scan the conjectured region d1 >= 5 (never affects exit status)
 
 Exit codes: 0 all checks passed, 1 at least one non-exploratory check
-failed, 2 usage, domain, I/O (a stdout closed by its reader among them) or
-out-of-memory error (a grid or chain too large to hold), or a worker
-process that died.  Each input rule is checked once, in the module that
-owns it, and ``main`` prints its ``VarcompError`` as one ``error:`` line.
-A flag that configures nothing (``sweep --d2-large`` without the limit
-check, ``prove --format`` without ``--out``) is an error too.
+failed, 2 usage, domain, I/O (a stdout that is full or closed by its reader
+among them) or out-of-memory error (a grid or chain too large to hold), or
+a worker process that died or could not start.  Each input rule is checked
+once, in the module that owns it, and ``main`` prints its ``VarcompError``
+as one ``error:`` line.  A flag that configures nothing (``sweep
+--d2-large`` without the limit check, ``prove --format`` without
+``--out``) is an error too.
 
 Every report leaves through ``_emit``, atomically to ``--out`` or to
 stdout, streamed piece by piece (``reporting.write_rendered``), and
@@ -399,10 +400,10 @@ def main(argv=None) -> int:
                 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                     os.environ.setdefault(var, "1")
             code = handlers[ns.command](ns)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        sys.stdout.flush()  # a closed or full stdout raises here, not at exit
         return code
-    except BrokenPipeError:
-        return _stdout_closed()
+    except OSError as exc:  # stdout's: every other one is a VarcompError
+        return _stdout_failed(exc)
     except VarcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -414,20 +415,22 @@ def main(argv=None) -> int:
         return 2
 
 
-def _stdout_closed() -> int:
-    """Exit code 2, after one line on stderr, for a stdout whose reader has
-    gone (``| head``): an I/O error.  What is still buffered goes to
-    devnull, so no later flush can raise."""
+def _stdout_failed(exc: OSError) -> int:
+    """Exit code 2, after one line on stderr, for a stdout that cannot be
+    written: its reader has gone (``| head``), or its device is full.  What
+    is still buffered goes to devnull, so no later flush can raise."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
-    print("error: stdout closed before the output was written", file=sys.stderr)
+    reason = ("stdout closed before the output was written" if isinstance(exc, BrokenPipeError)
+              else f"cannot write to stdout: {exc.strerror or exc}")
+    print(f"error: {reason}", file=sys.stderr)
     return 2
 
 
 def run() -> None:
     """Run ``main`` as a whole process: then the atexit handlers, then the
-    flushes of stdout, a closed one through ``_stdout_closed``, and stderr,
+    flushes of stdout, one that fails through ``_stdout_failed``, and stderr,
     and exit with main's code through ``os._exit``.  Interpreter teardown
     would free every object of the run one by one, 5 to 30 ms a command, and
     change nothing the command wrote."""
@@ -437,8 +440,8 @@ def run() -> None:
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        code = _stdout_closed()
+    except OSError as exc:
+        code = _stdout_failed(exc)
     sys.stderr.flush()
     os._exit(code)
 

@@ -20,8 +20,9 @@ a claim that two routes to one quantity agree, is one entry of its own: its
 pairs, tolerance, note and coverage (``_weld_check``).  Each kind of
 evaluator has one route (``ROUTES``): "exact", decided in integer
 arithmetic, or "sampled", a float margin checked at the coverage's points
-only.  A new claim id goes into ``bench/reference.json`` first, then into
-its program with its premises.
+only.  A change that adds or removes a claim id regenerates the ``prove``
+entries of ``bench/reference.json`` (``bench/check.py --write-reference``)
+in the same change, and lists that edit.
 """
 
 from __future__ import annotations
@@ -218,9 +219,12 @@ def _fork_join(run: Callable, runs: list, other: Callable) -> list:
     pipes, pids, joined = [], [], False
     try:
         for bounds in runs[1:]:
-            read, write = os.pipe()
-            pipes.append(os.fdopen(read, "rb"))
-            pid = os.fork()
+            try:
+                read, write = os.pipe()
+                pipes.append(os.fdopen(read, "rb"))
+                pid = os.fork()
+            except OSError as exc:  # main reads an OSError as stdout's
+                raise VarcompError(f"cannot start a worker process: {exc.strerror}") from None
             if pid == 0:
                 _child(write, pipes, run, bounds)
             os.close(write)

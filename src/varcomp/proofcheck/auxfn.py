@@ -44,6 +44,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..errors import DomainError
 from ..reporting import Block, gap_block, margin_block
+from .polynomials import FAMILIES
 
 __all__ = [
     "AuxFn",
@@ -149,18 +150,18 @@ def _s4(y):
     return _sqrt((4.0 + y) / (2.0 * (y - 2.0)))
 
 
+def _log_form4(y: float, t: float) -> float:
+    # h4 and r4 at y, on the branch t = 1 + s or 1 - s, s = _s4(y)
+    return (0.5 * (y + 2.0) * math.log(y) - 0.5 * (y + 4.0) * math.log(4.0 * t + y)
+            + math.log(4.0 * (y + 4.0) * t + 2.0 * y))
+
+
 def h4(y: float) -> float:
-    s = _s4(y)
-    return (0.5 * (y + 2.0) * math.log(y)
-            - 0.5 * (y + 4.0) * math.log(4.0 * (1.0 + s) + y)
-            + math.log(4.0 * (y + 4.0) * (1.0 + s) + 2.0 * y))
+    return _log_form4(y, 1.0 + _s4(y))
 
 
 def r4(y: float) -> float:
-    s = _s4(y)
-    return (0.5 * (y + 2.0) * math.log(y)
-            - 0.5 * (y + 4.0) * math.log(4.0 * (1.0 - s) + y)
-            + math.log(4.0 * (y + 4.0) * (1.0 - s) + 2.0 * y))
+    return _log_form4(y, 1.0 - _s4(y))
 
 
 def k_fun(y: float) -> float:
@@ -380,21 +381,26 @@ def monotone_table_check(f: AuxFn, ys: Sequence[float], direction: str) -> Block
                         holds=not mismatches)
 
 
+_FD_STEP = 1e-5
+
+
+def _five_point(fn: Callable[[float], float], y: float) -> float:
+    # fn'(y) by the five-point central difference with step _FD_STEP
+    h = _FD_STEP
+    return (-fn(y + 2 * h) + 8.0 * fn(y + h) - 8.0 * fn(y - h) + fn(y - 2 * h)) / (12.0 * h)
+
+
 def derivative_sign_check(f: AuxFn, ys: Sequence[float], expected_sign: int) -> Block:
     """Secondary screen: the five-point finite-difference derivative at each
     y must have the expected sign; margin is the worst signed derivative."""
     if expected_sign not in (-1, 1):
         raise DomainError("expected_sign must be -1 or +1")
     ys = [float(y) for y in ys]
-    y_min = _REGISTRY[f].y_min
-    step = 1e-5
     worst = math.inf
     for y in ys:
-        if y - 2.0 * step < y_min:
+        if y - 2.0 * _FD_STEP < _REGISTRY[f].y_min:
             raise DomainError(f"stencil for {f.name} leaves the domain at y={y}")
-        fd = (-aux_eval(f, y + 2 * step) + 8.0 * aux_eval(f, y + step)
-              - 8.0 * aux_eval(f, y - step) + aux_eval(f, y - 2 * step)) / (12.0 * step)
-        worst = min(worst, expected_sign * fd)
+        worst = min(worst, expected_sign * _five_point(lambda t: aux_eval(f, t), y))
     return margin_block(f"{f.value}_derivative_sign", 0, [0], [worst],
                         "finite-difference secondary check")
 
@@ -444,9 +450,17 @@ def rational_V_consistency(y: float) -> Block:
 # ---------------------------------------------------------------------------
 # Each lower-bound function above satisfies an exact algebraic identity
 # after multiplication by an explicit prefactor; checking those identities
-# numerically ties the transcribed polynomial families (T1, T2, U1, U2) and
-# the derivative machinery together, so a typo in any one side surfaces as a
-# residual far above roundoff.
+# numerically ties the derivative machinery to the certified families that
+# the l3 and l4 identities read from ``polynomials.FAMILIES`` (U1, U2; T1,
+# T2), so a typo in any one side surfaces as a residual far above roundoff.
+
+def _family_at(name: str, y: float) -> float:
+    # FAMILIES[name] at real y: the sum of c y**k in ascending degree k
+    total = 0.0
+    for k, c in enumerate(FAMILIES[name]):
+        total += c * y ** k
+    return total
+
 
 def _id_l1(y: float):
     w = math.sqrt((1.0 + y) / (y - 2.0))
@@ -477,9 +491,7 @@ def _id_l3(y: float):
            - 3.0 * y * y * (29.0 * _SQRT6 + 88.0 * w)
            + y ** 3 * (19.0 * _SQRT6 + 9.0 * w)
            + 3.0 * y ** 4 * (_SQRT6 - w))
-    u1 = -396.0 - 87.0 * y + 19.0 * y * y
-    u2_half = -216.0 - 264.0 * y + 9.0 * y * y + 1.5 * y ** 3
-    bound = y * (u1 * _SQRT6 + u2_half * w)
+    bound = y * (_family_at("U1", y) * _SQRT6 + 0.5 * _family_at("U2", y) * w)
     return lhs, rhs, min(rhs - bound, bound)
 
 
@@ -488,9 +500,7 @@ def _id_l4(y: float):
     w = math.sqrt((4.0 + y) / (y - 2.0))
     lhs = (-3.0 * y ** 3 * (y - 2.0) ** 2 * (4.0 + y + 2.0 * w2)
            * (8.0 + 4.0 * w2 + y * (3.0 + w2)) * l4(y))
-    t1 = 2048.0 + 1536.0 * y - 1040.0 * y ** 2 - 368.0 * y ** 3 + 10.0 * y ** 4 + 3.0 * y ** 5
-    t2 = -2048.0 + 3072.0 * y - 112.0 * y ** 2 - 484.0 * y ** 3 + 8.0 * y ** 4 + 3.0 * y ** 5
-    rhs = 4.0 * w * (t1 * _SQRT2 + t2 * w)
+    rhs = 4.0 * w * (_family_at("T1", y) * _SQRT2 + _family_at("T2", y) * w)
     return lhs, rhs, rhs
 
 
@@ -506,12 +516,9 @@ def _id_q4(y: float):
 
 
 def _id_kprime(y: float):
-    h = 1e-5
-    kd = (-k_fun(y + 2 * h) + 8.0 * k_fun(y + h) - 8.0 * k_fun(y - h)
-          + k_fun(y - 2 * h)) / (12.0 * h)
     w = math.sqrt((y - 1.0) / (y - 4.0))
     lhs = (-2.0 * (y - 4.0) ** 2 * w
-           * (y - 1.0 + math.sqrt(2.0 * (y - 1.0) / (y - 4.0))) ** 2 * kd)
+           * (y - 1.0 + math.sqrt(2.0 * (y - 1.0) / (y - 4.0))) ** 2 * _five_point(k_fun, y))
     rhs = ((3.0 * _SQRT2 - 2.0 * w) * y * y
            - (6.0 * _SQRT2 - 4.0 * w) * y + 16.0 * w)
     bound = (9.0 * _SQRT2 - 6.0 * w) * y

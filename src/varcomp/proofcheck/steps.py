@@ -59,7 +59,7 @@ from ..distributions import FParams
 from ..errors import DomainError
 from ..oracle import quad_beta_integral, quad_beta_integral_column
 from ..specfun import _each
-from ..varband import _d_exceeds_c, band_endpoints, d_exceeds_c
+from ..varband import _d_over_c, band_endpoints, d_exceeds_c
 from .auxfn import v_direct, v_of
 
 __all__ = [
@@ -126,7 +126,7 @@ def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float,
     if not c > 0.0:
         margins["lower_edge"] = None
     if d1 in (3, 4):
-        d_gt_c = d > 0.0 and _d_exceeds_c(d1, d2)
+        d_gt_c = d > 0.0 and _d_over_c(d1, d2) > 0
         if not d_gt_c:
             margins[_LOWER_STEP[d1]] = None
         if d1 == 3:
@@ -169,7 +169,7 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[st
     margins = {form: v.tolist() for form, v in forms.items()}
     margins["lower_edge"] = _masked((c > 0.0).tolist(), margins["lower_edge"])
     if d1 in (3, 4):
-        d_gt_c = [dv > 0.0 and _d_exceeds_c(d1, n) for n, dv in zip(d2s, d.tolist())]
+        d_gt_c = [dv > 0.0 and _d_over_c(d1, n) > 0 for n, dv in zip(d2s, d.tolist())]
         margins[_LOWER_STEP[d1]] = _masked(d_gt_c, margins[_LOWER_STEP[d1]])
         if d1 == 3:
             v = iter(v_of(n2[np.array(d_gt_c, dtype=bool)], np.sqrt).tolist())

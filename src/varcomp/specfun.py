@@ -33,7 +33,7 @@ __all__ = [
     "std_normal_cdf",
 ]
 
-_FPMIN = 1e-300  # guard against division by zero inside Lentz iterations
+_FPMIN = 1e-300  # the lift of _fpmin, the guard against a zero Lentz divisor
 
 
 # Convergence policy of the iterative evaluations: an update within these
@@ -193,7 +193,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     front = math.exp(_ln_beta_front(x, a, b, math.log, _bd0, _stirlerr))
     flip = _flips(x, a, b)
     cf = _beta_cf(b, a, 1.0 - x) if flip else _beta_cf(a, b, x)
-    return _inc_beta_value(front, cf, a, b, flip, lambda c, u, v: u if c else v, min, max)
+    return _inc_beta_value(front, cf, a, b, flip, _pick, min, max)
 
 
 def _inc_beta_args(x, a, b) -> tuple:
@@ -222,11 +222,9 @@ def _inc_beta_value(front, cf, a, b, flip, where, minimum, maximum):
 
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab, qap, qam, c, d = _beta_cf_start(a, b, x, _fpmin)
-    h = d
+    qab, qap, qam, c, d, h = _beta_cf_start(a, b, x, _pick)
     for m in range(1, _MAX_ITER + 1):
-        c, d, even, delta = _lentz_pair(m, a, b, x, qab, qap, qam, c, d, _fpmin)
-        h = h * even * delta
+        c, d, h, delta = _lentz_pair(m, a, b, x, qab, qap, qam, c, d, h, _pick)
         if _lentz_done(delta, h, max):
             return h
     raise ConvergenceError(
@@ -235,33 +233,38 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
-def _fpmin(v: float) -> float:
-    return _FPMIN if abs(v) < _FPMIN else v
+def _pick(cond, u, v):
+    # the scalar route's where: u if cond, else v
+    return u if cond else v
 
 
-def _beta_cf_start(a, b, x, guard):
-    # the constants of _beta_cf's steps and its first c and d
+def _fpmin(v, where):
+    return where(abs(v) < _FPMIN, _FPMIN, v)
+
+
+def _beta_cf_start(a, b, x, where):
+    # the constants of _beta_cf's steps and its first c, d and h
     qab = a + b
     qap = a + 1.0
-    return qab, qap, a - 1.0, 1.0, 1.0 / guard(1.0 - qab * x / qap)
+    d = 1.0 / _fpmin(1.0 - qab * x / qap, where)
+    return qab, qap, a - 1.0, 1.0, d, d
 
 
-def _lentz_pair(m, a, b, x, qab, qap, qam, c, d, guard):
-    """Step m of ``_beta_cf``: its even and its odd Lentz update.
-
-    Returns the new (c, d) and the two factors of h, from floats or float64
-    columns alike: the body uses only +, -, * and /, and guard lifts a
-    value below ``_FPMIN`` in magnitude to ``_FPMIN`` on either route.
-    """
+def _lentz_pair(m, a, b, x, qab, qap, qam, c, d, h, where):
+    """Step m of ``_beta_cf``, its even and its odd Lentz update, on floats
+    or float64 columns alike: the new (c, d, h) and the odd update's factor
+    of h.  Besides +, -, * and /, the body uses only the guard ``_fpmin``,
+    with the route's where."""
     m2 = 2 * m
     aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-    d = 1.0 / guard(1.0 + aa * d)
-    c = guard(1.0 + aa / c)
+    d = 1.0 / _fpmin(1.0 + aa * d, where)
+    c = _fpmin(1.0 + aa / c, where)
     even = d * c
     aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-    d = 1.0 / guard(1.0 + aa * d)
-    c = guard(1.0 + aa / c)
-    return c, d, even, d * c
+    d = 1.0 / _fpmin(1.0 + aa * d, where)
+    c = _fpmin(1.0 + aa / c, where)
+    delta = d * c
+    return c, d, h * even * delta, delta
 
 
 def _lentz_done(delta, h, maximum):
@@ -344,25 +347,17 @@ def _bd0_column(x, mu):
     return out
 
 
-def _fpmin_guard(v):
-    # _fpmin lane by lane
-    import numpy as np
-    return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
-
-
 def _beta_cf_column(a, b, x):
     """_beta_cf lane by lane; a converged lane leaves the working set."""
     import numpy as np
 
     out = np.empty_like(x)
     lanes = np.arange(x.size)
-    qab, qap, qam, c, d = _beta_cf_start(a, b, x, _fpmin_guard)
-    h = d
+    qab, qap, qam, c, d, h = _beta_cf_start(a, b, x, np.where)
     for m in range(1, _MAX_ITER + 1):
         if not lanes.size:
             return out
-        c, d, even, delta = _lentz_pair(m, a, b, x, qab, qap, qam, c, d, _fpmin_guard)
-        h = h * even * delta
+        c, d, h, delta = _lentz_pair(m, a, b, x, qab, qap, qam, c, d, h, np.where)
         done = _lentz_done(delta, h, np.maximum)
         if done.any():
             out[lanes[done]] = h[done]
@@ -433,8 +428,8 @@ def _gamma_cf(s: float, x: float) -> float:
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - s)
         b += 2.0
-        d = 1.0 / _fpmin(an * d + b)
-        c = _fpmin(b + an / c)
+        d = 1.0 / _fpmin(an * d + b, _pick)
+        c = _fpmin(b + an / c, _pick)
         delta = d * c
         h *= delta
         if _lentz_done(delta, h, max):

@@ -200,15 +200,13 @@ def d_exceeds_c(p: FParams) -> bool:
         raise DomainError(f"d_exceeds_c requires d1 >= 3, got d1={d1}")
     if d2 < 5:
         raise DomainError(f"d_exceeds_c requires d2 >= 5, got d2={d2}")
-    return _d_exceeds_c(d1, d2)
+    return _d_over_c(d1, d2) > 0
 
 
-def _d_exceeds_c(d1: int, d2: int) -> bool:
-    # the integer test of d_exceeds_c, for callers that already checked
-    # d1 >= 3 and d2 >= 5
-    lhs = d1 * (d2 - 2) * (d1 + d2) * (d2 - 4) ** 2
-    rhs = 2 * d2 * d2 * (d1 + d2 - 2) ** 2
-    return lhs > rhs
+def _d_over_c(d1: int, d2: int) -> int:
+    # the integer whose sign d_exceeds_c tests, for callers that already
+    # checked d1 >= 3 and d2 >= 5: P3(d2) at d1 = 3 and 2 P4(d2) at d1 = 4
+    return d1 * (d2 - 2) * (d1 + d2) * (d2 - 4) ** 2 - 2 * d2 * d2 * (d1 + d2 - 2) ** 2
 
 
 #: P{|Z| <= 1} = 2 Phi(1) - 1 for standard normal Z.

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -1168,6 +1169,61 @@ def test_every_process_entry_point_is_cli_run():
     assert 'varcomp = "varcomp.cli:run"' in lines("..", "pyproject.toml")
     assert lines("varcomp", "__main__.py")[-1] == "run()"
     assert lines("varcomp", "cli.py")[-2:] == ['if __name__ == "__main__":', "run()"]
+
+
+_NO_SPACE = f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--d1", "1..4", "--check", "bound"],
+    ["prove", "--d1", "1"],
+    ["varprob", "--dist", "normal"],
+    ["--help"]], ids=["sweep", "prove", "varprob", "help"])
+def test_a_full_stdout_exits_2_without_a_traceback(argv):
+    # exit 1 means a failed check; a stdout that cannot be written is an
+    # I/O error, whether the report streams (sweep) or is printed
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "varcomp", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=child_env(), timeout=120)
+    assert (proc.returncode, proc.stderr.decode().splitlines()) == (2, [_NO_SPACE])
+
+
+class _FullRaw(io.RawIOBase):
+    """A raw stream on the file descriptor fd whose writes fail, while full,
+    as on a device with no space left."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd, self.full = fd, True
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return os.write(self.fd, data)
+
+
+def test_main_returns_2_for_a_stdout_whose_buffer_cannot_be_written(tmp_path, capsys,
+                                                                      monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    raw = _FullRaw(fd)
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["prove", "--d1", "1"]) == 2
+    finally:
+        raw.full = False
+        stdout.close()
+        os.close(fd)
+    assert capsys.readouterr().err.splitlines() == [_NO_SPACE]
+    # what was still buffered went to devnull, not to the file
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

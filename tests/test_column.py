@@ -65,16 +65,29 @@ def test_reg_inc_beta_column_edges_and_flip():
     assert [v.hex() for v in got.tolist()] == [w.hex() for w in want]
 
 
+#: (a, b, x) where the guard lifts a Lentz denominator of exactly 0 to
+#: _FPMIN on both routes: the first one, 1 - (a+b) x / (a+1), at the first
+#: three; the first even step's 1 + aa d at the last
+_GUARD_POINTS = [(1.0, 3.0, 0.5), (2.0, 2.0, 0.75), (0.5, 1.5, 0.75), (1.0, 2.0, 0.75)]
+
+
+def _guard_point_fractions():
+    """(scalar, column): the hex of _beta_cf at each of _GUARD_POINTS, on
+    each route."""
+    a, b, x = (np.array(v) for v in zip(*_GUARD_POINTS))
+    column = varcomp.specfun._beta_cf_column(a, b, x).tolist()
+    scalar = [varcomp.specfun._beta_cf(*p) for p in _GUARD_POINTS]
+    return [v.hex() for v in scalar], [v.hex() for v in column]
+
+
 def test_beta_cf_lentz_guard_parity():
-    # at these (a, b, x) the first Lentz denominator 1 - (a+b) x / (a+1) is
-    # exactly 0, so _FPMIN lifts it on both routes
-    points = [(1.0, 3.0, 0.5), (2.0, 2.0, 0.75), (0.5, 1.5, 0.75)]
-    a, b, x = (np.array(v) for v in zip(*points))
-    assert (1.0 - (a + b) * x / (a + 1.0) == 0.0).all()
-    got = varcomp.specfun._beta_cf_column(a, b, x)
-    want = [varcomp.specfun._beta_cf(*p) for p in points]
-    assert [v.hex() for v in got.tolist()] == [w.hex() for w in want]
-    assert all(map(np.isfinite, want))
+    a, b, x = (np.array(v) for v in zip(*_GUARD_POINTS))
+    first = 1.0 - (a + b) * x / (a + 1.0)
+    assert (first[:3] == 0.0).all()
+    assert 1.0 + (b[3] - 1.0) * x[3] / ((a[3] + 1.0) * (a[3] + 2.0)) / first[3] == 0.0
+    scalar, column = _guard_point_fractions()
+    assert column == scalar
+    assert all(np.isfinite(float.fromhex(v)) for v in scalar)
 
 
 def test_reg_inc_beta_column_rejects_bad_input():
@@ -406,4 +419,21 @@ def test_each_shared_body_reaches_both_routes(module, name, perturb, unpatched_v
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     scalar, column = _route_values()
     assert scalar != unpatched_values
+    assert column == scalar
+
+
+def test_the_one_lentz_guard_reaches_both_routes(monkeypatch):
+    # no lane of _route_values meets the guard, so its own points test it:
+    # a value the guard lifts is lifted to 3 _FPMIN, on either route.  The
+    # lift cancels from the fraction but for rounding, so last bits move
+    guard = varcomp.specfun._fpmin
+
+    def relifted(v, where):
+        lifted = guard(v, where)
+        return where(lifted == v, lifted, 3.0 * lifted)
+
+    unpatched = _guard_point_fractions()[0]
+    monkeypatch.setattr(varcomp.specfun, "_fpmin", relifted)
+    scalar, column = _guard_point_fractions()
+    assert scalar != unpatched
     assert column == scalar

@@ -11,6 +11,7 @@ from varcomp.proofcheck import (
     poly_value,
     shifted_expansion,
 )
+from varcomp.varband import _d_over_c
 
 
 def test_reference_point_values_bit_exact():
@@ -57,6 +58,15 @@ def test_factored_forms_match_expanded():
     for d2 in range(-50, 51):
         assert p4(d2) == 2 * (d2 - 2) * (d2 + 4) * (d2 - 4) ** 2 - d2**2 * (d2 + 2) ** 2
         assert p3(d2) == 3 * (d2 - 2) * (d2 + 3) * (d2 - 4) ** 2 - 2 * d2**2 * (d2 + 1) ** 2
+
+
+def test_the_d_over_c_test_of_varband_is_the_certified_polynomial():
+    # the integer whose sign decides d > c is P3 at d1 = 3 and 2 P4 at
+    # d1 = 4; both sides are integer polynomials of degree 4 in d2, so
+    # agreement at five or more integers is the identity itself
+    for d2 in range(5, 401):
+        assert _d_over_c(3, d2) == poly_value("P3", d2)
+        assert _d_over_c(4, d2) == 2 * poly_value("P4", d2)
 
 
 def test_quintic_is_the_cleared_root_gap():

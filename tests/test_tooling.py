@@ -78,7 +78,8 @@ def test_the_benchmark_tracer_counts_fparams_through_its_own_init():
 
 def test_each_prove_program_registers_the_claim_ids_of_the_benchmark_reference():
     # the benchmark compares each run's claim ids with bench/reference.json,
-    # so a claim id enters that file before it enters a program
+    # so the change that adds or removes a claim regenerates that file's
+    # prove entries (bench/check.py --write-reference) in the same change
     from varcomp.programs import PROGRAMS
 
     with open(os.path.join(_REPO, "bench", "reference.json")) as fh:
