@@ -24,12 +24,12 @@ as one ``error:`` line.  A flag that configures nothing (``sweep
 Every report leaves through ``_emit``, atomically to ``--out`` or to
 stdout, streamed piece by piece (``reporting.write_rendered``), and
 ``reporting`` holds every result text: the rows, the counts
-(``counts_text``) and ``prove``'s claim lines (``claim_lines``).  The
-report's temp file is opened (``_destination``) before any chain runs, so
-an ``--out`` that cannot be written fails before the work.  Sweep columns
-and ``prove`` chains run through ``programs.chain_parts``, whose
-docstring, with ``chain_blocks``', holds the route and cut rules; ``prove``
-without ``--out`` renders no row, only counts.
+(``counts_text``), ``prove``'s claim lines (``claim_lines``) and the error
+of an ``--out`` that cannot be written, which its ``Destination``, opened
+before any work, raises first.  Sweep columns and ``prove`` chains, and
+nothing else, run through ``programs.chain_parts``, whose docstring, with
+``chain_blocks``', holds the route and cut rules; ``prove`` without
+``--out`` renders no row, only counts.
 
 ``main`` returns the exit code and leaves the interpreter as it found it,
 for callers that run it in their own process.  ``run``, the one entry point
@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(ns) -> int:
     from .programs import certificate_rows, chain_parts, table_rows
-    from .reporting import counts_text
+    from .reporting import Destination, counts_text, render_rows
     from .varband import LIMIT_TOL, check_limit
 
     d1_lo, d1_hi = ns.d1
@@ -197,19 +197,15 @@ def _cmd_sweep(ns) -> int:
         raise VarcompError("--d2-large is read only by the limit check")
     d1_values = list(range(d1_lo, d1_hi + 1))
 
-    def other_blocks() -> list:
-        blocks: list = []
+    with Destination(ns.out) as dest:
+        blocks: list = []  # the checks outside any chain, run before it
         if "limit" in checks:
-            for d1 in d1_values:
-                blocks.append(check_limit(d1, ns.d2_large))
+            blocks += [check_limit(d1, ns.d2_large) for d1 in d1_values]
         if "tables" in checks:
-            blocks += table_rows()
-            blocks += certificate_rows()
-        return blocks
-
-    with _destination(ns) as dest:
-        parts = chain_parts(d1_values if chain_checks else [], d2_lo, d2_hi, chain_checks,
-                            ns.format, other_blocks)
+            blocks += table_rows() + certificate_rows()
+        parts = (chain_parts(d1_values, d2_lo, d2_hi, chain_checks, ns.format)
+                 if chain_checks else [])
+        parts += render_rows(blocks, ns.format)
         spec = {
             "command": "sweep",
             "d1": f"{d1_lo}..{d1_hi}",
@@ -225,49 +221,28 @@ def _cmd_sweep(ns) -> int:
     return 1 if counts["fail"] else 0
 
 
-def _destination(ns):
-    """The ``reporting.Destination`` of ns.out, opened before the command
-    runs any chain, so that a path that cannot be written is an error with
-    exit 2 before any work is done."""
-    from .reporting import Destination
-
-    try:
-        return Destination(ns.out)
-    except OSError as exc:
-        raise _unwritable(ns, exc) from None
-
-
-def _unwritable(ns, exc: OSError) -> VarcompError:
-    return VarcompError(f"cannot write report {ns.out}: {exc.strerror or exc}")
-
-
 def _emit(parts: list, spec: dict, ns, dest) -> dict:
     """Write the report of the rendered parts, in ns.format, to dest, the
-    ``_destination(ns)``: atomically to ns.out, or else to stdout; return
-    its counts (``summarize``).  Its header echoes the run spec and the
-    strictness floor.  A path that cannot be written is an error with exit
-    2; stdout's errors are ``main``'s."""
+    ``reporting.Destination`` of ns.out: atomically to ns.out, or else to
+    stdout; return its counts (``summarize``).  Its header echoes the run
+    spec and the strictness floor.  A path that cannot be written is the
+    Destination's VarcompError; stdout's errors are ``main``'s."""
     from .reporting import STRICTNESS_FLOOR, summarize, write_rendered
 
     header = {"version": __version__, "spec": {**spec, "floor": STRICTNESS_FLOOR}}
-    try:
-        write_rendered(parts, header, ns.format, dest)
-    except OSError as exc:
-        if not ns.out:
-            raise
-        raise _unwritable(ns, exc) from None
+    write_rendered(parts, header, ns.format, dest)
     return summarize(parts)
 
 
 def _cmd_prove(ns) -> int:
     from .programs import prove_parts
-    from .reporting import claim_lines, counts_text, summarize
+    from .reporting import Destination, claim_lines, counts_text, summarize
 
     if ns.format is None:
         ns.format = "csv"
     elif not ns.out:
         raise VarcompError("--format is read only with --out")
-    with _destination(ns) as dest:
+    with Destination(ns.out) as dest:
         # without --out no row is rendered, only counted
         parts = prove_parts(ns.d1, ns.d2_max, ns.format if ns.out else None)
         if ns.out:
@@ -367,9 +342,9 @@ def _cmd_explore(ns) -> int:
     if d2_lo < 5:
         raise VarcompError("d2 must be >= 5")
     from .programs import explore_rows
-    from .reporting import counts_text, render_rows
+    from .reporting import Destination, counts_text, render_rows
 
-    with _destination(ns) as dest:
+    with Destination(ns.out) as dest:
         blocks = [block for d1 in range(d1_lo, d1_hi + 1)
                   for block in explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1))]
         spec = {"command": "explore", "d1": f"{d1_lo}..{d1_hi}", "d2": f"{d2_lo}..{d2_hi}"}

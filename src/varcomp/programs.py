@@ -8,10 +8,10 @@ into its block by ``reporting.rows_from_outcome``.
 
 The per-point claims of one d1 over a d2 chain, of a sweep column and of a
 ``prove`` chain alike, come from ``chain_blocks``; ``chain_parts`` renders
-them and is what ``sweep`` and ``prove`` run.  One size rule decides how a
-grid runs: below ``_COLUMN_MIN`` points (d1 chains x d2 values), on the
-scalar route in this process; from it on, on the numpy column kernels, cut
-into runs of d2 across processes.
+them, and runs nothing else.  One size rule decides how a grid runs: below
+``_COLUMN_MIN`` points (d1 chains x d2 values), on the scalar route in
+this process; from it on, on the numpy column kernels, cut into runs of d2
+across processes.
 
 ``PROGRAMS`` is the claim set of ``prove``: per proved d1, every evaluator
 run (``Check``), its coverage, and each claim id it emits with the ids it
@@ -164,11 +164,10 @@ def _usable_cpus() -> int:
 
 
 def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[str],
-                fmt: Optional[str], other: Callable[[], list]) -> list:
+                fmt: Optional[str]) -> list:
     """The ``Rendered`` parts (``reporting.render_rows`` in fmt) of
     ``chain_blocks(d1, range(d2_lo, d2_hi + 1), checks, points)`` for
-    every d1 in d1s, points being the whole grid's, then of the blocks that
-    other() returns: the work that is not part of any chain.
+    every d1 in d1s, points being the whole grid's.
 
     Every d1 * (d2_hi + 2) must lie below 2**62 (``chain_blocks``), checked
     here for the whole grid.  The size rule: a grid of fewer than
@@ -177,8 +176,8 @@ def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[s
     given ``os.fork``, is cut, each d1 chain into one run of consecutive d2s
     per usable CPU (at most one per d2), run k of every chain in process k.
     Either way ``_fork_join`` runs them: this process, process 0, forks the
-    others, runs other() while they compute, then its own runs; each child
-    renders its runs and pipes their parts back pickled.  The parts come in run
+    others, then runs its own while they compute; each child renders its
+    runs and pipes their parts back pickled.  The parts come in run
     order, and the report renderers order parts stably by (check_id, d1), so
     every block's rows stay in d2 order; since each d2 lane of a chain is
     computed on its own, the report is the same byte for byte as from one
@@ -203,15 +202,13 @@ def chain_parts(d1s: Sequence[int], d2_lo: int, d2_hi: int, checks: Collection[s
         if hasattr(os, "fork"):
             procs = min(_usable_cpus(), span)
     cuts = [d2_lo + k * span // procs for k in range(procs + 1)]
-    return _fork_join(run, [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])],
-                      lambda: render_rows(other(), fmt))
+    return _fork_join(run, [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])])
 
 
-def _fork_join(run: Callable, runs: list, other: Callable) -> list:
-    """run(*runs[0]) in this process after other(), and run(*runs[k]) in a
-    forked child k; the children's parts follow this process's in run
-    order, then other()'s.  On any error every child is killed, and on
-    every exit path every child is reaped."""
+def _fork_join(run: Callable, runs: list) -> list:
+    """run(*runs[0]) in this process, and run(*runs[k]) in a forked child k;
+    the children's parts follow this process's in run order.  On any error
+    every child is killed, and on every exit path every child is reaped."""
     if runs[1:]:  # only a fork needs them
         import pickle
         import signal
@@ -229,7 +226,6 @@ def _fork_join(run: Callable, runs: list, other: Callable) -> list:
                 _child(write, pipes, run, bounds)
             os.close(write)
             pids.append(pid)
-        tail = other()
         parts = run(*runs[0])
         for pipe in pipes:
             try:
@@ -241,7 +237,7 @@ def _fork_join(run: Callable, runs: list, other: Callable) -> list:
                 raise value
             parts += value
         joined = True
-        return parts + tail
+        return parts
     finally:
         for pipe in pipes:
             pipe.close()
@@ -636,12 +632,12 @@ def prove_rows(d1: int, d2_max: int = 400) -> list:
 
 
 def prove_parts(d1: int, d2_max: int, fmt: Optional[str]) -> list:
-    """The ``Rendered`` parts of ``prove_rows(d1, d2_max)`` in fmt, its step
-    chain through ``chain_parts``."""
+    """The ``Rendered`` parts of ``prove_rows(d1, d2_max)`` in fmt: its
+    chain's (``chain_parts``), then its other checks', run before the chain."""
     _check_prove_args(d1, d2_max)
     checks, span = _chain(d1)
-    return chain_parts([d1], span.lo, span.top(d2_max), checks, fmt,
-                       lambda: _program_rows(d1, d2_max))
+    program = render_rows(_program_rows(d1, d2_max), fmt)
+    return chain_parts([d1], span.lo, span.top(d2_max), checks, fmt) + program
 
 
 def _check_prove_args(d1: int, d2_max: int) -> None:

@@ -33,9 +33,10 @@ d2 order.  Then one piece generator per format (``_PIECES``) orders the
 parts stably by (check_id, d1), sums their counts and yields the report as
 pieces: the header block, each part's text and the summary.
 ``write_rendered`` writes those pieces one at a time, so the report is
-never held as one string: encoded, into a ``Destination`` (the temp file of
-a path, opened before any work) or stdout's byte buffer, or as text into a
-text-only stdout.  ``write_report`` runs both steps.  ``render_csv`` and
+never held as one string: encoded, into a ``Destination`` (a temp file of
+its own beside a path, created before any work) or stdout's byte buffer,
+or as text into a text-only stdout; ``Destination`` owns the report file
+and its errors.  ``write_report`` runs both steps.  ``render_csv`` and
 ``render_json``, the joins of the same pieces, are the str renderers.
 
 The rows, which are nearly all of a large report, are written column by
@@ -59,10 +60,13 @@ import json
 import math
 import os
 import sys
-from itertools import chain, repeat
+from contextlib import contextmanager
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+
+from .errors import VarcompError
 
 __all__ = [
     "STRICTNESS_FLOOR",
@@ -442,20 +446,37 @@ def render_json(parts: Iterable[Rendered], header: Mapping[str, object]) -> str:
     return "".join(_json_pieces(parts, header))
 
 
+_SERIAL = count()  # the N of each Destination's temp file
+
+
 class Destination:
     """Where ``write_rendered`` puts a report: stdout without a path; with
-    one, the temp file path + ".tmp", opened here, before any work is done,
-    so that a path that cannot be written fails first.  A path that names a
-    directory fails here too, not at the rename onto it.  ``write_rendered``
-    renames the finished temp file onto path; leaving the with block removes
-    it if it is still there, so no partial report survives an abort."""
+    one, a temp file of its own, path + ".PID-N.tmp" (N counts the process's
+    destinations), created exclusively here, before any work is done, so a
+    path that cannot be written, a directory among them, fails first, and
+    two runs that write one path never share a temp file.
+    ``write_rendered`` renames the finished temp file onto path; leaving the
+    with block removes it if it is still there, so no partial report
+    survives an abort.  Each OSError of the file is one VarcompError that
+    names path and the reason (``_write_errors``)."""
 
     def __init__(self, path: Optional[str] = None) -> None:
-        self.path, self.tmp, self.fh = path, f"{path}.tmp", None
+        self.path, self.fh = path, None
+        self.tmp = f"{path}.{os.getpid()}-{next(_SERIAL)}.tmp"
         if path:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            self.fh = open(self.tmp, "wb")
+            with self._write_errors():
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                self.fh = open(self.tmp, "xb")  # O_EXCL, mode 0o666 less the umask
+
+    @contextmanager
+    def _write_errors(self) -> Iterator[None]:
+        """The OSErrors of the path's file as one VarcompError."""
+        try:
+            yield
+        except OSError as exc:
+            raise VarcompError(f"cannot write report {self.path}: "
+                               f"{exc.strerror or exc}") from exc
 
     def __enter__(self) -> Destination:
         return self
@@ -470,7 +491,8 @@ class Destination:
 def write_report(blocks: Iterable[Block], header: Mapping[str, object],
                  fmt: str, path: Optional[str]) -> None:
     """Render the blocks and write their report atomically to path, or to
-    stdout without one; ``write_rendered`` of ``render_rows``."""
+    stdout without one; ``write_rendered`` of ``render_rows``.  A path that
+    cannot be written raises ``Destination``'s VarcompError, not OSError."""
     with Destination(path) as dest:
         write_rendered(render_rows(blocks, fmt), header, fmt, dest)
 
@@ -478,16 +500,17 @@ def write_report(blocks: Iterable[Block], header: Mapping[str, object],
 def write_rendered(parts: Iterable[Rendered], header: Mapping[str, object],
                    fmt: str, dest: Destination) -> None:
     """Write the report of parts rendered in fmt to dest, one piece at a
-    time (``_PIECES``): UTF-8 encoded into its temp file, which then
-    replaces its path; or, without a path, into stdout's byte buffer,
-    encoded as stdout encodes, after what stdout holds buffered, or as text
-    into a text-only stdout such as an io.StringIO."""
+    time (``_PIECES``): UTF-8 encoded into its temp file (its errors are
+    ``Destination``'s), which then replaces its path; or, without a path,
+    into stdout's byte buffer, encoded as stdout encodes, after what stdout
+    holds buffered, or as text into a text-only stdout such as an io.StringIO."""
     pieces = _format(_PIECES, fmt)(parts, header)
     if dest.fh is not None:
-        for piece in pieces:
-            write_encoded(dest.fh, piece)
-        dest.fh.close()
-        os.replace(dest.tmp, dest.path)
+        with dest._write_errors():
+            for piece in pieces:
+                write_encoded(dest.fh, piece)
+            dest.fh.close()
+            os.replace(dest.tmp, dest.path)
         return
     out = sys.stdout
     raw = getattr(out, "buffer", None)

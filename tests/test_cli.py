@@ -478,6 +478,23 @@ def test_unwritable_out_exits_2(command, target, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []  # no report and no .tmp left behind
 
 
+def test_sweep_without_a_chain_check_starts_no_chain_runner(monkeypatch, tmp_path,
+                                                            capsys):
+    # the limit and tables checks run in this process, not through the
+    # chain runner: the report is the same without it
+    argv = ["sweep", "--d1", "1..4", "--check", "limit,tables", "--out"]
+    expected = run_cli(*argv, str(tmp_path / "a.csv"), capsys=capsys)
+    assert expected[0] == 0
+
+    def not_run(*args):
+        raise AssertionError("a sweep with no chain check ran the chain runner")
+
+    monkeypatch.setattr(varcomp.programs, "chain_parts", not_run)
+    code, out, err = run_cli(*argv, str(tmp_path / "b.csv"), capsys=capsys)
+    assert (code, out.replace("b.csv", "a.csv"), err) == expected
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+
 def test_oracle_agreement(capsys):
     code, out, _ = run_cli("oracle", "--d1", "4", "--d2", "12",
                            "--samples", "100000", "--seed", "42", capsys=capsys)

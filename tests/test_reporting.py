@@ -1,8 +1,10 @@
 import csv
+import errno
 import inspect
 import io
 import json
 import math
+import os
 import sys
 from typing import NamedTuple, Optional
 from unittest import mock
@@ -15,6 +17,7 @@ import varcomp
 import varcomp.programs
 from varcomp import FParams, check_bound, check_limit, check_monotone_step
 from varcomp.cli import main
+from varcomp.errors import VarcompError
 from varcomp.programs import (_COLUMN_MIN, certificate_rows, chain_blocks, explore_rows,
                               prove_rows, table_rows)
 from varcomp.proofcheck import (
@@ -32,6 +35,7 @@ from varcomp.reporting import (
     STATUSES,
     STRICTNESS_FLOOR,
     Block,
+    Destination,
     Rendered,
     claim_lines,
     counts_text,
@@ -44,6 +48,7 @@ from varcomp.reporting import (
     rows_from_outcome,
     rows_from_step_report,
     summarize,
+    write_rendered,
     write_report,
 )
 
@@ -559,6 +564,47 @@ def test_write_report_writes_a_large_report_whole(fmt, tmp_path):
     write_report(blocks, HEADER, fmt, str(path))
     assert path.read_bytes() == text.encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_two_destinations_of_one_path_each_rename_a_whole_report(tmp_path):
+    # two runs that write one --out at once: each writes a temp file of its
+    # own, so neither write fails, the path holds the report renamed last,
+    # whole, and no temp file is left; the longer report goes first, so a
+    # shared temp file would leave a mix of both
+    path = tmp_path / "r.csv"
+    reports = [render_rows(blocks_of(many_edge_rows(n)), "csv") for n in (40, 4)]
+    old = os.umask(0o022)
+    try:
+        first, second = Destination(str(path)), Destination(str(path))
+    finally:
+        os.umask(old)
+    with first, second:
+        write_rendered(reports[0], HEADER, "csv", first)
+        write_rendered(reports[1], HEADER, "csv", second)
+    assert path.read_bytes() == render_csv(reports[1], HEADER).encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    # created as open(path, "wb") creates a file: 0o666 less the umask
+    assert path.stat().st_mode & 0o777 == 0o644
+
+
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("where", ["open", "rename"])
+def test_a_report_path_that_cannot_be_written_is_a_varcomp_error(where, tmp_path,
+                                                                   monkeypatch):
+    # the one error of a report file, at its temp file's creation or at its
+    # rename onto the path; no temp file is left behind
+    path = tmp_path / "missing" / "r.csv" if where == "open" else tmp_path / "r.csv"
+    if where == "rename":
+        monkeypatch.setattr(os, "replace", _no_space)
+    reason = "No such file or directory" if where == "open" else os.strerror(errno.ENOSPC)
+    with pytest.raises(VarcompError) as info:
+        write_report(blocks_of(EDGE_ROWS), HEADER, "csv", str(path))
+    assert str(info.value) == f"cannot write report {path}: {reason}"
+    assert isinstance(info.value.__cause__, OSError)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
