@@ -216,7 +216,7 @@ def _cmd_sweep(ns) -> int:
             "exploratory": any(p.exploratory for p in parts),
         }
         counts = _emit(parts, spec, ns, dest)
-    if ns.out:
+    if ns.out is not None:
         print(f"wrote {ns.out}: {counts_text(counts)}")
     return 1 if counts["fail"] else 0
 
@@ -240,14 +240,14 @@ def _cmd_prove(ns) -> int:
 
     if ns.format is None:
         ns.format = "csv"
-    elif not ns.out:
+    elif ns.out is None:
         raise VarcompError("--format is read only with --out")
     with Destination(ns.out) as dest:
         # without --out no row is rendered, only counted
-        parts = prove_parts(ns.d1, ns.d2_max, ns.format if ns.out else None)
-        if ns.out:
+        parts = prove_parts(ns.d1, ns.d2_max, ns.format if ns.out is not None else None)
+        if ns.out is not None:
             _emit(parts, {"command": "prove", "d1": ns.d1, "d2_max": ns.d2_max}, ns, dest)
-    if ns.out:
+    if ns.out is not None:
         print(f"wrote {ns.out}")
     counts = summarize(parts)
     for line in claim_lines(parts):
@@ -349,7 +349,7 @@ def _cmd_explore(ns) -> int:
                   for block in explore_rows(d1, range(max(d2_lo, 7), d2_hi + 1))]
         spec = {"command": "explore", "d1": f"{d1_lo}..{d1_hi}", "d2": f"{d2_lo}..{d2_hi}"}
         counts = _emit(render_rows(blocks, ns.format), spec, ns, dest)
-    if ns.out:
+    if ns.out is not None:
         print(f"wrote {ns.out}: {counts_text(counts)}")
     return 0
 

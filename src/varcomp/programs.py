@@ -36,6 +36,7 @@ from typing import Callable, Collection, Mapping, NamedTuple, Optional, Sequence
 from .distributions import FParams
 from .errors import DomainError, VarcompError
 from .proofcheck.auxfn import (
+    GOLDEN_TABLES,
     AuxFn,
     algebra_identity_check,
     derivative_sign_check,
@@ -62,7 +63,7 @@ from .proofcheck.steps import (
     coefficient_sign_checks,
     coefficient_sign_column,
     falling_factorial_bounds_odd,
-    series_forms_even,
+    series_steps_even,
     step_inequalities_column,
 )
 from .oracle import quad_beta_integral
@@ -101,10 +102,6 @@ _DENSE_MAX = 200
 #: between 4,096 and about 6,000 points the routes are within noise (the
 #: measurements are in the project ROADMAP, item 5).
 _COLUMN_MIN = 4096
-
-
-def _grid(lo: int, hi: int) -> list:
-    return list(range(lo, hi + 1))
 
 
 def chain_blocks(d1: int, d2s: Sequence[int], checks: Collection[str],
@@ -281,10 +278,9 @@ def table_rows() -> list:
     consistency of the rational lower-edge bound (the G1 table and the v
     checks of the d1 = 3 program, as ``PROGRAMS[3]`` runs them).
     """
-    blocks = [rows_from_outcome([monotone_table_check(f, ys, direction)], d1)[0]
-              for d1, f, ys, direction in ((2, AuxFn.H2, [3, 4, 5], "decreasing"),
-                                           (3, AuxFn.H3, _grid(3, 12), "decreasing"),
-                                           (4, AuxFn.H4, _grid(3, 12), "increasing"))]
+    blocks = [rows_from_outcome([monotone_table_check(f, GOLDEN_TABLES[f], way)], d1)[0]
+              for d1, f, way in ((2, AuxFn.H2, "decreasing"), (3, AuxFn.H3, "decreasing"),
+                                 (4, AuxFn.H4, "increasing"))]
     return blocks + [block for check in PROGRAMS[3]
                      if check.claims.keys() & {"g1_decreasing", "v_rational_consistency"}
                      for block in _evaluate(check, 3)]
@@ -659,38 +655,20 @@ def _program_rows(d1: int, d2_max: int) -> list:
 def explore_rows(d1: int, d2_values: Sequence[int]) -> list:
     """Exploratory scan of the conjectured region d1 >= 5; never normative.
 
-    Odd d1: truncated-binomial sufficient bounds at each d2.  Even d1: step
-    differences of the series-reduced log forms (positive upper-edge
-    difference and negative lower-edge difference would match the proved
-    pattern).  Domain failures of the series forms, and overflows of the
-    truncated sums, are recorded in the row's note, not raised.
+    One block per form, of its (margin, note) at each d2 that gives it a
+    row: the truncated-binomial bounds of ``falling_factorial_bounds_odd``
+    for odd d1, the series step differences of ``series_steps_even`` for
+    even d1.  An undefined series form or an overflowing truncated sum is a
+    not-applicable row whose note says so, not an error.
     """
     if d1 < 5:
         raise DomainError(f"explore is for d1 >= 5, got d1={d1}; "
                           f"use sweep or prove below that")
-    if d1 % 2 == 1:
-        columns: dict = {}  # form -> (its margins, its notes)
-        for d2 in d2_values:
-            for form, (margin, note) in falling_factorial_bounds_odd(d1, d2).items():
-                margins, notes = columns.setdefault(form, ([], []))
-                margins.append(margin)
-                notes.append(note)
-        return [margin_block(form, d1, d2_values, margins, notes, True)
-                for form, (margins, notes) in columns.items()]
-    defined, upper, lower, undefined, notes = [], [], [], [], []
+    forms = falling_factorial_bounds_odd if d1 % 2 else series_steps_even
+    columns: dict = {}  # form -> (its d2s, its margins, its notes)
     for d2 in d2_values:
-        try:
-            j_prev, k_prev = series_forms_even(d1, float(d2 - 2))
-            j_here, k_here = series_forms_even(d1, float(d2))
-        except VarcompError as exc:
-            undefined.append(d2)
-            notes.append(f"not applicable: {exc}")
-            continue
-        defined.append(d2)
-        upper.append(j_here - j_prev)
-        lower.append(k_prev - k_here)
-    blocks = rows_from_step_report(
-        d1, defined, {"series_upper_step": upper, "series_lower_step": lower}, True)
-    blocks.append(margin_block("series_step", d1, undefined, [None] * len(undefined),
-                               notes, True))
-    return [block for block in blocks if block]
+        for form, row in forms(d1, d2).items():
+            for column, value in zip(columns.setdefault(form, ([], [], [])), (d2, *row)):
+                column.append(value)
+    return [margin_block(form, d1, d2s, margins, notes, True)
+            for form, (d2s, margins, notes) in columns.items()]

@@ -31,20 +31,21 @@ x1 < x0.
 Each evaluator returns an ordered map from claim id to signed margin, with
 None for a form that does not apply at that (d1, d2); it renders no
 verdict.  ``reporting.rows_from_step_report`` classifies them, one block
-per form over a column of d2 values.  The exploratory odd-d1 bounds map
-each form to its (margin, note) instead, the note naming an overflow.
+per form over a column of d2 values.  ``explore``'s evaluators, one per
+parity of d1, map each form to its (margin, note) instead.
 
-``step_inequalities_at`` (``check_step_inequalities``, ``explore``, the
-scalar route of ``programs.chain_blocks``) and ``step_inequalities_column``
-(its column route, integrals through ``oracle.quad_beta_integral_column``)
-share one body per formula: ``_step_forms``, ``_boundary_term`` and
-``_pow1m``.  They use only +, -, * and /, which round alike on floats and
-on float64 columns; each route passes in its integrals and its exp and log
-(through ``math``), masks its own zero boundary terms and applies the
-applicability rules, so the margins are bit-identical and the scalar route
-stays the reference.  The d1 = 3
-``ratio_bound_lower`` is ``auxfn``'s v on both routes, one body with the
-square root passed in (``auxfn.v_of``).
+``step_inequalities_at`` (``check_step_inequalities``, the scalar route of
+``programs.chain_blocks``) and ``step_inequalities_column`` (its column
+route, integrals through ``oracle.quad_beta_integral_column``) share one
+body per formula: ``_step_forms``, ``_boundary_term`` and ``_pow1m``.  They
+use only +, -, * and /, which round alike on floats and on float64 columns;
+each route passes in its integrals and its exp and log (through ``math``)
+and masks its own zero boundary terms, so the margins are bit-identical and
+the scalar route stays the reference.  One body, ``_lower_forms_apply``,
+decides where the lower-edge forms apply (d > c > 0): on both routes, and
+for the odd-d1 lower bound.  The d1 = 3 ``ratio_bound_lower`` is
+``auxfn``'s v on both routes, one body with the square root passed in
+(``auxfn.v_of``).
 ``coefficient_sign_checks`` and ``coefficient_sign_column`` share
 ``_coefficient_forms`` the same way.  numpy is imported only when a column
 route runs.
@@ -56,10 +57,10 @@ import math
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..distributions import FParams
-from ..errors import DomainError
+from ..errors import DomainError, VarcompError
 from ..oracle import quad_beta_integral, quad_beta_integral_column
 from ..specfun import _each
-from ..varband import _d_over_c, band_endpoints, d_exceeds_c
+from ..varband import _d_over_c, band_endpoints
 from .auxfn import v_direct, v_of
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "coefficient_sign_checks",
     "coefficient_sign_column",
     "series_forms_even",
+    "series_steps_even",
     "falling_factorial_bounds_odd",
 ]
 
@@ -84,6 +86,11 @@ Margins = Dict[str, Optional[float]]
 
 #: The lower-edge step form of each d1 that has one; it applies where d > c > 0.
 _LOWER_STEP = {3: "product_step_lower", 4: "poly_power_step_lower"}
+
+
+def _lower_forms_apply(d1: int, d2: int, d: float) -> bool:
+    # d > c > 0 (d the lower image), d > c by d_exceeds_c's exact integer test
+    return d > 0.0 and _d_over_c(d1, d2) > 0
 
 
 def _pow1m(x, e, exp, log1p):
@@ -105,8 +112,6 @@ def _boundary_term(x, d1: int, b2, exp, log, log1p):
 
 def check_step_inequalities(p: FParams) -> Margins:
     """Margin of every step-inequality form at (d1, d2)."""
-    if p.d2 < 5:
-        raise DomainError(f"step inequalities require d2 >= 5, got d2={p.d2}")
     ep = band_endpoints(p)
     return step_inequalities_at(p.d1, p.d2, ep.a, ep.b, ep.c, ep.d)
 
@@ -126,7 +131,7 @@ def step_inequalities_at(d1: int, d2: int, a: float, b: float, c: float,
     if not c > 0.0:
         margins["lower_edge"] = None
     if d1 in (3, 4):
-        d_gt_c = d > 0.0 and _d_over_c(d1, d2) > 0
+        d_gt_c = _lower_forms_apply(d1, d2, d)
         if not d_gt_c:
             margins[_LOWER_STEP[d1]] = None
         if d1 == 3:
@@ -169,7 +174,7 @@ def step_inequalities_column(d1: int, d2s: Sequence[int], a, b, c, d) -> Dict[st
     margins = {form: v.tolist() for form, v in forms.items()}
     margins["lower_edge"] = _masked((c > 0.0).tolist(), margins["lower_edge"])
     if d1 in (3, 4):
-        d_gt_c = [dv > 0.0 and _d_over_c(d1, n) > 0 for n, dv in zip(d2s, d.tolist())]
+        d_gt_c = [_lower_forms_apply(d1, n, dv) for n, dv in zip(d2s, d.tolist())]
         margins[_LOWER_STEP[d1]] = _masked(d_gt_c, margins[_LOWER_STEP[d1]])
         if d1 == 3:
             v = iter(v_of(n2[np.array(d_gt_c, dtype=bool)], np.sqrt).tolist())
@@ -315,12 +320,31 @@ def series_forms_even(d1: int, y: float) -> Tuple[float, float]:
     upper edge and K(d2-2) > K(d2) for the lower edge when d > c > 0.
     Exploratory: these are scanned, never asserted.
     """
-    if d1 < 6 or d1 % 2 != 0:
-        raise DomainError(f"series forms require even d1 >= 6, got {d1}")
+    _check_even_d1(d1)
     if not (isinstance(y, (int, float)) and math.isfinite(y)) or y <= 2.0:
         raise DomainError(f"series forms require finite real y > 2, got {y!r}")
     y = float(y)
     return _even_series(d1, y, 1.0), _even_series(d1, y, -1.0)
+
+
+def _check_even_d1(d1: int) -> None:
+    if d1 < 6 or d1 % 2 != 0:
+        raise DomainError(f"series forms require even d1 >= 6, got {d1}")
+
+
+def series_steps_even(d1: int, d2: int) -> Dict[str, Tuple[Optional[float], str]]:
+    """Series step differences for even d1 >= 6 (exploratory), each form's
+    (margin, note): series_upper_step J(d2) - J(d2-2) and series_lower_step
+    K(d2-2) - K(d2), positive in the proved pattern; or, where a series form
+    is undefined, series_step (None, "not applicable: " and the reason)."""
+    _check_even_d1(d1)
+    try:
+        j_prev, k_prev = series_forms_even(d1, float(d2 - 2))
+        j_here, k_here = series_forms_even(d1, float(d2))
+    except VarcompError as exc:
+        return {"series_step": (None, f"not applicable: {exc}")}
+    return {"series_upper_step": (j_here - j_prev, ""),
+            "series_lower_step": (k_prev - k_here, "")}
 
 
 def _falling_factorial(x: float, n: int) -> float:
@@ -377,12 +401,10 @@ def falling_factorial_bounds_odd(d1: int,
     p = FParams(d1, d2)
     ep = band_endpoints(p)
     alpha = 0.5 * d1 - 1.0
-    rows = {
+    return {
         "truncated_series_upper": _unless_overflow(
             lambda: _truncated_sum(d1, d2, ep.a, ep.b, math.floor(alpha)) - 2.0 * ep.a),
-        "truncated_series_lower": (None, ""),
-    }
-    if ep.d > 0.0 and d_exceeds_c(p):
-        rows["truncated_series_lower"] = _unless_overflow(
+        "truncated_series_lower": _unless_overflow(
             lambda: 2.0 * ep.c - _truncated_sum(d1, d2, ep.c, ep.d, math.ceil(alpha)))
-    return rows
+        if _lower_forms_apply(p.d1, p.d2, ep.d) else (None, ""),
+    }

@@ -450,11 +450,11 @@ _SERIAL = count()  # the N of each Destination's temp file
 
 
 class Destination:
-    """Where ``write_rendered`` puts a report: stdout without a path; with
-    one, a temp file of its own, path + ".PID-N.tmp" (N counts the process's
-    destinations), created exclusively here, before any work is done, so a
-    path that cannot be written, a directory among them, fails first, and
-    two runs that write one path never share a temp file.
+    """Where ``write_rendered`` puts a report: stdout without a path (None);
+    with one, a temp file of its own, path + ".PID-N.tmp" (N counts the
+    process's destinations), created exclusively here, before any work is
+    done, so a path that cannot be written, a directory or '' among them,
+    fails first, and two runs that write one path never share a temp file.
     ``write_rendered`` renames the finished temp file onto path; leaving the
     with block removes it if it is still there, so no partial report
     survives an abort.  Each OSError of the file is one VarcompError that
@@ -462,9 +462,11 @@ class Destination:
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path, self.fh = path, None
-        self.tmp = f"{path}.{os.getpid()}-{next(_SERIAL)}.tmp"
-        if path:
+        if path is not None:
+            self.tmp = f"{path}.{os.getpid()}-{next(_SERIAL)}.tmp"
             with self._write_errors():
+                if not path:
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
                 if os.path.isdir(path):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
                 self.fh = open(self.tmp, "xb")  # O_EXCL, mode 0o666 less the umask

@@ -460,19 +460,22 @@ WRITE_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(WRITE_COMMANDS))
-@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory", "empty"])
 def test_unwritable_out_exits_2(command, target, tmp_path, monkeypatch, capsys):
-    # found before any chain runs: the report's temp file is opened first
+    # found before any chain runs: the report's temp file is opened first;
+    # an empty --out is a path that cannot be written, not stdout
     def not_run(*args):
         raise AssertionError("the work ran before the report path was tried")
 
     for name in ("chain_parts", "explore_rows"):
         monkeypatch.setattr(varcomp.programs, name, not_run)
-    out = tmp_path / "missing" / "r.csv" if target == "missing_dir" else tmp_path
-    code, _, err = run_cli(*WRITE_COMMANDS[command], "--out", str(out),
-                           capsys=capsys)
-    assert code == 2
-    reason = "No such file or directory" if target == "missing_dir" else "Is a directory"
+    monkeypatch.chdir(tmp_path)
+    out = {"missing_dir": tmp_path / "missing" / "r.csv", "directory": tmp_path,
+           "empty": ""}[target]
+    code, stdout, err = run_cli(*WRITE_COMMANDS[command], "--out", str(out),
+                                capsys=capsys)
+    assert code == 2 and stdout == ""
+    reason = "Is a directory" if target == "directory" else "No such file or directory"
     assert err == f"error: cannot write report {out}: {reason}\n"
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []  # no report and no .tmp left behind

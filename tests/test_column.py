@@ -18,7 +18,7 @@ from varcomp import (
     variation_probability,
 )
 from varcomp.oracle import quad_beta_integral, quad_beta_integral_column
-from varcomp.programs import _COLUMN_MIN, chain_blocks, prove_rows
+from varcomp.programs import _COLUMN_MIN, chain_blocks, explore_rows, prove_rows
 from varcomp.proofcheck.steps import (
     coefficient_sign_checks,
     coefficient_sign_column,
@@ -437,3 +437,44 @@ def test_the_one_lentz_guard_reaches_both_routes(monkeypatch):
     scalar, column = _guard_point_fractions()
     assert scalar != unpatched
     assert column == scalar
+
+
+#: The forms that apply only where d > c > 0, per d1.
+_LOWER_FORMS = {3: ("product_step_lower", "ratio_bound_lower"),
+                4: ("poly_power_step_lower",)}
+
+
+def _lower_form_margins():
+    """(scalar, column): each of _LOWER_FORMS' margin lists over
+    _ONE_BODY_D2S, on each route."""
+    scalar, column = [], []
+    for d1, forms in _LOWER_FORMS.items():
+        steps = step_inequalities_column(d1, _ONE_BODY_D2S,
+                                         *band_endpoints_column(d1, _ONE_BODY_D2S))
+        at = [step_inequalities_at(d1, d2, *band_endpoints(FParams(d1, d2)))
+              for d2 in _ONE_BODY_D2S]
+        for form in forms:
+            column.append(steps[form])
+            scalar.append([m[form] for m in at])
+    return scalar, column
+
+
+def test_the_one_lower_forms_rule_reaches_every_caller(unpatched_values, monkeypatch):
+    # d > c > 0 is decided in one body: made false, it turns off the lower
+    # step forms on both routes and explore's odd-d1 lower bound
+    def lower_rows():
+        return next(block for block in explore_rows(7, range(7, 60))
+                    if block.check_id == "truncated_series_lower")
+
+    scalar, _ = _lower_form_margins()
+    assert all(any(m is not None for m in margins) for margins in scalar)
+    assert set(lower_rows().statuses) != {"not_applicable"}
+    monkeypatch.setattr(varcomp.proofcheck.steps, "_lower_forms_apply",
+                        lambda d1, d2, d: False)
+    scalar, column = _route_values()
+    assert scalar != unpatched_values
+    assert column == scalar
+    scalar, column = _lower_form_margins()
+    assert column == scalar
+    assert all(m is None for margins in scalar for m in margins)
+    assert set(lower_rows().statuses) == {"not_applicable"}

@@ -203,6 +203,8 @@ _REPORT_DIGESTS = {
     ("prove", "--d1", "4"): "adcfead2f6feaeec402704d426911de1d18ff706190ca1197a70b1bc229740ee",
     ("sweep", "--d1", "1..4", "--check", "bound,monotone,limit,steps,tables"):
         "3e6ba4074ecfd8d64a8b5c788c4fa2e2b65bde8b55327b76dab0ac34614b9a80",
+    ("explore", "--d1", "5..12", "--d2", "5..200"):
+        "2965440961a14237ecad55b24442948bdd6f0318093dbd55ee2aa1efe9d823b0",
 }
 
 

@@ -11,6 +11,7 @@ from varcomp.proofcheck import (
     falling_factorial_bounds_odd,
     series_forms_even,
 )
+from varcomp.proofcheck.steps import series_steps_even
 from varcomp.varband import band_endpoints
 
 
@@ -123,13 +124,27 @@ def test_series_forms_even():
 
 
 def test_series_step_matches_exact_step_direction():
-    # the series步 difference signs reproduce the proved pattern at even d1
+    # the series step difference signs reproduce the proved pattern at even d1
     for d1 in (6, 8):
         for d2 in range(8, 80, 4):
             j_prev, k_prev = series_forms_even(d1, float(d2 - 2))
             j_here, k_here = series_forms_even(d1, float(d2))
             assert j_here > j_prev, (d1, d2)
             assert k_here < k_prev, (d1, d2)
+
+
+def test_series_steps_even():
+    # each form's (margin, note): the J and K step differences where both
+    # series forms are defined, one series_step row naming why where not
+    j_prev, k_prev = series_forms_even(8, 48.0)
+    j_here, k_here = series_forms_even(8, 50.0)
+    assert series_steps_even(8, 50) == {"series_upper_step": (j_here - j_prev, ""),
+                                        "series_lower_step": (k_prev - k_here, "")}
+    assert series_steps_even(6, 4) == {"series_step": (
+        None, "not applicable: series forms require finite real y > 2, got 2.0")}
+    for d1 in (7, 4, 5):
+        with pytest.raises(DomainError):
+            series_steps_even(d1, 50)
 
 
 def odd_margins(d1, d2) -> dict:
